@@ -136,12 +136,13 @@ class Shuffle:
                 raise ValueError(f"{kind}-chain out of order in {_format(order)}")
 
     @cached_property
-    def _ranks(self) -> dict[Letter, int]:
+    def ranks(self) -> dict[Letter, int]:
+        """Each letter's 0-based position in the order."""
         return {letter: r for r, letter in enumerate(self.order)}
 
     def rank(self, letter: Letter) -> int:
         try:
-            return self._ranks[letter]
+            return self.ranks[letter]
         except KeyError:
             raise ValueError(f"letter {letter} is not in alphabet {self.alphabet}") from None
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Letter, Shuffle, u as u_letter, t as t_letter
-from .insertion import Variant, Word, insert_word, variant_profile
+from .insertion import Variant, Word, _is_t, _rank_grid, insert_word, variant_profile
 from .tableau import RecordingTableau, Tableau, is_standard, is_valid
 
 __all__ = [
@@ -15,6 +16,11 @@ __all__ = [
     "standardize_u",
     "standardize_t",
 ]
+
+
+# displacement search per rule, one past the rightmost entry < x (regular)
+# or <= x (dual)
+_DISPLACE_SEARCH = {"regular": bisect_left, "dual": bisect_right}
 
 
 def reverse_word(
@@ -36,76 +42,48 @@ def reverse_word(
     if not is_valid(p, shuffle, variant_profile(variant)):
         raise ValueError("insertion tableau is not valid for this shuffle and variant")
 
-    rows = [list(row) for row in p.rows]
-    position = {q.entry(r, c): (r, c) for r, c in _cells(q)}
+    rows, cols = _rank_grid(p, shuffle)
+    order = shuffle.order
+    is_t = _is_t(shuffle)
+    find_t, find_u = _DISPLACE_SEARCH[variant.t_rule], _DISPLACE_SEARCH[variant.u_rule]
+    position = {m: (i, j) for i, row in enumerate(q.rows) for j, m in enumerate(row)}
     recovered: list[Letter] = []
     for m in range(q.size, 0, -1):
         i, j = position[m]
         # the current maximum of a standard tableau sits at a corner
-        assert j == len(rows[i - 1]) and (i == len(rows) or len(rows[i]) < j)
-        elem = rows[i - 1].pop()
-        if not rows[i - 1]:
+        assert j == len(rows[i]) - 1 and len(cols[j]) == i + 1
+        x = rows[i].pop()
+        cols[j].pop()
+        if not rows[i]:
             rows.pop()
-        axis, index = ("row", i) if elem.kind == "t" else ("column", j)
-        while index > 1:
-            if axis == "row":
-                dual = variant.t_rule == "dual"
-                line = rows[index - 2]
-                pos = _displace_index_row(line, elem, shuffle, dual)
-                if pos is None:
+        if not cols[j]:
+            cols.pop()
+        while True:
+            if is_t[x]:
+                if i == 0:
+                    break
+                i -= 1
+                j = find_t(rows[i], x) - 1
+                if j < 0:
                     raise ValueError(
-                        f"irreducible configuration: nothing in row {index - 1} "
-                        f"admits {elem}"
+                        f"irreducible configuration: nothing in row {i + 1} "
+                        f"admits {order[x]}"
                     )
-                displaced = line[pos]
-                line[pos] = elem
-                cell = (index - 1, pos + 1)
             else:
-                dual = variant.u_rule == "dual"
-                col = index - 1
-                depth = 0
-                while depth < len(rows) and len(rows[depth]) >= col:
-                    depth += 1
-                pos = _displace_index_col(rows, col, depth, elem, shuffle, dual)
-                if pos is None:
+                if j == 0:
+                    break
+                j -= 1
+                i = find_u(cols[j], x) - 1
+                if i < 0:
                     raise ValueError(
-                        f"irreducible configuration: nothing in column {col} "
-                        f"admits {elem}"
+                        f"irreducible configuration: nothing in column {j + 1} "
+                        f"admits {order[x]}"
                     )
-                displaced = rows[pos][col - 1]
-                rows[pos][col - 1] = elem
-                cell = (pos + 1, col)
-            elem = displaced
-            axis, index = ("row", cell[0]) if elem.kind == "t" else ("column", cell[1])
-        recovered.append(elem)
+            y = rows[i][j]
+            rows[i][j] = cols[j][i] = x
+            x = y
+        recovered.append(order[x])
     return Word(tuple(reversed(recovered)))
-
-
-def _cells(rec: RecordingTableau):
-    for r, row in enumerate(rec.rows, 1):
-        for c in range(1, len(row) + 1):
-            yield (r, c)
-
-
-def _displace_index_row(
-    line: list[Letter], elem: Letter, shuffle: Shuffle, dual: bool
-) -> int | None:
-    """Rightmost position strictly below elem (or below-or-equal, dual rule)."""
-    threshold = shuffle.rank(elem) + (1 if dual else 0)
-    for pos in range(len(line) - 1, -1, -1):
-        if shuffle.rank(line[pos]) < threshold:
-            return pos
-    return None
-
-
-def _displace_index_col(
-    rows: list[list[Letter]], col: int, depth: int, elem: Letter, shuffle: Shuffle, dual: bool
-) -> int | None:
-    threshold = shuffle.rank(elem) + (1 if dual else 0)
-    for pos in range(depth - 1, -1, -1):
-        if shuffle.rank(rows[pos][col - 1]) < threshold:
-            return pos
-    return None
 
 
 def change_shuffle(

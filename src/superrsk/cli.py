@@ -27,6 +27,7 @@ from .tableau import (
     tableau_to_json,
 )
 from .verify import (
+    AlignmentError,
     Sample,
     align_traces,
     check_counting_identity,
@@ -119,9 +120,17 @@ def _read_pq(args):
     if args.infile is None:
         data = json.load(sys.stdin)
     else:
-        with open(args.infile, encoding="utf-8") as handle:
-            data = json.load(handle)
-    return tableau_from_json(data["p"]), recording_from_json(data["q"])
+        try:
+            with open(args.infile, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.infile}: {exc.strerror}") from None
+    try:
+        return tableau_from_json(data["p"]), recording_from_json(data["q"])
+    except (KeyError, TypeError):
+        raise ValueError(
+            'input must be a JSON object {"p": {"rows": [...]}, "q": {"rows": [...]}}'
+        ) from None
 
 
 def _emit(text: str) -> None:
@@ -315,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, AlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'superrsk {args.command} --help' for usage", file=sys.stderr)
         return 2

@@ -6,13 +6,20 @@ the cell it left, and a bumped u re-enters the column to the right of the cell
 it left.  The bump condition is chosen per kind: the regular rule displaces
 the first entry strictly greater than the incomer, the dual rule the first
 entry greater than or equal to it.
+
+``insert_word`` computes P, Q, the path lengths and the step total eagerly,
+on shuffle ranks with one bisection per bump.  The step trace is kept as a
+compact placement log: ``trace.steps`` and ``trace.state_after`` build the
+intermediate ``Tableau`` snapshots on first read and cache them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .alphabet import Alphabet, Letter, Shuffle, parse_letter
 from .tableau import (
@@ -167,21 +174,37 @@ class Step:
 
 @dataclass(frozen=True)
 class InsertionTrace:
-    steps: tuple[Step, ...]
+    """Per-letter path lengths plus a compact log of every placement.
+
+    Each log entry is ``(row, col, rank, bumped_rank)``: the 1-based cell a
+    placement filled, the shuffle rank of the element placed there, and the
+    rank it displaced (None when the element settled in a new cell).  ``order``
+    maps ranks back to letters.  ``steps`` replays the log into ``Step``
+    snapshots the first time it is read and keeps them; ``total`` and
+    ``path_lengths`` never build them.  Traces compare equal when they hold
+    the same log under the same order.
+    """
+
     path_lengths: tuple[int, ...]
+    log: tuple[tuple[int, int, int, int | None], ...]
+    order: tuple[Letter, ...]
 
     def __post_init__(self) -> None:
-        if sum(self.path_lengths) != len(self.steps):
+        if sum(self.path_lengths) != len(self.log):
             raise ValueError("path lengths must sum to the step count")
 
     @property
     def total(self) -> int:
-        return len(self.steps)
+        return len(self.log)
+
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        return _replay(Tableau(), self.log, self.path_lengths, self.order)
 
     def state_after(self, r: int) -> Tableau:
         """The tableau immediately after step r (1-based)."""
-        if not 1 <= r <= len(self.steps):
-            raise IndexError(f"step index {r} out of range 1..{len(self.steps)}")
+        if not 1 <= r <= self.total:
+            raise IndexError(f"step index {r} out of range 1..{self.total}")
         return self.steps[r - 1].state
 
 
@@ -192,121 +215,157 @@ class InsertionResult:
     trace: InsertionTrace
 
 
-def _entry_action(x: Letter) -> PendingAction:
-    if x.kind == "t":
-        return PendingAction(x, "row", 1)
-    return PendingAction(x, "column", 1)
+# The rank core.  Letters are replaced by their shuffle ranks, and P is held
+# as rank lists for its rows and for its columns, updated together.  Rows and
+# columns stay weakly increasing in rank, so every search is one bisection.
+
+# bump search per rule: the first entry > x (regular) or >= x (dual)
+_BUMP_SEARCH = {"regular": bisect_right, "dual": bisect_left}
+
+Log = list[tuple[int, int, int, int | None]]
 
 
-def _continuation(bumped: Letter, cell: Cell) -> PendingAction:
-    r, c = cell
-    if bumped.kind == "t":
-        return PendingAction(bumped, "row", r + 1)
-    return PendingAction(bumped, "column", c + 1)
+def _ranks_of(letters: Iterable[Letter], shuffle: Shuffle) -> list[int]:
+    ranks = shuffle.ranks
+    try:
+        return [ranks[x] for x in letters]
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]} outside alphabet {shuffle.alphabet}") from None
 
 
-def _bump_index(entries: list[Letter], elem: Letter, shuffle: Shuffle, dual: bool) -> int | None:
-    """First position whose entry exceeds elem (or equals it, under the dual rule)."""
-    threshold = shuffle.rank(elem) + (0 if dual else 1)
-    for i, y in enumerate(entries):
-        if shuffle.rank(y) >= threshold:
-            return i
-    return None
+def _rank_grid(p: Tableau, shuffle: Shuffle) -> tuple[list[list[int]], list[list[int]]]:
+    """The rows and the columns of p as rank lists."""
+    rows = [_ranks_of(row, shuffle) for row in p.rows]
+    width = len(rows[0]) if rows else 0
+    cols = [[row[j] for row in rows if j < len(row)] for j in range(width)]
+    return rows, cols
 
 
-def _snapshot(rows: list[list[Letter]]) -> Tableau:
-    return Tableau(tuple(tuple(row) for row in rows))
+def _is_t(shuffle: Shuffle) -> list[bool]:
+    """Whether each rank holds a t-letter."""
+    return [x.kind == "t" for x in shuffle.order]
 
 
-def _run_letter(
-    rows: list[list[Letter]],
-    x: Letter,
-    shuffle: Shuffle,
-    variant: Variant,
-    first_index: int,
-    ordinal: int,
-) -> list[Step]:
-    """Insert one letter, mutating ``rows``; returns the elementary steps."""
-    steps: list[Step] = []
-    action = _entry_action(x)
+def _insert_rank(
+    rows: list[list[int]],
+    cols: list[list[int]],
+    x: int,
+    is_t: list[bool],
+    find_t,
+    find_u,
+    log: Log,
+) -> int:
+    """Insert rank x, logging each placement; returns the new cell's row, 0-based.
+
+    A t searches row i and a u searches column j; a bumped t moves on to the
+    row below its cell and a bumped u to the column to its right.
+    """
+    i = j = 0
     while True:
-        elem, axis, target = action.element, action.axis, action.index
-        if axis == "row":
-            dual = variant.t_rule == "dual"
-            if target == len(rows) + 1:
-                rows.append([elem])
-                settled, nxt = (target, 1), None
-            else:
-                row = rows[target - 1]
-                pos = _bump_index(row, elem, shuffle, dual)
-                if pos is None:
-                    row.append(elem)
-                    settled, nxt = (target, len(row)), None
-                else:
-                    bumped = row[pos]
-                    row[pos] = elem
-                    settled = (target, pos + 1)
-                    nxt = _continuation(bumped, settled)
+        if is_t[x]:
+            row = rows[i] if i < len(rows) else ()
+            j = find_t(row, x)
+            if j == len(row):
+                break
         else:
-            dual = variant.u_rule == "dual"
-            depth = 0
-            while depth < len(rows) and len(rows[depth]) >= target:
-                depth += 1
-            column = [rows[i][target - 1] for i in range(depth)]
-            pos = _bump_index(column, elem, shuffle, dual)
-            if pos is None:
-                if depth == len(rows):
-                    rows.append([])
-                # the receiving row must end exactly one cell short of the column
-                assert len(rows[depth]) == target - 1
-                rows[depth].append(elem)
-                settled, nxt = (depth + 1, target), None
-            else:
-                bumped = rows[pos][target - 1]
-                rows[pos][target - 1] = elem
-                settled = (pos + 1, target)
-                nxt = _continuation(bumped, settled)
-        steps.append(Step(first_index + len(steps), _snapshot(rows), settled, nxt, ordinal))
-        if nxt is None:
-            return steps
-        action = nxt
+            col = cols[j] if j < len(cols) else ()
+            i = find_u(col, x)
+            if i == len(col):
+                break
+        y = rows[i][j]
+        rows[i][j] = cols[j][i] = x
+        log.append((i + 1, j + 1, x, y))
+        if is_t[y]:
+            i += 1
+        else:
+            j += 1
+        x = y
+    # x settles at the end of row i, which is also the end of column j
+    if i == len(rows):
+        rows.append([x])
+    else:
+        rows[i].append(x)
+    if j == len(cols):
+        cols.append([x])
+    else:
+        cols[j].append(x)
+    log.append((i + 1, j + 1, x, None))
+    return i
+
+
+def _replay(
+    start: Tableau,
+    log: Sequence[tuple[int, int, int, int | None]],
+    path_lengths: Sequence[int],
+    order: tuple[Letter, ...],
+) -> tuple[Step, ...]:
+    """Rebuild the Step snapshots of a placement log, starting from ``start``."""
+    rows = [list(row) for row in start.rows]
+    ordinals = (m for m, length in enumerate(path_lengths, 1) for _ in range(length))
+    steps = []
+    for index, ((r, c, x, y), m) in enumerate(zip(log, ordinals), 1):
+        letter = order[x]
+        if r > len(rows):
+            rows.append([letter])
+        elif c > len(rows[r - 1]):
+            rows[r - 1].append(letter)
+        else:
+            rows[r - 1][c - 1] = letter
+        if y is None:
+            bumped = None
+        elif order[y].kind == "t":
+            bumped = PendingAction(order[y], "row", r + 1)
+        else:
+            bumped = PendingAction(order[y], "column", c + 1)
+        state = Tableau(tuple(tuple(row) for row in rows))
+        steps.append(Step(index, state, (r, c), bumped, m))
+    return tuple(steps)
 
 
 def insert_letter(
     p: Tableau, x: Letter, shuffle: Shuffle, variant: Variant
 ) -> tuple[Tableau, tuple[Step, ...]]:
     """Insert a single letter into a valid tableau; returns the result and steps."""
-    if x not in shuffle.alphabet:
-        raise ValueError(f"letter {x} outside alphabet {shuffle.alphabet}")
+    (rank,) = _ranks_of((x,), shuffle)
     if not is_valid(p, shuffle, variant_profile(variant)):
         raise ValueError("tableau is not valid for this shuffle and variant")
-    rows = [list(row) for row in p.rows]
-    steps = _run_letter(rows, x, shuffle, variant, 1, 1)
-    return steps[-1].state, tuple(steps)
+    rows, cols = _rank_grid(p, shuffle)
+    log: Log = []
+    _insert_rank(
+        rows, cols, rank, _is_t(shuffle),
+        _BUMP_SEARCH[variant.t_rule], _BUMP_SEARCH[variant.u_rule], log,
+    )
+    steps = _replay(p, log, (len(log),), shuffle.order)
+    return steps[-1].state, steps
 
 
 def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
-    """Insert a word letter by letter, recording where each new cell appears."""
-    for letter in v:
-        if letter not in shuffle.alphabet:
-            raise ValueError(f"letter {letter} outside alphabet {shuffle.alphabet}")
-    rows: list[list[Letter]] = []
+    """Insert a word letter by letter, recording where each new cell appears.
+
+    P, Q and the path lengths are computed here; the trace's Step snapshots
+    are built from its placement log only when read.
+    """
+    word = _ranks_of(v, shuffle)
+    is_t = _is_t(shuffle)
+    find_t, find_u = _BUMP_SEARCH[variant.t_rule], _BUMP_SEARCH[variant.u_rule]
+    rows: list[list[int]] = []
+    cols: list[list[int]] = []
     qrows: list[list[int]] = []
-    steps: list[Step] = []
+    log: Log = []
     lengths: list[int] = []
-    for m, letter in enumerate(v, 1):
-        letter_steps = _run_letter(rows, letter, shuffle, variant, len(steps) + 1, m)
-        steps.extend(letter_steps)
-        lengths.append(len(letter_steps))
-        r, c = letter_steps[-1].settled_cell
-        if r == len(qrows) + 1:
-            qrows.append([])
-        assert len(qrows[r - 1]) == c - 1
-        qrows[r - 1].append(m)
+    for m, x in enumerate(word, 1):
+        before = len(log)
+        i = _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
+        lengths.append(len(log) - before)
+        if i == len(qrows):
+            qrows.append([m])
+        else:
+            qrows[i].append(m)
+    order = shuffle.order
     return InsertionResult(
-        p=_snapshot(rows),
+        p=Tableau(tuple(tuple(order[x] for x in row) for row in rows)),
         q=RecordingTableau(tuple(tuple(row) for row in qrows)),
-        trace=InsertionTrace(tuple(steps), tuple(lengths)),
+        trace=InsertionTrace(tuple(lengths), tuple(log), order),
     )
 
 

@@ -129,6 +129,10 @@ class Sample:
     count: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"sample count must be positive, got {self.count}")
+
 
 Mode = str | Sample  # "exhaustive" or a Sample
 

@@ -257,3 +257,57 @@ class TestErrors:
     def test_bad_shuffle_chain_exits_2(self, capsys):
         code = main(["--k", "2", "--l", "0", "--shuffle", "t2<t1", "insert", "--word", "t1"])
         assert code == 2
+
+
+class TestBadInputExitCodes:
+    @staticmethod
+    def _fail_alignment(*args):
+        from superrsk.verify import AlignmentError
+
+        raise AlignmentError("no alignment reaches (2, 3)")
+
+    @pytest.mark.parametrize(
+        "argv,payload,misalign",
+        [
+            (["reverse", "--in", "{missing}"], None, False),
+            (["phi", "--in", "{missing}", "--shuffle-b", "u1<t1"], None, False),
+            (["reverse", "--in", "{file}"], {"p": {"rows": [["t1"]]}}, False),
+            (["phi", "--in", "{file}", "--shuffle-b", "u1<t1"], {"q": {"rows": [[1]]}}, False),
+            (["reverse", "--in", "{file}"], [1, 2], False),
+            (["reverse", "--in", "{file}"], {"p": {}, "q": {"rows": [[1]]}}, False),
+            (["trace", "--word", "t1,u1", "--shuffle-b", "u1<t1"], None, True),
+            (["verify", "--theorem", "2", "--n", "2", "--mode", "sample", "--samples", "-3"],
+             None, False),
+            (["verify", "--theorem", "2", "--n", "2", "--mode", "sample", "--samples", "0"],
+             None, False),
+        ],
+        ids=[
+            "reverse-missing-file",
+            "phi-missing-file",
+            "reverse-json-without-q",
+            "phi-json-without-p",
+            "reverse-json-not-an-object",
+            "reverse-tableau-without-rows",
+            "trace-alignment-error",
+            "verify-negative-samples",
+            "verify-zero-samples",
+        ],
+    )
+    def test_exits_2_with_one_error_line(
+        self, capsys, tmp_path, monkeypatch, argv, payload, misalign
+    ):
+        import superrsk.cli as cli
+
+        path = tmp_path / "pq.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        if misalign:
+            monkeypatch.setattr(cli, "align_traces", self._fail_alignment)
+        argv = [arg.format(missing=tmp_path / "absent.json", file=path) for arg in argv]
+        code = main(["--k", "1", "--l", "1", "--shuffle", "t1<u1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error_lines = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(error_lines) == 1
+        assert "Traceback" not in captured.err

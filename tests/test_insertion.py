@@ -266,3 +266,38 @@ def test_insertion_validity_random(case):
     assert is_valid(result.p, shuffle, variant_profile(variant))
     assert is_standard(result.q)
     assert result.p.shape == result.q.shape
+
+
+@st.composite
+def long_word_and_order(draw):
+    k = draw(st.integers(min_value=0, max_value=4))
+    l = draw(st.integers(min_value=1 if k == 0 else 0, max_value=4))
+    alph = Alphabet(k, l)
+    shuffles = all_shuffles(alph)
+    shuffle = shuffles[draw(st.integers(0, len(shuffles) - 1))]
+    letters = alph.letters()
+    indices = draw(st.lists(st.integers(0, len(letters) - 1), max_size=60))
+    word = Word(tuple(letters[i] for i in indices))
+    variant = draw(st.sampled_from(VARIANTS))
+    return word, shuffle, variant
+
+
+@given(long_word_and_order())
+@settings(max_examples=200, deadline=None)
+def test_rank_core_properties(case):
+    from superrsk import reverse_word
+
+    word, shuffle, variant = case
+    result = insert_word(word, shuffle, variant)
+    trace = result.trace
+    # total and path lengths come from the step log without building snapshots
+    assert trace.total == sum(trace.path_lengths)
+    assert len(trace.path_lengths) == len(word)
+    assert "steps" not in vars(trace)
+    assert reverse_word(result.p, result.q, shuffle, variant) == word
+    if word.letters:
+        assert trace.state_after(trace.total) == result.p
+        assert "steps" in vars(trace)
+        assert [s.index for s in trace.steps] == list(range(1, trace.total + 1))
+    # equality ignores whether the snapshots have been built
+    assert insert_word(word, shuffle, variant) == result
