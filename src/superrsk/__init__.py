@@ -9,12 +9,10 @@ verification harness for the library's structural claims.
 from .alphabet import (
     Alphabet,
     Letter,
-    Ordering,
     Shuffle,
     adjacency_chain,
     adjacent_transposition,
     all_shuffles,
-    format_shuffle,
     kl_shuffle,
     order_adjacent_pairs,
     parse_letter,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import combinations
 
@@ -18,7 +17,6 @@ __all__ = [
     "Letter",
     "Alphabet",
     "Shuffle",
-    "Ordering",
     "t",
     "u",
     "parse_letter",
@@ -28,7 +26,6 @@ __all__ = [
     "adjacency_chain",
     "order_adjacent_pairs",
     "parse_shuffle",
-    "format_shuffle",
     "shuffle_to_json",
     "shuffle_from_json",
 ]
@@ -105,12 +102,6 @@ class Alphabet:
         return f"(k={self.k}, l={self.l})"
 
 
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 @dataclass(frozen=True)
 class Shuffle:
     """A total order on an alphabet's letters, smallest first.
@@ -146,19 +137,8 @@ class Shuffle:
         except KeyError:
             raise ValueError(f"letter {letter} is not in alphabet {self.alphabet}") from None
 
-    def compare(self, a: Letter, b: Letter) -> Ordering:
-        ra, rb = self.rank(a), self.rank(b)
-        if ra < rb:
-            return Ordering.LESS
-        if ra > rb:
-            return Ordering.GREATER
-        return Ordering.EQUAL
-
     def less(self, a: Letter, b: Letter) -> bool:
         return self.rank(a) < self.rank(b)
-
-    def leq(self, a: Letter, b: Letter) -> bool:
-        return self.rank(a) <= self.rank(b)
 
     def __str__(self) -> str:
         return _format(self.order)
@@ -259,10 +239,6 @@ def parse_shuffle(text: str, alphabet: Alphabet) -> Shuffle:
             raise ValueError(f"letter {letter} outside alphabet {alphabet}")
         letters.append(letter)
     return Shuffle(alphabet, tuple(letters))
-
-
-def format_shuffle(s: Shuffle) -> str:
-    return str(s)
 
 
 def shuffle_to_json(s: Shuffle) -> list[str]:

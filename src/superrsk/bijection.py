@@ -129,6 +129,53 @@ class Standardization:
         )
 
 
+def _standardize(v: Word, shuffle: Shuffle, kind: str) -> Standardization:
+    """Relabel the letters of one kind; see standardize_u and standardize_t."""
+    alphabet = shuffle.alphabet
+    size, other = (alphabet.l, alphabet.k) if kind == "u" else (alphabet.k, alphabet.l)
+    fresh = u_letter if kind == "u" else t_letter
+    counts = [0] * size
+    for letter in v:
+        if letter not in alphabet:
+            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
+        if letter.kind == kind:
+            counts[letter.index - 1] += 1
+    total = sum(counts)
+    if total == 0 and other == 0:
+        # empty word over a one-kind alphabet: nothing to relabel
+        return Standardization(v, shuffle, v.letters, ())
+    offsets = [0] * size
+    for j in range(1, size):
+        offsets[j] = offsets[j - 1] + counts[j - 1]
+
+    new_letters = list(v.letters)
+    used = [0] * size
+    # u's are renamed rightmost first, t's leftmost first
+    positions = range(len(v) - 1, -1, -1) if kind == "u" else range(len(v))
+    for pos in positions:
+        letter = v[pos]
+        if letter.kind == kind:
+            j = letter.index - 1
+            used[j] += 1
+            new_letters[pos] = fresh(offsets[j] + used[j])
+
+    new_alphabet = Alphabet(alphabet.k, total) if kind == "u" else Alphabet(total, alphabet.l)
+    order: list[Letter] = []
+    for letter in shuffle.order:
+        if letter.kind != kind:
+            order.append(letter)
+        else:
+            j = letter.index - 1
+            order.extend(fresh(offsets[j] + i) for i in range(1, counts[j] + 1))
+    derived = Shuffle(new_alphabet, tuple(order))
+    source = tuple(
+        (fresh(offsets[j] + i), fresh(j + 1))
+        for j in range(size)
+        for i in range(1, counts[j] + 1)
+    )
+    return Standardization(Word(tuple(new_letters)), derived, tuple(new_letters), source)
+
+
 def standardize_u(v: Word, shuffle: Shuffle) -> Standardization:
     """Replace repeated u-letters by distinct fresh ones, right to left per value.
 
@@ -138,45 +185,7 @@ def standardize_u(v: Word, shuffle: Shuffle) -> Standardization:
     block, ascending, so every order relation of the original word survives
     while equal u's become strictly decreasing left to right.
     """
-    alphabet = shuffle.alphabet
-    counts = [0] * alphabet.l
-    for letter in v:
-        if letter not in alphabet:
-            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-        if letter.kind == "u":
-            counts[letter.index - 1] += 1
-    total = sum(counts)
-    if total == 0 and alphabet.k == 0:
-        # empty word over a pure-u alphabet: nothing to relabel
-        return Standardization(v, shuffle, v.letters, ())
-    offsets = [0] * alphabet.l
-    for j in range(1, alphabet.l):
-        offsets[j] = offsets[j - 1] + counts[j - 1]
-
-    new_letters = list(v.letters)
-    used = [0] * alphabet.l
-    for pos in range(len(v) - 1, -1, -1):
-        letter = v[pos]
-        if letter.kind == "u":
-            j = letter.index - 1
-            used[j] += 1
-            new_letters[pos] = u_letter(offsets[j] + used[j])
-
-    new_alphabet = Alphabet(alphabet.k, total)
-    order: list[Letter] = []
-    for letter in shuffle.order:
-        if letter.kind == "t":
-            order.append(letter)
-        else:
-            j = letter.index - 1
-            order.extend(u_letter(offsets[j] + i) for i in range(1, counts[j] + 1))
-    derived = Shuffle(new_alphabet, tuple(order))
-    source = tuple(
-        (u_letter(offsets[j] + i), u_letter(j + 1))
-        for j in range(alphabet.l)
-        for i in range(1, counts[j] + 1)
-    )
-    return Standardization(Word(tuple(new_letters)), derived, tuple(new_letters), source)
+    return _standardize(v, shuffle, "u")
 
 
 def standardize_t(v: Word, shuffle: Shuffle) -> Standardization:
@@ -187,41 +196,4 @@ def standardize_t(v: Word, shuffle: Shuffle) -> Standardization:
     order; u-letters are untouched and the derived shuffle substitutes each
     original t_i by its ascending block.
     """
-    alphabet = shuffle.alphabet
-    counts = [0] * alphabet.k
-    for letter in v:
-        if letter not in alphabet:
-            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-        if letter.kind == "t":
-            counts[letter.index - 1] += 1
-    total = sum(counts)
-    if total == 0 and alphabet.l == 0:
-        return Standardization(v, shuffle, v.letters, ())
-    offsets = [0] * alphabet.k
-    for i in range(1, alphabet.k):
-        offsets[i] = offsets[i - 1] + counts[i - 1]
-
-    new_letters = list(v.letters)
-    used = [0] * alphabet.k
-    for pos in range(len(v)):
-        letter = v[pos]
-        if letter.kind == "t":
-            i = letter.index - 1
-            used[i] += 1
-            new_letters[pos] = t_letter(offsets[i] + used[i])
-
-    new_alphabet = Alphabet(total, alphabet.l)
-    order: list[Letter] = []
-    for letter in shuffle.order:
-        if letter.kind == "u":
-            order.append(letter)
-        else:
-            i = letter.index - 1
-            order.extend(t_letter(offsets[i] + n) for n in range(1, counts[i] + 1))
-    derived = Shuffle(new_alphabet, tuple(order))
-    source = tuple(
-        (t_letter(offsets[i] + n), t_letter(i + 1))
-        for i in range(alphabet.k)
-        for n in range(1, counts[i] + 1)
-    )
-    return Standardization(Word(tuple(new_letters)), derived, tuple(new_letters), source)
+    return _standardize(v, shuffle, "t")

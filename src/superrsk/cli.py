@@ -30,26 +30,37 @@ from .verify import (
     AlignmentError,
     Sample,
     align_traces,
+    check_cell_monotonicity_grid,
     check_counting_identity,
     check_dual_regular_agreement_grid,
     check_hook_schur_invariance,
+    check_path_monotonicity_grid,
+    check_region1_agreement_grid,
     check_restriction_subtableau_grid,
+    check_round_trip_grid,
     check_shape_invariance,
+    check_standardization_mimicry_grid,
     check_trace_alignment_grid,
     check_weight_preserving_bijection_grid,
 )
 
-# registry of verifiable claims exposed via --theorem
-_CLAIMS = (
-    "2",          # shape invariance, regular-regular
-    "5",          # shape invariance, chosen variant
-    "cor4",       # hook Schur polynomial ignores the shuffle
-    "lemma2.6",   # restriction to a down-set inserts to a subtableau
-    "lemma2.15",  # adjacent-shuffle traces align step by step
-    "lemma3.2",   # distinct u-letters: regular and dual u-rules agree
-    "theorem3",   # shuffle change is a content-preserving bijection
-    "identity",   # counting identity against (k+l)^n
-)
+# verifiable claims exposed via --theorem: token -> report over (alphabet, n,
+# variant, mode); each lambda looks its checker up in this module when called
+_CLAIMS = {
+    "2": lambda a, n, v, m: check_shape_invariance(a, n, REGULAR_REGULAR, m),
+    "5": lambda a, n, v, m: check_shape_invariance(a, n, v, m),
+    "cor4": lambda a, n, v, m: check_hook_schur_invariance(a, n),
+    "lemma2.6": lambda a, n, v, m: check_restriction_subtableau_grid(a, n, m),
+    "lemma2.15": lambda a, n, v, m: check_trace_alignment_grid(a, n, m),
+    "lemma3.2": lambda a, n, v, m: check_dual_regular_agreement_grid(a, n, m),
+    "theorem3": lambda a, n, v, m: check_weight_preserving_bijection_grid(a, n),
+    "identity": lambda a, n, v, m: check_counting_identity(a, n),
+    "paths": lambda a, n, v, m: check_path_monotonicity_grid(a, n, v, m),
+    "cells": lambda a, n, v, m: check_cell_monotonicity_grid(a, n, v, m),
+    "region1": lambda a, n, v, m: check_region1_agreement_grid(a, n, m),
+    "round-trip": lambda a, n, v, m: check_round_trip_grid(a, n, v, m),
+    "mimicry": lambda a, n, v, m: check_standardization_mimicry_grid(a, n, m),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,23 +252,7 @@ def _cmd_verify(args) -> int:
     alphabet = _alphabet(args)
     variant = parse_variant(args.variant)
     mode = "exhaustive" if args.mode == "exhaustive" else Sample(args.samples, args.seed)
-    claim = args.theorem
-    if claim == "2":
-        report = check_shape_invariance(alphabet, args.n, REGULAR_REGULAR, mode)
-    elif claim == "5":
-        report = check_shape_invariance(alphabet, args.n, variant, mode)
-    elif claim == "cor4":
-        report = check_hook_schur_invariance(alphabet, args.n)
-    elif claim == "lemma2.6":
-        report = check_restriction_subtableau_grid(alphabet, args.n, mode)
-    elif claim == "lemma2.15":
-        report = check_trace_alignment_grid(alphabet, args.n, mode)
-    elif claim == "lemma3.2":
-        report = check_dual_regular_agreement_grid(alphabet, args.n, mode)
-    elif claim == "theorem3":
-        report = check_weight_preserving_bijection_grid(alphabet, args.n)
-    else:
-        report = check_counting_identity(alphabet, args.n)
+    report = _CLAIMS[args.theorem](alphabet, args.n, variant, mode)
 
     payload = report.to_json_dict()
     rendered = json.dumps(payload, indent=2, sort_keys=True)
@@ -267,7 +262,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit(rendered)
     else:
-        status = "ok" if report.passed else "FAILED"
+        status = "ok" if report.passed else "FAILED" if report.failures else "no cases"
         _emit(
             f"check: {report.check_name}\ncases: {report.cases_run}\n"
             f"failures: {len(report.failures)}\nstatus: {status}"

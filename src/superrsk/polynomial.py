@@ -8,7 +8,6 @@ from typing import Iterable, Mapping
 __all__ = [
     "Monomial",
     "Polynomial",
-    "unit_monomial",
     "polynomial_to_json",
     "polynomial_from_json",
 ]
@@ -45,10 +44,6 @@ class Monomial:
         return " ".join(parts) if parts else "1"
 
 
-def unit_monomial(k: int, l: int) -> Monomial:
-    return Monomial((0,) * k, (0,) * l)
-
-
 class Polynomial:
     """A finite map monomial -> integer coefficient; zeros are never stored.
 
@@ -73,10 +68,6 @@ class Polynomial:
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls()
-
-    @classmethod
-    def from_monomial(cls, mono: Monomial, coeff: int = 1) -> "Polynomial":
-        return cls([(mono, coeff)])
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)

@@ -64,16 +64,10 @@ def _check_diagram(rows: tuple[tuple, ...]) -> None:
         raise ValueError(f"row lengths must be weakly decreasing: {lengths}")
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """A letter-filled Young diagram."""
+class _Diagram:
+    """Shape and entry lookup shared by letter and recording tableaux."""
 
-    rows: tuple[tuple[Letter, ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        _check_diagram(rows)
+    rows: tuple[tuple, ...]
 
     @property
     def shape(self) -> Shape:
@@ -83,11 +77,23 @@ class Tableau:
     def size(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def entry(self, row: int, col: int) -> Letter | None:
+    def entry(self, row: int, col: int):
         """Entry at 1-based (row, col), or None outside the diagram."""
         if row < 1 or col < 1 or row > len(self.rows) or col > len(self.rows[row - 1]):
             return None
         return self.rows[row - 1][col - 1]
+
+
+@dataclass(frozen=True)
+class Tableau(_Diagram):
+    """A letter-filled Young diagram."""
+
+    rows: tuple[tuple[Letter, ...], ...] = ()
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
+        _check_diagram(rows)
 
     def cells(self) -> Iterator[Cell]:
         for r, row in enumerate(self.rows, 1):
@@ -101,7 +107,7 @@ class Tableau:
 
 
 @dataclass(frozen=True)
-class RecordingTableau:
+class RecordingTableau(_Diagram):
     """An integer-filled Young diagram recording cell creation order."""
 
     rows: tuple[tuple[int, ...], ...] = ()
@@ -112,19 +118,6 @@ class RecordingTableau:
         _check_diagram(rows)
         if any(e < 1 for row in rows for e in row):
             raise ValueError("recording entries must be positive")
-
-    @property
-    def shape(self) -> Shape:
-        return tuple(len(row) for row in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(row) for row in self.rows)
-
-    def entry(self, row: int, col: int) -> int | None:
-        if row < 1 or col < 1 or row > len(self.rows) or col > len(self.rows[row - 1]):
-            return None
-        return self.rows[row - 1][col - 1]
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,7 @@ def is_standard(rec: RecordingTableau) -> bool:
     return True
 
 
-def _count_letters(letters: Iterable[Letter], alphabet: Alphabet) -> TypeVector:
+def word_type(letters: Iterable[Letter], alphabet: Alphabet) -> TypeVector:
     alpha = [0] * alphabet.k
     beta = [0] * alphabet.l
     for letter in letters:
@@ -208,11 +201,7 @@ def _count_letters(letters: Iterable[Letter], alphabet: Alphabet) -> TypeVector:
 
 
 def content_type(tab: Tableau, alphabet: Alphabet) -> TypeVector:
-    return _count_letters((e for _, e in tab.items()), alphabet)
-
-
-def word_type(letters: Iterable[Letter], alphabet: Alphabet) -> TypeVector:
-    return _count_letters(letters, alphabet)
+    return word_type((e for _, e in tab.items()), alphabet)
 
 
 def weight_monomial(tab: Tableau, alphabet: Alphabet) -> Monomial:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 from .alphabet import (
     Alphabet,
@@ -89,13 +90,7 @@ class CaseFailure:
     actual: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "shuffles": self.shuffles,
-            "variant": self.variant,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +104,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.cases_run > 0 and not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,22 +130,6 @@ class Sample:
 
 
 Mode = str | Sample  # "exhaustive" or a Sample
-
-
-def _mode_params(mode: Mode) -> dict:
-    if isinstance(mode, Sample):
-        return {"mode": "sample", "samples": mode.count, "seed": mode.seed}
-    return {"mode": "exhaustive"}
-
-
-def _grid_words(alphabet: Alphabet, n: int, mode: Mode) -> list[Word]:
-    if mode == "exhaustive":
-        return list(all_words(alphabet, n))
-    if not isinstance(mode, Sample):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(mode.seed)
-    letters = alphabet.letters()
-    return [Word(tuple(rng.choice(letters) for _ in range(n))) for _ in range(mode.count)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +391,71 @@ def check_standardization_mimicry(v: Word, shuffle: Shuffle) -> bool:
 # reports
 
 
-def _timed(fn):
+class _GridFailure(NamedTuple):
+    """A finding about a grid as a whole; a failure, but not a case."""
+
+    failure: CaseFailure
+
+
+def _report(name: str, params: dict, cases: Iterable, stats: dict | None = None) -> Report:
+    """Run the cases and return their Report.
+
+    Each item of ``cases`` is one case: ``None`` when it passed, else its
+    ``CaseFailure``.  A ``_GridFailure`` is recorded without counting a case.
+    ``stats`` may be filled while the cases run.
+    """
+    if params.get("n", 0) < 0:
+        raise ValueError("n must be non-negative")
     start = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - start
+    failures: list[CaseFailure] = []
+    count = 0
+    for outcome in cases:
+        if isinstance(outcome, _GridFailure):
+            failures.append(outcome.failure)
+            continue
+        count += 1
+        if outcome is not None:
+            failures.append(outcome)
+    elapsed = time.perf_counter() - start
+    return Report(name, params, count, tuple(failures), elapsed, stats or {})
+
+
+def _word_grid(
+    name: str, alphabet: Alphabet, n: int, mode: Mode, case_iter, extra_params: dict | None = None
+) -> Report:
+    """Run ``case_iter(word)`` over every word of length n, or a seeded sample."""
+    params = {"k": alphabet.k, "l": alphabet.l, "n": n, **(extra_params or {})}
+    if mode == "exhaustive":
+        params["mode"] = "exhaustive"
+        words = all_words(alphabet, n)
+    elif isinstance(mode, Sample):
+        params.update(mode="sample", samples=mode.count, seed=mode.seed)
+        rng = random.Random(mode.seed)
+        letters = alphabet.letters()
+        words = (Word(tuple(rng.choice(letters) for _ in range(n))) for _ in range(mode.count))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _report(name, params, (outcome for word in words for outcome in case_iter(word)))
+
+
+def _per_shuffle(alphabet: Alphabet, holds, variant: str, expected: str, actual: str):
+    """Word cases, one per shuffle s, that pass when ``holds(word, s)``."""
+    shuffles = all_shuffles(alphabet)
+
+    def cases(word: Word):
+        for s in shuffles:
+            if holds(word, s):
+                yield None
+            else:
+                yield CaseFailure(
+                    word=str(word),
+                    shuffles=str(s),
+                    variant=variant,
+                    expected=expected,
+                    actual=actual,
+                )
+
+    return cases
 
 
 def check_shape_invariance(
@@ -426,81 +466,39 @@ def check_shape_invariance(
 ) -> Report:
     """Shape and recording tableau agree across every pair of shuffles."""
     shuffles = all_shuffles(alphabet)
-    failures: list[CaseFailure] = []
-    cases = 0
 
-    def run():
-        nonlocal cases
-        for word in _grid_words(alphabet, n, mode):
-            results = [insert_word(word, s, variant) for s in shuffles]
-            for i, j in combinations(range(len(shuffles)), 2):
-                cases += 1
-                ri, rj = results[i], results[j]
-                if ri.p.shape != rj.p.shape or ri.q != rj.q:
-                    failures.append(
-                        CaseFailure(
-                            word=str(word),
-                            shuffles=f"{shuffles[i]} | {shuffles[j]}",
-                            variant=variant.name,
-                            expected="equal shapes and recording tableaux",
-                            actual=f"shapes {ri.p.shape} vs {rj.p.shape}, "
-                            f"q equal: {ri.q == rj.q}",
-                        )
-                    )
+    def cases(word: Word):
+        results = [insert_word(word, s, variant) for s in shuffles]
+        for i, j in combinations(range(len(shuffles)), 2):
+            ri, rj = results[i], results[j]
+            if ri.p.shape == rj.p.shape and ri.q == rj.q:
+                yield None
+            else:
+                yield CaseFailure(
+                    word=str(word),
+                    shuffles=f"{shuffles[i]} | {shuffles[j]}",
+                    variant=variant.name,
+                    expected="equal shapes and recording tableaux",
+                    actual=f"shapes {ri.p.shape} vs {rj.p.shape}, "
+                    f"q equal: {ri.q == rj.q}",
+                )
 
-    _, elapsed = _timed(run)
-    params = {"k": alphabet.k, "l": alphabet.l, "n": n, "variant": variant.name}
-    params.update(_mode_params(mode))
-    return Report("shape-invariance", params, cases, tuple(failures), elapsed)
-
-
-def _word_grid_report(
-    name: str,
-    alphabet: Alphabet,
-    n: int,
-    mode: Mode,
-    case_iter,
-    extra_params: dict | None = None,
-    stats: dict | None = None,
-) -> Report:
-    failures: list[CaseFailure] = []
-    cases = 0
-
-    def run():
-        nonlocal cases
-        for word in _grid_words(alphabet, n, mode):
-            for failure in case_iter(word):
-                if failure is not None:
-                    failures.append(failure)
-                cases += 1
-
-    _, elapsed = _timed(run)
-    params = {"k": alphabet.k, "l": alphabet.l, "n": n}
-    params.update(extra_params or {})
-    params.update(_mode_params(mode))
-    return Report(name, params, cases, tuple(failures), elapsed, stats or {})
+    return _word_grid(
+        "shape-invariance", alphabet, n, mode, cases, {"variant": variant.name}
+    )
 
 
 def check_path_monotonicity_grid(
     alphabet: Alphabet, n: int, variant: Variant = REGULAR_REGULAR, mode: Mode = "exhaustive"
 ) -> Report:
-    shuffles = all_shuffles(alphabet)
-
-    def cases(word: Word):
-        for s in shuffles:
-            result = insert_word(word, s, variant)
-            if check_path_monotonicity(result):
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=str(s),
-                    variant=variant.name,
-                    expected="monotone bump targets",
-                    actual="a bumped element drifted outward",
-                )
-
-    return _word_grid_report(
+    cases = _per_shuffle(
+        alphabet,
+        lambda word, s: check_path_monotonicity(insert_word(word, s, variant)),
+        variant.name,
+        "monotone bump targets",
+        "a bumped element drifted outward",
+    )
+    return _word_grid(
         "path-monotonicity", alphabet, n, mode, cases, {"variant": variant.name}
     )
 
@@ -508,23 +506,14 @@ def check_path_monotonicity_grid(
 def check_cell_monotonicity_grid(
     alphabet: Alphabet, n: int, variant: Variant = REGULAR_REGULAR, mode: Mode = "exhaustive"
 ) -> Report:
-    shuffles = all_shuffles(alphabet)
-
-    def cases(word: Word):
-        for s in shuffles:
-            result = insert_word(word, s, variant)
-            if check_cell_monotonicity(result, s):
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=str(s),
-                    variant=variant.name,
-                    expected="entries only shrink in place",
-                    actual="a cell emptied or its entry grew",
-                )
-
-    return _word_grid_report(
+    cases = _per_shuffle(
+        alphabet,
+        lambda word, s: check_cell_monotonicity(insert_word(word, s, variant), s),
+        variant.name,
+        "entries only shrink in place",
+        "a cell emptied or its entry grew",
+    )
+    return _word_grid(
         "cell-monotonicity", alphabet, n, mode, cases, {"variant": variant.name}
     )
 
@@ -549,7 +538,7 @@ def check_restriction_subtableau_grid(
                         actual="subtableau containment failed",
                     )
 
-    return _word_grid_report("restriction-subtableau", alphabet, n, mode, cases)
+    return _word_grid("restriction-subtableau", alphabet, n, mode, cases)
 
 
 def _adjacent_pairs(shuffles: list[Shuffle]) -> list[tuple[Shuffle, Shuffle]]:
@@ -578,7 +567,7 @@ def check_region1_agreement_grid(
                     actual="low regions differ",
                 )
 
-    return _word_grid_report("region1-agreement", alphabet, n, mode, cases)
+    return _word_grid("region1-agreement", alphabet, n, mode, cases)
 
 
 def check_trace_alignment_grid(
@@ -608,7 +597,7 @@ def check_trace_alignment_grid(
             )
             yield None
 
-    report = _word_grid_report("trace-alignment", alphabet, n, mode, cases)
+    report = _word_grid("trace-alignment", alphabet, n, mode, cases)
     report.stats["witness_counts"] = {
         str(k): v for k, v in sorted(witness_histogram.items())
     }
@@ -619,28 +608,67 @@ def check_dual_regular_agreement_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
     """Regular and dual u-rules agree on words with pairwise distinct u's."""
-    shuffles = all_shuffles(alphabet)
-
-    def distinct_u(word: Word) -> bool:
-        us = [a for a in word if a.kind == "u"]
-        return len(us) == len(set(us))
+    per_shuffle = _per_shuffle(
+        alphabet,
+        check_dual_regular_agreement,
+        "reg-reg vs reg-dual",
+        "identical insertion and recording tableaux",
+        "outputs differ",
+    )
 
     def cases(word: Word):
-        if not distinct_u(word):
-            return
-        for s in shuffles:
-            if check_dual_regular_agreement(word, s):
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=str(s),
-                    variant="reg-reg vs reg-dual",
-                    expected="identical insertion and recording tableaux",
-                    actual="outputs differ",
-                )
+        us = [a for a in word if a.kind == "u"]
+        return per_shuffle(word) if len(us) == len(set(us)) else ()
 
-    return _word_grid_report("dual-regular-agreement", alphabet, n, mode, cases)
+    return _word_grid("dual-regular-agreement", alphabet, n, mode, cases)
+
+
+def _transport_cases(
+    source: list[Tableau],
+    target_count: int,
+    alphabet: Alphabet,
+    a: Shuffle,
+    b: Shuffle,
+    q: RecordingTableau,
+    variant: Variant,
+):
+    """Transport each filling in ``source`` once from a to b, q held fixed.
+
+    Yields one case per filling, then the findings about the whole map, and
+    returns the images in source order.
+    """
+
+    def failure(expected: str, actual: str) -> CaseFailure:
+        return CaseFailure(
+            word="",
+            shuffles=f"{a} -> {b}",
+            variant=variant.name,
+            expected=expected,
+            actual=actual,
+        )
+
+    profile = variant_profile(variant)
+    images = []
+    for tab in source:
+        image = change_shuffle(tab, q, a, b, variant)
+        images.append(image)
+        problems = []
+        if image.shape != q.shape:
+            problems.append(f"shape changed to {image.shape}")
+        if not is_valid(image, b, profile):
+            problems.append("image not valid under target order")
+        if content_type(tab, alphabet) != content_type(image, alphabet):
+            problems.append("content changed")
+        if problems:
+            yield failure("valid, content-preserving image", "; ".join(problems))
+        else:
+            yield None
+    if len(set(images)) != len(images):
+        yield _GridFailure(failure("injective map", "two fillings share an image"))
+    if len(source) != target_count:
+        counts = f"{len(source)} vs {target_count}"
+        yield _GridFailure(failure("equal counts on both sides", counts))
+    return images
 
 
 def check_weight_preserving_bijection(
@@ -658,58 +686,6 @@ def check_weight_preserving_bijection(
         raise ValueError(f"recording tableau shape {q.shape} does not match {shape}")
     if not is_standard(q):
         raise ValueError("recording tableau is not standard")
-    failures: list[CaseFailure] = []
-    cases = 0
-
-    def run():
-        nonlocal cases
-        source = enumerate_ssyt(shape, alphabet, a, variant)
-        target = set(enumerate_ssyt(shape, alphabet, b, variant))
-        profile = variant_profile(variant)
-        images = []
-        for tab in source:
-            cases += 1
-            image = change_shuffle(tab, q, a, b, variant)
-            problems = []
-            if image.shape != shape:
-                problems.append(f"shape changed to {image.shape}")
-            if not is_valid(image, b, profile):
-                problems.append("image not valid under target order")
-            if content_type(tab, alphabet) != content_type(image, alphabet):
-                problems.append("content changed")
-            if problems:
-                failures.append(
-                    CaseFailure(
-                        word="",
-                        shuffles=f"{a} -> {b}",
-                        variant=variant.name,
-                        expected="valid, content-preserving image",
-                        actual="; ".join(problems),
-                    )
-                )
-            images.append(image)
-        if len(set(images)) != len(images):
-            failures.append(
-                CaseFailure(
-                    word="",
-                    shuffles=f"{a} -> {b}",
-                    variant=variant.name,
-                    expected="injective map",
-                    actual="two fillings share an image",
-                )
-            )
-        if len(source) != len(target):
-            failures.append(
-                CaseFailure(
-                    word="",
-                    shuffles=f"{a} -> {b}",
-                    variant=variant.name,
-                    expected="equal counts on both sides",
-                    actual=f"{len(source)} vs {len(target)}",
-                )
-            )
-
-    _, elapsed = _timed(run)
     params = {
         "shape": list(shape),
         "k": alphabet.k,
@@ -719,106 +695,88 @@ def check_weight_preserving_bijection(
         "q": [list(row) for row in q.rows],
         "variant": variant.name,
     }
-    return Report("weight-preserving-bijection", params, cases, tuple(failures), elapsed)
+
+    def cases():
+        source = enumerate_ssyt(shape, alphabet, a, variant)
+        target = enumerate_ssyt(shape, alphabet, b, variant)
+        yield from _transport_cases(source, len(target), alphabet, a, b, q, variant)
+
+    return _report("weight-preserving-bijection", params, cases())
 
 
 def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report:
     """All shapes of n cells, all standard recorders, all ordered shuffle pairs."""
     shuffles = all_shuffles(alphabet)
-    failures: list[CaseFailure] = []
-    cases = 0
     distinct_maps: dict[str, int] = {}
 
-    def run():
-        nonlocal cases
+    def cases():
         for shape in partitions(n):
             recorders = enumerate_syt(shape)
+            fillings = {s: enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR) for s in shuffles}
             for a in shuffles:
                 for b in shuffles:
                     if a == b:
                         continue
+                    # the source list is fixed, so its image tuple names the map
                     maps = set()
                     for q in recorders:
-                        sub = check_weight_preserving_bijection(shape, alphabet, a, b, q)
-                        cases += sub.cases_run
-                        failures.extend(sub.failures)
-                        source = enumerate_ssyt(shape, alphabet, a, REGULAR_REGULAR)
-                        maps.add(
-                            tuple(
-                                (tab, change_shuffle(tab, q, a, b, REGULAR_REGULAR))
-                                for tab in source
-                            )
+                        images = yield from _transport_cases(
+                            fillings[a], len(fillings[b]), alphabet, a, b, q, REGULAR_REGULAR
                         )
+                        maps.add(tuple(images))
                     key = f"{shape}"
                     distinct_maps[key] = max(distinct_maps.get(key, 0), len(maps))
 
-    _, elapsed = _timed(run)
     params = {"k": alphabet.k, "l": alphabet.l, "n": n}
-    return Report(
-        "weight-preserving-bijection",
-        params,
-        cases,
-        tuple(failures),
-        elapsed,
-        {"distinct_maps_by_shape": distinct_maps},
-    )
+    stats = {"distinct_maps_by_shape": distinct_maps}
+    return _report("weight-preserving-bijection", params, cases(), stats)
 
 
 def check_hook_schur_invariance(alphabet: Alphabet, n: int) -> Report:
     """The weight generating polynomial of each shape ignores the shuffle."""
     shuffles = all_shuffles(alphabet)
-    failures: list[CaseFailure] = []
-    cases = 0
 
-    def run():
-        nonlocal cases
+    def cases():
         for shape in partitions(n):
             reference = hook_schur(shape, alphabet, shuffles[0])
             for s in shuffles[1:]:
-                cases += 1
                 other = hook_schur(shape, alphabet, s)
-                if other != reference:
-                    failures.append(
-                        CaseFailure(
-                            word=f"shape {shape}",
-                            shuffles=f"{shuffles[0]} | {s}",
-                            variant=REGULAR_REGULAR.name,
-                            expected=reference.render(),
-                            actual=other.render(),
-                        )
+                if other == reference:
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=f"shape {shape}",
+                        shuffles=f"{shuffles[0]} | {s}",
+                        variant=REGULAR_REGULAR.name,
+                        expected=reference.render(),
+                        actual=other.render(),
                     )
 
-    _, elapsed = _timed(run)
     params = {"k": alphabet.k, "l": alphabet.l, "n": n}
-    return Report("hook-schur-invariance", params, cases, tuple(failures), elapsed)
+    return _report("hook-schur-invariance", params, cases())
 
 
 def check_counting_identity(alphabet: Alphabet, n: int) -> Report:
     """Sum over shapes of #fillings x #standard fillings equals (k+l)^n,
     for every shuffle and every variant."""
-    failures: list[CaseFailure] = []
-    cases = 0
 
-    def run():
-        nonlocal cases
+    def cases():
         for s in all_shuffles(alphabet):
             for variant in VARIANTS:
-                cases += 1
                 outcome = rsk_counting_identity(alphabet, n, s, variant)
-                if not outcome["equal"]:
-                    failures.append(
-                        CaseFailure(
-                            word=f"n={n}",
-                            shuffles=str(s),
-                            variant=variant.name,
-                            expected=str(outcome["rhs"]),
-                            actual=str(outcome["lhs"]),
-                        )
+                if outcome["equal"]:
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=f"n={n}",
+                        shuffles=str(s),
+                        variant=variant.name,
+                        expected=str(outcome["rhs"]),
+                        actual=str(outcome["lhs"]),
                     )
 
-    _, elapsed = _timed(run)
     params = {"k": alphabet.k, "l": alphabet.l, "n": n}
-    return Report("counting-identity", params, cases, tuple(failures), elapsed)
+    return _report("counting-identity", params, cases())
 
 
 def check_round_trip_grid(
@@ -842,27 +800,17 @@ def check_round_trip_grid(
                     actual=str(back),
                 )
 
-    return _word_grid_report(
-        "round-trip", alphabet, n, mode, cases, {"variant": variant.name}
-    )
+    return _word_grid("round-trip", alphabet, n, mode, cases, {"variant": variant.name})
 
 
 def check_standardization_mimicry_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    shuffles = all_shuffles(alphabet)
-
-    def cases(word: Word):
-        for s in shuffles:
-            if check_standardization_mimicry(word, s):
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=str(s),
-                    variant=REGULAR_DUAL.name,
-                    expected="relabelled insertion matches cell for cell",
-                    actual="mimicry failed",
-                )
-
-    return _word_grid_report("standardization-mimicry", alphabet, n, mode, cases)
+    cases = _per_shuffle(
+        alphabet,
+        check_standardization_mimicry,
+        REGULAR_DUAL.name,
+        "relabelled insertion matches cell for cell",
+        "mimicry failed",
+    )
+    return _word_grid("standardization-mimicry", alphabet, n, mode, cases)

@@ -6,11 +6,9 @@ import pytest
 from superrsk import (
     Alphabet,
     Letter,
-    Ordering,
     adjacency_chain,
     adjacent_transposition,
     all_shuffles,
-    format_shuffle,
     kl_shuffle,
     order_adjacent_pairs,
     parse_letter,
@@ -102,30 +100,27 @@ class TestKlShuffle:
         assert str(kl_shuffle(Alphabet(0, 1))) == "u1"
 
 
-class TestCompare:
+class TestLess:
     def test_examples(self, a22):
         A = parse_shuffle("t1<t2<u1<u2", a22)
         B = parse_shuffle("u1<u2<t1<t2", a22)
-        assert A.compare(t(2), u(1)) is Ordering.LESS
-        assert B.compare(u(2), t(1)) is Ordering.LESS
-        assert A.compare(t(1), t(1)) is Ordering.EQUAL
-        assert A.compare(u(2), t(1)) is Ordering.GREATER
+        assert A.less(t(2), u(1))
+        assert B.less(u(2), t(1))
+        assert not A.less(t(1), t(1))
+        assert not A.less(u(2), t(1)) and A.less(t(1), u(2))
 
     def test_letter_outside_alphabet(self, a22):
         A = kl_shuffle(a22)
         with pytest.raises(ValueError):
-            A.compare(t(3), u(1))
+            A.less(t(3), u(1))
 
     def test_total_order_axioms_exhaustively(self):
         for alph in small_alphabets(4):
             for s in all_shuffles(alph):
                 letters = alph.letters()
                 for a, b in product(letters, repeat=2):
-                    cmp_ab = s.compare(a, b)
-                    cmp_ba = s.compare(b, a)
-                    assert (cmp_ab is Ordering.EQUAL) == (a == b)
-                    if cmp_ab is Ordering.LESS:
-                        assert cmp_ba is Ordering.GREATER
+                    # trichotomy: exactly one of a < b, a == b, b < a
+                    assert s.less(a, b) + (a == b) + s.less(b, a) == 1
                 for a, b, c in product(letters, repeat=3):
                     if s.less(a, b) and s.less(b, c):
                         assert s.less(a, c)
@@ -204,7 +199,7 @@ class TestParseFormat:
     def test_round_trip_everywhere(self):
         for alph in small_alphabets(4):
             for s in all_shuffles(alph):
-                assert parse_shuffle(format_shuffle(s), alph) == s
+                assert parse_shuffle(str(s), alph) == s
 
     def test_single_letter(self):
         assert str(parse_shuffle("t1", Alphabet(1, 0))) == "t1"

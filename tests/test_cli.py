@@ -1,9 +1,14 @@
 import io
 import json
+import re
+from math import comb
+from pathlib import Path
 
 import pytest
 
-from superrsk.cli import main
+from superrsk.cli import _CLAIMS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -211,6 +216,61 @@ class TestVerify:
         assert code == 1
         assert "FAILED" in out
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "sample", "--samples", "5"]],
+                             ids=["exhaustive", "sampled"])
+    def test_negative_n_message(self, capsys, mode):
+        code = main(["--k", "2", "--l", "2", "verify", "--theorem", "2", "--n", "-3", *mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[0] == "error: n must be non-negative"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "2", "--l", "0", "verify", "--theorem", "2", "--n", "3"],
+            ["--k", "1", "--l", "0", "verify", "--theorem", "lemma2.15", "--n", "3"],
+            ["--k", "0", "--l", "2", "verify", "--theorem", "theorem3", "--n", "2"],
+            ["--k", "2", "--l", "2", "verify", "--theorem", "lemma3.2", "--n", "5",
+             "--mode", "sample", "--samples", "1"],
+        ],
+        ids=["one-shuffle-pairs", "no-adjacent-pairs", "no-shuffle-changes", "all-filtered"],
+    )
+    def test_no_cases_exit_1(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert "cases: 0\n" in out
+        assert out.endswith("status: no cases\n")
+
+    # words x shuffles at A22, n=3, or words x adjacent pairs for region1
+    @pytest.mark.parametrize(
+        "token,variant,check,cases",
+        [
+            ("paths", "reg-reg", "path-monotonicity", 4**3 * comb(4, 2)),
+            ("cells", "reg-reg", "cell-monotonicity", 4**3 * comb(4, 2)),
+            ("region1", "reg-reg", "region1-agreement", 4**3 * comb(3, 1) * 2),
+            ("round-trip", "dual-dual", "round-trip", 4**3 * comb(4, 2)),
+            ("mimicry", "reg-reg", "standardization-mimicry", 4**3 * comb(4, 2)),
+        ],
+    )
+    def test_table_reaches_every_grid(self, capsys, token, variant, check, cases):
+        code, out = run(
+            capsys,
+            "--k", "2", "--l", "2", "--variant", variant, "--format", "json",
+            "verify", "--theorem", token, "--n", "3",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["check"] == check
+        assert payload["cases"] == cases
+        assert payload["failures"] == []
+        assert payload["params"].get("variant", variant) == variant
+
+    def test_readme_table_lists_every_token(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Claim registry", 1)[1].split("\n\n", 2)[1]
+        tokens = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+        assert tokens == list(_CLAIMS)
+
 
 class TestTrace:
     def test_two_letter_word(self, capsys):
@@ -280,6 +340,9 @@ class TestBadInputExitCodes:
              None, False),
             (["verify", "--theorem", "2", "--n", "2", "--mode", "sample", "--samples", "0"],
              None, False),
+            (["verify", "--theorem", "2", "--n", "-3", "--mode", "sample", "--samples", "5"],
+             None, False),
+            (["verify", "--theorem", "2", "--n", "-3"], None, False),
         ],
         ids=[
             "reverse-missing-file",
@@ -291,6 +354,8 @@ class TestBadInputExitCodes:
             "trace-alignment-error",
             "verify-negative-samples",
             "verify-zero-samples",
+            "verify-negative-n-sampled",
+            "verify-negative-n-exhaustive",
         ],
     )
     def test_exits_2_with_one_error_line(

@@ -7,7 +7,6 @@ from superrsk.polynomial import (
     Polynomial,
     polynomial_from_json,
     polynomial_to_json,
-    unit_monomial,
 )
 
 
@@ -22,7 +21,7 @@ Y1 = mono((0, 0), (1, 0))
 class TestMonomial:
     def test_degree(self):
         assert mono((2, 1), (0, 3)).degree == 6
-        assert unit_monomial(2, 2).degree == 0
+        assert Monomial((0,) * 2, (0,) * 2).degree == 0
 
     def test_product(self):
         assert mono((1, 0), (2, 0)) * mono((0, 1), (1, 1)) == mono((1, 1), (3, 1))
@@ -37,7 +36,7 @@ class TestMonomial:
 
     def test_render(self):
         assert mono((2, 1, 1), (2, 2, 2)).render() == "x1^2 x2 x3 y1^2 y2^2 y3^2"
-        assert unit_monomial(1, 1).render() == "1"
+        assert Monomial((0,), (0,)).render() == "1"
 
 
 class TestPolynomial:

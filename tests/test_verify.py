@@ -244,6 +244,17 @@ class TestReports:
         report = check_round_trip_grid(a22, 2, DUAL_DUAL)
         assert report.passed and report.cases_run == 16 * 6
 
+    def test_zero_cases_do_not_pass(self):
+        report = check_shape_invariance(Alphabet(2, 0), 3)
+        assert report.cases_run == 0 and report.failures == ()
+        assert not report.passed
+
+    def test_negative_length_rejected(self, a22):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            check_shape_invariance(a22, -1, REGULAR_REGULAR, Sample(3, 0))
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            check_hook_schur_invariance(a22, -1)
+
     def test_other_grids_small(self, a22):
         assert check_path_monotonicity_grid(a22, 3).passed
         assert check_cell_monotonicity_grid(a22, 3).passed
@@ -282,3 +293,21 @@ class TestWeightPreservingBijection:
         report = check_weight_preserving_bijection_grid(a22, 2)
         assert report.passed
         assert "distinct_maps_by_shape" in report.stats
+
+    def test_grid_enumerates_and_transports_once(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        calls = {"enumerate_ssyt": 0, "change_shuffle": 0}
+        for name in calls:
+            original = getattr(verify, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+        report = check_weight_preserving_bijection_grid(a22, 3)
+        assert report.passed
+        # three shapes of 3 cells, each enumerated once per shuffle
+        assert calls["enumerate_ssyt"] == 3 * len(all_shuffles(a22))
+        assert calls["change_shuffle"] == report.cases_run
