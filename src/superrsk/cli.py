@@ -44,22 +44,25 @@ from .verify import (
     check_weight_preserving_bijection_grid,
 )
 
-# verifiable claims exposed via --theorem: token -> report over (alphabet, n,
-# variant, mode); each lambda looks its checker up in this module when called
+# verifiable claims exposed via --theorem: token -> (the options it honours
+# besides --n, report over (alphabet, n, variant, mode)).  "mode" covers
+# --mode/--samples/--seed, "variant" covers --variant; an option a token does
+# not honour is refused rather than dropped.  Each lambda looks its checker up
+# in this module when called.
 _CLAIMS = {
-    "2": lambda a, n, v, m: check_shape_invariance(a, n, REGULAR_REGULAR, m),
-    "5": lambda a, n, v, m: check_shape_invariance(a, n, v, m),
-    "cor4": lambda a, n, v, m: check_hook_schur_invariance(a, n),
-    "lemma2.6": lambda a, n, v, m: check_restriction_subtableau_grid(a, n, m),
-    "lemma2.15": lambda a, n, v, m: check_trace_alignment_grid(a, n, m),
-    "lemma3.2": lambda a, n, v, m: check_dual_regular_agreement_grid(a, n, m),
-    "theorem3": lambda a, n, v, m: check_weight_preserving_bijection_grid(a, n),
-    "identity": lambda a, n, v, m: check_counting_identity(a, n),
-    "paths": lambda a, n, v, m: check_path_monotonicity_grid(a, n, v, m),
-    "cells": lambda a, n, v, m: check_cell_monotonicity_grid(a, n, v, m),
-    "region1": lambda a, n, v, m: check_region1_agreement_grid(a, n, m),
-    "round-trip": lambda a, n, v, m: check_round_trip_grid(a, n, v, m),
-    "mimicry": lambda a, n, v, m: check_standardization_mimicry_grid(a, n, m),
+    "2": (("mode",), lambda a, n, v, m: check_shape_invariance(a, n, REGULAR_REGULAR, m)),
+    "5": (("mode", "variant"), lambda a, n, v, m: check_shape_invariance(a, n, v, m)),
+    "cor4": ((), lambda a, n, v, m: check_hook_schur_invariance(a, n)),
+    "lemma2.6": (("mode",), lambda a, n, v, m: check_restriction_subtableau_grid(a, n, m)),
+    "lemma2.15": (("mode",), lambda a, n, v, m: check_trace_alignment_grid(a, n, m)),
+    "lemma3.2": (("mode",), lambda a, n, v, m: check_dual_regular_agreement_grid(a, n, m)),
+    "theorem3": ((), lambda a, n, v, m: check_weight_preserving_bijection_grid(a, n)),
+    "identity": ((), lambda a, n, v, m: check_counting_identity(a, n)),
+    "paths": (("mode", "variant"), lambda a, n, v, m: check_path_monotonicity_grid(a, n, v, m)),
+    "cells": (("mode", "variant"), lambda a, n, v, m: check_cell_monotonicity_grid(a, n, v, m)),
+    "region1": (("mode",), lambda a, n, v, m: check_region1_agreement_grid(a, n, m)),
+    "round-trip": (("mode", "variant"), lambda a, n, v, m: check_round_trip_grid(a, n, v, m)),
+    "mimicry": (("mode",), lambda a, n, v, m: check_standardization_mimicry_grid(a, n, m)),
 }
 
 
@@ -250,9 +253,14 @@ def _cmd_hook_schur(args) -> int:
 
 def _cmd_verify(args) -> int:
     alphabet = _alphabet(args)
+    honours, run = _CLAIMS[args.theorem]
+    if args.mode != "exhaustive" and "mode" not in honours:
+        raise ValueError(f"--theorem {args.theorem} has no sampled grid; drop --mode sample")
+    if args.variant != REGULAR_REGULAR.name and "variant" not in honours:
+        raise ValueError(f"--theorem {args.theorem} checks reg-reg only; drop --variant")
     variant = parse_variant(args.variant)
     mode = "exhaustive" if args.mode == "exhaustive" else Sample(args.samples, args.seed)
-    report = _CLAIMS[args.theorem](alphabet, args.n, variant, mode)
+    report = run(alphabet, args.n, variant, mode)
 
     payload = report.to_json_dict()
     rendered = json.dumps(payload, indent=2, sort_keys=True)

@@ -13,7 +13,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """Exponent vectors over the x-variables and the y-variables."""
 
@@ -21,10 +21,12 @@ class Monomial:
     y: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(int(e) for e in self.x))
-        object.__setattr__(self, "y", tuple(int(e) for e in self.y))
-        if any(e < 0 for e in self.x + self.y):
+        x = tuple(map(int, self.x))
+        y = tuple(map(int, self.y))
+        if min(x + y, default=0) < 0:
             raise ValueError("exponents must be non-negative")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def degree(self) -> int:

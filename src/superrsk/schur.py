@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import product
 from math import factorial
 
-from .alphabet import Alphabet, Shuffle
-from .insertion import REGULAR_REGULAR, Variant, variant_profile
+from .alphabet import Alphabet, Shuffle, t, u
+from .insertion import Variant, variant_profile
 from .polynomial import Monomial, Polynomial
 from .tableau import (
     RecordingTableau,
     Shape,
     Tableau,
     check_shape,
-    weight_monomial,
 )
 
 __all__ = [
@@ -122,13 +122,18 @@ def enumerate_syt(shape: Shape) -> list[RecordingTableau]:
     return found
 
 
+def _conjugate(shape: Shape, width: int) -> Shape:
+    """Column lengths of a zero-padded shape, padded to width columns."""
+    return tuple(sum(1 for length in shape if length > c) for c in range(width))
+
+
 def count_syt(shape: Shape) -> int:
     """Number of standard fillings, by the hook length product formula."""
     shape = check_shape(shape)
     n = sum(shape)
     if n == 0:
         return 1
-    conjugate = [sum(1 for length in shape if length > c) for c in range(shape[0])]
+    conjugate = _conjugate(shape, shape[0])
     hooks = 1
     for r, length in enumerate(shape):
         for c in range(length):
@@ -136,17 +141,87 @@ def count_syt(shape: Shape) -> int:
     return factorial(n) // hooks
 
 
-def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial:
-    """Weight generating polynomial of the shape's valid fillings.
+def _horizontal_strips(mu: Shape, bound: Shape) -> list[tuple[Shape, int]]:
+    """Every nu inside bound with nu/mu a horizontal strip, paired with |nu/mu|.
 
-    Uses the regular-regular tableau class; the result does not depend on the
-    shuffle (the verification harness checks this exhaustively).
+    mu and bound have equal length (zero-padded).  A horizontal strip puts at
+    most one cell in each column, i.e. mu_i <= nu_i <= mu_{i-1}, so each row
+    ranges independently of the others.
     """
-    terms: dict[Monomial, int] = {}
-    for tab in enumerate_ssyt(shape, alphabet, shuffle, REGULAR_REGULAR):
-        mono = weight_monomial(tab, alphabet)
-        terms[mono] = terms.get(mono, 0) + 1
-    return Polynomial(terms)
+    caps = bound[:1] + mu[:-1]
+    ranges = [range(m, min(b, cap) + 1) for m, b, cap in zip(mu, bound, caps)]
+    base = sum(mu)
+    return [(nu, sum(nu) - base) for nu in product(*ranges)]
+
+
+def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial:
+    """Weight generating polynomial of the shape's regular-regular fillings.
+
+    A filling under the shuffle is a chain of shapes from the empty shape to
+    ``shape`` that adds one strip per letter, letters taken in shuffle order:
+    a horizontal strip for a t-letter (t's are strict in columns) and a
+    vertical strip for a u-letter (u's are strict in rows); the strip's size
+    is that letter's exponent.  The walk keeps, for each sub-shape, the
+    exponent vectors of the chains reaching it with their counts, so it costs
+    one step per (sub-shape, strip, term) rather than one per filling.
+
+    The result does not depend on the shuffle (Corollary 4); the walk follows
+    the given order, so the harness's invariance check compares genuinely
+    different strip chains.  ``enumerate_ssyt`` summed through
+    ``weight_monomial`` is the oracle the tests hold this against.  A letter
+    of the shuffle outside ``alphabet`` raises ``ValueError`` when some
+    filling of the shape uses it.
+    """
+    shape = check_shape(shape)
+    rows, width = len(shape), (shape[0] if shape else 0)
+    conjugate = _conjugate(shape, width)
+    # exponent vectors are packed ints: letter p of the order owns the bit
+    # field at p * bits, wide enough for a count up to |shape|
+    bits = sum(shape).bit_length()
+    strips: dict[tuple[str, Shape], list[tuple[Shape, int]]] = {}
+
+    def extensions(mu: Shape, kind: str) -> list[tuple[Shape, int]]:
+        found = strips.get((kind, mu))
+        if found is None:
+            if kind == "t":
+                found = _horizontal_strips(mu, shape)
+            else:
+                found = [
+                    (_conjugate(nu, rows), size)
+                    for nu, size in _horizontal_strips(_conjugate(mu, width), conjugate)
+                ]
+            strips[(kind, mu)] = found
+        return found
+
+    chains: dict[Shape, dict[int, int]] = {(0,) * rows: {0: 1}}
+    for position, letter in enumerate(shuffle.order):
+        offset = position * bits
+        extended: dict[Shape, dict[int, int]] = {}
+        for mu, terms in chains.items():
+            for nu, size in extensions(mu, letter.kind):
+                target = extended.setdefault(nu, {})
+                shift = size << offset
+                for key, count in terms.items():
+                    key += shift
+                    target[key] = target.get(key, 0) + count
+        chains = extended
+
+    terms = chains.get(shape, {})
+    mask = (1 << bits) - 1
+    offsets = {letter: position * bits for position, letter in enumerate(shuffle.order)}
+    for letter, offset in offsets.items():
+        if letter not in alphabet and any(key >> offset & mask for key in terms):
+            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
+    # a letter the shuffle lacks reads the field past the last one, always 0
+    absent = len(offsets) * bits
+    x_offsets = [offsets.get(t(i), absent) for i in range(1, alphabet.k + 1)]
+    y_offsets = [offsets.get(u(j), absent) for j in range(1, alphabet.l + 1)]
+    result: dict[Monomial, int] = {}
+    for key, count in terms.items():
+        x = tuple(key >> offset & mask for offset in x_offsets)
+        y = tuple(key >> offset & mask for offset in y_offsets)
+        result[Monomial(x, y)] = count
+    return Polynomial(result)
 
 
 def rsk_counting_identity(

@@ -265,6 +265,44 @@ class TestVerify:
         assert payload["failures"] == []
         assert payload["params"].get("variant", variant) == variant
 
+    def test_options_are_refused_exactly_where_not_honoured(self):
+        assert [t for t, (honours, _) in _CLAIMS.items() if "mode" not in honours] == list(
+            EXHAUSTIVE_ONLY
+        )
+        assert [t for t, (honours, _) in _CLAIMS.items() if "variant" not in honours] == list(
+            REG_REG_ONLY
+        )
+
+    @pytest.mark.parametrize("token", list(_CLAIMS))
+    def test_explicit_defaults_accepted_by_every_token(self, capsys, token):
+        # the benchmark spells out --variant reg-reg and --mode exhaustive
+        code, _ = run(
+            capsys,
+            "--k", "2", "--l", "2", "--variant", "reg-reg", "--format", "json",
+            "verify", "--theorem", token, "--n", "2", "--mode", "exhaustive",
+        )
+        assert code == 0
+
+    def test_refusal_names_the_option(self, capsys):
+        code = main(["--k", "2", "--l", "2", "--format", "json", "verify", "--theorem",
+                     "theorem3", "--n", "2", "--mode", "sample", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines()[0] == (
+            "error: --theorem theorem3 has no sampled grid; drop --mode sample"
+        )
+
+    def test_readme_marks_honoured_options(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Claim registry", 1)[1].split("\n\n", 2)[1]
+        header, _, *rows = section.splitlines()
+        assert header.endswith("| `--variant` | `--mode sample` |")
+        for row in rows:
+            cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+            honours, _ = _CLAIMS[cells[0].strip("`")]
+            assert cells[3] == ("yes" if "variant" in honours else "")
+            assert cells[4] == ("yes" if "mode" in honours else "")
+
     def test_readme_table_lists_every_token(self):
         text = README.read_text(encoding="utf-8")
         section = text.split("### Claim registry", 1)[1].split("\n\n", 2)[1]
@@ -319,6 +357,13 @@ class TestErrors:
         assert code == 2
 
 
+# verify tokens that would otherwise drop --mode sample / a non-default --variant
+EXHAUSTIVE_ONLY = ("cor4", "theorem3", "identity")
+REG_REG_ONLY = (
+    "2", "cor4", "lemma2.6", "lemma2.15", "lemma3.2", "theorem3", "identity", "region1", "mimicry",
+)
+
+
 class TestBadInputExitCodes:
     @staticmethod
     def _fail_alignment(*args):
@@ -343,6 +388,10 @@ class TestBadInputExitCodes:
             (["verify", "--theorem", "2", "--n", "-3", "--mode", "sample", "--samples", "5"],
              None, False),
             (["verify", "--theorem", "2", "--n", "-3"], None, False),
+            *[(["verify", "--theorem", token, "--n", "2", "--mode", "sample", "--samples", "1"],
+               None, False) for token in EXHAUSTIVE_ONLY],
+            *[(["--variant", "dual-reg", "verify", "--theorem", token, "--n", "2"], None, False)
+              for token in REG_REG_ONLY],
         ],
         ids=[
             "reverse-missing-file",
@@ -356,6 +405,8 @@ class TestBadInputExitCodes:
             "verify-zero-samples",
             "verify-negative-n-sampled",
             "verify-negative-n-exhaustive",
+            *[f"verify-{token}-sampled" for token in EXHAUSTIVE_ONLY],
+            *[f"verify-{token}-variant" for token in REG_REG_ONLY],
         ],
     )
     def test_exits_2_with_one_error_line(

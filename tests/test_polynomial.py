@@ -34,6 +34,18 @@ class TestMonomial:
         with pytest.raises(ValueError):
             mono((-1,), ())
 
+    def test_exponents_become_int_tuples(self):
+        m = Monomial([1, True], (0.0, 2))
+        assert m.x == (1, 1) and m.y == (0, 2)
+        assert all(type(e) is int for e in m.x + m.y)
+        assert m == mono((1, 1), (0, 2)) and hash(m) == hash(mono((1, 1), (0, 2)))
+
+    def test_frozen_without_instance_dict(self):
+        m = mono((1,), (0,))
+        with pytest.raises(AttributeError):
+            m.x = (2,)
+        assert not hasattr(m, "__dict__")
+
     def test_render(self):
         assert mono((2, 1, 1), (2, 2, 2)).render() == "x1^2 x2 x3 y1^2 y2^2 y3^2"
         assert Monomial((0,), (0,)).render() == "1"

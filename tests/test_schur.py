@@ -21,6 +21,7 @@ from superrsk import (
     partitions,
     rsk_counting_identity,
     variant_profile,
+    weight_monomial,
 )
 from superrsk.polynomial import Monomial, Polynomial
 
@@ -190,6 +191,70 @@ class TestHookSchur:
                 for mono, coeff in poly.sorted_terms():
                     assert coeff > 0
                     assert mono.degree == n
+
+
+def weight_sum(shape, alphabet, shuffle):
+    """The oracle: weights of the enumerated fillings, summed."""
+    terms = {}
+    for filling in enumerate_ssyt(shape, alphabet, shuffle, REGULAR_REGULAR):
+        mono = weight_monomial(filling, alphabet)
+        terms[mono] = terms.get(mono, 0) + 1
+    return Polynomial(terms)
+
+
+class TestHookSchurAgainstEnumeration:
+    @pytest.mark.parametrize(
+        "k,l,max_n",
+        [(1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (3, 0, 6), (0, 3, 6), (3, 3, 5)],
+    )
+    def test_equals_enumerated_weights_under_every_shuffle(self, k, l, max_n):
+        alph = Alphabet(k, l)
+        for n in range(max_n + 1):
+            for shape in partitions(n):
+                for shuffle in all_shuffles(alph):
+                    assert hook_schur(shape, alph, shuffle) == weight_sum(shape, alph, shuffle)
+
+    @pytest.mark.parametrize("k,l", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 0), (2, 2)])
+    def test_hook_vanishing_criterion(self, k, l):
+        # a shape has fillings iff it fits in the (k, l) hook: at most k rows,
+        # or row k+1 no longer than l; (3, 3, 3) is the first miss at (2, 2)
+        alph = Alphabet(k, l)
+        for n in range(10):
+            for shape in partitions(n):
+                in_hook = len(shape) <= k or shape[k] <= l
+                for shuffle in all_shuffles(alph):
+                    assert bool(hook_schur(shape, alph, shuffle)) == in_hook
+
+    def test_empty_shape_is_constant_one(self):
+        for alph in (Alphabet(1, 0), Alphabet(0, 2), Alphabet(3, 3)):
+            for shuffle in all_shuffles(alph):
+                poly = hook_schur((), alph, shuffle)
+                assert poly == Polynomial([(Monomial((0,) * alph.k, (0,) * alph.l), 1)])
+
+    def test_letter_outside_alphabet_rejected(self):
+        shuffle = parse_shuffle("t1<u1<t2", Alphabet(2, 1))
+        for shape in ((1,), (2,), (1, 1), (2, 1)):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                hook_schur(shape, Alphabet(1, 1), shuffle)
+
+    def test_invalid_shape_rejected(self, a22, order_ttuu):
+        for shape in ((1, 2), (2, 0)):
+            with pytest.raises(ValueError):
+                hook_schur(shape, a22, order_ttuu)
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 3)])
+    def test_counting_identity_without_enumeration(self, k, l):
+        # insertion pairs each of the (k+l)^n words with a filling and a
+        # standard filling of one shape, and HS(1,...,1) counts the fillings
+        alph = Alphabet(k, l)
+        for n in range(8):
+            for shuffle in all_shuffles(alph):
+                total = sum(
+                    sum(coeff for _, coeff in hook_schur(shape, alph, shuffle).sorted_terms())
+                    * count_syt(shape)
+                    for shape in partitions(n)
+                )
+                assert total == (k + l) ** n
 
 
 class TestCountingIdentity:
