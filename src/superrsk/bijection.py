@@ -6,7 +6,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Letter, Shuffle, u as u_letter, t as t_letter
-from .insertion import Variant, Word, _is_t, _rank_grid, insert_word, variant_profile
+from .insertion import _BUMP_SEARCH, Variant, Word, _insert_rank, _is_t, _rank_grid, _ranks_of
+from .insertion import variant_profile
 from .tableau import RecordingTableau, Tableau, is_standard, is_valid
 
 __all__ = [
@@ -35,6 +36,14 @@ def reverse_word(
     column j-1 by displacing the bottommost such entry.  A t-letter leaving
     row 1, or a u-letter leaving column 1, is the recovered v_m.
     """
+    order = shuffle.order
+    return Word(tuple(order[x] for x in _reverse_ranks(p, q, shuffle, variant)))
+
+
+def _reverse_ranks(
+    p: Tableau, q: RecordingTableau, shuffle: Shuffle, variant: Variant
+) -> list[int]:
+    """The shuffle ranks of ``reverse_word``'s word, first letter first."""
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     if not is_standard(q):
@@ -47,7 +56,7 @@ def reverse_word(
     is_t = _is_t(shuffle)
     find_t, find_u = _DISPLACE_SEARCH[variant.t_rule], _DISPLACE_SEARCH[variant.u_rule]
     position = {m: (i, j) for i, row in enumerate(q.rows) for j, m in enumerate(row)}
-    recovered: list[Letter] = []
+    recovered: list[int] = []
     for m in range(q.size, 0, -1):
         i, j = position[m]
         # the current maximum of a standard tableau sits at a corner
@@ -82,8 +91,9 @@ def reverse_word(
             y = rows[i][j]
             rows[i][j] = cols[j][i] = x
             x = y
-        recovered.append(order[x])
-    return Word(tuple(reversed(recovered)))
+        recovered.append(x)
+    recovered.reverse()
+    return recovered
 
 
 def change_shuffle(
@@ -97,10 +107,18 @@ def change_shuffle(
 
     Reverses (p, q) under the source order and re-inserts the recovered word
     under the target order; the new pair has the same shape, the same
-    recording tableau, and the same letter content.
+    recording tableau, and the same letter content.  Both passes stay on
+    ranks: only the new P is built.
     """
-    word = reverse_word(p, q, source, variant)
-    return insert_word(word, target, variant).p
+    word = _ranks_of((source.order[x] for x in _reverse_ranks(p, q, source, variant)), target)
+    is_t = _is_t(target)
+    find_t, find_u = _BUMP_SEARCH[variant.t_rule], _BUMP_SEARCH[variant.u_rule]
+    rows: list[list[int]] = []
+    cols: list[list[int]] = []
+    log: list = []  # placements are not kept
+    for x in word:
+        _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
+    return Tableau(tuple(tuple(target.order[x] for x in row) for row in rows))
 
 
 @dataclass(frozen=True)

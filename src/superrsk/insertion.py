@@ -10,7 +10,10 @@ entry greater than or equal to it.
 ``insert_word`` computes P, Q, the path lengths and the step total eagerly,
 on shuffle ranks with one bisection per bump.  The step trace is kept as a
 compact placement log: ``trace.steps`` and ``trace.state_after`` build the
-intermediate ``Tableau`` snapshots on first read and cache them.
+intermediate ``Tableau`` snapshots on first read and cache them.  Snapshots
+are built only for those readers, ``trace_to_json`` and ``insert_letter``;
+``reverse_word``, ``change_shuffle`` and the verification grids work on ranks
+and read the log directly.
 """
 
 from __future__ import annotations
@@ -215,6 +218,13 @@ class InsertionResult:
     trace: InsertionTrace
 
 
+def _pending_action(letter: Letter, row: int, col: int) -> PendingAction:
+    """The action of a letter waiting to enter: a t at ``row``, a u at ``col``."""
+    if letter.kind == "t":
+        return PendingAction(letter, "row", row)
+    return PendingAction(letter, "column", col)
+
+
 # The rank core.  Letters are replaced by their shuffle ranks, and P is held
 # as rank lists for its rows and for its columns, updated together.  Rows and
 # columns stay weakly increasing in rank, so every search is one bisection.
@@ -311,12 +321,7 @@ def _replay(
             rows[r - 1].append(letter)
         else:
             rows[r - 1][c - 1] = letter
-        if y is None:
-            bumped = None
-        elif order[y].kind == "t":
-            bumped = PendingAction(order[y], "row", r + 1)
-        else:
-            bumped = PendingAction(order[y], "column", c + 1)
+        bumped = None if y is None else _pending_action(order[y], r + 1, c + 1)
         state = Tableau(tuple(tuple(row) for row in rows))
         steps.append(Step(index, state, (r, c), bumped, m))
     return tuple(steps)

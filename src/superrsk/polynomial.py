@@ -57,9 +57,12 @@ class Polynomial:
     def __init__(
         self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()
     ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        if isinstance(terms, Mapping):
+            # distinct keys: nothing to merge
+            self._terms = {m: int(c) for m, c in terms.items() if int(c)}
+            return
         acc: dict[Monomial, int] = {}
-        for mono, coeff in items:
+        for mono, coeff in terms:
             c = acc.get(mono, 0) + int(coeff)
             if c:
                 acc[mono] = c

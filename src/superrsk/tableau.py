@@ -150,25 +150,25 @@ def is_valid(tab: Tableau, shuffle: Shuffle, profile: StrictnessProfile) -> bool
 
     Equal entries are always the same letter, so the full-axis strictness of
     the t's (resp. u's) reduces to forbidding equal neighbours of that kind
-    along the strict axis.
+    along the strict axis.  Entries are compared by shuffle rank; a tableau of
+    at most one cell has no neighbours and is valid.
     """
-    strict_row = {"t": profile.t_strict_in == "rows", "u": profile.u_strict_in == "rows"}
-    strict_col = {
-        "t": profile.t_strict_in == "columns",
-        "u": profile.u_strict_in == "columns",
-    }
-    for (r, c), e in tab.items():
-        left = tab.entry(r, c - 1)
-        if left is not None:
-            if shuffle.less(e, left):
+    ranks = shuffle.ranks
+    try:
+        rows = [[ranks[e] for e in row] for row in tab.rows]
+    except KeyError as exc:
+        if tab.size == 1:  # a lone cell has no neighbour to compare with
+            return True
+        raise ValueError(f"letter {exc.args[0]} is not in alphabet {shuffle.alphabet}") from None
+    strict_axis = {"t": profile.t_strict_in, "u": profile.u_strict_in}
+    order = shuffle.order
+    for row in rows:
+        for a, b in zip(row, row[1:]):
+            if b < a or (a == b and strict_axis[order[a].kind] == "rows"):
                 return False
-            if left == e and strict_row[e.kind]:
-                return False
-        above = tab.entry(r - 1, c)
-        if above is not None:
-            if shuffle.less(e, above):
-                return False
-            if above == e and strict_col[e.kind]:
+    for upper, lower in zip(rows, rows[1:]):
+        for a, b in zip(upper, lower):
+            if b < a or (a == b and strict_axis[order[a].kind] == "columns"):
                 return False
     return True
 

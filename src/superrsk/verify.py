@@ -31,12 +31,15 @@ from .insertion import (
     PendingAction,
     Variant,
     Word,
+    _pending_action,
+    _ranks_of,
     all_words,
     insert_word,
     variant_profile,
 )
 from .schur import enumerate_ssyt, enumerate_syt, hook_schur, partitions, rsk_counting_identity
 from .tableau import (
+    Cell,
     RecordingTableau,
     Shape,
     Tableau,
@@ -231,6 +234,37 @@ class Alignment:
 _INCREMENTS = ((1, 1), (1, 2), (2, 1))
 
 
+def _signatures(trace: InsertionTrace, shuffle: Shuffle, pair: tuple[Letter, Letter]) -> list:
+    """Each step's state in the form ``_sim`` compares, read off the placement log.
+
+    A signature holds the cells' ranks under ``shuffle`` with the pair's two
+    ranks masked, the t_i-count of each region-2 component, and the pending
+    action.  An adjacent transposition keeps every other letter's rank, so
+    masked cells are equal exactly when the region-1 entries, the region-3
+    entries and the region-2 cells agree.
+    """
+    order, log = trace.order, trace.log
+    rank = _ranks_of(order, shuffle)
+    ti = shuffle.rank(pair[0])
+    lo = min(ti, shuffle.rank(pair[1]))
+    cells: dict[Cell, int] = {}
+    out = []
+    for s, (r, c, x, y) in enumerate(log):
+        cells[(r, c)] = rank[x]
+        if y is not None:
+            pending = _pending_action(order[y], r + 1, c + 1)
+        elif s + 1 < len(log):
+            nr, nc, nx, _ = log[s + 1]
+            pending = _pending_action(order[nx], nr, nc)
+        else:
+            pending = None
+        masked = {cell: -1 if lo <= e <= lo + 1 else e for cell, e in cells.items()}
+        components = region2_components({cell: 2 for cell, e in masked.items() if e < 0})
+        counts = {comp: sum(cells[cell] == ti for cell in comp) for comp in components}
+        out.append((masked, counts, pending))
+    return out
+
+
 def align_traces(
     trace_a: InsertionTrace,
     shuffle_a: Shuffle,
@@ -241,27 +275,23 @@ def align_traces(
 
     Starts at (1, 1), advances by the three allowed increments, and must end
     at the final step of both traces.  The witness count is the number of
-    distinct alignments through equivalent matched pairs.
+    distinct alignments through equivalent matched pairs.  States are
+    compared as in ``states_equivalent``, on signatures read from the traces'
+    placement logs, so no ``Step`` snapshot is built.
     """
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
         raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
-    states_a = _states(trace_a)
-    states_b = _states(trace_b)
-    sa, sb = len(states_a), len(states_b)
+    sigs_a = _signatures(trace_a, shuffle_a, pair)
+    sigs_b = _signatures(trace_b, shuffle_b, pair)
+    sa, sb = len(sigs_a), len(sigs_b)
     if sa == 0 and sb == 0:
         return Alignment((), 1)
     if sa == 0 or sb == 0:
         raise AlignmentError("traces have different emptiness")
 
-    sim_cache: dict[tuple[int, int], bool] = {}
-
     def ok(p: int, q: int) -> bool:
-        if (p, q) not in sim_cache:
-            sim_cache[(p, q)] = _sim(
-                states_a[p - 1], states_b[q - 1], shuffle_a, shuffle_b, pair
-            )
-        return sim_cache[(p, q)]
+        return sigs_a[p - 1] == sigs_b[q - 1]
 
     if not ok(1, 1):
         raise AlignmentError("initial states are not equivalent")
@@ -306,13 +336,11 @@ def check_path_monotonicity(result: InsertionResult) -> bool:
     Within one letter's steps, a t bumped from (i, j) acts in row i+1 at a
     column <= j, and a u bumped from (i, j) acts in column j+1 at a row <= i.
     """
-    steps = result.trace.steps
-    for step, nxt in zip(steps, steps[1:]):
-        if step.bumped is None:
+    log, order = result.trace.log, result.trace.order
+    for (r, c, _, y), (nr, nc, _, _) in zip(log, log[1:]):
+        if y is None:
             continue
-        r, c = step.settled_cell
-        nr, nc = nxt.settled_cell
-        if step.bumped.element.kind == "t":
+        if order[y].kind == "t":
             if nr != r + 1 or nc > c:
                 return False
         else:
@@ -322,25 +350,33 @@ def check_path_monotonicity(result: InsertionResult) -> bool:
 
 
 def check_cell_monotonicity(result: InsertionResult, shuffle: Shuffle) -> bool:
-    """Across consecutive states, occupied cells persist and entries only shrink."""
-    steps = result.trace.steps
-    for prev, cur in zip(steps, steps[1:]):
-        for cell, old in prev.state.items():
-            new = cur.state.entry(*cell)
-            if new is None or shuffle.less(old, new):
-                return False
+    """Across consecutive states, occupied cells persist and entries only shrink.
+
+    Each placement writes one cell and leaves the others as they were, so it
+    is enough that no write to an occupied cell raises that cell's rank.
+    """
+    rank = _ranks_of(result.trace.order, shuffle)
+    cells: dict[Cell, int] = {}
+    for r, c, x, _ in result.trace.log:
+        if cells.get((r, c), rank[x]) < rank[x]:
+            return False
+        cells[(r, c)] = rank[x]
     return True
+
+
+def _restricted_p(v: Word, shuffle: Shuffle, x: Letter, variant: Variant) -> Tableau:
+    """P of the subword of the letters <= x."""
+    bound = shuffle.rank(x)
+    restricted = Word(tuple(a for a in v if shuffle.rank(a) <= bound))
+    return insert_word(restricted, shuffle, variant).p
 
 
 def check_restriction_subtableau(
     v: Word, shuffle: Shuffle, x: Letter, variant: Variant = REGULAR_REGULAR
 ) -> bool:
     """Inserting only the letters <= x yields a subtableau of the full insertion."""
-    bound = shuffle.rank(x)
-    restricted = Word(tuple(a for a in v if shuffle.rank(a) <= bound))
-    small = insert_word(restricted, shuffle, variant).p
-    big = insert_word(v, shuffle, variant).p
-    return is_subtableau(small, big)
+    small = _restricted_p(v, shuffle, x, variant)
+    return is_subtableau(small, insert_word(v, shuffle, variant).p)
 
 
 def check_region1_agreement(v: Word, a: Shuffle, b: Shuffle) -> bool:
@@ -526,8 +562,9 @@ def check_restriction_subtableau_grid(
 
     def cases(word: Word):
         for s in shuffles:
+            big = insert_word(word, s, REGULAR_REGULAR).p
             for x in letters:
-                if check_restriction_subtableau(word, s, x):
+                if is_subtableau(_restricted_p(word, s, x, REGULAR_REGULAR), big):
                     yield None
                 else:
                     yield CaseFailure(

@@ -15,6 +15,7 @@ from superrsk import (
     enumerate_ssyt,
     enumerate_syt,
     insert_word,
+    partitions,
     parse_shuffle,
     parse_word,
     reverse_word,
@@ -100,6 +101,39 @@ class TestChangeShuffle:
         for p, image in zip(source, images):
             assert content_type(p, alph) == content_type(image, alph)
             assert change_shuffle(image, q, B, A, REGULAR_REGULAR) == p
+
+    def test_matches_reverse_then_insert_everywhere(self, a22):
+        # every (P, Q) of at most four cells, every ordered pair of orders
+        shuffles = all_shuffles(a22)
+        for variant in VARIANTS:
+            for n in range(5):
+                for shape in partitions(n):
+                    recorders = enumerate_syt(shape)
+                    for a in shuffles:
+                        for p in enumerate_ssyt(shape, a22, a, variant):
+                            for q in recorders:
+                                word = reverse_word(p, q, a, variant)
+                                for b in shuffles:
+                                    expected = insert_word(word, b, variant).p
+                                    assert change_shuffle(p, q, a, b, variant) == expected
+
+    @pytest.mark.parametrize(
+        "p,q,target",
+        [
+            ("t1 t2 u2 / u1", "1 2 / 3 4", "t1<t2<u1<u2"),  # shapes differ
+            ("t1 t2 u2 / u1", "1 3 2 / 4", "t1<t2<u1<u2"),  # q not standard
+            ("t2 t1 u2 / u1", "1 2 3 / 4", "t1<t2<u1<u2"),  # p not valid
+            ("t1 t2 u2 / u1", "1 2 3 / 4", "t1<u1<u2"),  # t2 outside the target
+        ],
+    )
+    def test_errors_match_reverse_then_insert(self, a22, order_ttuu, p, q, target):
+        p, q = tab(p), rec(q)
+        target = parse_shuffle(target, Alphabet(1, 2) if target.count("<") == 2 else a22)
+        with pytest.raises(ValueError) as composed:
+            insert_word(reverse_word(p, q, order_ttuu, REGULAR_REGULAR), target, REGULAR_REGULAR)
+        with pytest.raises(ValueError) as direct:
+            change_shuffle(p, q, order_ttuu, target, REGULAR_REGULAR)
+        assert str(direct.value) == str(composed.value)
 
 
 class TestStandardizeU:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from superrsk import VARIANTS
 from superrsk.cli import _CLAIMS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -291,6 +292,28 @@ class TestVerify:
         assert captured.err.splitlines()[0] == (
             "error: --theorem theorem3 has no sampled grid; drop --mode sample"
         )
+
+    @pytest.mark.parametrize(
+        "token,variant",
+        [
+            (token, variant)
+            for token, (honours, _) in _CLAIMS.items()
+            for variant in ([v.name for v in VARIANTS] if "variant" in honours else ["reg-reg"])
+        ],
+    )
+    def test_grids_build_no_step_snapshots(self, capsys, monkeypatch, token, variant):
+        # snapshots are for trace output and step readers; a grid that reads
+        # trace.steps or state_after would call _replay and fail here
+        def refuse(*args):
+            raise AssertionError("a Step snapshot was built")
+
+        monkeypatch.setattr("superrsk.insertion._replay", refuse)
+        code, _ = run(
+            capsys,
+            "--k", "2", "--l", "2", "--variant", variant, "--format", "json",
+            "verify", "--theorem", token, "--n", "2",
+        )
+        assert code == 0
 
     def test_readme_marks_honoured_options(self):
         text = README.read_text(encoding="utf-8")

@@ -57,6 +57,11 @@ class TestPolynomial:
         assert p.coefficient(X1) == 0
         assert len(p) == 1
 
+    def test_mapping_terms_coerced_and_zeros_dropped(self):
+        p = Polynomial({X1: True, Y1: 0, X1 * Y1: -3})
+        assert p == Polynomial([(X1, 1), (X1 * Y1, -3)])
+        assert len(p) == 2 and type(p.coefficient(X1)) is int
+
     def test_addition(self):
         p = Polynomial([(X1, 1)]) + Polynomial([(X1, 2), (Y1, 1)])
         assert p.coefficient(X1) == 3 and p.coefficient(Y1) == 1

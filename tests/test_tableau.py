@@ -1,23 +1,30 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rec, tab
 from superrsk import (
+    VARIANTS,
     Alphabet,
     RecordingTableau,
     StrictnessProfile,
     Tableau,
+    Word,
+    all_shuffles,
     classify_regions,
     content_type,
     is_standard,
     is_subtableau,
+    insert_word,
     is_valid,
     parse_shuffle,
     region2_components,
     region2_shape_ok,
     t,
     u,
+    variant_profile,
     weight_monomial,
     word_type,
 )
@@ -130,6 +137,69 @@ class TestIsValid:
                         assert is_valid(tableau, s, profile) == oracle(
                             tableau, s, profile
                         )
+
+
+def letter_level_is_valid(tableau, shuffle, profile):
+    """Reference: neighbour comparisons on letters through Shuffle.less."""
+    cells = dict(tableau.items())
+    if len(cells) < 2:
+        return True
+    for letter in cells.values():
+        shuffle.rank(letter)  # a letter outside the alphabet raises here
+    strict_axis = {"t": profile.t_strict_in, "u": profile.u_strict_in}
+    for (r, c), e in cells.items():
+        for axis, nbr in (("rows", cells.get((r, c - 1))), ("columns", cells.get((r - 1, c)))):
+            if nbr is None:
+                continue
+            if shuffle.less(e, nbr) or (nbr == e and strict_axis[e.kind] == axis):
+                return False
+    return True
+
+
+@st.composite
+def fillings(draw):
+    """A tableau, often one produced by insertion, with some cells overwritten
+    by random letters, possibly from outside the alphabet; plus an order and a
+    profile."""
+    k = draw(st.integers(0, 3))
+    l = draw(st.integers(1 if k == 0 else 0, 3))
+    alph = Alphabet(k, l)
+    shuffles = all_shuffles(alph)
+    shuffle = shuffles[draw(st.integers(0, len(shuffles) - 1))]
+    letters = alph.letters()
+    pool = letters + (t(k + 1), u(l + 1))
+    word = draw(st.lists(st.sampled_from(letters), max_size=9))
+    p = insert_word(Word(tuple(word)), shuffle, draw(st.sampled_from(VARIANTS))).p
+    rows = [list(row) for row in p.rows]
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    for r, c in draw(st.lists(st.sampled_from(cells), max_size=3)) if cells else ():
+        rows[r][c] = draw(st.sampled_from(pool))
+    profile = StrictnessProfile(
+        draw(st.sampled_from(("rows", "columns"))), draw(st.sampled_from(("rows", "columns")))
+    )
+    return Tableau(tuple(tuple(row) for row in rows)), shuffle, profile
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(fillings())
+@settings(max_examples=400, deadline=None)
+def test_is_valid_matches_letter_level_reference(case):
+    assert outcome(is_valid, *case) == outcome(letter_level_is_valid, *case)
+
+
+def test_is_valid_examples_of_each_outcome():
+    order = parse_shuffle("t1<u1", Alphabet(1, 1))
+    assert is_valid(tab("t9"), order, REGULAR)  # one cell: nothing to compare
+    with pytest.raises(ValueError, match="letter t9 is not in alphabet"):
+        is_valid(tab("t1 t9"), order, REGULAR)
+    produced = insert_word(Word((u(1), t(1), u(1))), order, VARIANTS[0]).p
+    assert is_valid(produced, order, variant_profile(VARIANTS[0]))
 
 
 class TestIsStandard:

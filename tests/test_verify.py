@@ -1,4 +1,6 @@
 import json
+from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -7,12 +9,17 @@ from superrsk import (
     DUAL_DUAL,
     REGULAR_DUAL,
     REGULAR_REGULAR,
+    VARIANTS,
     Alphabet,
+    InsertionResult,
+    InsertionTrace,
     PendingAction,
     Sample,
     Word,
+    adjacent_transposition,
     align_traces,
     all_shuffles,
+    all_words,
     insert_word,
     parse_shuffle,
     parse_word,
@@ -21,6 +28,11 @@ from superrsk import (
     u,
 )
 from superrsk.verify import (
+    _INCREMENTS,
+    Alignment,
+    AlignmentError,
+    _sim,
+    _states,
     check_cell_monotonicity,
     check_cell_monotonicity_grid,
     check_counting_identity,
@@ -311,3 +323,164 @@ class TestWeightPreservingBijection:
         # three shapes of 3 cells, each enumerated once per shuffle
         assert calls["enumerate_ssyt"] == 3 * len(all_shuffles(a22))
         assert calls["change_shuffle"] == report.cases_run
+
+
+def snapshot_alignment(trace_a, a, trace_b, b):
+    """Reference alignment: the same search over replayed Step snapshots."""
+    pair = adjacent_transposition(a, b)
+    states_a, states_b = _states(trace_a), _states(trace_b)
+    sa, sb = len(states_a), len(states_b)
+    if sa == 0 and sb == 0:
+        return Alignment((), 1)
+    if sa == 0 or sb == 0:
+        raise AlignmentError("traces have different emptiness")
+
+    def ok(p, q):
+        return _sim(states_a[p - 1], states_b[q - 1], a, b, pair)
+
+    if not ok(1, 1):
+        raise AlignmentError("initial states are not equivalent")
+    parent = {(1, 1): None}
+    queue = deque([(1, 1)])
+    while queue:
+        p, q = queue.popleft()
+        for dp, dq in _INCREMENTS:
+            node = (p + dp, q + dq)
+            if node[0] <= sa and node[1] <= sb and node not in parent and ok(*node):
+                parent[node] = (p, q)
+                queue.append(node)
+    if (sa, sb) not in parent:
+        raise AlignmentError(f"no alignment reaches ({sa}, {sb})")
+    path, node = [], (sa, sb)
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    counts = {(1, 1): 1}
+    for node in sorted(parent, key=lambda pq: (pq[0] + pq[1], pq[0])):
+        if node != (1, 1):
+            counts[node] = sum(counts.get((node[0] - dp, node[1] - dq), 0) for dp, dq in _INCREMENTS)
+    return Alignment(tuple(reversed(path)), counts[(sa, sb)])
+
+
+def alignment_outcome(align, *args):
+    try:
+        return align(*args)
+    except AlignmentError as exc:
+        return str(exc)
+
+
+class TestLogAlignmentAgainstSnapshots:
+    @pytest.mark.parametrize("k,l,n_max", [(2, 2, 4), (2, 1, 5), (1, 2, 5)])
+    def test_every_adjacent_pair_word_and_variant(self, k, l, n_max):
+        alph = Alphabet(k, l)
+        shuffles = all_shuffles(alph)
+        pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
+        failures = 0
+        for n in range(n_max + 1):
+            for word in all_words(alph, n):
+                for variant in VARIANTS:
+                    traces = {s: insert_word(word, s, variant).trace for s in shuffles}
+                    for a, b in pairs:
+                        args = (traces[a], a, traces[b], b)
+                        expected = alignment_outcome(snapshot_alignment, *args)
+                        assert alignment_outcome(align_traces, *args) == expected
+                        failures += isinstance(expected, str)
+        # the dual variants give some unalignable words, so both outcomes are compared
+        assert failures > 0
+
+    def test_region2_t_count_alone_breaks_alignment(self):
+        # one-cell states: same masked grid, same (terminal) action, but the
+        # pair-region component holds one t2 on one side and none on the other
+        rank_a, rank_b = ORDER_A.ranks, ORDER_B.ranks
+        holding_t2 = InsertionTrace((1,), ((1, 1, rank_a[t(2)], None),), ORDER_A.order)
+        holding_u2 = InsertionTrace((1,), ((1, 1, rank_b[u(2)], None),), ORDER_B.order)
+        also_t2 = InsertionTrace((1,), ((1, 1, rank_b[t(2)], None),), ORDER_B.order)
+        assert align_traces(holding_t2, ORDER_A, also_t2, ORDER_B) == Alignment(((1, 1),), 1)
+        for align in (align_traces, snapshot_alignment):
+            with pytest.raises(AlignmentError, match="initial states are not equivalent"):
+                align(holding_t2, ORDER_A, holding_u2, ORDER_B)
+
+
+def snapshot_paths(result):
+    """Reference path monotonicity over replayed Step snapshots."""
+    steps = result.trace.steps
+    for step, nxt in zip(steps, steps[1:]):
+        if step.bumped is None:
+            continue
+        (r, c), (nr, nc) = step.settled_cell, nxt.settled_cell
+        if step.bumped.element.kind == "t":
+            if nr != r + 1 or nc > c:
+                return False
+        elif nc != c + 1 or nr > r:
+            return False
+    return True
+
+
+def snapshot_cells(result, shuffle):
+    """Reference cell monotonicity over replayed Step snapshots."""
+    steps = result.trace.steps
+    for prev, cur in zip(steps, steps[1:]):
+        for cell, old in prev.state.items():
+            new = cur.state.entry(*cell)
+            if new is None or shuffle.less(old, new):
+                return False
+    return True
+
+
+class TestMonotonicityFromLog:
+    def test_matches_snapshots_on_every_case(self, a22):
+        shuffles = all_shuffles(a22)
+        for n in range(5):
+            for word in all_words(a22, n):
+                for s in shuffles:
+                    for variant in VARIANTS:
+                        result = insert_word(word, s, variant)
+                        paths = check_path_monotonicity(result)
+                        cells = check_cell_monotonicity(result, s)
+                        assert "steps" not in vars(result.trace)
+                        assert paths == snapshot_paths(result)
+                        assert cells == snapshot_cells(result, s)
+
+    def test_hand_built_violations(self):
+        alph = Alphabet(1, 1)
+        order = parse_shuffle("t1<u1", alph)  # ranks: t1 = 0, u1 = 1
+        result = insert_word(parse_word("u1,t1", alph), order, REGULAR_REGULAR)
+        assert result.trace.log == ((1, 1, 1, None), (1, 1, 0, 1), (1, 2, 1, None))
+
+        def with_log(log):
+            trace = InsertionTrace((1, len(log) - 1), log, order.order)
+            return InsertionResult(result.p, result.q, trace)
+
+        # the bumped u1 re-enters column 1 instead of column 2
+        drifted = with_log(((1, 1, 1, None), (1, 1, 0, 1), (2, 1, 1, None)))
+        assert not check_path_monotonicity(drifted) and not snapshot_paths(drifted)
+        assert check_cell_monotonicity(drifted, order) and snapshot_cells(drifted, order)
+        # the bumped u1 moves right but also down
+        sunk = with_log(((1, 1, 1, None), (1, 1, 0, 1), (2, 2, 1, None)))
+        assert not check_path_monotonicity(sunk) and not snapshot_paths(sunk)
+        # u1 overwrites the smaller t1, which moves down correctly
+        grown = with_log(((1, 1, 0, None), (1, 1, 1, 0), (2, 1, 0, None)))
+        assert not check_cell_monotonicity(grown, order)
+        assert not snapshot_cells(grown, order)
+        assert check_path_monotonicity(grown) and snapshot_paths(grown)
+        # the bumped t1 moves down but also right
+        slid = with_log(((1, 1, 0, None), (1, 1, 1, 0), (2, 2, 0, None)))
+        assert not check_path_monotonicity(slid) and not snapshot_paths(slid)
+
+
+class TestRestrictionGridInsertions:
+    def test_one_full_insertion_per_shuffle(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        calls = [0]
+        original = verify.insert_word
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(verify, "insert_word", counted)
+        report = check_restriction_subtableau_grid(a22, 4)
+        assert report.passed and report.cases_run == 256 * 6 * 4
+        # 256 words x 6 shuffles, each: one full insertion + one per restriction letter
+        assert calls[0] == 256 * 6 * (1 + 4) == 7680
