@@ -326,7 +326,8 @@ class TestWeightPreservingBijection:
 
 
 def snapshot_alignment(trace_a, a, trace_b, b):
-    """Reference alignment: the same search over replayed Step snapshots."""
+    """Reference alignment: the same search over replayed Step snapshots, with
+    states compared by ``_sim``, the body of ``states_equivalent``."""
     pair = adjacent_transposition(a, b)
     states_a, states_b = _states(trace_a), _states(trace_b)
     sa, sb = len(states_a), len(states_b)
