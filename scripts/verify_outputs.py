@@ -1,0 +1,98 @@
+"""Write the `verify` same-output matrix of one checkout to a file.
+
+    python3 scripts/verify_outputs.py --out FILE [--src DIR]
+
+Runs `superrsk --format json verify` in process, against the package under
+``DIR`` (default: this checkout's ``src/``), over a fixed matrix:
+
+- the 13 claim tokens below, each with every variant it honours, at
+  (k, l) in {(2, 2), (2, 1), (1, 2)} and n in {0, 3, 4}, exhaustive and, where
+  the token honours it, ``--mode sample --samples 7 --seed 5``;
+- every token once more at (k, l) in {(2, 0), (0, 2)} and n in {0, 3}.
+
+Each line of the output is one run: its argv, exit code and report with
+``elapsed_ms`` removed (or its error line when it exits 2).  Two checkouts
+whose verify output agrees give identical files, so comparing them takes one
+``diff``.  Tokens added later are left out so that older checkouts can run
+the same matrix.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+TOKENS = (
+    "2", "5", "cor4", "lemma2.6", "lemma2.15", "lemma3.2", "theorem3", "identity",
+    "paths", "cells", "region1", "round-trip", "mimicry",
+)
+VARIANTS = ("reg-reg", "reg-dual", "dual-reg", "dual-dual")
+SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
+
+
+def matrix(claims: dict) -> list[list[str]]:
+    """The argv of every run, in a fixed order."""
+    runs = []
+    for k, l in ((2, 2), (2, 1), (1, 2)):
+        for n in (0, 3, 4):
+            for token in TOKENS:
+                honours, _ = claims[token]
+                variants = VARIANTS if "variant" in honours else ("reg-reg",)
+                modes = ((), SAMPLE) if "mode" in honours else ((),)
+                for variant in variants:
+                    for mode in modes:
+                        runs.append([
+                            "--k", str(k), "--l", str(l), "--variant", variant,
+                            "--format", "json", "verify", "--theorem", token, "--n", str(n),
+                            *mode,
+                        ])
+    for k, l in ((2, 0), (0, 2)):
+        for n in (0, 3):
+            for token in TOKENS:
+                runs.append([
+                    "--k", str(k), "--l", str(l), "--format", "json",
+                    "verify", "--theorem", token, "--n", str(n),
+                ])
+    return runs
+
+
+def record(main, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    entry = {"argv": argv, "exit": code}
+    if out.getvalue():
+        report = json.loads(out.getvalue())
+        report.pop("elapsed_ms", None)
+        entry["report"] = report
+    else:
+        entry["error"] = err.getvalue().splitlines()[:1]
+    return entry
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--src", type=Path, default=Path(__file__).resolve().parent.parent / "src"
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from superrsk.cli import _CLAIMS, main as cli_main
+
+    codes: dict[int, int] = {}
+    with args.out.open("w", encoding="utf-8") as handle:
+        for run in matrix(_CLAIMS):
+            entry = record(cli_main, run)
+            codes[entry["exit"]] = codes.get(entry["exit"], 0) + 1
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    print(f"{sum(codes.values())} runs, exit codes {dict(sorted(codes.items()))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

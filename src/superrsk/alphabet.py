@@ -180,19 +180,17 @@ def adjacent_transposition(a: Shuffle, b: Shuffle) -> tuple[Letter, Letter] | No
     """The unique (t_i, u_j) pair ordered oppositely in a and b, if there is one.
 
     Returns None when the shuffles are equal or differ on more than one mixed
-    pair.  Symmetric in its arguments.
+    pair.  Symmetric in its arguments.  Both orders keep the t-chain and the
+    u-chain, so only mixed pairs can be inverted, and exactly one is when the
+    orders differ by swapping the entries at one i and i+1 alone.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("shuffles must share an alphabet")
-    flipped = [
-        (ti, uj)
-        for ti in (t(i) for i in range(1, a.alphabet.k + 1))
-        for uj in (u(j) for j in range(1, a.alphabet.l + 1))
-        if a.less(ti, uj) != b.less(ti, uj)
-    ]
-    if len(flipped) == 1:
-        return flipped[0]
-    return None
+    x, y = a.order, b.order
+    i = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), None)
+    if i is None or x[i] != y[i + 1] or x[i + 1] != y[i] or x[i + 2 :] != y[i + 2 :]:
+        return None
+    return (x[i], x[i + 1]) if x[i].kind == "t" else (x[i + 1], x[i])
 
 
 def adjacency_chain(a: Shuffle, b: Shuffle) -> list[Shuffle]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .alphabet import Alphabet, Letter, Shuffle, u as u_letter, t as t_letter
 from .insertion import _BUMP_SEARCH, Variant, Word, _insert_rank, _is_t, _rank_grid, _ranks_of
 from .insertion import variant_profile
-from .tableau import RecordingTableau, Tableau, is_standard, is_valid
+from .tableau import RecordingTableau, Tableau, _standard_rows, is_valid
 
 __all__ = [
     "Standardization",
@@ -37,27 +37,50 @@ def reverse_word(
     row 1, or a u-letter leaving column 1, is the recovered v_m.
     """
     order = shuffle.order
-    return Word(tuple(order[x] for x in _reverse_ranks(p, q, shuffle, variant)))
+    return Word(tuple(order[x] for x in _checked_reverse(p, q, shuffle, variant)))
+
+
+_INVALID_P = "insertion tableau is not valid for this shuffle and variant"
+
+
+def _check_recording(p_shape: tuple[int, ...], q_rows) -> None:
+    """The reversal's guards on Q: P's shape, and standard entries."""
+    q_shape = tuple(len(row) for row in q_rows)
+    if p_shape != q_shape:
+        raise ValueError(f"shape mismatch: {p_shape} vs {q_shape}")
+    if not _standard_rows(q_rows):
+        raise ValueError("recording tableau is not standard")
+
+
+def _valid_grid(p: Tableau, shuffle: Shuffle, variant: Variant):
+    """The rank rows and columns of p, once it passes the reversal's validity guard."""
+    if not is_valid(p, shuffle, variant_profile(variant)):
+        raise ValueError(_INVALID_P)
+    return _rank_grid(p, shuffle)
+
+
+def _checked_reverse(
+    p: Tableau, q: RecordingTableau, shuffle: Shuffle, variant: Variant
+) -> list[int]:
+    """The shuffle ranks of ``reverse_word``'s word, after all of its guards."""
+    _check_recording(p.shape, q.rows)
+    rows, cols = _valid_grid(p, shuffle, variant)
+    return _reverse_ranks(rows, cols, q.rows, shuffle, variant)
 
 
 def _reverse_ranks(
-    p: Tableau, q: RecordingTableau, shuffle: Shuffle, variant: Variant
+    rows: list[list[int]], cols: list[list[int]], q_rows, shuffle: Shuffle, variant: Variant
 ) -> list[int]:
-    """The shuffle ranks of ``reverse_word``'s word, first letter first."""
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if not is_standard(q):
-        raise ValueError("recording tableau is not standard")
-    if not is_valid(p, shuffle, variant_profile(variant)):
-        raise ValueError("insertion tableau is not valid for this shuffle and variant")
+    """Reverse a checked (P, Q) held as rank rows and columns, which it empties.
 
-    rows, cols = _rank_grid(p, shuffle)
+    Returns the recovered word's ranks, first letter first.
+    """
     order = shuffle.order
     is_t = _is_t(shuffle)
     find_t, find_u = _DISPLACE_SEARCH[variant.t_rule], _DISPLACE_SEARCH[variant.u_rule]
-    position = {m: (i, j) for i, row in enumerate(q.rows) for j, m in enumerate(row)}
+    position = {m: (i, j) for i, row in enumerate(q_rows) for j, m in enumerate(row)}
     recovered: list[int] = []
-    for m in range(q.size, 0, -1):
+    for m in range(len(position), 0, -1):
         i, j = position[m]
         # the current maximum of a standard tableau sits at a corner
         assert j == len(rows[i]) - 1 and len(cols[j]) == i + 1
@@ -110,7 +133,7 @@ def change_shuffle(
     recording tableau, and the same letter content.  Both passes stay on
     ranks: only the new P is built.
     """
-    word = _ranks_of((source.order[x] for x in _reverse_ranks(p, q, source, variant)), target)
+    word = _ranks_of((source.order[x] for x in _checked_reverse(p, q, source, variant)), target)
     is_t = _is_t(target)
     find_t, find_u = _BUMP_SEARCH[variant.t_rule], _BUMP_SEARCH[variant.u_rule]
     rows: list[list[int]] = []

@@ -31,6 +31,7 @@ from .verify import (
     Sample,
     align_traces,
     check_cell_monotonicity_grid,
+    check_converse_round_trip_grid,
     check_counting_identity,
     check_dual_regular_agreement_grid,
     check_hook_schur_invariance,
@@ -63,6 +64,7 @@ _CLAIMS = {
     "region1": (("mode",), lambda a, n, v, m: check_region1_agreement_grid(a, n, m)),
     "round-trip": (("mode", "variant"), lambda a, n, v, m: check_round_trip_grid(a, n, v, m)),
     "mimicry": (("mode",), lambda a, n, v, m: check_standardization_mimicry_grid(a, n, m)),
+    "converse": ((), lambda a, n, v, m: check_converse_round_trip_grid(a, n)),
 }
 
 

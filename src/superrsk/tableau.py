@@ -160,28 +160,43 @@ def is_valid(tab: Tableau, shuffle: Shuffle, profile: StrictnessProfile) -> bool
         if tab.size == 1:  # a lone cell has no neighbour to compare with
             return True
         raise ValueError(f"letter {exc.args[0]} is not in alphabet {shuffle.alphabet}") from None
-    strict_axis = {"t": profile.t_strict_in, "u": profile.u_strict_in}
-    order = shuffle.order
+    return _valid_ranks(rows, _strict_in_rows(shuffle, profile))
+
+
+def _strict_in_rows(shuffle: Shuffle, profile: StrictnessProfile) -> list[bool]:
+    """Whether each rank's letter must strictly increase along rows (else columns)."""
+    axis = {"t": profile.t_strict_in, "u": profile.u_strict_in}
+    return [axis[x.kind] == "rows" for x in shuffle.order]
+
+
+def _valid_ranks(rows, strict_in_rows: list[bool]) -> bool:
+    """``is_valid`` on rank rows: ranks weakly increase along rows and columns,
+    and equal neighbours sit only along the axis their letter is not strict in."""
     for row in rows:
         for a, b in zip(row, row[1:]):
-            if b < a or (a == b and strict_axis[order[a].kind] == "rows"):
+            if b < a or (a == b and strict_in_rows[a]):
                 return False
     for upper, lower in zip(rows, rows[1:]):
         for a, b in zip(upper, lower):
-            if b < a or (a == b and strict_axis[order[a].kind] == "columns"):
+            if b < a or (a == b and not strict_in_rows[a]):
                 return False
     return True
 
 
 def is_standard(rec: RecordingTableau) -> bool:
     """Entries are exactly 1..n, rows increase left-to-right, columns top-down."""
-    entries = [e for row in rec.rows for e in row]
+    return _standard_rows(rec.rows)
+
+
+def _standard_rows(rows) -> bool:
+    """``is_standard`` on the rows of a recording tableau."""
+    entries = [e for row in rows for e in row]
     if sorted(entries) != list(range(1, len(entries) + 1)):
         return False
-    for row in rec.rows:
+    for row in rows:
         if any(a >= b for a, b in zip(row, row[1:])):
             return False
-    for upper, lower in zip(rec.rows, rec.rows[1:]):
+    for upper, lower in zip(rows, rows[1:]):
         if any(upper[c] >= lower[c] for c in range(len(lower))):
             return False
     return True
@@ -297,12 +312,17 @@ def region2_shape_ok(tab: Tableau, shuffle: Shuffle, pair: tuple[Letter, Letter]
 
 def is_subtableau(small: Tableau, big: Tableau) -> bool:
     """True when small's diagram fits inside big's and entries agree there."""
-    if len(small.rows) > len(big.rows):
+    return _is_prefix_grid(small.rows, big.rows)
+
+
+def _is_prefix_grid(small, big) -> bool:
+    """``is_subtableau`` on rows: each row of small begins the same row of big."""
+    if len(small) > len(big):
         return False
-    for r, row in enumerate(small.rows):
-        if len(row) > len(big.rows[r]):
+    for r, row in enumerate(small):
+        if len(row) > len(big[r]):
             return False
-        if row != big.rows[r][: len(row)]:
+        if row != big[r][: len(row)]:
             return False
     return True
 

@@ -11,8 +11,8 @@ import random
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
-from typing import Iterable, NamedTuple
+from itertools import combinations, product
+from typing import Iterable, Iterator, NamedTuple
 
 from .alphabet import (
     Alphabet,
@@ -21,8 +21,15 @@ from .alphabet import (
     adjacent_transposition,
     all_shuffles,
 )
-from .bijection import change_shuffle, reverse_word, standardize_u
+from .bijection import (
+    _INVALID_P,
+    _check_recording,
+    _reverse_ranks,
+    _valid_grid,
+    standardize_u,
+)
 from .insertion import (
+    _BUMP_SEARCH,
     REGULAR_DUAL,
     REGULAR_REGULAR,
     VARIANTS,
@@ -31,9 +38,10 @@ from .insertion import (
     PendingAction,
     Variant,
     Word,
+    _insert_rank,
+    _is_t,
     _pending_action,
     _ranks_of,
-    all_words,
     insert_word,
     variant_profile,
 )
@@ -43,11 +51,13 @@ from .tableau import (
     RecordingTableau,
     Shape,
     Tableau,
+    _check_diagram,
+    _is_prefix_grid,
+    _strict_in_rows,
+    _valid_ranks,
     classify_regions,
-    content_type,
     is_standard,
     is_subtableau,
-    is_valid,
     region2_components,
 )
 
@@ -77,6 +87,7 @@ __all__ = [
     "check_standardization_mimicry_grid",
     "check_round_trip_grid",
     "check_weight_preserving_bijection_grid",
+    "check_converse_round_trip_grid",
     "check_hook_schur_invariance",
     "check_counting_identity",
 ]
@@ -234,23 +245,29 @@ class Alignment:
 _INCREMENTS = ((1, 1), (1, 2), (2, 1))
 
 
-def _signatures(trace: InsertionTrace, shuffle: Shuffle, pair: tuple[Letter, Letter]) -> list:
-    """Each step's state in the form ``_sim`` compares, read off the placement log.
+def _signatures(
+    log, order: tuple[Letter, ...], shuffle: Shuffle, pair: tuple[Letter, Letter], seen=None
+) -> list:
+    """Each step's state in the form ``_sim`` compares, read off a placement log.
 
-    A signature holds the cells' ranks under ``shuffle`` with the pair's two
-    ranks masked, the t_i-count of each region-2 component, and the pending
-    action.  An adjacent transposition keeps every other letter's rank, so
-    masked cells are equal exactly when the region-1 entries, the region-3
-    entries and the region-2 cells agree.
+    ``log`` holds ranks into ``order``.  A signature holds the cells' ranks
+    under ``shuffle`` with the pair's two ranks masked, the t_i-count of each
+    region-2 component, and the pending action.  An adjacent transposition
+    keeps every other letter's rank, so masked cells are equal exactly when
+    the region-1 entries, the region-3 entries and the region-2 cells agree.
+    ``seen`` may carry the components of region-2 cell sets across calls.
     """
-    order, log = trace.order, trace.log
     rank = _ranks_of(order, shuffle)
     ti = shuffle.rank(pair[0])
     lo = min(ti, shuffle.rank(pair[1]))
+    if seen is None:
+        seen = {}
     cells: dict[Cell, int] = {}
+    masked: dict[Cell, int] = {}
     out = []
     for s, (r, c, x, y) in enumerate(log):
-        cells[(r, c)] = rank[x]
+        e = cells[(r, c)] = rank[x]
+        masked[(r, c)] = -1 if lo <= e <= lo + 1 else e
         if y is not None:
             pending = _pending_action(order[y], r + 1, c + 1)
         elif s + 1 < len(log):
@@ -258,10 +275,12 @@ def _signatures(trace: InsertionTrace, shuffle: Shuffle, pair: tuple[Letter, Let
             pending = _pending_action(order[nx], nr, nc)
         else:
             pending = None
-        masked = {cell: -1 if lo <= e <= lo + 1 else e for cell, e in cells.items()}
-        components = region2_components({cell: 2 for cell, e in masked.items() if e < 0})
+        region2 = frozenset(cell for cell, e in masked.items() if e < 0)
+        components = seen.get(region2)
+        if components is None:
+            components = seen[region2] = region2_components(dict.fromkeys(region2, 2))
         counts = {comp: sum(cells[cell] == ti for cell in comp) for comp in components}
-        out.append((masked, counts, pending))
+        out.append((dict(masked), counts, pending))
     return out
 
 
@@ -282,8 +301,14 @@ def align_traces(
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
         raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
-    sigs_a = _signatures(trace_a, shuffle_a, pair)
-    sigs_b = _signatures(trace_b, shuffle_b, pair)
+    return _align(
+        _signatures(trace_a.log, trace_a.order, shuffle_a, pair),
+        _signatures(trace_b.log, trace_b.order, shuffle_b, pair),
+    )
+
+
+def _align(sigs_a: list, sigs_b: list) -> Alignment:
+    """``align_traces``'s search over two traces' signatures."""
     sa, sb = len(sigs_a), len(sigs_b)
     if sa == 0 and sb == 0:
         return Alignment((), 1)
@@ -336,11 +361,15 @@ def check_path_monotonicity(result: InsertionResult) -> bool:
     Within one letter's steps, a t bumped from (i, j) acts in row i+1 at a
     column <= j, and a u bumped from (i, j) acts in column j+1 at a row <= i.
     """
-    log, order = result.trace.log, result.trace.order
+    return _paths_ok(result.trace.log, [x.kind == "t" for x in result.trace.order])
+
+
+def _paths_ok(log, is_t: list[bool]) -> bool:
+    """``check_path_monotonicity`` on a placement log; ``is_t`` is per rank."""
     for (r, c, _, y), (nr, nc, _, _) in zip(log, log[1:]):
         if y is None:
             continue
-        if order[y].kind == "t":
+        if is_t[y]:
             if nr != r + 1 or nc > c:
                 return False
         else:
@@ -356,11 +385,16 @@ def check_cell_monotonicity(result: InsertionResult, shuffle: Shuffle) -> bool:
     is enough that no write to an occupied cell raises that cell's rank.
     """
     rank = _ranks_of(result.trace.order, shuffle)
+    return _cells_ok((r, c, rank[x]) for r, c, x, _ in result.trace.log)
+
+
+def _cells_ok(placements) -> bool:
+    """``check_cell_monotonicity`` on (row, col, rank) placements."""
     cells: dict[Cell, int] = {}
-    for r, c, x, _ in result.trace.log:
-        if cells.get((r, c), rank[x]) < rank[x]:
+    for r, c, x in placements:
+        if cells.get((r, c), x) < x:
             return False
-        cells[(r, c)] = rank[x]
+        cells[(r, c)] = x
     return True
 
 
@@ -424,6 +458,106 @@ def check_standardization_mimicry(v: Word, shuffle: Shuffle) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the rank-level walk shared by the word grids
+
+
+class _Lane:
+    """Insertion under one (shuffle, variant), held on ranks as ``insert_word`` holds it.
+
+    ``rows`` and ``cols`` are P's rank rows and columns, ``qrows`` Q's rows
+    and ``log`` the placements of the letters inserted so far.  Letters are
+    alphabet indices: ``rank`` maps them to the shuffle's ranks and
+    ``letter`` maps ranks back.  A lane with a ``bound`` inserts only the
+    letters of rank <= bound, so it holds the insertion of the restricted
+    word (its Q records their positions in the whole word).
+    """
+
+    __slots__ = (
+        "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "strict",
+        "rows", "cols", "qrows", "log",
+    )
+
+    def __init__(self, shuffle: Shuffle, variant: Variant, bound: int | None = None) -> None:
+        self.shuffle, self.variant = shuffle, variant
+        self.bound = shuffle.alphabet.size - 1 if bound is None else bound
+        self.rank = [shuffle.ranks[x] for x in shuffle.alphabet.letters()]
+        self.letter = sorted(range(len(self.rank)), key=self.rank.__getitem__)
+        self.is_t = _is_t(shuffle)
+        self.find_t = _BUMP_SEARCH[variant.t_rule]
+        self.find_u = _BUMP_SEARCH[variant.u_rule]
+        self.strict = _strict_in_rows(shuffle, variant_profile(variant))
+        self.clear()
+
+    def clear(self) -> None:
+        self.rows, self.cols, self.qrows, self.log = [], [], [], []
+
+    def push(self, letter: int, m: int) -> int:
+        """Insert ``letter`` as the m-th letter; returns the log length before it."""
+        log, qrows = self.log, self.qrows
+        start = len(log)
+        x = self.rank[letter]
+        if x > self.bound:
+            return start
+        i = _insert_rank(self.rows, self.cols, x, self.is_t, self.find_t, self.find_u, log)
+        if i == len(qrows):
+            qrows.append([m])
+        else:
+            qrows[i].append(m)
+        return start
+
+    def checked_shape(self) -> Shape:
+        """P's shape, once P passes the diagram check that building a Tableau makes."""
+        _check_diagram(self.rows)
+        return tuple(map(len, self.rows))
+
+    def undo(self, start: int) -> None:
+        """Take back the placements logged after position ``start``, newest first."""
+        rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
+        while len(log) > start:
+            r, c, _, y = log.pop()
+            r -= 1
+            c -= 1
+            if y is None:  # the letter's new cell: the last of its row and column
+                rows[r].pop()
+                cols[c].pop()
+                qrows[r].pop()
+                if not rows[r]:
+                    rows.pop()
+                    qrows.pop()
+                if not cols[c]:
+                    cols.pop()
+            else:
+                rows[r][c] = cols[c][r] = y
+
+
+def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
+    """Insert each word under every lane, starting from the prefix it shares
+    with the word before.
+
+    Yields each word once every lane holds its insertion.  The lanes are
+    rolled back to the shared prefix when the next word is drawn, so a reader
+    copies whatever it keeps.  In ``all_words`` order this makes one insertion
+    per node of the word trie, (k+l) + (k+l)^2 + ... + (k+l)^n per lane,
+    instead of n (k+l)^n.
+    """
+    held: tuple[int, ...] = ()
+    marks: list[list[int]] = []  # per held letter: each lane's log length before it
+    for word in words:
+        shared = 0
+        for x, y in zip(held, word):
+            if x != y:
+                break
+            shared += 1
+        while len(marks) > shared:
+            for lane, start in zip(lanes, marks.pop()):
+                lane.undo(start)
+        for m in range(shared, len(word)):
+            marks.append([lane.push(word[m], m + 1) for lane in lanes])
+        held = word
+        yield word
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 
@@ -456,40 +590,63 @@ def _report(name: str, params: dict, cases: Iterable, stats: dict | None = None)
     return Report(name, params, count, tuple(failures), elapsed, stats or {})
 
 
+def _words(alphabet: Alphabet, n: int, mode: Mode) -> Iterator[tuple[int, ...]]:
+    """Words as alphabet-index tuples: all of length n, or the seeded sample."""
+    if mode == "exhaustive":
+        yield from product(range(alphabet.size), repeat=n)
+    else:
+        rng = random.Random(mode.seed)
+        letters = range(alphabet.size)
+        for _ in range(mode.count):
+            yield tuple(rng.choice(letters) for _ in range(n))
+
+
 def _word_grid(
-    name: str, alphabet: Alphabet, n: int, mode: Mode, case_iter, extra_params: dict | None = None
+    name: str, alphabet: Alphabet, n: int, mode: Mode, cases, extra_params: dict | None = None
 ) -> Report:
-    """Run ``case_iter(word)`` over every word of length n, or a seeded sample."""
+    """Run ``cases(words)`` over every word of length n, or a seeded sample.
+
+    Words are alphabet-index tuples, in ``all_words`` order when exhaustive.
+    """
     params = {"k": alphabet.k, "l": alphabet.l, "n": n, **(extra_params or {})}
     if mode == "exhaustive":
         params["mode"] = "exhaustive"
-        words = all_words(alphabet, n)
     elif isinstance(mode, Sample):
         params.update(mode="sample", samples=mode.count, seed=mode.seed)
-        rng = random.Random(mode.seed)
-        letters = alphabet.letters()
-        words = (Word(tuple(rng.choice(letters) for _ in range(n))) for _ in range(mode.count))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _report(name, params, (outcome for word in words for outcome in case_iter(word)))
+    return _report(name, params, cases(_words(alphabet, n, mode)))
 
 
-def _per_shuffle(alphabet: Alphabet, holds, variant: str, expected: str, actual: str):
-    """Word cases, one per shuffle s, that pass when ``holds(word, s)``."""
-    shuffles = all_shuffles(alphabet)
+def _lanes(alphabet: Alphabet, *variants: Variant) -> list[_Lane]:
+    """One lane per shuffle and variant, shuffles outermost."""
+    return [_Lane(s, v) for s in all_shuffles(alphabet) for v in variants]
 
-    def cases(word: Word):
-        for s in shuffles:
-            if holds(word, s):
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=str(s),
-                    variant=variant,
-                    expected=expected,
-                    actual=actual,
-                )
+
+def _word_text(alphabet: Alphabet, word: Iterable[int]) -> str:
+    """An alphabet-index word written as ``str(Word)`` writes it."""
+    letters = alphabet.letters()
+    return ",".join(letters[i].name for i in word)
+
+
+def _per_lane(alphabet: Alphabet, variant: Variant, holds, expected: str, actual: str):
+    """Word cases, one per shuffle, that pass when ``holds(lane)`` after the walk."""
+
+    def cases(words):
+        lanes = _lanes(alphabet, variant)
+        for word in _walk(words, lanes):
+            for lane in lanes:
+                lane.checked_shape()
+                if holds(lane):
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=_word_text(alphabet, word),
+                        shuffles=str(lane.shuffle),
+                        variant=variant.name,
+                        expected=expected,
+                        actual=actual,
+                    )
 
     return cases
 
@@ -501,23 +658,24 @@ def check_shape_invariance(
     mode: Mode = "exhaustive",
 ) -> Report:
     """Shape and recording tableau agree across every pair of shuffles."""
-    shuffles = all_shuffles(alphabet)
 
-    def cases(word: Word):
-        results = [insert_word(word, s, variant) for s in shuffles]
-        for i, j in combinations(range(len(shuffles)), 2):
-            ri, rj = results[i], results[j]
-            if ri.p.shape == rj.p.shape and ri.q == rj.q:
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=f"{shuffles[i]} | {shuffles[j]}",
-                    variant=variant.name,
-                    expected="equal shapes and recording tableaux",
-                    actual=f"shapes {ri.p.shape} vs {rj.p.shape}, "
-                    f"q equal: {ri.q == rj.q}",
-                )
+    def cases(words):
+        lanes = _lanes(alphabet, variant)
+        pairs = list(combinations(range(len(lanes)), 2))
+        for word in _walk(words, lanes):
+            shapes = [lane.checked_shape() for lane in lanes]
+            for i, j in pairs:
+                q_equal = lanes[i].qrows == lanes[j].qrows
+                if shapes[i] == shapes[j] and q_equal:
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=_word_text(alphabet, word),
+                        shuffles=f"{lanes[i].shuffle} | {lanes[j].shuffle}",
+                        variant=variant.name,
+                        expected="equal shapes and recording tableaux",
+                        actual=f"shapes {shapes[i]} vs {shapes[j]}, q equal: {q_equal}",
+                    )
 
     return _word_grid(
         "shape-invariance", alphabet, n, mode, cases, {"variant": variant.name}
@@ -527,10 +685,10 @@ def check_shape_invariance(
 def check_path_monotonicity_grid(
     alphabet: Alphabet, n: int, variant: Variant = REGULAR_REGULAR, mode: Mode = "exhaustive"
 ) -> Report:
-    cases = _per_shuffle(
+    cases = _per_lane(
         alphabet,
-        lambda word, s: check_path_monotonicity(insert_word(word, s, variant)),
-        variant.name,
+        variant,
+        lambda lane: _paths_ok(lane.log, lane.is_t),
         "monotone bump targets",
         "a bumped element drifted outward",
     )
@@ -542,10 +700,10 @@ def check_path_monotonicity_grid(
 def check_cell_monotonicity_grid(
     alphabet: Alphabet, n: int, variant: Variant = REGULAR_REGULAR, mode: Mode = "exhaustive"
 ) -> Report:
-    cases = _per_shuffle(
+    cases = _per_lane(
         alphabet,
-        lambda word, s: check_cell_monotonicity(insert_word(word, s, variant), s),
-        variant.name,
+        variant,
+        lambda lane: _cells_ok((r, c, x) for r, c, x, _ in lane.log),
         "entries only shrink in place",
         "a cell emptied or its entry grew",
     )
@@ -557,52 +715,74 @@ def check_cell_monotonicity_grid(
 def check_restriction_subtableau_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    shuffles = all_shuffles(alphabet)
     letters = alphabet.letters()
 
-    def cases(word: Word):
-        for s in shuffles:
-            big = insert_word(word, s, REGULAR_REGULAR).p
-            for x in letters:
-                if is_subtableau(_restricted_p(word, s, x, REGULAR_REGULAR), big):
-                    yield None
-                else:
-                    yield CaseFailure(
-                        word=str(word),
-                        shuffles=str(s),
-                        variant=REGULAR_REGULAR.name,
-                        expected=f"restriction to letters <= {x} is a subtableau",
-                        actual="subtableau containment failed",
-                    )
+    def cases(words):
+        # per shuffle, one lane per letter x inserting the letters <= x; the
+        # lane of the shuffle's largest letter inserts the whole word
+        groups = [
+            [_Lane(s, REGULAR_REGULAR, s.rank(x)) for x in letters] for s in all_shuffles(alphabet)
+        ]
+        wholes = [max(group, key=lambda lane: lane.bound) for group in groups]
+        for word in _walk(words, [lane for group in groups for lane in group]):
+            for restricted, full in zip(groups, wholes):
+                full.checked_shape()
+                for x, lane in zip(letters, restricted):
+                    lane.checked_shape()
+                    if _is_prefix_grid(lane.rows, full.rows):
+                        yield None
+                    else:
+                        yield CaseFailure(
+                            word=_word_text(alphabet, word),
+                            shuffles=str(lane.shuffle),
+                            variant=REGULAR_REGULAR.name,
+                            expected=f"restriction to letters <= {x} is a subtableau",
+                            actual="subtableau containment failed",
+                        )
 
     return _word_grid("restriction-subtableau", alphabet, n, mode, cases)
 
 
-def _adjacent_pairs(shuffles: list[Shuffle]) -> list[tuple[Shuffle, Shuffle]]:
+def _adjacent_pairs(lanes: list[_Lane]) -> list[tuple[int, int, tuple[Letter, Letter]]]:
+    """Lane index pairs (i < j) one adjacent transposition apart, with the swapped pair."""
     pairs = []
-    for a, b in combinations(shuffles, 2):
-        if adjacent_transposition(a, b) is not None:
-            pairs.append((a, b))
+    for i, j in combinations(range(len(lanes)), 2):
+        pair = adjacent_transposition(lanes[i].shuffle, lanes[j].shuffle)
+        if pair is not None:
+            pairs.append((i, j, pair))
     return pairs
+
+
+def _low_cells(rows: list[list[int]], lo: int) -> dict[Cell, int]:
+    """The cells whose rank is below ``lo``: region 1 of a pair at ranks lo, lo+1."""
+    return {
+        (r, c): x for r, row in enumerate(rows, 1) for c, x in enumerate(row, 1) if x < lo
+    }
 
 
 def check_region1_agreement_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    pairs = _adjacent_pairs(all_shuffles(alphabet))
-
-    def cases(word: Word):
-        for a, b in pairs:
-            if check_region1_agreement(word, a, b):
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=f"{a} | {b}",
-                    variant=REGULAR_REGULAR.name,
-                    expected="identical low-letter subtableaux",
-                    actual="low regions differ",
-                )
+    def cases(words):
+        lanes = _lanes(alphabet, REGULAR_REGULAR)
+        pairs = [
+            (i, j, min(lanes[i].shuffle.rank(ti), lanes[i].shuffle.rank(uj)))
+            for i, j, (ti, uj) in _adjacent_pairs(lanes)
+        ]
+        for word in _walk(words, lanes):
+            for i, j, lo in pairs:
+                lanes[i].checked_shape()
+                lanes[j].checked_shape()
+                if _low_cells(lanes[i].rows, lo) == _low_cells(lanes[j].rows, lo):
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=_word_text(alphabet, word),
+                        shuffles=f"{lanes[i].shuffle} | {lanes[j].shuffle}",
+                        variant=REGULAR_REGULAR.name,
+                        expected="identical low-letter subtableaux",
+                        actual="low regions differ",
+                    )
 
     return _word_grid("region1-agreement", alphabet, n, mode, cases)
 
@@ -611,28 +791,35 @@ def check_trace_alignment_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
     """Every adjacent-shuffle pair admits a step alignment on every word."""
-    pairs = _adjacent_pairs(all_shuffles(alphabet))
     witness_histogram: dict[int, int] = {}
 
-    def cases(word: Word):
-        for a, b in pairs:
-            trace_a = insert_word(word, a, REGULAR_REGULAR).trace
-            trace_b = insert_word(word, b, REGULAR_REGULAR).trace
-            try:
-                alignment = align_traces(trace_a, a, trace_b, b)
-            except AlignmentError as exc:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=f"{a} | {b}",
-                    variant=REGULAR_REGULAR.name,
-                    expected="an alignment with equivalent matched states",
-                    actual=str(exc),
+    def cases(words):
+        lanes = _lanes(alphabet, REGULAR_REGULAR)
+        pairs = _adjacent_pairs(lanes)
+        seen: dict = {}  # region-2 cell set -> its components
+        for word in _walk(words, lanes):
+            for i, j, pair in pairs:
+                a, b = lanes[i], lanes[j]
+                a.checked_shape()
+                b.checked_shape()
+                try:
+                    alignment = _align(
+                        _signatures(a.log, a.shuffle.order, a.shuffle, pair, seen),
+                        _signatures(b.log, b.shuffle.order, b.shuffle, pair, seen),
+                    )
+                except AlignmentError as exc:
+                    yield CaseFailure(
+                        word=_word_text(alphabet, word),
+                        shuffles=f"{a.shuffle} | {b.shuffle}",
+                        variant=REGULAR_REGULAR.name,
+                        expected="an alignment with equivalent matched states",
+                        actual=str(exc),
+                    )
+                    continue
+                witness_histogram[alignment.witness_count] = (
+                    witness_histogram.get(alignment.witness_count, 0) + 1
                 )
-                continue
-            witness_histogram[alignment.witness_count] = (
-                witness_histogram.get(alignment.witness_count, 0) + 1
-            )
-            yield None
+                yield None
 
     report = _word_grid("trace-alignment", alphabet, n, mode, cases)
     report.stats["witness_counts"] = {
@@ -645,36 +832,111 @@ def check_dual_regular_agreement_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
     """Regular and dual u-rules agree on words with pairwise distinct u's."""
-    per_shuffle = _per_shuffle(
-        alphabet,
-        check_dual_regular_agreement,
-        "reg-reg vs reg-dual",
-        "identical insertion and recording tableaux",
-        "outputs differ",
-    )
+    k = alphabet.k
 
-    def cases(word: Word):
-        us = [a for a in word if a.kind == "u"]
-        return per_shuffle(word) if len(us) == len(set(us)) else ()
+    def distinct_us(word: tuple[int, ...]) -> bool:
+        us = [a for a in word if a >= k]
+        return len(us) == len(set(us))
+
+    def cases(words):
+        lanes = _lanes(alphabet, REGULAR_REGULAR, REGULAR_DUAL)
+        # every prefix of a kept word is kept, so no prefix with a repeated u is inserted
+        for word in _walk(filter(distinct_us, words), lanes):
+            for reg, dual in zip(lanes[::2], lanes[1::2]):
+                reg.checked_shape()
+                dual.checked_shape()
+                if reg.rows == dual.rows and reg.qrows == dual.qrows:
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=_word_text(alphabet, word),
+                        shuffles=str(reg.shuffle),
+                        variant="reg-reg vs reg-dual",
+                        expected="identical insertion and recording tableaux",
+                        actual="outputs differ",
+                    )
 
     return _word_grid("dual-regular-agreement", alphabet, n, mode, cases)
 
 
-def _transport_cases(
-    source: list[Tableau],
-    target_count: int,
-    alphabet: Alphabet,
-    a: Shuffle,
-    b: Shuffle,
-    q: RecordingTableau,
-    variant: Variant,
+def _reverse_sources(
+    shape: Shape, fillings: list[Tableau], recorders: list[RecordingTableau], lane: _Lane
 ):
-    """Transport each filling in ``source`` once from a to b, q held fixed.
+    """Check each filling once and reverse every (q, P) once under the lane's order.
+
+    Returns each filling's rank rows, its sorted content as alphabet indices,
+    and the recovered words, ``words[q][P]``, as alphabet indices.  The
+    recorders are checked by the caller, once per shape.
+    """
+    grids = []
+    for p in fillings:
+        if p.shape != shape:
+            raise ValueError(f"shape mismatch: {p.shape} vs {shape}")
+        grids.append(_valid_grid(p, lane.shuffle, lane.variant))
+    contents = [sorted(lane.letter[x] for row in rows for x in row) for rows, _ in grids]
+    words = [[_recovered(rows, cols, q.rows, lane) for rows, cols in grids] for q in recorders]
+    return [rows for rows, _ in grids], contents, words
+
+
+def _recovered(rows, cols, q_rows, lane: _Lane) -> tuple[int, ...]:
+    """The word that (P, Q) reverses to under the lane, as alphabet indices.
+
+    P's rank rows and columns are copied, so they are left as they were.
+    """
+    ranks = _reverse_ranks(
+        [row[:] for row in rows], [col[:] for col in cols], q_rows, lane.shuffle, lane.variant
+    )
+    return tuple(lane.letter[x] for x in ranks)
+
+
+def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
+    """Insert an alphabet-index word into the emptied lane."""
+    lane.clear()
+    for m, letter in enumerate(word, 1):
+        lane.push(letter, m)
+
+
+def _transport_cases(
+    words: list[tuple[int, ...]],
+    contents: list[list[int]],
+    shape: Shape,
+    target: _Lane,
+    target_count: int,
+    failure,
+):
+    """Insert each recovered word under the target lane: one case per filling.
 
     Yields one case per filling, then the findings about the whole map, and
-    returns the images in source order.
+    returns the images (rank rows under the target) in source order.
     """
+    images = []
+    letter = target.letter
+    for word, content in zip(words, contents):
+        _insert_into(target, word)
+        image_shape = target.checked_shape()
+        rows = target.rows
+        image = tuple(map(tuple, rows))
+        images.append(image)
+        problems = []
+        if image_shape != shape:
+            problems.append(f"shape changed to {image_shape}")
+        if not _valid_ranks(rows, target.strict):
+            problems.append("image not valid under target order")
+        if sorted(letter[x] for row in rows for x in row) != content:
+            problems.append("content changed")
+        if problems:
+            yield failure("valid, content-preserving image", "; ".join(problems))
+        else:
+            yield None
+    if len(set(images)) != len(images):
+        yield _GridFailure(failure("injective map", "two fillings share an image"))
+    if len(words) != target_count:
+        counts = f"{len(words)} vs {target_count}"
+        yield _GridFailure(failure("equal counts on both sides", counts))
+    return images
 
+
+def _transport_failure(a: Shuffle, b: Shuffle, variant: Variant):
     def failure(expected: str, actual: str) -> CaseFailure:
         return CaseFailure(
             word="",
@@ -684,28 +946,7 @@ def _transport_cases(
             actual=actual,
         )
 
-    profile = variant_profile(variant)
-    images = []
-    for tab in source:
-        image = change_shuffle(tab, q, a, b, variant)
-        images.append(image)
-        problems = []
-        if image.shape != q.shape:
-            problems.append(f"shape changed to {image.shape}")
-        if not is_valid(image, b, profile):
-            problems.append("image not valid under target order")
-        if content_type(tab, alphabet) != content_type(image, alphabet):
-            problems.append("content changed")
-        if problems:
-            yield failure("valid, content-preserving image", "; ".join(problems))
-        else:
-            yield None
-    if len(set(images)) != len(images):
-        yield _GridFailure(failure("injective map", "two fillings share an image"))
-    if len(source) != target_count:
-        counts = f"{len(source)} vs {target_count}"
-        yield _GridFailure(failure("equal counts on both sides", counts))
-    return images
+    return failure
 
 
 def check_weight_preserving_bijection(
@@ -736,29 +977,48 @@ def check_weight_preserving_bijection(
     def cases():
         source = enumerate_ssyt(shape, alphabet, a, variant)
         target = enumerate_ssyt(shape, alphabet, b, variant)
-        yield from _transport_cases(source, len(target), alphabet, a, b, q, variant)
+        _, contents, words = _reverse_sources(shape, source, [q], _Lane(a, variant))
+        yield from _transport_cases(
+            words[0], contents, shape, _Lane(b, variant), len(target),
+            _transport_failure(a, b, variant),
+        )
 
     return _report("weight-preserving-bijection", params, cases())
 
 
+def _recorders(shape: Shape) -> list[RecordingTableau]:
+    """The standard recorders of a shape, each passed through the reversal's Q guards."""
+    recorders = enumerate_syt(shape)
+    for q in recorders:
+        _check_recording(shape, q.rows)
+    return recorders
+
+
 def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report:
-    """All shapes of n cells, all standard recorders, all ordered shuffle pairs."""
+    """All shapes of n cells, all standard recorders, all ordered shuffle pairs.
+
+    Each (source, recorder, filling) is reversed once and its word re-inserted
+    under every target.
+    """
     shuffles = all_shuffles(alphabet)
     distinct_maps: dict[str, int] = {}
 
     def cases():
         for shape in partitions(n):
-            recorders = enumerate_syt(shape)
+            recorders = _recorders(shape)
             fillings = {s: enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR) for s in shuffles}
+            lanes = {s: _Lane(s, REGULAR_REGULAR) for s in shuffles}
             for a in shuffles:
+                _, contents, words = _reverse_sources(shape, fillings[a], recorders, lanes[a])
                 for b in shuffles:
                     if a == b:
                         continue
+                    failure = _transport_failure(a, b, REGULAR_REGULAR)
                     # the source list is fixed, so its image tuple names the map
                     maps = set()
-                    for q in recorders:
+                    for q_words in words:
                         images = yield from _transport_cases(
-                            fillings[a], len(fillings[b]), alphabet, a, b, q, REGULAR_REGULAR
+                            q_words, contents, shape, lanes[b], len(fillings[b]), failure
                         )
                         maps.add(tuple(images))
                     key = f"{shape}"
@@ -767,6 +1027,38 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
     params = {"k": alphabet.k, "l": alphabet.l, "n": n}
     stats = {"distinct_maps_by_shape": distinct_maps}
     return _report("weight-preserving-bijection", params, cases(), stats)
+
+
+def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
+    """insert(reverse(P, Q)) == (P, Q) for every shape of n cells, every
+    shuffle, every valid P and every standard Q (reg-reg)."""
+
+    def cases():
+        for shape in partitions(n):
+            recorders = _recorders(shape)
+            for s in all_shuffles(alphabet):
+                lane = _Lane(s, REGULAR_REGULAR)
+                fillings = enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR)
+                grids, _, words = _reverse_sources(shape, fillings, recorders, lane)
+                for q, q_words in zip(recorders, words):
+                    q_rows = [list(row) for row in q.rows]
+                    for rows, word in zip(grids, q_words):
+                        _insert_into(lane, word)
+                        p_same, q_same = lane.rows == rows, lane.qrows == q_rows
+                        if p_same and q_same:
+                            yield None
+                        else:
+                            yield CaseFailure(
+                                word=_word_text(alphabet, word),
+                                shuffles=str(s),
+                                variant=REGULAR_REGULAR.name,
+                                expected="insertion gives back the reversed (P, Q)",
+                                actual="P differs" if q_same else "Q differs" if p_same
+                                else "P and Q differ",
+                            )
+
+    params = {"k": alphabet.k, "l": alphabet.l, "n": n}
+    return _report("converse-round-trip", params, cases())
 
 
 def check_hook_schur_invariance(alphabet: Alphabet, n: int) -> Report:
@@ -820,22 +1112,26 @@ def check_round_trip_grid(
     alphabet: Alphabet, n: int, variant: Variant, mode: Mode = "exhaustive"
 ) -> Report:
     """reverse(insert(v)) recovers v for every word in the grid."""
-    shuffles = all_shuffles(alphabet)
 
-    def cases(word: Word):
-        for s in shuffles:
-            result = insert_word(word, s, variant)
-            back = reverse_word(result.p, result.q, s, variant)
-            if back == word:
-                yield None
-            else:
-                yield CaseFailure(
-                    word=str(word),
-                    shuffles=str(s),
-                    variant=variant.name,
-                    expected=str(word),
-                    actual=str(back),
-                )
+    def cases(words):
+        lanes = _lanes(alphabet, variant)
+        for word in _walk(words, lanes):
+            for lane in lanes:
+                # reverse_word's guards, on ranks
+                _check_recording(lane.checked_shape(), lane.qrows)
+                if not _valid_ranks(lane.rows, lane.strict):
+                    raise ValueError(_INVALID_P)
+                back = _recovered(lane.rows, lane.cols, lane.qrows, lane)
+                if back == word:
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=_word_text(alphabet, word),
+                        shuffles=str(lane.shuffle),
+                        variant=variant.name,
+                        expected=_word_text(alphabet, word),
+                        actual=_word_text(alphabet, back),
+                    )
 
     return _word_grid("round-trip", alphabet, n, mode, cases, {"variant": variant.name})
 
@@ -843,11 +1139,22 @@ def check_round_trip_grid(
 def check_standardization_mimicry_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    cases = _per_shuffle(
-        alphabet,
-        check_standardization_mimicry,
-        REGULAR_DUAL.name,
-        "relabelled insertion matches cell for cell",
-        "mimicry failed",
-    )
+    shuffles = all_shuffles(alphabet)
+    letters = alphabet.letters()
+
+    def cases(words):
+        for word in words:
+            v = Word(tuple(letters[a] for a in word))
+            for s in shuffles:
+                if check_standardization_mimicry(v, s):
+                    yield None
+                else:
+                    yield CaseFailure(
+                        word=str(v),
+                        shuffles=str(s),
+                        variant=REGULAR_DUAL.name,
+                        expected="relabelled insertion matches cell for cell",
+                        actual="mimicry failed",
+                    )
+
     return _word_grid("standardization-mimicry", alphabet, n, mode, cases)

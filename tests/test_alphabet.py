@@ -157,6 +157,36 @@ class TestAdjacentTransposition:
         with pytest.raises(ValueError):
             adjacent_transposition(kl_shuffle(Alphabet(1, 1)), kl_shuffle(Alphabet(2, 1)))
 
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 2), (3, 3)])
+    def test_matches_all_pairs_definition(self, k, l):
+        shuffles = all_shuffles(Alphabet(k, l))
+        outcomes = {"equal": 0, "adjacent": 0, "none": 0}
+        for a, b in product(shuffles, repeat=2):
+            expected = flipped_pair(a, b)
+            assert adjacent_transposition(a, b) == expected
+            assert adjacent_transposition(b, a) == expected
+            kind = "equal" if a == b else "adjacent" if expected else "none"
+            outcomes[kind] += 1
+        assert outcomes["equal"] == len(shuffles)
+        # each adjacent pair is met in both orders; k*l/(k+l) swaps per shuffle on average
+        assert outcomes["adjacent"] == 2 * comb(k + l - 1, k - 1) * l
+        assert outcomes["none"] > 0
+        with pytest.raises(ValueError, match="share an alphabet"):
+            adjacent_transposition(shuffles[0], kl_shuffle(Alphabet(k, l + 1)))
+
+
+def flipped_pair(a, b):
+    """The all-pairs definition: the one (t_i, u_j) ordered oppositely, if only one is."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("shuffles must share an alphabet")
+    flipped = [
+        (t(i), u(j))
+        for i in range(1, a.alphabet.k + 1)
+        for j in range(1, a.alphabet.l + 1)
+        if a.less(t(i), u(j)) != b.less(t(i), u(j))
+    ]
+    return flipped[0] if len(flipped) == 1 else None
+
 
 def discordant_pairs(a, b):
     return sum(

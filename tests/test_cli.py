@@ -251,6 +251,8 @@ class TestVerify:
             ("region1", "reg-reg", "region1-agreement", 4**3 * comb(3, 1) * 2),
             ("round-trip", "dual-dual", "round-trip", 4**3 * comb(4, 2)),
             ("mimicry", "reg-reg", "standardization-mimicry", 4**3 * comb(4, 2)),
+            # (P, Q) pairs of 3 cells, counted by the words of length 3, x shuffles
+            ("converse", "reg-reg", "converse-round-trip", 4**3 * comb(4, 2)),
         ],
     )
     def test_table_reaches_every_grid(self, capsys, token, variant, check, cases):
@@ -381,9 +383,10 @@ class TestErrors:
 
 
 # verify tokens that would otherwise drop --mode sample / a non-default --variant
-EXHAUSTIVE_ONLY = ("cor4", "theorem3", "identity")
+EXHAUSTIVE_ONLY = ("cor4", "theorem3", "identity", "converse")
 REG_REG_ONLY = (
     "2", "cor4", "lemma2.6", "lemma2.15", "lemma3.2", "theorem3", "identity", "region1", "mimicry",
+    "converse",
 )
 
 

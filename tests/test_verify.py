@@ -1,6 +1,9 @@
 import json
+import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import combinations
+from math import comb, perm
 
 import pytest
 
@@ -20,21 +23,27 @@ from superrsk import (
     align_traces,
     all_shuffles,
     all_words,
+    enumerate_ssyt,
+    enumerate_syt,
     insert_word,
     parse_shuffle,
     parse_word,
+    reverse_word,
     states_equivalent,
     t,
     u,
 )
+from superrsk.bijection import _DISPLACE_SEARCH
 from superrsk.verify import (
     _INCREMENTS,
     Alignment,
     AlignmentError,
+    CaseFailure,
     _sim,
     _states,
     check_cell_monotonicity,
     check_cell_monotonicity_grid,
+    check_converse_round_trip_grid,
     check_counting_identity,
     check_dual_regular_agreement,
     check_dual_regular_agreement_grid,
@@ -306,23 +315,29 @@ class TestWeightPreservingBijection:
         assert report.passed
         assert "distinct_maps_by_shape" in report.stats
 
-    def test_grid_enumerates_and_transports_once(self, a22, monkeypatch):
+    def test_grid_reverses_once_per_source(self, a22, monkeypatch):
         import superrsk.verify as verify
 
-        calls = {"enumerate_ssyt": 0, "change_shuffle": 0}
-        for name in calls:
-            original = getattr(verify, name)
-
-            def counted(*args, _original=original, _name=name):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(verify, name, counted)
+        calls = count_calls(
+            monkeypatch, verify,
+            "enumerate_ssyt", "_reverse_ranks", "_insert_rank", "_valid_grid", "_check_recording",
+        )
+        monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
         report = check_weight_preserving_bijection_grid(a22, 3)
         assert report.passed
-        # three shapes of 3 cells, each enumerated once per shuffle
-        assert calls["enumerate_ssyt"] == 3 * len(all_shuffles(a22))
-        assert calls["change_shuffle"] == report.cases_run
+        shuffles = all_shuffles(a22)
+        shapes = [(3,), (2, 1), (1, 1, 1)]
+        # each shape enumerated once per shuffle, each recorder checked once per shape
+        assert calls["enumerate_ssyt"] == 3 * len(shuffles)
+        assert calls["_check_recording"] == sum(len(enumerate_syt(shape)) for shape in shapes)
+        # each filling checked once per source, each (source, recorder, filling) reversed once
+        fillings = sum(
+            len(enumerate_ssyt(shape, a22, s, REGULAR_REGULAR)) for shape in shapes for s in shuffles
+        )
+        assert calls["_valid_grid"] == fillings
+        assert calls["_reverse_ranks"] == report.cases_run // (len(shuffles) - 1) == 4**3 * 6
+        # and its 3-letter word inserted once per target: one word insertion per case
+        assert calls["_insert_rank"] == 3 * report.cases_run
 
 
 def snapshot_alignment(trace_a, a, trace_b, b):
@@ -470,18 +485,262 @@ class TestMonotonicityFromLog:
 
 
 class TestRestrictionGridInsertions:
-    def test_one_full_insertion_per_shuffle(self, a22, monkeypatch):
+    def test_restricted_lanes_follow_the_trie(self, a22, monkeypatch):
         import superrsk.verify as verify
 
-        calls = [0]
-        original = verify.insert_word
-
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(verify, "insert_word", counted)
+        calls = count_calls(monkeypatch, verify, "_insert_rank")
+        monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
         report = check_restriction_subtableau_grid(a22, 4)
         assert report.passed and report.cases_run == 256 * 6 * 4
-        # 256 words x 6 shuffles, each: one full insertion + one per restriction letter
-        assert calls[0] == 256 * 6 * (1 + 4) == 7680
+        # per shuffle, the lane of the letter of rank r inserts at the trie
+        # nodes whose last letter has rank <= r: (r + 1) 4^(m-1) nodes at depth m
+        per_shuffle = sum((r + 1) * 4 ** (m - 1) for r in range(4) for m in range(1, 5))
+        assert calls["_insert_rank"] == 6 * per_shuffle == 5100
+
+
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named function of ``module`` with a call counter."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def refuse_insert_word(*args):
+    raise AssertionError("a word grid called insert_word")
+
+
+def trie_nodes(letters, n):
+    """Nodes of the word trie below the root: the words of length 1..n."""
+    return sum(letters**m for m in range(1, n + 1))
+
+
+# the word grids that run on the shared-prefix walk, by claim token
+WALK_TOKENS = ("2", "5", "lemma2.6", "lemma2.15", "lemma3.2", "paths", "cells", "region1",
+               "round-trip")
+
+
+def run_token(token, alphabet, n, variant=REGULAR_REGULAR, mode="exhaustive"):
+    from superrsk.cli import _CLAIMS
+
+    return _CLAIMS[token][1](alphabet, n, variant, mode)
+
+
+class TestWalkInsertions:
+    @pytest.mark.parametrize(
+        "token,variant",
+        [("2", REGULAR_REGULAR)]
+        + [(token, v) for token in ("5", "paths", "cells", "round-trip") for v in VARIANTS],
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_one_insertion_per_trie_node(self, monkeypatch, token, variant):
+        import superrsk.verify as verify
+
+        calls = count_calls(monkeypatch, verify, "_insert_rank")
+        monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
+        for (k, l), n in (((2, 2), 4), ((2, 1), 5)):
+            calls["_insert_rank"] = 0
+            report = run_token(token, Alphabet(k, l), n, variant)
+            assert report.passed
+            assert calls["_insert_rank"] == comb(k + l, k) * trie_nodes(k + l, n)
+
+    def test_repeated_u_prefixes_are_pruned(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        calls = count_calls(monkeypatch, verify, "_insert_rank")
+        report = check_dual_regular_agreement_grid(a22, 5)
+        assert report.passed and report.cases_run == 352 * 6
+
+        def distinct_u_words(m):  # words of length m whose u's are pairwise distinct
+            return sum(comb(m, j) * perm(2, j) * 2 ** (m - j) for j in range(min(2, m) + 1))
+
+        # two lanes (reg-reg, reg-dual) per shuffle, one insertion per kept trie node
+        assert calls["_insert_rank"] == 6 * 2 * sum(distinct_u_words(m) for m in range(1, 6))
+
+    @pytest.mark.parametrize("token", [*WALK_TOKENS, "theorem3", "converse"])
+    def test_no_word_grid_calls_insert_word(self, a22, monkeypatch, token):
+        import superrsk.verify as verify
+
+        monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
+        assert run_token(token, a22, 3).passed
+        if token in WALK_TOKENS:
+            assert run_token(token, a22, 4, mode=Sample(5, 1)).passed
+
+    def test_sampled_walk_matches_separate_insertions(self, a22):
+        # sampled words share few prefixes; each must still see its own insertion
+        import superrsk.verify as verify
+
+        words = [(0, 1, 2), (0, 1, 3), (0, 1, 3), (3,), (), (2, 2, 2, 1)]
+        lanes = verify._lanes(a22, REGULAR_DUAL)
+        letters = a22.letters()
+        for word in verify._walk(iter(words), lanes):
+            for lane in lanes:
+                result = insert_word(Word(tuple(letters[i] for i in word)), lane.shuffle, REGULAR_DUAL)
+                assert lane.rows == [list(lane.rank[letters.index(x)] for x in row) for row in result.p.rows]
+                assert lane.qrows == [list(row) for row in result.q.rows]
+                assert tuple(lane.log) == result.trace.log
+
+
+# a bump search made wrong for one shuffle: under a regular u-rule, once P
+# has two rows, the t-search of t1<u1<t2<u2 switches between the regular and
+# the dual rule
+FAULTY_ORDER = "t1<u1<t2<u2"
+
+
+def install_fault(monkeypatch, alphabet):
+    import superrsk.insertion as insertion
+    import superrsk.verify as verify
+
+    broken = [x.kind == "t" for x in parse_shuffle(FAULTY_ORDER, alphabet).order]
+    original = insertion._insert_rank
+    swap = {bisect_right: bisect_left, bisect_left: bisect_right}
+
+    def faulty(rows, cols, x, is_t, find_t, find_u, log):
+        if is_t == broken and find_u is bisect_right and len(rows) > 1:
+            find_t = swap[find_t]
+        return original(rows, cols, x, is_t, find_t, find_u, log)
+
+    monkeypatch.setattr(insertion, "_insert_rank", faulty)
+    monkeypatch.setattr(verify, "_insert_rank", faulty)
+
+
+def reference_words(alphabet, n, mode):
+    if mode == "exhaustive":
+        return list(all_words(alphabet, n))
+    rng = random.Random(mode.seed)
+    letters = alphabet.letters()
+    return [Word(tuple(rng.choice(letters) for _ in range(n))) for _ in range(mode.count)]
+
+
+def reference_cases(token, alphabet, words, variant):
+    """The word grids as per-word insert_word loops, yielding None or a CaseFailure."""
+    shuffles = all_shuffles(alphabet)
+    pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
+    name = variant.name
+
+    def fail(word, shuffles, expected, actual, variant=name):
+        return CaseFailure(str(word), shuffles, variant, expected, actual)
+
+    for word in words:
+        if token in ("2", "5"):
+            results = [insert_word(word, s, variant) for s in shuffles]
+            for (i, ri), (j, rj) in combinations(enumerate(results), 2):
+                if ri.p.shape == rj.p.shape and ri.q == rj.q:
+                    yield None
+                else:
+                    yield fail(word, f"{shuffles[i]} | {shuffles[j]}",
+                               "equal shapes and recording tableaux",
+                               f"shapes {ri.p.shape} vs {rj.p.shape}, q equal: {ri.q == rj.q}")
+        elif token == "lemma2.6":
+            for s in shuffles:
+                for x in alphabet.letters():
+                    yield None if check_restriction_subtableau(word, s, x) else fail(
+                        word, str(s), f"restriction to letters <= {x} is a subtableau",
+                        "subtableau containment failed")
+        elif token == "lemma2.15":
+            for a, b in pairs:
+                trace_a = insert_word(word, a, REGULAR_REGULAR).trace
+                trace_b = insert_word(word, b, REGULAR_REGULAR).trace
+                try:
+                    yield align_traces(trace_a, a, trace_b, b).witness_count
+                except AlignmentError as exc:
+                    yield fail(word, f"{a} | {b}",
+                               "an alignment with equivalent matched states", str(exc))
+        elif token == "lemma3.2":
+            us = [x for x in word if x.kind == "u"]
+            if len(us) == len(set(us)):
+                for s in shuffles:
+                    yield None if check_dual_regular_agreement(word, s) else fail(
+                        word, str(s), "identical insertion and recording tableaux",
+                        "outputs differ", "reg-reg vs reg-dual")
+        elif token == "paths":
+            for s in shuffles:
+                yield None if check_path_monotonicity(insert_word(word, s, variant)) else fail(
+                    word, str(s), "monotone bump targets", "a bumped element drifted outward")
+        elif token == "cells":
+            for s in shuffles:
+                ok = check_cell_monotonicity(insert_word(word, s, variant), s)
+                yield None if ok else fail(
+                    word, str(s), "entries only shrink in place", "a cell emptied or its entry grew")
+        elif token == "region1":
+            for a, b in pairs:
+                yield None if check_region1_agreement(word, a, b) else fail(
+                    word, f"{a} | {b}", "identical low-letter subtableaux", "low regions differ")
+        elif token == "round-trip":
+            for s in shuffles:
+                result = insert_word(word, s, variant)
+                back = reverse_word(result.p, result.q, s, variant)
+                yield None if back == word else fail(word, str(s), str(word), str(back))
+
+
+def outcome(run):
+    """(cases, failures, witness histogram) of a run, or the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def reference_outcome(token, alphabet, n, variant, mode):
+    cases, failures, witnesses = 0, [], {}
+    for case in reference_cases(token, alphabet, reference_words(alphabet, n, mode), variant):
+        cases += 1
+        if isinstance(case, CaseFailure):
+            failures.append(case)
+        elif case is not None:
+            witnesses[str(case)] = witnesses.get(str(case), 0) + 1
+    return cases, failures, dict(sorted(witnesses.items()))
+
+
+def grid_outcome(token, alphabet, n, variant, mode):
+    report = run_token(token, alphabet, n, variant, mode)
+    return report.cases_run, list(report.failures), report.stats.get("witness_counts", {})
+
+
+class TestFailureRecordsUnderAFault:
+    @pytest.mark.parametrize(
+        "mode,n", [("exhaustive", 3), (Sample(40, 3), 4)], ids=["exhaustive", "sampled"]
+    )
+    @pytest.mark.parametrize("token", WALK_TOKENS)
+    def test_failures_match_per_word_reference(self, a22, monkeypatch, token, mode, n):
+        install_fault(monkeypatch, a22)
+        variants = VARIANTS if token in ("5", "paths", "cells", "round-trip") else [REGULAR_REGULAR]
+        recorded = 0
+        for variant in variants:
+            expected = outcome(lambda: reference_outcome(token, a22, n, variant, mode))
+            assert outcome(lambda: grid_outcome(token, a22, n, variant, mode)) == expected
+            recorded += not isinstance(expected, str) and len(expected[1]) > 0
+        # the fault leaves both monotonicity claims true, and round trips stop
+        # at reverse_word's validity guard; every other grid records failures
+        assert (recorded > 0) == (token not in ("paths", "cells", "round-trip"))
+
+    @pytest.mark.parametrize(
+        "mode,n", [("exhaustive", 3), (Sample(40, 3), 4)], ids=["exhaustive", "sampled"]
+    )
+    def test_round_trip_failures_match_under_a_reversal_fault(self, a22, monkeypatch, mode, n):
+        # the regular displacement search made weak: reg-reg reversals go wrong
+        monkeypatch.setitem(_DISPLACE_SEARCH, "regular", bisect_right)
+        expected = reference_outcome("round-trip", a22, n, REGULAR_REGULAR, mode)
+        assert grid_outcome("round-trip", a22, n, REGULAR_REGULAR, mode) == expected
+        assert expected[1]
+
+    def test_converse_sees_the_fault(self, a22, monkeypatch):
+        install_fault(monkeypatch, a22)
+        report = check_converse_round_trip_grid(a22, 3)
+        assert report.failures
+        assert {f.shuffles for f in report.failures} == {FAULTY_ORDER}
+
+
+class TestConverseRoundTrip:
+    @pytest.mark.parametrize("k,l,n", [(2, 2, 3), (2, 1, 4), (1, 2, 4), (2, 0, 3), (0, 2, 3)])
+    def test_every_pair_comes_back(self, k, l, n):
+        report = check_converse_round_trip_grid(Alphabet(k, l), n)
+        assert report.passed
+        # RSK: the (P, Q) pairs of n cells are counted by the words of length n
+        assert report.cases_run == (k + l) ** n * comb(k + l, k)
