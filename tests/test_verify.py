@@ -26,6 +26,7 @@ from superrsk import (
     enumerate_ssyt,
     enumerate_syt,
     insert_word,
+    is_subtableau,
     parse_shuffle,
     parse_word,
     reverse_word,
@@ -39,6 +40,7 @@ from superrsk.verify import (
     Alignment,
     AlignmentError,
     CaseFailure,
+    _restricted_p,
     _sim,
     _states,
     check_cell_monotonicity,
@@ -581,8 +583,10 @@ class TestWalkInsertions:
         letters = a22.letters()
         for word in verify._walk(iter(words), lanes):
             for lane in lanes:
-                result = insert_word(Word(tuple(letters[i] for i in word)), lane.shuffle, REGULAR_DUAL)
-                assert lane.rows == [list(lane.rank[letters.index(x)] for x in row) for row in result.p.rows]
+                v = Word(tuple(letters[i] for i in word))
+                result = insert_word(v, lane.shuffle, REGULAR_DUAL)
+                ranks = lane.shuffle.ranks
+                assert lane.rows == [[ranks[x] for x in row] for row in result.p.rows]
                 assert lane.qrows == [list(row) for row in result.q.rows]
                 assert tuple(lane.log) == result.trace.log
 
@@ -639,8 +643,10 @@ def reference_cases(token, alphabet, words, variant):
                                f"shapes {ri.p.shape} vs {rj.p.shape}, q equal: {ri.q == rj.q}")
         elif token == "lemma2.6":
             for s in shuffles:
+                big = insert_word(word, s, REGULAR_REGULAR).p
                 for x in alphabet.letters():
-                    yield None if check_restriction_subtableau(word, s, x) else fail(
+                    small = _restricted_p(word, s, x, REGULAR_REGULAR)
+                    yield None if is_subtableau(small, big) else fail(
                         word, str(s), f"restriction to letters <= {x} is a subtableau",
                         "subtableau containment failed")
         elif token == "lemma2.15":
