@@ -5,7 +5,7 @@
 Runs `superrsk --format json verify` in process, against the package under
 ``DIR`` (default: this checkout's ``src/``), over a fixed matrix:
 
-- the 13 claim tokens below, each with every variant it honours, at
+- the 14 claim tokens below, each with every variant it honours, at
   (k, l) in {(2, 2), (2, 1), (1, 2)} and n in {0, 3, 4}, exhaustive and, where
   the token honours it, ``--mode sample --samples 7 --seed 5``;
 - every token once more at (k, l) in {(2, 0), (0, 2)} and n in {0, 3}.
@@ -28,7 +28,7 @@ from pathlib import Path
 
 TOKENS = (
     "2", "5", "cor4", "lemma2.6", "lemma2.15", "lemma3.2", "theorem3", "identity",
-    "paths", "cells", "region1", "round-trip", "mimicry",
+    "paths", "cells", "region1", "round-trip", "mimicry", "converse",
 )
 VARIANTS = ("reg-reg", "reg-dual", "dual-reg", "dual-dual")
 SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")

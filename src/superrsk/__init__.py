@@ -79,7 +79,6 @@ from .verify import (
     Report,
     Sample,
     align_traces,
-    states_equivalent,
 )
 
 __version__ = "0.1.0"

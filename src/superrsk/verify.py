@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -35,12 +35,10 @@ from .insertion import (
     VARIANTS,
     InsertionResult,
     InsertionTrace,
-    PendingAction,
     Variant,
     Word,
     _insert_rank,
     _is_t,
-    _pending_action,
     _ranks_of,
     insert_word,
     variant_profile,
@@ -67,8 +65,6 @@ __all__ = [
     "Sample",
     "Alignment",
     "AlignmentError",
-    "states_equivalent",
-    "region2_stats",
     "align_traces",
     "check_shape_invariance",
     "check_path_monotonicity",
@@ -147,87 +143,17 @@ Mode = str | Sample  # "exhaustive" or a Sample
 
 
 # ---------------------------------------------------------------------------
-# intermediate-state equivalence and trace alignment
+# trace alignment
 
 
-State = tuple[Tableau, PendingAction | None]
-
-
-def region2_stats(
-    tab: Tableau, shuffle: Shuffle, pair: tuple[Letter, Letter]
-) -> dict[frozenset, tuple[int, int]]:
-    """Per-component (t-count, u-count) census of the pair region."""
-    regions = classify_regions(tab, shuffle, pair)
-    stats = {}
-    for comp in region2_components(regions):
-        nt = sum(1 for cell in comp if tab.entry(*cell) == pair[0])
-        nu = sum(1 for cell in comp if tab.entry(*cell) == pair[1])
-        stats[comp] = (nt, nu)
-    return stats
-
-
-def _states(trace: InsertionTrace) -> list[State]:
-    """Pair each step's tableau with the action that the next step performs."""
-    steps = trace.steps
-    out: list[State] = []
-    for i, step in enumerate(steps):
-        if i + 1 == len(steps):
-            pending = None
-        elif step.bumped is not None:
-            pending = step.bumped
-        else:
-            nxt = steps[i + 1]
-            elem = nxt.state.entry(*nxt.settled_cell)
-            if elem.kind == "t":
-                pending = PendingAction(elem, "row", nxt.settled_cell[0])
-            else:
-                pending = PendingAction(elem, "column", nxt.settled_cell[1])
-        out.append((step.state, pending))
-    return out
-
-
-def _sim(
-    state_a: State,
-    state_b: State,
-    shuffle_a: Shuffle,
-    shuffle_b: Shuffle,
-    pair: tuple[Letter, Letter],
-) -> bool:
-    tab_a, pending_a = state_a
-    tab_b, pending_b = state_b
-    regions_a = classify_regions(tab_a, shuffle_a, pair)
-    regions_b = classify_regions(tab_b, shuffle_b, pair)
-    for label in (1, 3):
-        side_a = {cell: tab_a.entry(*cell) for cell, lab in regions_a.items() if lab == label}
-        side_b = {cell: tab_b.entry(*cell) for cell, lab in regions_b.items() if lab == label}
-        if side_a != side_b:
-            return False
-    cells_a = {cell for cell, lab in regions_a.items() if lab == 2}
-    cells_b = {cell for cell, lab in regions_b.items() if lab == 2}
-    if cells_a != cells_b:
-        return False
-    ti = pair[0]
-    for comp in region2_components(regions_a):
-        count_a = sum(1 for cell in comp if tab_a.entry(*cell) == ti)
-        count_b = sum(1 for cell in comp if tab_b.entry(*cell) == ti)
-        if count_a != count_b:
-            return False
-    return pending_a == pending_b
-
-
-def states_equivalent(
-    state_a: State, state_b: State, shuffle_a: Shuffle, shuffle_b: Shuffle
-) -> bool:
-    """Equivalence of intermediate states under adjacent shuffles.
-
-    Requires identical cells-and-entries outside the swapped pair, identical
-    pair-region cells with matching per-component t-counts, and equal pending
-    actions (both terminal counts as equal).
-    """
-    pair = adjacent_transposition(shuffle_a, shuffle_b)
-    if pair is None:
-        raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
-    return _sim(state_a, state_b, shuffle_a, shuffle_b, pair)
+def _common_prefix(a, b) -> int:
+    """The length of the longest common prefix of two sequences."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 class AlignmentError(Exception):
@@ -245,43 +171,86 @@ class Alignment:
 _INCREMENTS = ((1, 1), (1, 2), (2, 1))
 
 
-def _signatures(
-    log, order: tuple[Letter, ...], shuffle: Shuffle, pair: tuple[Letter, Letter], seen=None
-) -> list:
-    """Each step's state in the form ``_sim`` compares, read off a placement log.
+class _Signatures:
+    """Each step's state in the form the alignment compares, read off a placement
+    log that holds ranks into ``order`` (by default the shuffle's own).
 
-    ``log`` holds ranks into ``order``.  A signature holds the cells' ranks
-    under ``shuffle`` with the pair's two ranks masked, the t_i-count of each
-    region-2 component, and the pending action.  An adjacent transposition
-    keeps every other letter's rank, so masked cells are equal exactly when
-    the region-1 entries, the region-3 entries and the region-2 cells agree.
-    ``seen`` may carry the components of region-2 cell sets across calls.
+    A signature holds the cells' ranks under ``shuffle`` with the pair's two
+    ranks masked, the t_i-count of each region-2 component, and the pending
+    action as (alphabet index, row of a t or column of a u).  An adjacent
+    transposition keeps every other letter's rank, so masked cells are equal
+    exactly when the region-1 entries, the region-3 entries and the region-2
+    cells agree.  Compared streams share ``seen``, each region-2 cell set's
+    components in one order.  ``follow`` takes back only the steps after the
+    prefix its log shares with the log it read before, as a walk's lane does.
     """
-    rank = _ranks_of(order, shuffle)
-    ti = shuffle.rank(pair[0])
-    lo = min(ti, shuffle.rank(pair[1]))
-    if seen is None:
-        seen = {}
-    cells: dict[Cell, int] = {}
-    masked: dict[Cell, int] = {}
-    out = []
-    for s, (r, c, x, y) in enumerate(log):
-        e = cells[(r, c)] = rank[x]
-        masked[(r, c)] = -1 if lo <= e <= lo + 1 else e
-        if y is not None:
-            pending = _pending_action(order[y], r + 1, c + 1)
-        elif s + 1 < len(log):
-            nr, nc, nx, _ = log[s + 1]
-            pending = _pending_action(order[nx], nr, nc)
-        else:
-            pending = None
-        region2 = frozenset(cell for cell, e in masked.items() if e < 0)
-        components = seen.get(region2)
+
+    __slots__ = ("rank", "name", "is_t", "ti", "lo", "seen", "log", "cells", "masked",
+                 "regions", "sigs")
+
+    def __init__(
+        self, shuffle: Shuffle, pair: tuple[Letter, Letter], seen: dict, order=None
+    ) -> None:
+        order = shuffle.order if order is None else order
+        self.rank = _ranks_of(order, shuffle)
+        index = {x: i for i, x in enumerate(shuffle.alphabet.letters())}
+        self.name = [index[x] for x in order]
+        self.is_t = [x.kind == "t" for x in order]
+        self.ti = shuffle.rank(pair[0])
+        self.lo = min(self.ti, shuffle.rank(pair[1]))
+        self.seen = seen
+        self.cells: dict[Cell, int] = {}
+        self.masked: dict[Cell, int] = {}
+        # per step: its placement, its region-2 cells and its signature
+        self.log, self.regions, self.sigs = [], [], []
+
+    def follow(self, log) -> list:
+        """The signatures of every step of ``log``."""
+        old, sigs = self.log, self.sigs
+        kept = _common_prefix(old, log)
+        if len(old) > kept:
+            cells, masked, rank, lo = self.cells, self.masked, self.rank, self.lo
+            for r, c, _, y in reversed(old[kept:]):
+                if y is None:  # the step made this cell
+                    del cells[(r, c)], masked[(r, c)]
+                else:
+                    e = cells[(r, c)] = rank[y]
+                    masked[(r, c)] = -1 if lo <= e <= lo + 1 else e
+            del old[kept:], sigs[kept:], self.regions[kept:]
+        if kept and log[kept - 1][3] is None:
+            # a settle's pending action is the next letter's entry
+            sigs[-1] = sigs[-1][:2] + (self._pending(log, kept - 1),)
+        for s in range(kept, len(log)):
+            old.append(log[s])
+            self._step(log[s], self._pending(log, s))
+        return sigs
+
+    def _pending(self, log, s: int) -> tuple[int, int] | None:
+        r, c, _, y = log[s]
+        if y is not None:  # the bumped element enters the next row or column
+            return self.name[y], r + 1 if self.is_t[y] else c + 1
+        if s + 1 < len(log):
+            r, c, x, _ = log[s + 1]
+            return self.name[x], r if self.is_t[x] else c
+        return None
+
+    def _step(self, step, pending: tuple[int, int] | None) -> None:
+        """Place one step's element and append its signature."""
+        r, c, x, _ = step
+        cells, masked, lo, ti, regions = self.cells, self.masked, self.lo, self.ti, self.regions
+        cell = (r, c)
+        e = cells[cell] = self.rank[x]
+        paired = lo <= e <= lo + 1
+        region2 = regions[-1] if regions else frozenset()
+        if paired != (masked.get(cell) == -1):
+            region2 = region2 | {cell} if paired else region2 - {cell}
+        masked[cell] = -1 if paired else e
+        regions.append(region2)
+        components = self.seen.get(region2)
         if components is None:
-            components = seen[region2] = region2_components(dict.fromkeys(region2, 2))
-        counts = {comp: sum(cells[cell] == ti for cell in comp) for comp in components}
-        out.append((dict(masked), counts, pending))
-    return out
+            components = self.seen[region2] = tuple(region2_components(dict.fromkeys(region2, 2)))
+        counts = tuple(sum(cells[cell] == ti for cell in comp) for comp in components)
+        self.sigs.append((dict(masked), counts, pending))
 
 
 def align_traces(
@@ -294,16 +263,18 @@ def align_traces(
 
     Starts at (1, 1), advances by the three allowed increments, and must end
     at the final step of both traces.  The witness count is the number of
-    distinct alignments through equivalent matched pairs.  States are
-    compared as in ``states_equivalent``, on signatures read from the traces'
-    placement logs, so no ``Step`` snapshot is built.
+    distinct alignments through equivalent matched pairs: equal cells and
+    entries outside the swapped pair, equal pair-region cells with equal
+    t-counts per component, and equal pending actions.  States are compared
+    on signatures read from the placement logs, so no ``Step`` is built.
     """
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
         raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
+    seen: dict = {}
     return _align(
-        _signatures(trace_a.log, trace_a.order, shuffle_a, pair),
-        _signatures(trace_b.log, trace_b.order, shuffle_b, pair),
+        _Signatures(shuffle_a, pair, seen, trace_a.order).follow(trace_a.log),
+        _Signatures(shuffle_b, pair, seen, trace_b.order).follow(trace_b.log),
     )
 
 
@@ -315,39 +286,32 @@ def _align(sigs_a: list, sigs_b: list) -> Alignment:
     if sa == 0 or sb == 0:
         raise AlignmentError("traces have different emptiness")
 
-    def ok(p: int, q: int) -> bool:
-        return sigs_a[p - 1] == sigs_b[q - 1]
-
-    if not ok(1, 1):
+    if sigs_a[0] != sigs_b[0]:
         raise AlignmentError("initial states are not equivalent")
     target = (sa, sb)
     parent: dict[tuple[int, int], tuple[int, int] | None] = {(1, 1): None}
-    queue = deque([(1, 1)])
-    while queue:
-        p, q = queue.popleft()
+    queue = [(1, 1)]
+    for node in queue:  # breadth first: the queue grows while it is read
+        p, q = node
         for dp, dq in _INCREMENTS:
             np_, nq = p + dp, q + dq
-            if np_ > sa or nq > sb or (np_, nq) in parent:
-                continue
-            if ok(np_, nq):
-                parent[(np_, nq)] = (p, q)
-                queue.append((np_, nq))
+            if np_ <= sa and nq <= sb and (np_, nq) not in parent:
+                if sigs_a[np_ - 1] == sigs_b[nq - 1]:
+                    parent[np_, nq] = node
+                    queue.append((np_, nq))
     if target not in parent:
         raise AlignmentError(f"no alignment reaches ({sa}, {sb})")
     path = []
-    node: tuple[int, int] | None = target
-    while node is not None:
-        path.append(node)
-        node = parent[node]
+    step: tuple[int, int] | None = target
+    while step is not None:
+        path.append(step)
+        step = parent[step]
     path.reverse()
 
+    # every increment raises p, so in p order each node follows its predecessors
     counts: dict[tuple[int, int], int] = {(1, 1): 1}
-    for node in sorted(parent, key=lambda pq: (pq[0] + pq[1], pq[0])):
-        if node == (1, 1):
-            continue
-        counts[node] = sum(
-            counts.get((node[0] - dp, node[1] - dq), 0) for dp, dq in _INCREMENTS
-        )
+    for p, q in sorted(parent)[1:]:
+        counts[p, q] = sum(counts.get((p - dp, q - dq), 0) for dp, dq in _INCREMENTS)
     return Alignment(tuple(path), counts[target])
 
 
@@ -469,12 +433,14 @@ class _Lane:
     alphabet indices: ``rank`` maps them to the shuffle's ranks and
     ``letter`` maps ranks back.  A lane with a ``bound`` inserts only the
     letters of rank <= bound, so it holds the insertion of the restricted
-    word (its Q records their positions in the whole word).
+    word (its Q records their positions in the whole word).  ``bad`` is the
+    log index of the first settle, of those still held, that left a row
+    longer than the row above it, or None.
     """
 
     __slots__ = (
         "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "strict",
-        "rows", "cols", "qrows", "log",
+        "rows", "cols", "qrows", "log", "bad",
     )
 
     def __init__(self, shuffle: Shuffle, variant: Variant, bound: int | None = None) -> None:
@@ -490,6 +456,7 @@ class _Lane:
 
     def clear(self) -> None:
         self.rows, self.cols, self.qrows, self.log = [], [], [], []
+        self.bad = None
 
     def push(self, letter: int, m: int) -> int:
         """Insert ``letter`` as the m-th letter; returns the log length before it."""
@@ -498,16 +465,24 @@ class _Lane:
         x = self.rank[letter]
         if x > self.bound:
             return start
-        i = _insert_rank(self.rows, self.cols, x, self.is_t, self.find_t, self.find_u, log)
+        rows = self.rows
+        i = _insert_rank(rows, self.cols, x, self.is_t, self.find_t, self.find_u, log)
         if i == len(qrows):
             qrows.append([m])
         else:
             qrows[i].append(m)
+            if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
+                self.bad = len(log) - 1
         return start
 
     def checked_shape(self) -> Shape:
-        """P's shape, once P passes the diagram check that building a Tableau makes."""
-        _check_diagram(self.rows)
+        """P's shape, once P passes the diagram check that building a Tableau makes.
+
+        A settle grows one row of a diagram, which can only break the rule
+        against the row above; while no held settle did, the check is skipped.
+        """
+        if self.bad is not None:
+            _check_diagram(self.rows)
         return tuple(map(len, self.rows))
 
     def undo(self, start: int) -> None:
@@ -528,6 +503,8 @@ class _Lane:
                     cols.pop()
             else:
                 rows[r][c] = cols[c][r] = y
+        if self.bad is not None and self.bad >= start:
+            self.bad = None
 
 
 def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
@@ -543,11 +520,7 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
     held: tuple[int, ...] = ()
     marks: list[list[int]] = []  # per held letter: each lane's log length before it
     for word in words:
-        shared = 0
-        for x, y in zip(held, word):
-            if x != y:
-                break
-            shared += 1
+        shared = _common_prefix(held, word)
         while len(marks) > shared:
             for lane, start in zip(lanes, marks.pop()):
                 lane.undo(start)
@@ -795,18 +768,18 @@ def check_trace_alignment_grid(
 
     def cases(words):
         lanes = _lanes(alphabet, REGULAR_REGULAR)
-        pairs = _adjacent_pairs(lanes)
         seen: dict = {}  # region-2 cell set -> its components
+        streams = [  # one signature stream per (lane, pair), kept along the walk
+            (lanes[i], lanes[j], _Signatures(lanes[i].shuffle, pair, seen),
+             _Signatures(lanes[j].shuffle, pair, seen))
+            for i, j, pair in _adjacent_pairs(lanes)
+        ]
         for word in _walk(words, lanes):
-            for i, j, pair in pairs:
-                a, b = lanes[i], lanes[j]
+            for a, b, sigs_a, sigs_b in streams:
                 a.checked_shape()
                 b.checked_shape()
                 try:
-                    alignment = _align(
-                        _signatures(a.log, a.shuffle.order, a.shuffle, pair, seen),
-                        _signatures(b.log, b.shuffle.order, b.shuffle, pair, seen),
-                    )
+                    alignment = _align(sigs_a.follow(a.log), sigs_b.follow(b.log))
                 except AlignmentError as exc:
                     yield CaseFailure(
                         word=_word_text(alphabet, word),
@@ -896,33 +869,48 @@ def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
         lane.push(letter, m)
 
 
+def _image(target: _Lane, word: tuple[int, ...], memo: dict):
+    """The target's image of a recovered word: rank rows, shape, validity under
+    the target and sorted content (alphabet indices).  It depends on the target
+    and the word alone, so the target's ``memo`` keeps it for every source."""
+    image = memo.get(word)
+    if image is None:
+        _insert_into(target, word)
+        rows = target.rows
+        image = memo[word] = (
+            tuple(map(tuple, rows)),
+            target.checked_shape(),
+            _valid_ranks(rows, target.strict),
+            sorted(target.letter[x] for row in rows for x in row),
+        )
+    return image
+
+
 def _transport_cases(
     words: list[tuple[int, ...]],
     contents: list[list[int]],
     shape: Shape,
     target: _Lane,
+    memo: dict,
     target_count: int,
     failure,
 ):
-    """Insert each recovered word under the target lane: one case per filling.
+    """Map each recovered word to its image under the target lane: one case per filling.
 
-    Yields one case per filling, then the findings about the whole map, and
-    returns the images (rank rows under the target) in source order.
+    Yields one case per filling, checked against that filling's shape and
+    content, then the findings about the whole map, and returns the images
+    (rank rows under the target) in source order.
     """
     images = []
-    letter = target.letter
     for word, content in zip(words, contents):
-        _insert_into(target, word)
-        image_shape = target.checked_shape()
-        rows = target.rows
-        image = tuple(map(tuple, rows))
+        image, image_shape, valid, image_content = _image(target, word, memo)
         images.append(image)
         problems = []
         if image_shape != shape:
             problems.append(f"shape changed to {image_shape}")
-        if not _valid_ranks(rows, target.strict):
+        if not valid:
             problems.append("image not valid under target order")
-        if sorted(letter[x] for row in rows for x in row) != content:
+        if image_content != content:
             problems.append("content changed")
         if problems:
             yield failure("valid, content-preserving image", "; ".join(problems))
@@ -937,16 +925,8 @@ def _transport_cases(
 
 
 def _transport_failure(a: Shuffle, b: Shuffle, variant: Variant):
-    def failure(expected: str, actual: str) -> CaseFailure:
-        return CaseFailure(
-            word="",
-            shuffles=f"{a} -> {b}",
-            variant=variant.name,
-            expected=expected,
-            actual=actual,
-        )
-
-    return failure
+    """A transport's ``failure(expected, actual)``: a CaseFailure with no word."""
+    return partial(CaseFailure, "", f"{a} -> {b}", variant.name)
 
 
 def check_weight_preserving_bijection(
@@ -979,7 +959,7 @@ def check_weight_preserving_bijection(
         target = enumerate_ssyt(shape, alphabet, b, variant)
         _, contents, words = _reverse_sources(shape, source, [q], _Lane(a, variant))
         yield from _transport_cases(
-            words[0], contents, shape, _Lane(b, variant), len(target),
+            words[0], contents, shape, _Lane(b, variant), {}, len(target),
             _transport_failure(a, b, variant),
         )
 
@@ -997,8 +977,9 @@ def _recorders(shape: Shape) -> list[RecordingTableau]:
 def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report:
     """All shapes of n cells, all standard recorders, all ordered shuffle pairs.
 
-    Each (source, recorder, filling) is reversed once and its word re-inserted
-    under every target.
+    Each (source, recorder, filling) is reversed once.  Every source recovers
+    the same words for a shape, so each word is inserted once per target and
+    its image checked against each source's filling.
     """
     shuffles = all_shuffles(alphabet)
     distinct_maps: dict[str, int] = {}
@@ -1008,6 +989,7 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
             recorders = _recorders(shape)
             fillings = {s: enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR) for s in shuffles}
             lanes = {s: _Lane(s, REGULAR_REGULAR) for s in shuffles}
+            memos: dict[Shuffle, dict] = {s: {} for s in shuffles}
             for a in shuffles:
                 _, contents, words = _reverse_sources(shape, fillings[a], recorders, lanes[a])
                 for b in shuffles:
@@ -1018,7 +1000,8 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
                     maps = set()
                     for q_words in words:
                         images = yield from _transport_cases(
-                            q_words, contents, shape, lanes[b], len(fillings[b]), failure
+                            q_words, contents, shape, lanes[b], memos[b], len(fillings[b]),
+                            failure,
                         )
                         maps.add(tuple(images))
                     key = f"{shape}"
@@ -1139,14 +1122,30 @@ def check_round_trip_grid(
 def check_standardization_mimicry_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    shuffles = all_shuffles(alphabet)
+    """``check_standardization_mimicry`` on every word and shuffle: the original
+    insertion is read from the walk, the relabelled word inserted into a lane
+    of its derived shuffle, and P compared on ranks once mapped back."""
     letters = alphabet.letters()
 
     def cases(words):
-        for word in words:
+        lanes = _lanes(alphabet, REGULAR_DUAL)
+        derived: dict[Shuffle, _Lane] = {}
+        for word in _walk(words, lanes):
             v = Word(tuple(letters[a] for a in word))
-            for s in shuffles:
-                if check_standardization_mimicry(v, s):
+            for lane in lanes:
+                s = lane.shuffle
+                std = standardize_u(v, s)
+                lane.checked_shape()
+                rel = derived.get(std.shuffle)
+                if rel is None:
+                    rel = derived[std.shuffle] = _Lane(std.shuffle, REGULAR_DUAL)
+                ranks = std.shuffle.ranks
+                _insert_into(rel, [rel.letter[ranks[x]] for x in std.word])
+                rel.checked_shape()
+                back = dict(std.source_map)
+                to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
+                unmapped = [[to_rank[x] for x in row] for row in rel.rows]
+                if rel.qrows == lane.qrows and unmapped == lane.rows:
                     yield None
                 else:
                     yield CaseFailure(

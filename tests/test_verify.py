@@ -2,12 +2,13 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, perm
 
 import pytest
 
 from conftest import rec, tab
+from snapshot_reference import _sim, _states, region2_stats, states_equivalent
 from superrsk import (
     DUAL_DUAL,
     REGULAR_DUAL,
@@ -30,7 +31,6 @@ from superrsk import (
     parse_shuffle,
     parse_word,
     reverse_word,
-    states_equivalent,
     t,
     u,
 )
@@ -41,8 +41,6 @@ from superrsk.verify import (
     AlignmentError,
     CaseFailure,
     _restricted_p,
-    _sim,
-    _states,
     check_cell_monotonicity,
     check_cell_monotonicity_grid,
     check_converse_round_trip_grid,
@@ -61,7 +59,6 @@ from superrsk.verify import (
     check_trace_alignment_grid,
     check_weight_preserving_bijection,
     check_weight_preserving_bijection_grid,
-    region2_stats,
 )
 
 ALPH32 = Alphabet(3, 2)
@@ -150,8 +147,6 @@ class TestAlignTraces:
             for b in shuffles[i + 1 :]
             if align_pair_ok(a, b)
         ]
-        from superrsk.verify import _states
-
         for word in (parse_word("u2,t1,t2,u1", a22), parse_word("t1,u1,u1", a22)):
             for a, b in adjacent:
                 trace_a = insert_word(word, a, REGULAR_REGULAR).trace
@@ -338,8 +333,9 @@ class TestWeightPreservingBijection:
         )
         assert calls["_valid_grid"] == fillings
         assert calls["_reverse_ranks"] == report.cases_run // (len(shuffles) - 1) == 4**3 * 6
-        # and its 3-letter word inserted once per target: one word insertion per case
-        assert calls["_insert_rank"] == 3 * report.cases_run
+        # every source recovers the same words, so each word of 3 letters is
+        # inserted once per target: n (k+l)^n C(k+l, k) letter insertions
+        assert calls["_insert_rank"] == 3 * 4**3 * comb(4, 2) == 1152
 
 
 def snapshot_alignment(trace_a, a, trace_b, b):
@@ -565,13 +561,13 @@ class TestWalkInsertions:
         # two lanes (reg-reg, reg-dual) per shuffle, one insertion per kept trie node
         assert calls["_insert_rank"] == 6 * 2 * sum(distinct_u_words(m) for m in range(1, 6))
 
-    @pytest.mark.parametrize("token", [*WALK_TOKENS, "theorem3", "converse"])
+    @pytest.mark.parametrize("token", [*WALK_TOKENS, "mimicry", "theorem3", "converse"])
     def test_no_word_grid_calls_insert_word(self, a22, monkeypatch, token):
         import superrsk.verify as verify
 
         monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
         assert run_token(token, a22, 3).passed
-        if token in WALK_TOKENS:
+        if token not in ("theorem3", "converse"):
             assert run_token(token, a22, 4, mode=Sample(5, 1)).passed
 
     def test_sampled_walk_matches_separate_insertions(self, a22):
@@ -589,6 +585,192 @@ class TestWalkInsertions:
                 assert lane.rows == [[ranks[x] for x in row] for row in result.p.rows]
                 assert lane.qrows == [list(row) for row in result.q.rows]
                 assert tuple(lane.log) == result.trace.log
+
+
+# words with a repeat, the empty word, a shorter word and then a longer one
+WALK_WORDS = [(0, 1, 2), (0, 1, 3), (0, 1, 3), (3,), (), (2, 2, 2, 1)]
+
+
+def recorded_alignments(alphabet, n, mode, words=None):
+    """Each (word, adjacent pair) alignment the lemma2.15 grid makes, in order:
+    the Alignment, or the AlignmentError's message.  ``words`` replaces the
+    grid's word list."""
+    import superrsk.verify as verify
+
+    seen = []
+    original = verify._align
+
+    def recording(sigs_a, sigs_b):
+        seen.append(alignment_outcome(original, sigs_a, sigs_b))
+        return original(sigs_a, sigs_b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_align", recording)
+        if words is not None:
+            patch.setattr(verify, "_words", lambda *args: iter(words))
+        report = check_trace_alignment_grid(alphabet, n, mode)
+    return report, seen
+
+
+def reference_alignments(alphabet, words):
+    """``align_traces`` on separate ``insert_word`` traces, per word and adjacent pair."""
+    shuffles = all_shuffles(alphabet)
+    pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
+    letters = alphabet.letters()
+    out = []
+    for word in words:
+        v = Word(tuple(letters[i] for i in word))
+        traces = {s: insert_word(v, s, REGULAR_REGULAR).trace for s in shuffles}
+        out.extend(alignment_outcome(align_traces, traces[a], a, traces[b], b) for a, b in pairs)
+    return out
+
+
+class TestSignatureStreams:
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("mode", ["exhaustive", Sample(7, 5)], ids=["exhaustive", "sampled"])
+    def test_grid_alignments_match_separate_traces(self, k, l, mode):
+        alphabet = Alphabet(k, l)
+        for n in range(4):
+            report, seen = recorded_alignments(alphabet, n, mode)
+            words = [
+                tuple(alphabet.letters().index(x) for x in word)
+                for word in reference_words(alphabet, n, mode)
+            ]
+            assert seen == reference_alignments(alphabet, words)
+            assert report.passed and report.cases_run == len(seen)
+
+    def test_shared_prefixes_repeats_and_the_empty_word(self, a22):
+        _, seen = recorded_alignments(a22, 3, "exhaustive", WALK_WORDS)
+        assert seen == reference_alignments(a22, WALK_WORDS)
+        assert len(seen) == len(WALK_WORDS) * 6
+
+    def test_unalignable_pairs_match_under_a_fault(self, a22, monkeypatch):
+        install_fault(monkeypatch, a22)
+        words = [*WALK_WORDS, *(tuple(w) for w in product(range(4), repeat=4))]
+        _, seen = recorded_alignments(a22, 4, "exhaustive", words)
+        assert seen == reference_alignments(a22, words)
+        assert any(isinstance(outcome, str) for outcome in seen)
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
+    def test_streams_equal_signatures_built_afresh(self, k, l):
+        # a stream that follows the walk holds what a new stream builds from the log
+        import superrsk.verify as verify
+
+        alphabet = Alphabet(k, l)
+        lanes = verify._lanes(alphabet, REGULAR_REGULAR)
+        words = [*WALK_WORDS, *product(range(k + l), repeat=3), (1,), (1, 0)]
+        seen = {}
+        streams = [
+            (lane, pair, verify._Signatures(lane.shuffle, pair, seen))
+            for i, j, pair in verify._adjacent_pairs(lanes)
+            for lane in (lanes[i], lanes[j])
+        ]
+        for _ in verify._walk(iter(words), lanes):
+            for lane, pair, stream in streams:
+                fresh = verify._Signatures(lane.shuffle, pair, seen)
+                assert stream.follow(lane.log) == fresh.follow(lane.log)
+
+    def test_each_step_signature_is_built_once_per_trie_node(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        calls = count_calls(monkeypatch, verify._Signatures, "_step")
+        assert check_trace_alignment_grid(a22, 4).passed
+        # each prefix's last letter is placed once per stream: the steps of
+        # that letter, summed over the trie nodes and both lanes of each pair
+        shuffles = all_shuffles(a22)
+        pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
+        expected = sum(
+            insert_word(word, s, REGULAR_REGULAR).trace.path_lengths[-1]
+            for m in range(1, 5)
+            for word in all_words(a22, m)
+            for pair in pairs
+            for s in pair
+        )
+        assert calls["_step"] == expected == 6216  # one per (word, pair, step) was 16,512
+
+
+def stacking_insert(rows, cols, x, is_t, find_t, find_u, log):
+    """A faulty insertion: x settles in a new row while P has fewer than two
+    rows, and at the end of the second row after that."""
+    i = min(len(rows), 1)
+    j = len(rows[i]) if i < len(rows) else 0
+    if i == len(rows):
+        rows.append([x])
+    else:
+        rows[i].append(x)
+    if j == len(cols):
+        cols.append([x])
+    else:
+        cols[j].append(x)
+    log.append((i + 1, j + 1, x, None))
+    return i
+
+
+class TestDeferredDiagramCheck:
+    def test_a_corner_fault_raises_on_the_final_rows(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        monkeypatch.setattr(verify, "_insert_rank", stacking_insert)
+        lane = verify._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
+        marks = [lane.push(letter, m) for m, letter in enumerate((0, 1, 2, 3), 1)]
+        assert lane.bad == marks[2]  # the third letter's settle left row 2 longer than row 1
+        with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 3\]$"):
+            lane.checked_shape()
+        lane.undo(marks[3])
+        with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
+            lane.checked_shape()
+        lane.undo(marks[2])  # takes back the bad settle
+        assert lane.bad is None
+        assert lane.checked_shape() == (1, 1)
+        # the grids see the same message as building a Tableau of the final rows
+        with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
+            check_shape_invariance(a22, 3)
+
+    def test_a_note_whose_rows_became_a_diagram_again_passes(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        lane = verify._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
+        monkeypatch.setattr(verify, "_insert_rank", stacking_insert)
+        for m, letter in enumerate((0, 1, 2), 1):
+            lane.push(letter, m)
+        monkeypatch.undo()
+        lane.push(0, 4)  # a true insertion of t1 settles at the end of row 1
+        assert lane.bad is not None and lane.rows == [[0, 0], [1, 2]]
+        assert lane.checked_shape() == (2, 2)
+
+
+class TestMimicryOnTheWalk:
+    @pytest.mark.parametrize("k,l,n", [(2, 2, 3), (3, 2, 3), (1, 3, 4)])
+    @pytest.mark.parametrize("mode", ["exhaustive", Sample(9, 2)], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["true", "faulty"])
+    def test_matches_the_single_case_predicate(self, monkeypatch, k, l, n, mode, faulty):
+        import superrsk.verify as verify
+        from superrsk.bijection import Standardization
+
+        if faulty:
+            # send the fresh letters back to the original u's in reverse order
+            original = verify.standardize_u
+
+            def misread(v, shuffle):
+                std = original(v, shuffle)
+                fresh = [new for new, _ in std.source_map]
+                olds = [old for _, old in std.source_map][::-1]
+                return Standardization(
+                    std.word, std.shuffle, std.letter_map, tuple(zip(fresh, olds))
+                )
+
+            monkeypatch.setattr(verify, "standardize_u", misread)
+        alphabet = Alphabet(k, l)
+        report = verify.check_standardization_mimicry_grid(alphabet, n, mode)
+        expected = [
+            (str(word), str(s))
+            for word in reference_words(alphabet, n, mode)
+            for s in all_shuffles(alphabet)
+            if not verify.check_standardization_mimicry(word, s)
+        ]
+        assert report.cases_run == len(reference_words(alphabet, n, mode)) * comb(k + l, k)
+        assert [(f.word, f.shuffles) for f in report.failures] == expected
+        assert bool(expected) == faulty
 
 
 # a bump search made wrong for one shuffle: under a regular u-rule, once P
