@@ -1,20 +1,25 @@
-"""Write the `verify` same-output matrix of one checkout to a file.
+"""Write the same-output matrix of one checkout to a file.
 
     python3 scripts/verify_outputs.py --out FILE [--src DIR]
 
-Runs `superrsk --format json verify` in process, against the package under
-``DIR`` (default: this checkout's ``src/``), over a fixed matrix:
+Runs the `superrsk` CLI in process, against the package under ``DIR``
+(default: this checkout's ``src/``), over a fixed matrix:
 
-- the 14 claim tokens below, each with every variant it honours, at
-  (k, l) in {(2, 2), (2, 1), (1, 2)} and n in {0, 3, 4}, exhaustive and, where
-  the token honours it, ``--mode sample --samples 7 --seed 5``;
-- every token once more at (k, l) in {(2, 0), (0, 2)} and n in {0, 3}.
+- ``--format json verify`` for the 14 claim tokens below, each with every
+  variant it honours, at (k, l) in {(2, 2), (2, 1), (1, 2)} and n in
+  {0, 3, 4}, exhaustive and, where the token honours it,
+  ``--mode sample --samples 7 --seed 5``;
+- every token once more at (k, l) in {(2, 0), (0, 2)} and n in {0, 3};
+- ``--format json enumerate`` for every shape of 1 to 4 cells under every
+  shuffle and variant at (k, l) in {(2, 2), (2, 1)};
+- ``standardize --side u|t`` on three fixed words under every shuffle at
+  (2, 2), in both output formats.
 
-Each line of the output is one run: its argv, exit code and report with
-``elapsed_ms`` removed (or its error line when it exits 2).  Two checkouts
-whose verify output agrees give identical files, so comparing them takes one
-``diff``.  Tokens added later are left out so that older checkouts can run
-the same matrix.
+Each line of the output is one run: its argv, exit code and JSON payload with
+``elapsed_ms`` removed, its text output, or its error line when it exits 2.
+Two checkouts whose output agrees give identical files, so comparing them
+takes one ``diff``.  Tokens added later are left out so that older checkouts
+can run the same matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 TOKENS = (
@@ -32,6 +38,18 @@ TOKENS = (
 )
 VARIANTS = ("reg-reg", "reg-dual", "dual-reg", "dual-dual")
 SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
+SHAPES = ("1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1")
+WORDS = ("t2,u2,u1,u1,t1", "u1,t1,u1,t2,t1,u2,u1", "t1,t1,t2,t1")
+
+
+def chains(k: int, l: int) -> list[str]:
+    """Every shuffle of t1..tk with u1..ul, written as an order chain."""
+    out = []
+    for places in combinations(range(k + l), k):
+        ts, us = iter(range(1, k + 1)), iter(range(1, l + 1))
+        out.append("<".join(f"t{next(ts)}" if p in places else f"u{next(us)}"
+                            for p in range(k + l)))
+    return out
 
 
 def matrix(claims: dict) -> list[list[str]]:
@@ -57,6 +75,22 @@ def matrix(claims: dict) -> list[list[str]]:
                     "--k", str(k), "--l", str(l), "--format", "json",
                     "verify", "--theorem", token, "--n", str(n),
                 ])
+    for k, l in ((2, 2), (2, 1)):
+        for chain in chains(k, l):
+            for variant in VARIANTS:
+                for shape in SHAPES:
+                    runs.append([
+                        "--k", str(k), "--l", str(l), "--shuffle", chain, "--variant", variant,
+                        "--format", "json", "enumerate", "--shape", shape,
+                    ])
+    for chain in chains(2, 2):
+        for word in WORDS:
+            for side in ("u", "t"):
+                for fmt in ("json", "text"):
+                    runs.append([
+                        "--k", "2", "--l", "2", "--shuffle", chain, "--format", fmt,
+                        "standardize", "--word", word, "--side", side,
+                    ])
     return runs
 
 
@@ -65,10 +99,12 @@ def record(main, argv: list[str]) -> dict:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     entry = {"argv": argv, "exit": code}
-    if out.getvalue():
+    if out.getvalue() and "json" in argv:
         report = json.loads(out.getvalue())
         report.pop("elapsed_ms", None)
         entry["report"] = report
+    elif out.getvalue():
+        entry["output"] = out.getvalue()
     else:
         entry["error"] = err.getvalue().splitlines()[:1]
     return entry

@@ -27,7 +27,6 @@ __all__ = [
     "order_adjacent_pairs",
     "parse_shuffle",
     "shuffle_to_json",
-    "shuffle_from_json",
 ]
 
 _LETTER_RE = re.compile(r"([tu])([1-9][0-9]*)")
@@ -241,7 +240,3 @@ def parse_shuffle(text: str, alphabet: Alphabet) -> Shuffle:
 
 def shuffle_to_json(s: Shuffle) -> list[str]:
     return [letter.name for letter in s.order]
-
-
-def shuffle_from_json(data: list[str], alphabet: Alphabet) -> Shuffle:
-    return parse_shuffle("<".join(data), alphabet)

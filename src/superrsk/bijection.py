@@ -148,20 +148,12 @@ def change_shuffle(
 class Standardization:
     """A relabelled word over an enlarged alphabet with its derived shuffle.
 
-    ``letter_map`` gives the fresh letter at each 1-based word position;
     ``source_map`` sends each fresh letter back to the letter it replaced.
     """
 
     word: Word
     shuffle: Shuffle
-    letter_map: tuple[Letter, ...]
     source_map: tuple[tuple[Letter, Letter], ...]
-
-    def original_letter(self, fresh: Letter) -> Letter:
-        for new, old in self.source_map:
-            if new == fresh:
-                return old
-        return fresh
 
     def unmap_tableau(self, tab: Tableau) -> Tableau:
         back = dict(self.source_map)
@@ -184,7 +176,7 @@ def _standardize(v: Word, shuffle: Shuffle, kind: str) -> Standardization:
     total = sum(counts)
     if total == 0 and other == 0:
         # empty word over a one-kind alphabet: nothing to relabel
-        return Standardization(v, shuffle, v.letters, ())
+        return Standardization(v, shuffle, ())
     offsets = [0] * size
     for j in range(1, size):
         offsets[j] = offsets[j - 1] + counts[j - 1]
@@ -214,7 +206,7 @@ def _standardize(v: Word, shuffle: Shuffle, kind: str) -> Standardization:
         for j in range(size)
         for i in range(1, counts[j] + 1)
     )
-    return Standardization(Word(tuple(new_letters)), derived, tuple(new_letters), source)
+    return Standardization(Word(tuple(new_letters)), derived, source)
 
 
 def standardize_u(v: Word, shuffle: Shuffle) -> Standardization:

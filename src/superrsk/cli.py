@@ -218,11 +218,11 @@ def _cmd_standardize(args) -> int:
             {
                 "word": [letter.name for letter in std.word],
                 "shuffle": shuffle_to_json(std.shuffle),
-                "letter_map": {str(i): x.name for i, x in enumerate(std.letter_map, 1)},
+                "letter_map": {str(i): x.name for i, x in enumerate(std.word, 1)},
             }
         )
     else:
-        mapping = " ".join(f"{i}:{x.name}" for i, x in enumerate(std.letter_map, 1))
+        mapping = " ".join(f"{i}:{x.name}" for i, x in enumerate(std.word, 1))
         _emit(f"w: {std.word}\nshuffle: {std.shuffle}\nmap: {mapping}")
     return 0
 

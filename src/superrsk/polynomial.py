@@ -9,7 +9,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "polynomial_to_json",
-    "polynomial_from_json",
 ]
 
 
@@ -27,10 +26,6 @@ class Monomial:
             raise ValueError("exponents must be non-negative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.x) + sum(self.y)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self.x) != len(other.x) or len(self.y) != len(other.y):
@@ -69,10 +64,6 @@ class Polynomial:
             elif mono in acc:
                 del acc[mono]
         self._terms = acc
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
@@ -145,9 +136,3 @@ def polynomial_to_json(p: Polynomial) -> list[dict]:
         {"x": list(mono.x), "y": list(mono.y), "coeff": coeff}
         for mono, coeff in p.sorted_terms()
     ]
-
-
-def polynomial_from_json(data: list[dict]) -> Polynomial:
-    return Polynomial(
-        [(Monomial(tuple(d["x"]), tuple(d["y"])), int(d["coeff"])) for d in data]
-    )

@@ -12,6 +12,7 @@ from .tableau import (
     RecordingTableau,
     Shape,
     Tableau,
+    _strict_in_rows,
     check_shape,
 )
 
@@ -47,46 +48,34 @@ def enumerate_ssyt(
 ) -> list[Tableau]:
     """All fillings of the shape that are valid for (shuffle, variant).
 
-    Backtracking fill in row-major order, candidates tried in shuffle order,
-    so the output order is deterministic.  Shapes the alphabet cannot fill
-    yield an empty list.
+    Backtracking fill in row-major order on shuffle ranks, candidates tried
+    in rank order, so the output order is deterministic.  A candidate is held
+    against its left and upper neighbours by the per-rank strictness table
+    that ``is_valid`` reads.  Shapes the alphabet cannot fill yield an empty
+    list.
     """
     shape = check_shape(shape)
     if not shape:
         return [Tableau()]
-    profile = variant_profile(variant)
-    strict_row = {"t": profile.t_strict_in == "rows", "u": profile.u_strict_in == "rows"}
-    strict_col = {"t": profile.t_strict_in == "columns", "u": profile.u_strict_in == "columns"}
-    letters = shuffle.order
+    strict_in_rows = _strict_in_rows(shuffle, variant_profile(variant))
+    order = shuffle.order
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    grid: list[list] = [[None] * length for length in shape]
+    grid = [[-1] * length for length in shape]
     found: list[Tableau] = []
-
-    def admissible(r: int, c: int, letter) -> bool:
-        if c > 0:
-            left = grid[r][c - 1]
-            if shuffle.less(letter, left):
-                return False
-            if left == letter and strict_row[letter.kind]:
-                return False
-        if r > 0:
-            above = grid[r - 1][c]
-            if shuffle.less(letter, above):
-                return False
-            if above == letter and strict_col[letter.kind]:
-                return False
-        return True
 
     def fill(i: int) -> None:
         if i == len(cells):
-            found.append(Tableau(tuple(tuple(row) for row in grid)))
+            found.append(Tableau(tuple(tuple(order[x] for x in row) for row in grid)))
             return
         r, c = cells[i]
-        for letter in letters:
-            if admissible(r, c, letter):
-                grid[r][c] = letter
-                fill(i + 1)
-                grid[r][c] = None
+        left = grid[r][c - 1] if c else -1
+        above = grid[r - 1][c] if r else -1
+        for x in range(max(left, above), len(order)):
+            # an equal neighbour sits along the axis its letter is not strict in
+            if (x == left and strict_in_rows[x]) or (x == above and not strict_in_rows[x]):
+                continue
+            grid[r][c] = x
+            fill(i + 1)
 
     fill(0)
     return found

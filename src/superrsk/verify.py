@@ -54,7 +54,6 @@ from .tableau import (
     _strict_in_rows,
     _valid_ranks,
     classify_regions,
-    is_standard,
     is_subtableau,
     region2_components,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "check_region1_agreement",
     "check_dual_regular_agreement",
     "check_standardization_mimicry",
-    "check_weight_preserving_bijection",
     "check_path_monotonicity_grid",
     "check_cell_monotonicity_grid",
     "check_restriction_subtableau_grid",
@@ -475,16 +473,6 @@ class _Lane:
                 self.bad = len(log) - 1
         return start
 
-    def checked_shape(self) -> Shape:
-        """P's shape, once P passes the diagram check that building a Tableau makes.
-
-        A settle grows one row of a diagram, which can only break the rule
-        against the row above; while no held settle did, the check is skipped.
-        """
-        if self.bad is not None:
-            _check_diagram(self.rows)
-        return tuple(map(len, self.rows))
-
     def undo(self, start: int) -> None:
         """Take back the placements logged after position ``start``, newest first."""
         rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
@@ -507,25 +495,38 @@ class _Lane:
             self.bad = None
 
 
+def _check_diagrams(lanes: Iterable[_Lane]) -> None:
+    """The diagram check that building each lane's P as a Tableau makes.
+
+    A settle grows one row of a diagram, which can only break the rule
+    against the row above; a lane none of whose held settles did is skipped.
+    """
+    for lane in lanes:
+        if lane.bad is not None:
+            _check_diagram(lane.rows)
+
+
 def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
     """Insert each word under every lane, starting from the prefix it shares
     with the word before.
 
-    Yields each word once every lane holds its insertion.  The lanes are
-    rolled back to the shared prefix when the next word is drawn, so a reader
-    copies whatever it keeps.  In ``all_words`` order this makes one insertion
-    per node of the word trie, (k+l) + (k+l)^2 + ... + (k+l)^n per lane,
-    instead of n (k+l)^n.
+    Yields each word once every lane holds its insertion and has passed the
+    diagram check.  Each lane is taken back to the shared prefix in one step
+    when the next word is drawn, so a reader copies whatever it keeps.  In
+    ``all_words`` order this makes one insertion per node of the word trie,
+    (k+l) + (k+l)^2 + ... + (k+l)^n per lane, instead of n (k+l)^n.
     """
     held: tuple[int, ...] = ()
     marks: list[list[int]] = []  # per held letter: each lane's log length before it
     for word in words:
         shared = _common_prefix(held, word)
-        while len(marks) > shared:
-            for lane, start in zip(lanes, marks.pop()):
+        if len(marks) > shared:
+            for lane, start in zip(lanes, marks[shared]):
                 lane.undo(start)
+            del marks[shared:]
         for m in range(shared, len(word)):
             marks.append([lane.push(word[m], m + 1) for lane in lanes])
+        _check_diagrams(lanes)
         held = word
         yield word
 
@@ -609,7 +610,6 @@ def _per_lane(alphabet: Alphabet, variant: Variant, holds, expected: str, actual
         lanes = _lanes(alphabet, variant)
         for word in _walk(words, lanes):
             for lane in lanes:
-                lane.checked_shape()
                 if holds(lane):
                     yield None
                 else:
@@ -636,7 +636,7 @@ def check_shape_invariance(
         lanes = _lanes(alphabet, variant)
         pairs = list(combinations(range(len(lanes)), 2))
         for word in _walk(words, lanes):
-            shapes = [lane.checked_shape() for lane in lanes]
+            shapes = [tuple(map(len, lane.rows)) for lane in lanes]
             for i, j in pairs:
                 q_equal = lanes[i].qrows == lanes[j].qrows
                 if shapes[i] == shapes[j] and q_equal:
@@ -699,9 +699,7 @@ def check_restriction_subtableau_grid(
         wholes = [max(group, key=lambda lane: lane.bound) for group in groups]
         for word in _walk(words, [lane for group in groups for lane in group]):
             for restricted, full in zip(groups, wholes):
-                full.checked_shape()
                 for x, lane in zip(letters, restricted):
-                    lane.checked_shape()
                     if _is_prefix_grid(lane.rows, full.rows):
                         yield None
                     else:
@@ -744,8 +742,6 @@ def check_region1_agreement_grid(
         ]
         for word in _walk(words, lanes):
             for i, j, lo in pairs:
-                lanes[i].checked_shape()
-                lanes[j].checked_shape()
                 if _low_cells(lanes[i].rows, lo) == _low_cells(lanes[j].rows, lo):
                     yield None
                 else:
@@ -776,8 +772,6 @@ def check_trace_alignment_grid(
         ]
         for word in _walk(words, lanes):
             for a, b, sigs_a, sigs_b in streams:
-                a.checked_shape()
-                b.checked_shape()
                 try:
                     alignment = _align(sigs_a.follow(a.log), sigs_b.follow(b.log))
                 except AlignmentError as exc:
@@ -816,8 +810,6 @@ def check_dual_regular_agreement_grid(
         # every prefix of a kept word is kept, so no prefix with a repeated u is inserted
         for word in _walk(filter(distinct_us, words), lanes):
             for reg, dual in zip(lanes[::2], lanes[1::2]):
-                reg.checked_shape()
-                dual.checked_shape()
                 if reg.rows == dual.rows and reg.qrows == dual.qrows:
                     yield None
                 else:
@@ -863,10 +855,11 @@ def _recovered(rows, cols, q_rows, lane: _Lane) -> tuple[int, ...]:
 
 
 def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
-    """Insert an alphabet-index word into the emptied lane."""
+    """Insert an alphabet-index word into the emptied lane and check its diagram."""
     lane.clear()
     for m, letter in enumerate(word, 1):
         lane.push(letter, m)
+    _check_diagrams((lane,))
 
 
 def _image(target: _Lane, word: tuple[int, ...], memo: dict):
@@ -879,7 +872,7 @@ def _image(target: _Lane, word: tuple[int, ...], memo: dict):
         rows = target.rows
         image = memo[word] = (
             tuple(map(tuple, rows)),
-            target.checked_shape(),
+            tuple(map(len, rows)),
             _valid_ranks(rows, target.strict),
             sorted(target.letter[x] for row in rows for x in row),
         )
@@ -895,9 +888,9 @@ def _transport_cases(
     target_count: int,
     failure,
 ):
-    """Map each recovered word to its image under the target lane: one case per filling.
+    """Map one recorder's recovered words to their images under the target lane.
 
-    Yields one case per filling, checked against that filling's shape and
+    Yields one case per source filling, checked against that filling's shape and
     content, then the findings about the whole map, and returns the images
     (rank rows under the target) in source order.
     """
@@ -924,48 +917,6 @@ def _transport_cases(
     return images
 
 
-def _transport_failure(a: Shuffle, b: Shuffle, variant: Variant):
-    """A transport's ``failure(expected, actual)``: a CaseFailure with no word."""
-    return partial(CaseFailure, "", f"{a} -> {b}", variant.name)
-
-
-def check_weight_preserving_bijection(
-    shape: Shape,
-    alphabet: Alphabet,
-    a: Shuffle,
-    b: Shuffle,
-    q: RecordingTableau,
-    variant: Variant = REGULAR_REGULAR,
-) -> Report:
-    """Transporting every filling of the shape from order a to order b is a
-    content-preserving bijection onto the fillings valid under b."""
-    shape = tuple(shape)
-    if q.shape != shape:
-        raise ValueError(f"recording tableau shape {q.shape} does not match {shape}")
-    if not is_standard(q):
-        raise ValueError("recording tableau is not standard")
-    params = {
-        "shape": list(shape),
-        "k": alphabet.k,
-        "l": alphabet.l,
-        "a": str(a),
-        "b": str(b),
-        "q": [list(row) for row in q.rows],
-        "variant": variant.name,
-    }
-
-    def cases():
-        source = enumerate_ssyt(shape, alphabet, a, variant)
-        target = enumerate_ssyt(shape, alphabet, b, variant)
-        _, contents, words = _reverse_sources(shape, source, [q], _Lane(a, variant))
-        yield from _transport_cases(
-            words[0], contents, shape, _Lane(b, variant), {}, len(target),
-            _transport_failure(a, b, variant),
-        )
-
-    return _report("weight-preserving-bijection", params, cases())
-
-
 def _recorders(shape: Shape) -> list[RecordingTableau]:
     """The standard recorders of a shape, each passed through the reversal's Q guards."""
     recorders = enumerate_syt(shape)
@@ -975,7 +926,9 @@ def _recorders(shape: Shape) -> list[RecordingTableau]:
 
 
 def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report:
-    """All shapes of n cells, all standard recorders, all ordered shuffle pairs.
+    """Transporting every filling from order a to order b with Q held fixed is
+    a content-preserving bijection onto the fillings valid under b, for every
+    shape of n cells, standard recorder Q and ordered shuffle pair (reg-reg).
 
     Each (source, recorder, filling) is reversed once.  Every source recovers
     the same words for a shape, so each word is inserted once per target and
@@ -995,7 +948,7 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
                 for b in shuffles:
                     if a == b:
                         continue
-                    failure = _transport_failure(a, b, REGULAR_REGULAR)
+                    failure = partial(CaseFailure, "", f"{a} -> {b}", REGULAR_REGULAR.name)
                     # the source list is fixed, so its image tuple names the map
                     maps = set()
                     for q_words in words:
@@ -1101,7 +1054,7 @@ def check_round_trip_grid(
         for word in _walk(words, lanes):
             for lane in lanes:
                 # reverse_word's guards, on ranks
-                _check_recording(lane.checked_shape(), lane.qrows)
+                _check_recording(tuple(map(len, lane.rows)), lane.qrows)
                 if not _valid_ranks(lane.rows, lane.strict):
                     raise ValueError(_INVALID_P)
                 back = _recovered(lane.rows, lane.cols, lane.qrows, lane)
@@ -1135,13 +1088,11 @@ def check_standardization_mimicry_grid(
             for lane in lanes:
                 s = lane.shuffle
                 std = standardize_u(v, s)
-                lane.checked_shape()
                 rel = derived.get(std.shuffle)
                 if rel is None:
                     rel = derived[std.shuffle] = _Lane(std.shuffle, REGULAR_DUAL)
                 ranks = std.shuffle.ranks
                 _insert_into(rel, [rel.letter[ranks[x]] for x in std.word])
-                rel.checked_shape()
                 back = dict(std.source_map)
                 to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
                 unmapped = [[to_rank[x] for x in row] for row in rel.rows]

@@ -143,11 +143,9 @@ class TestStandardizeU:
         assert str(std.word) == "t2,u3,u2,u1,t1"
         assert str(std.shuffle) == "t1<t2<u1<u2<u3"
         assert std.shuffle.alphabet == Alphabet(2, 3)
-        assert std.letter_map == std.word.letters
-        assert std.original_letter(u(1)) == u(1)
-        assert std.original_letter(u(2)) == u(1)
-        assert std.original_letter(u(3)) == u(2)
-        assert std.original_letter(t(2)) == t(2)
+        back = dict(std.source_map)
+        assert back == {u(1): u(1), u(2): u(1), u(3): u(2)}
+        assert t(2) not in back
 
     def test_distinct_u_word_keeps_positions(self, a22, order_ttuu):
         word = parse_word("u2,t1,u1", a22)

@@ -7,7 +7,7 @@ from math import comb, perm
 
 import pytest
 
-from conftest import rec, tab
+from conftest import tab
 from snapshot_reference import _sim, _states, region2_stats, states_equivalent
 from superrsk import (
     DUAL_DUAL,
@@ -57,7 +57,6 @@ from superrsk.verify import (
     check_round_trip_grid,
     check_shape_invariance,
     check_trace_alignment_grid,
-    check_weight_preserving_bijection,
     check_weight_preserving_bijection_grid,
 )
 
@@ -284,29 +283,6 @@ class TestReports:
 
 
 class TestWeightPreservingBijection:
-    def test_single_shape_report(self, a22, order_ttuu, order_uutt):
-        report = check_weight_preserving_bijection(
-            (3, 1), a22, order_ttuu, order_uutt, rec("1 2 3 / 4")
-        )
-        assert report.passed
-        assert report.cases_run > 0
-
-    def test_identity_when_orders_equal(self, a22, order_ttuu):
-        report = check_weight_preserving_bijection(
-            (2, 1), a22, order_ttuu, order_ttuu, rec("1 2 / 3")
-        )
-        assert report.passed
-
-    def test_rejects_mismatched_recorder(self, a22, order_ttuu, order_uutt):
-        with pytest.raises(ValueError):
-            check_weight_preserving_bijection(
-                (3, 1), a22, order_ttuu, order_uutt, rec("1 2 / 3")
-            )
-        with pytest.raises(ValueError):
-            check_weight_preserving_bijection(
-                (2, 1), a22, order_ttuu, order_uutt, rec("1 3 / 2 4")
-            )
-
     def test_grid_reports_distinct_maps(self, a22):
         report = check_weight_preserving_bijection_grid(a22, 2)
         assert report.passed
@@ -548,6 +524,15 @@ class TestWalkInsertions:
             assert report.passed
             assert calls["_insert_rank"] == comb(k + l, k) * trie_nodes(k + l, n)
 
+    def test_one_take_back_per_lane_per_word_that_drops_letters(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        calls = count_calls(monkeypatch, verify._Lane, "undo")
+        assert run_token("2", a22, 4).passed
+        # every word after the first drops held letters, and each of the six
+        # lanes takes them back in one call
+        assert calls["undo"] == 6 * (4**4 - 1) == 1530
+
     def test_repeated_u_prefixes_are_pruned(self, a22, monkeypatch):
         import superrsk.verify as verify
 
@@ -715,16 +700,19 @@ class TestDeferredDiagramCheck:
         marks = [lane.push(letter, m) for m, letter in enumerate((0, 1, 2, 3), 1)]
         assert lane.bad == marks[2]  # the third letter's settle left row 2 longer than row 1
         with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 3\]$"):
-            lane.checked_shape()
+            verify._check_diagrams([lane])
         lane.undo(marks[3])
         with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
-            lane.checked_shape()
+            verify._check_diagrams([lane])
         lane.undo(marks[2])  # takes back the bad settle
-        assert lane.bad is None
-        assert lane.checked_shape() == (1, 1)
-        # the grids see the same message as building a Tableau of the final rows
-        with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
-            check_shape_invariance(a22, 3)
+        assert lane.bad is None and lane.rows == [[0], [1]]
+        verify._check_diagrams([lane])
+        # the grids see the same message as building a Tableau of the final rows:
+        # the walk checks each word, and theorem3 and converse each inserted word
+        # (at n = 2 the fault only stacks a column, which is still a diagram)
+        for token in ("2", "theorem3", "converse"):
+            with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
+                run_token(token, a22, 3)
 
     def test_a_note_whose_rows_became_a_diagram_again_passes(self, a22, monkeypatch):
         import superrsk.verify as verify
@@ -736,7 +724,7 @@ class TestDeferredDiagramCheck:
         monkeypatch.undo()
         lane.push(0, 4)  # a true insertion of t1 settles at the end of row 1
         assert lane.bad is not None and lane.rows == [[0, 0], [1, 2]]
-        assert lane.checked_shape() == (2, 2)
+        verify._check_diagrams([lane])
 
 
 class TestMimicryOnTheWalk:
@@ -756,7 +744,7 @@ class TestMimicryOnTheWalk:
                 fresh = [new for new, _ in std.source_map]
                 olds = [old for _, old in std.source_map][::-1]
                 return Standardization(
-                    std.word, std.shuffle, std.letter_map, tuple(zip(fresh, olds))
+                    std.word, std.shuffle, tuple(zip(fresh, olds))
                 )
 
             monkeypatch.setattr(verify, "standardize_u", misread)
