@@ -13,7 +13,10 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
 - ``--format json enumerate`` for every shape of 1 to 4 cells under every
   shuffle and variant at (k, l) in {(2, 2), (2, 1)};
 - ``standardize --side u|t`` on three fixed words under every shuffle at
-  (2, 2), in both output formats.
+  (2, 2), in both output formats;
+- ``hook-schur`` for every shape of 1 to 5 cells under every shuffle at
+  (k, l) in {(2, 2), (2, 1), (1, 2)}, in both output formats, and once with
+  a shuffle holding a letter outside the alphabet.
 
 Each line of the output is one run: its argv, exit code and JSON payload with
 ``elapsed_ms`` removed, its text output, or its error line when it exits 2.
@@ -40,6 +43,7 @@ VARIANTS = ("reg-reg", "reg-dual", "dual-reg", "dual-dual")
 SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
 SHAPES = ("1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1")
 WORDS = ("t2,u2,u1,u1,t1", "u1,t1,u1,t2,t1,u2,u1", "t1,t1,t2,t1")
+HOOK_SHAPES = SHAPES + ("5", "4,1", "3,2", "3,1,1", "2,2,1", "2,1,1,1", "1,1,1,1,1")
 
 
 def chains(k: int, l: int) -> list[str]:
@@ -91,6 +95,17 @@ def matrix(claims: dict) -> list[list[str]]:
                         "--k", "2", "--l", "2", "--shuffle", chain, "--format", fmt,
                         "standardize", "--word", word, "--side", side,
                     ])
+    for k, l in ((2, 2), (2, 1), (1, 2)):
+        for chain in chains(k, l):
+            for shape in HOOK_SHAPES:
+                for fmt in ("json", "text"):
+                    runs.append([
+                        "--k", str(k), "--l", str(l), "--shuffle", chain, "--format", fmt,
+                        "hook-schur", "--shape", shape,
+                    ])
+    runs.append([
+        "--k", "2", "--l", "2", "--shuffle", "t1<u1<t2<u3", "hook-schur", "--shape", "2,1",
+    ])
     return runs
 
 
@@ -101,7 +116,8 @@ def record(main, argv: list[str]) -> dict:
     entry = {"argv": argv, "exit": code}
     if out.getvalue() and "json" in argv:
         report = json.loads(out.getvalue())
-        report.pop("elapsed_ms", None)
+        if isinstance(report, dict):  # hook-schur prints a list of terms
+            report.pop("elapsed_ms", None)
         entry["report"] = report
     elif out.getvalue():
         entry["output"] = out.getvalue()

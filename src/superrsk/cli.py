@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .alphabet import Alphabet, kl_shuffle, parse_shuffle, shuffle_to_json
 from .bijection import change_shuffle, reverse_word, standardize_t, standardize_u
@@ -68,6 +69,7 @@ _CLAIMS = {
 }
 
 
+@cache  # built on first use, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superrsk",

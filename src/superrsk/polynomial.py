@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Mapping, NamedTuple
 
 __all__ = [
     "Monomial",
@@ -12,20 +12,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """Exponent vectors over the x-variables and the y-variables."""
-
+class _Exponents(NamedTuple):
     x: tuple[int, ...]
     y: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        x = tuple(map(int, self.x))
-        y = tuple(map(int, self.y))
+
+class Monomial(_Exponents):
+    """Exponent vectors over the x-variables and the y-variables.
+
+    An immutable named tuple ``(x, y)``: hashing, equality and ordering are
+    the tuple's.  The constructor coerces exponents to ints and rejects
+    negative ones; ``Monomial._make((x, y))`` skips that, for callers whose
+    exponents are non-negative int tuples by construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x, y) -> "Monomial":
+        x = tuple(map(int, x))
+        y = tuple(map(int, y))
         if min(x + y, default=0) < 0:
             raise ValueError("exponents must be non-negative")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return tuple.__new__(cls, (x, y))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self.x) != len(other.x) or len(self.y) != len(other.y):
@@ -49,28 +57,20 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()
-    ) -> None:
-        if isinstance(terms, Mapping):
-            # distinct keys: nothing to merge
-            self._terms = {m: int(c) for m, c in terms.items() if int(c)}
-            return
-        acc: dict[Monomial, int] = {}
-        for mono, coeff in terms:
-            c = acc.get(mono, 0) + int(coeff)
-            if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        self._terms = acc
+    def __init__(self, terms: Mapping[Monomial, int] | None = None) -> None:
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, Mapping):
+            raise TypeError("terms must be a mapping of monomials to coefficients")
+        # distinct keys: nothing to merge
+        self._terms = {m: c for m, c in zip(terms, map(int, terms.values())) if c}
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         # descending exponent tuples: x-dominant terms print first
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].x, kv[0].y), reverse=True)
+        return sorted(self._terms.items(), key=itemgetter(0), reverse=True)
 
     def __len__(self) -> int:
         return len(self._terms)

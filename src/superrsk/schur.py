@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 from math import factorial
 
-from .alphabet import Alphabet, Shuffle, t, u
+from .alphabet import Alphabet, Shuffle
 from .insertion import Variant, variant_profile
 from .polynomial import Monomial, Polynomial
 from .tableau import (
@@ -143,6 +143,12 @@ def _horizontal_strips(mu: Shape, bound: Shape) -> list[tuple[Shape, int]]:
     return [(nu, sum(nu) - base) for nu in product(*ranges)]
 
 
+def _unpack(packed: int, count: int, bits: int) -> tuple[int, ...]:
+    """The first ``count`` fields of width ``bits`` of a packed int, lowest first."""
+    mask = (1 << bits) - 1
+    return tuple(packed >> i * bits & mask for i in range(count))
+
+
 def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial:
     """Weight generating polynomial of the shape's regular-regular fillings.
 
@@ -160,13 +166,15 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
     ``weight_monomial`` is the oracle the tests hold this against.  A letter
     of the shuffle outside ``alphabet`` raises ``ValueError`` when some
     filling of the shape uses it.
+
+    Exponent vectors are packed ints with one bit field per letter, placed
+    in alphabet order (t1..tk, then u1..ul), so a key's low k fields are its
+    x-part and the rest its y-part.  Each distinct part is decoded into an
+    exponent tuple once per call, and the terms share those tuples.
     """
     shape = check_shape(shape)
     rows, width = len(shape), (shape[0] if shape else 0)
     conjugate = _conjugate(shape, width)
-    # exponent vectors are packed ints: letter p of the order owns the bit
-    # field at p * bits, wide enough for a count up to |shape|
-    bits = sum(shape).bit_length()
     strips: dict[tuple[str, Shape], list[tuple[Shape, int]]] = {}
 
     def extensions(mu: Shape, kind: str) -> list[tuple[Shape, int]]:
@@ -182,9 +190,16 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
             strips[(kind, mu)] = found
         return found
 
+    # letter p of the alphabet owns the bit field at p * bits, wide enough
+    # for a count up to |shape|; a shuffle letter outside the alphabet gets
+    # a field past the alphabet's, in shuffle order
+    bits = sum(shape).bit_length()
+    outside = [letter for letter in shuffle.order if letter not in alphabet]
+    field = {letter: p for p, letter in enumerate(alphabet.letters() + tuple(outside))}
+
     chains: dict[Shape, dict[int, int]] = {(0,) * rows: {0: 1}}
-    for position, letter in enumerate(shuffle.order):
-        offset = position * bits
+    for letter in shuffle.order:
+        offset = field[letter] * bits
         extended: dict[Shape, dict[int, int]] = {}
         for mu, terms in chains.items():
             for nu, size in extensions(mu, letter.kind):
@@ -197,20 +212,19 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
 
     terms = chains.get(shape, {})
     mask = (1 << bits) - 1
-    offsets = {letter: position * bits for position, letter in enumerate(shuffle.order)}
-    for letter, offset in offsets.items():
-        if letter not in alphabet and any(key >> offset & mask for key in terms):
+    for letter in outside:
+        offset = field[letter] * bits
+        if any(key >> offset & mask for key in terms):
             raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-    # a letter the shuffle lacks reads the field past the last one, always 0
-    absent = len(offsets) * bits
-    x_offsets = [offsets.get(t(i), absent) for i in range(1, alphabet.k + 1)]
-    y_offsets = [offsets.get(u(j), absent) for j in range(1, alphabet.l + 1)]
-    result: dict[Monomial, int] = {}
-    for key, count in terms.items():
-        x = tuple(key >> offset & mask for offset in x_offsets)
-        y = tuple(key >> offset & mask for offset in y_offsets)
-        result[Monomial(x, y)] = count
-    return Polynomial(result)
+    # no key uses an outside field now: a y-part is the whole key above its x-part
+    y_shift = alphabet.k * bits
+    x_mask = (1 << y_shift) - 1
+    xs = {part: _unpack(part, alphabet.k, bits) for part in {key & x_mask for key in terms}}
+    ys = {part: _unpack(part, alphabet.l, bits) for part in {key >> y_shift for key in terms}}
+    make = Monomial._make
+    return Polynomial(
+        {make((xs[key & x_mask], ys[key >> y_shift])): count for key, count in terms.items()}
+    )
 
 
 def rsk_counting_identity(

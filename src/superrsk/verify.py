@@ -1072,35 +1072,65 @@ def check_round_trip_grid(
     return _word_grid("round-trip", alphabet, n, mode, cases, {"variant": variant.name})
 
 
+def _relabel_u(word: tuple[int, ...], k: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The u-counts of an alphabet-index word and its ``standardize_u`` relabelling.
+
+    The relabelled word is written in alphabet indices of the derived
+    alphabet (k, sum of the counts): t's keep their index, and the
+    occurrences of u_j, rightmost first, take the next fresh u's of u_j's
+    block.
+    """
+    counts = [0] * l
+    for a in word:
+        if a >= k:
+            counts[a - k] += 1
+    # next_fresh[j]: the derived index of u_j's next occurrence, walking leftwards
+    next_fresh = [k] * l
+    for j in range(1, l):
+        next_fresh[j] = next_fresh[j - 1] + counts[j - 1]
+    relabelled = list(word)
+    for pos in range(len(word) - 1, -1, -1):
+        a = word[pos]
+        if a >= k:
+            relabelled[pos] = next_fresh[a - k]
+            next_fresh[a - k] += 1
+    return tuple(counts), tuple(relabelled)
+
+
 def check_standardization_mimicry_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
     """``check_standardization_mimicry`` on every word and shuffle: the original
     insertion is read from the walk, the relabelled word inserted into a lane
-    of its derived shuffle, and P compared on ranks once mapped back."""
+    of its derived shuffle, and P compared on ranks once mapped back.
+
+    The derived shuffle and the map from its ranks back to the shuffle's
+    depend on the shuffle and the word's u-counts alone, so they are built
+    once per such pair, and the word is relabelled on alphabet indices."""
     letters = alphabet.letters()
 
     def cases(words):
         lanes = _lanes(alphabet, REGULAR_DUAL)
-        derived: dict[Shuffle, _Lane] = {}
+        # (lane index, u-counts) -> (derived lane, derived rank -> shuffle rank)
+        keyed: dict[tuple[int, tuple[int, ...]], tuple[_Lane, list[int]]] = {}
         for word in _walk(words, lanes):
-            v = Word(tuple(letters[a] for a in word))
-            for lane in lanes:
+            counts, relabelled = _relabel_u(word, alphabet.k, alphabet.l)
+            for i, lane in enumerate(lanes):
                 s = lane.shuffle
-                std = standardize_u(v, s)
-                rel = derived.get(std.shuffle)
-                if rel is None:
-                    rel = derived[std.shuffle] = _Lane(std.shuffle, REGULAR_DUAL)
-                ranks = std.shuffle.ranks
-                _insert_into(rel, [rel.letter[ranks[x]] for x in std.word])
-                back = dict(std.source_map)
-                to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
+                entry = keyed.get((i, counts))
+                if entry is None:
+                    std = standardize_u(Word(tuple(letters[a] for a in word)), s)
+                    back = dict(std.source_map)
+                    to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
+                    entry = keyed[(i, counts)] = (_Lane(std.shuffle, REGULAR_DUAL), to_rank)
+                rel, to_rank = entry
+                _insert_into(rel, relabelled)
                 unmapped = [[to_rank[x] for x in row] for row in rel.rows]
                 if rel.qrows == lane.qrows and unmapped == lane.rows:
                     yield None
                 else:
                     yield CaseFailure(
-                        word=str(v),
+                        word=_word_text(alphabet, word),
                         shuffles=str(s),
                         variant=REGULAR_DUAL.name,
                         expected="relabelled insertion matches cell for cell",

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -185,17 +186,17 @@ class TestHookSchur:
         alph = Alphabet(1, 1)
         for shuffle in all_shuffles(alph):
             poly = hook_schur((1,), alph, shuffle)
-            assert poly == Polynomial([(xy(alph, x1=1), 1), (xy(alph, y1=1), 1)])
+            assert poly == Polynomial({xy(alph, x1=1): 1, xy(alph, y1=1): 1})
 
     def test_row_of_two(self):
         alph = Alphabet(1, 1)
         order = parse_shuffle("t1<u1", alph)
         poly = hook_schur((2,), alph, order)
-        assert poly == Polynomial([(xy(alph, x1=2), 1), (xy(alph, x1=1, y1=1), 1)])
+        assert poly == Polynomial({xy(alph, x1=2): 1, xy(alph, x1=1, y1=1): 1})
 
     def test_column_of_two_both_orders(self):
         alph = Alphabet(1, 1)
-        expected = Polynomial([(xy(alph, x1=1, y1=1), 1), (xy(alph, y1=2), 1)])
+        expected = Polynomial({xy(alph, x1=1, y1=1): 1, xy(alph, y1=2): 1})
         for shuffle in all_shuffles(alph):
             assert hook_schur((1, 1), alph, shuffle) == expected
 
@@ -244,13 +245,67 @@ class TestHookSchurAgainstEnumeration:
         for alph in (Alphabet(1, 0), Alphabet(0, 2), Alphabet(3, 3)):
             for shuffle in all_shuffles(alph):
                 poly = hook_schur((), alph, shuffle)
-                assert poly == Polynomial([(Monomial((0,) * alph.k, (0,) * alph.l), 1)])
+                assert poly == Polynomial({Monomial((0,) * alph.k, (0,) * alph.l): 1})
 
     def test_letter_outside_alphabet_rejected(self):
         shuffle = parse_shuffle("t1<u1<t2", Alphabet(2, 1))
         for shape in ((1,), (2,), (1, 1), (2, 1)):
             with pytest.raises(ValueError, match="outside alphabet"):
                 hook_schur(shape, Alphabet(1, 1), shuffle)
+
+    @pytest.mark.parametrize(
+        "shuffle_text,letter",
+        [("u1<t1<u2<t2", "u2"), ("t1<t2<u1<u2", "t2"), ("t1<u1<t2<u2", "t2")],
+    )
+    def test_first_outside_letter_in_shuffle_order_named(self, shuffle_text, letter):
+        shuffle = parse_shuffle(shuffle_text, Alphabet(2, 2))
+        message = f"letter {letter} outside alphabet (k=1, l=1)"
+        for shape in ((1,), (2, 1), (2, 2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                hook_schur(shape, Alphabet(1, 1), shuffle)
+        assert hook_schur((), Alphabet(1, 1), shuffle) == Polynomial({Monomial((0,), (0,)): 1})
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 3), (3, 1)])
+    def test_shuffle_lacking_alphabet_letters_matches_enumeration(self, k, l):
+        # letters the shuffle lacks keep exponent 0 in every term
+        alph = Alphabet(k, l)
+        smaller = [Alphabet(i, j) for i in range(k + 1) for j in range(l + 1) if 0 < i + j < k + l]
+        for sub in smaller:
+            for shuffle in all_shuffles(sub):
+                for n in range(5):
+                    for shape in partitions(n):
+                        assert hook_schur(shape, alph, shuffle) == weight_sum(shape, alph, shuffle)
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (2, 1), (1, 2), (3, 3)])
+    def test_keys_are_int_tuple_monomials(self, k, l):
+        alph = Alphabet(k, l)
+        for n in range(6):
+            for shape in partitions(n):
+                for shuffle in all_shuffles(alph):
+                    for m, _ in hook_schur(shape, alph, shuffle).sorted_terms():
+                        assert type(m) is Monomial
+                        assert len(m.x) == k and len(m.y) == l
+                        assert all(type(e) is int for e in m.x + m.y)
+                        rebuilt = Monomial(m.x, m.y)
+                        assert m == rebuilt and hash(m) == hash(rebuilt)
+
+    def test_no_validated_monomial_built(self, monkeypatch):
+        # the walk's decode gives non-negative ints, so hook_schur skips the check
+        built = []
+        validating = Monomial.__new__
+
+        def counting(cls, x, y):
+            built.append((x, y))
+            return validating(cls, x, y)
+
+        monkeypatch.setattr(Monomial, "__new__", staticmethod(counting))
+        alph = Alphabet(2, 2)
+        for shape in partitions(5):
+            for shuffle in all_shuffles(alph):
+                assert hook_schur(shape, alph, shuffle)
+        assert built == []
+        Monomial((1, 0), (0, 0))
+        assert built == [((1, 0), (0, 0))]
 
     def test_invalid_shape_rejected(self, a22, order_ttuu):
         for shape in ((1, 2), (2, 0)):

@@ -760,6 +760,20 @@ class TestMimicryOnTheWalk:
         assert [(f.word, f.shuffles) for f in report.failures] == expected
         assert bool(expected) == faulty
 
+    @pytest.mark.parametrize("k,l,n", [(2, 2, 4), (1, 3, 4), (0, 2, 3), (2, 0, 2)])
+    def test_relabelling_on_indices_matches_standardize_u(self, k, l, n):
+        import superrsk.verify as verify
+
+        alphabet = Alphabet(k, l)
+        shuffle = all_shuffles(alphabet)[-1]
+        letters = alphabet.letters()
+        for word in product(range(alphabet.size), repeat=n):
+            counts, relabelled = verify._relabel_u(word, k, l)
+            std = verify.standardize_u(Word(tuple(letters[a] for a in word)), shuffle)
+            derived = std.shuffle.alphabet.letters()
+            assert tuple(derived[a] for a in relabelled) == std.word.letters
+            assert counts == tuple(sum(1 for a in word if a == k + j) for j in range(l))
+
 
 # a bump search made wrong for one shuffle: under a regular u-rule, once P
 # has two rows, the t-search of t1<u1<t2<u2 switches between the regular and
