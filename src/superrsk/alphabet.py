@@ -64,7 +64,7 @@ def u(index: int) -> Letter:
 
 
 def parse_letter(text: str) -> Letter:
-    m = _LETTER_RE.fullmatch(text.strip())
+    m = _LETTER_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"cannot parse letter {text!r} (expected e.g. 't1' or 'u2')")
     return Letter(m.group(1), int(m.group(2)))

@@ -6,8 +6,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Letter, Shuffle, u as u_letter, t as t_letter
-from .insertion import _BUMP_SEARCH, Variant, Word, _insert_rank, _is_t, _rank_grid, _ranks_of
-from .insertion import variant_profile
+from .insertion import _Lane, Variant, Word, _is_t, _rank_grid, _ranks_of, variant_profile
 from .tableau import RecordingTableau, Tableau, _standard_rows, is_valid
 
 __all__ = [
@@ -134,14 +133,10 @@ def change_shuffle(
     ranks: only the new P is built.
     """
     word = _ranks_of((source.order[x] for x in _checked_reverse(p, q, source, variant)), target)
-    is_t = _is_t(target)
-    find_t, find_u = _BUMP_SEARCH[variant.t_rule], _BUMP_SEARCH[variant.u_rule]
-    rows: list[list[int]] = []
-    cols: list[list[int]] = []
-    log: list = []  # placements are not kept
+    lane = _Lane(target, variant)
     for x in word:
-        _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
-    return Tableau(tuple(tuple(target.order[x] for x in row) for row in rows))
+        lane.place(x)
+    return Tableau(tuple(tuple(target.order[x] for x in row) for row in lane.rows))
 
 
 @dataclass(frozen=True)

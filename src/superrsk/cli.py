@@ -269,8 +269,11 @@ def _cmd_verify(args) -> int:
     payload = report.to_json_dict()
     rendered = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     if args.format == "json":
         _emit(rendered)
     else:

@@ -11,9 +11,10 @@ entry greater than or equal to it.
 on shuffle ranks with one bisection per bump.  The step trace is kept as a
 compact placement log: ``trace.steps`` and ``trace.state_after`` build the
 intermediate ``Tableau`` snapshots on first read and cache them.  Snapshots
-are built only for those readers, ``trace_to_json`` and ``insert_letter``;
-``reverse_word``, ``change_shuffle`` and the verification grids work on ranks
-and read the log directly.
+are built only for those readers and ``insert_letter``; ``reverse_word``,
+``change_shuffle`` and the verification grids work on ranks and read the log
+directly.  Every insertion, those grids' included, runs through one
+rank-level state, ``_Lane``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .tableau import (
     RecordingTableau,
     StrictnessProfile,
     Tableau,
+    _strict_in_rows,
     is_valid,
-    tableau_to_json,
 )
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "variant_profile",
     "insert_letter",
     "insert_word",
-    "trace_to_json",
 ]
 
 
@@ -327,6 +327,83 @@ def _replay(
     return tuple(steps)
 
 
+class _Lane:
+    """Insertion under one (shuffle, variant), held on shuffle ranks.
+
+    ``rows`` and ``cols`` are P's rank rows and columns, ``qrows`` Q's rows
+    and ``log`` the placements so far.  ``rank`` maps alphabet indices to
+    the shuffle's ranks, ``letter`` maps ranks back, and ``strict`` is
+    ``is_valid``'s per-rank strictness table.  ``push`` records each new
+    cell in Q; ``place`` keeps P and the log only.  A lane with a ``bound``
+    pushes only the ranks <= bound, so it holds the insertion of the
+    restricted word (its Q records their positions in the whole word).
+    ``bad`` is the log index of the first pushed settle, of those still
+    held, that left a row longer than the row above it, or None.
+    """
+
+    __slots__ = (
+        "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "strict",
+        "rows", "cols", "qrows", "log", "bad",
+    )
+
+    def __init__(self, shuffle: Shuffle, variant: Variant, bound: int | None = None) -> None:
+        self.shuffle, self.variant = shuffle, variant
+        self.bound = shuffle.alphabet.size - 1 if bound is None else bound
+        k = shuffle.alphabet.k
+        self.letter = [x.index - 1 if x.kind == "t" else k + x.index - 1 for x in shuffle.order]
+        self.rank = sorted(range(len(self.letter)), key=self.letter.__getitem__)
+        self.is_t = _is_t(shuffle)
+        self.find_t = _BUMP_SEARCH[variant.t_rule]
+        self.find_u = _BUMP_SEARCH[variant.u_rule]
+        self.strict = _strict_in_rows(shuffle, variant_profile(variant))
+        self.clear()
+
+    def clear(self) -> None:
+        self.rows, self.cols, self.qrows, self.log = [], [], [], []
+        self.bad = None
+
+    def place(self, x: int) -> None:
+        """Insert rank x into P, logging its placements."""
+        _insert_rank(self.rows, self.cols, x, self.is_t, self.find_t, self.find_u, self.log)
+
+    def push(self, x: int, m: int) -> int:
+        """Insert rank x as the m-th letter; returns the log length before it."""
+        log, qrows = self.log, self.qrows
+        start = len(log)
+        if x > self.bound:
+            return start
+        rows = self.rows
+        i = _insert_rank(rows, self.cols, x, self.is_t, self.find_t, self.find_u, log)
+        if i == len(qrows):
+            qrows.append([m])
+        else:
+            qrows[i].append(m)
+            if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
+                self.bad = len(log) - 1
+        return start
+
+    def undo(self, start: int) -> None:
+        """Take back the placements logged after position ``start``, newest first."""
+        rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
+        while len(log) > start:
+            r, c, _, y = log.pop()
+            r -= 1
+            c -= 1
+            if y is None:  # the letter's new cell: the last of its row and column
+                rows[r].pop()
+                cols[c].pop()
+                qrows[r].pop()
+                if not rows[r]:
+                    rows.pop()
+                    qrows.pop()
+                if not cols[c]:
+                    cols.pop()
+            else:
+                rows[r][c] = cols[c][r] = y
+        if self.bad is not None and self.bad >= start:
+            self.bad = None
+
+
 def insert_letter(
     p: Tableau, x: Letter, shuffle: Shuffle, variant: Variant
 ) -> tuple[Tableau, tuple[Step, ...]]:
@@ -334,13 +411,10 @@ def insert_letter(
     (rank,) = _ranks_of((x,), shuffle)
     if not is_valid(p, shuffle, variant_profile(variant)):
         raise ValueError("tableau is not valid for this shuffle and variant")
-    rows, cols = _rank_grid(p, shuffle)
-    log: Log = []
-    _insert_rank(
-        rows, cols, rank, _is_t(shuffle),
-        _BUMP_SEARCH[variant.t_rule], _BUMP_SEARCH[variant.u_rule], log,
-    )
-    steps = _replay(p, log, (len(log),), shuffle.order)
+    lane = _Lane(shuffle, variant)
+    lane.rows, lane.cols = _rank_grid(p, shuffle)
+    lane.place(rank)
+    steps = _replay(p, lane.log, (len(lane.log),), shuffle.order)
     return steps[-1].state, steps
 
 
@@ -350,43 +424,15 @@ def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     P, Q and the path lengths are computed here; the trace's Step snapshots
     are built from its placement log only when read.
     """
-    word = _ranks_of(v, shuffle)
-    is_t = _is_t(shuffle)
-    find_t, find_u = _BUMP_SEARCH[variant.t_rule], _BUMP_SEARCH[variant.u_rule]
-    rows: list[list[int]] = []
-    cols: list[list[int]] = []
-    qrows: list[list[int]] = []
-    log: Log = []
-    lengths: list[int] = []
-    for m, x in enumerate(word, 1):
-        before = len(log)
-        i = _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
-        lengths.append(len(log) - before)
-        if i == len(qrows):
-            qrows.append([m])
-        else:
-            qrows[i].append(m)
+    lane = _Lane(shuffle, variant)
+    push = lane.push
+    marks = [push(x, m) for m, x in enumerate(_ranks_of(v, shuffle), 1)]
+    marks.append(len(lane.log))
     order = shuffle.order
     return InsertionResult(
-        p=Tableau(tuple(tuple(order[x] for x in row) for row in rows)),
-        q=RecordingTableau(tuple(tuple(row) for row in qrows)),
-        trace=InsertionTrace(tuple(lengths), tuple(log), order),
+        p=Tableau(tuple(tuple(order[x] for x in row) for row in lane.rows)),
+        q=RecordingTableau(tuple(map(tuple, lane.qrows))),
+        trace=InsertionTrace(
+            tuple(b - a for a, b in zip(marks, marks[1:])), tuple(lane.log), order
+        ),
     )
-
-
-def _pending_to_json(action: PendingAction) -> dict:
-    return {"letter": action.element.name, action.axis: action.index}
-
-
-def trace_to_json(trace: InsertionTrace) -> list[dict]:
-    records = []
-    for step in trace.steps:
-        record = {
-            "index": step.index,
-            "letter_ordinal": step.letter_ordinal,
-            "settled_cell": list(step.settled_cell),
-            "bumped": None if step.bumped is None else _pending_to_json(step.bumped),
-            "state": tableau_to_json(step.state),
-        }
-        records.append(record)
-    return records

@@ -340,7 +340,12 @@ def recording_to_json(rec: RecordingTableau) -> dict:
 
 
 def recording_from_json(data: dict) -> RecordingTableau:
-    return RecordingTableau(tuple(tuple(row) for row in data["rows"]))
+    rows = tuple(tuple(row) for row in data["rows"])
+    for row in rows:
+        for e in row:
+            if type(e) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"recording entries must be integers, got {e!r}")
+    return RecordingTableau(rows)
 
 
 def render_tableau(tab: Tableau) -> str:

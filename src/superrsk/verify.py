@@ -29,7 +29,6 @@ from .bijection import (
     standardize_u,
 )
 from .insertion import (
-    _BUMP_SEARCH,
     REGULAR_DUAL,
     REGULAR_REGULAR,
     VARIANTS,
@@ -37,11 +36,9 @@ from .insertion import (
     InsertionTrace,
     Variant,
     Word,
-    _insert_rank,
-    _is_t,
+    _Lane,
     _ranks_of,
     insert_word,
-    variant_profile,
 )
 from .schur import enumerate_ssyt, enumerate_syt, hook_schur, partitions, rsk_counting_identity
 from .tableau import (
@@ -51,7 +48,6 @@ from .tableau import (
     Tableau,
     _check_diagram,
     _is_prefix_grid,
-    _strict_in_rows,
     _valid_ranks,
     classify_regions,
     is_subtableau,
@@ -423,78 +419,6 @@ def check_standardization_mimicry(v: Word, shuffle: Shuffle) -> bool:
 # the rank-level walk shared by the word grids
 
 
-class _Lane:
-    """Insertion under one (shuffle, variant), held on ranks as ``insert_word`` holds it.
-
-    ``rows`` and ``cols`` are P's rank rows and columns, ``qrows`` Q's rows
-    and ``log`` the placements of the letters inserted so far.  Letters are
-    alphabet indices: ``rank`` maps them to the shuffle's ranks and
-    ``letter`` maps ranks back.  A lane with a ``bound`` inserts only the
-    letters of rank <= bound, so it holds the insertion of the restricted
-    word (its Q records their positions in the whole word).  ``bad`` is the
-    log index of the first settle, of those still held, that left a row
-    longer than the row above it, or None.
-    """
-
-    __slots__ = (
-        "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "strict",
-        "rows", "cols", "qrows", "log", "bad",
-    )
-
-    def __init__(self, shuffle: Shuffle, variant: Variant, bound: int | None = None) -> None:
-        self.shuffle, self.variant = shuffle, variant
-        self.bound = shuffle.alphabet.size - 1 if bound is None else bound
-        self.rank = [shuffle.ranks[x] for x in shuffle.alphabet.letters()]
-        self.letter = sorted(range(len(self.rank)), key=self.rank.__getitem__)
-        self.is_t = _is_t(shuffle)
-        self.find_t = _BUMP_SEARCH[variant.t_rule]
-        self.find_u = _BUMP_SEARCH[variant.u_rule]
-        self.strict = _strict_in_rows(shuffle, variant_profile(variant))
-        self.clear()
-
-    def clear(self) -> None:
-        self.rows, self.cols, self.qrows, self.log = [], [], [], []
-        self.bad = None
-
-    def push(self, letter: int, m: int) -> int:
-        """Insert ``letter`` as the m-th letter; returns the log length before it."""
-        log, qrows = self.log, self.qrows
-        start = len(log)
-        x = self.rank[letter]
-        if x > self.bound:
-            return start
-        rows = self.rows
-        i = _insert_rank(rows, self.cols, x, self.is_t, self.find_t, self.find_u, log)
-        if i == len(qrows):
-            qrows.append([m])
-        else:
-            qrows[i].append(m)
-            if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
-                self.bad = len(log) - 1
-        return start
-
-    def undo(self, start: int) -> None:
-        """Take back the placements logged after position ``start``, newest first."""
-        rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
-        while len(log) > start:
-            r, c, _, y = log.pop()
-            r -= 1
-            c -= 1
-            if y is None:  # the letter's new cell: the last of its row and column
-                rows[r].pop()
-                cols[c].pop()
-                qrows[r].pop()
-                if not rows[r]:
-                    rows.pop()
-                    qrows.pop()
-                if not cols[c]:
-                    cols.pop()
-            else:
-                rows[r][c] = cols[c][r] = y
-        if self.bad is not None and self.bad >= start:
-            self.bad = None
-
-
 def _check_diagrams(lanes: Iterable[_Lane]) -> None:
     """The diagram check that building each lane's P as a Tableau makes.
 
@@ -507,8 +431,8 @@ def _check_diagrams(lanes: Iterable[_Lane]) -> None:
 
 
 def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
-    """Insert each word under every lane, starting from the prefix it shares
-    with the word before.
+    """Insert each alphabet-index word under every lane, starting from the
+    prefix it shares with the word before.
 
     Yields each word once every lane holds its insertion and has passed the
     diagram check.  Each lane is taken back to the shared prefix in one step
@@ -525,7 +449,7 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
                 lane.undo(start)
             del marks[shared:]
         for m in range(shared, len(word)):
-            marks.append([lane.push(word[m], m + 1) for lane in lanes])
+            marks.append([lane.push(lane.rank[word[m]], m + 1) for lane in lanes])
         _check_diagrams(lanes)
         held = word
         yield word
@@ -857,8 +781,9 @@ def _recovered(rows, cols, q_rows, lane: _Lane) -> tuple[int, ...]:
 def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
     """Insert an alphabet-index word into the emptied lane and check its diagram."""
     lane.clear()
+    rank = lane.rank
     for m, letter in enumerate(word, 1):
-        lane.push(letter, m)
+        lane.push(rank[letter], m)
     _check_diagrams((lane,))
 
 

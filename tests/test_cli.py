@@ -406,6 +406,11 @@ class TestBadInputExitCodes:
             (["phi", "--in", "{file}", "--shuffle-b", "u1<t1"], {"q": {"rows": [[1]]}}, False),
             (["reverse", "--in", "{file}"], [1, 2], False),
             (["reverse", "--in", "{file}"], {"p": {}, "q": {"rows": [[1]]}}, False),
+            (["reverse", "--in", "{file}"], {"p": {"rows": [[1]]}, "q": {"rows": [[1]]}}, False),
+            (["phi", "--in", "{file}", "--shuffle-b", "u1<t1"],
+             {"p": {"rows": [[None]]}, "q": {"rows": [[1]]}}, False),
+            *[(["reverse", "--in", "{file}"], {"p": {"rows": [["t1", "u1"]]}, "q": {"rows": [q]}},
+               False) for q in ([1.9, 2.2], [True, "2"], [1, 2.0], [1, None], [1, False])],
             (["trace", "--word", "t1,u1", "--shuffle-b", "u1<t1"], None, True),
             (["verify", "--theorem", "2", "--n", "2", "--mode", "sample", "--samples", "-3"],
              None, False),
@@ -414,6 +419,7 @@ class TestBadInputExitCodes:
             (["verify", "--theorem", "2", "--n", "-3", "--mode", "sample", "--samples", "5"],
              None, False),
             (["verify", "--theorem", "2", "--n", "-3"], None, False),
+            (["verify", "--theorem", "2", "--n", "2", "--out", "{missing}/r.json"], None, False),
             *[(["verify", "--theorem", token, "--n", "2", "--mode", "sample", "--samples", "1"],
                None, False) for token in EXHAUSTIVE_ONLY],
             *[(["--variant", "dual-reg", "verify", "--theorem", token, "--n", "2"], None, False)
@@ -426,11 +432,16 @@ class TestBadInputExitCodes:
             "phi-json-without-p",
             "reverse-json-not-an-object",
             "reverse-tableau-without-rows",
+            "reverse-letter-not-a-string",
+            "phi-letter-null",
+            *[f"reverse-q-entry-{name}" for name in ("floats", "bool-and-string", "float-2.0",
+                                                      "null", "false")],
             "trace-alignment-error",
             "verify-negative-samples",
             "verify-zero-samples",
             "verify-negative-n-sampled",
             "verify-negative-n-exhaustive",
+            "verify-out-in-missing-dir",
             *[f"verify-{token}-sampled" for token in EXHAUSTIVE_ONLY],
             *[f"verify-{token}-variant" for token in REG_REG_ONLY],
         ],

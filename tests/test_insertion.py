@@ -26,7 +26,6 @@ from superrsk import (
     u,
     variant_profile,
 )
-from superrsk.insertion import trace_to_json
 
 A5 = parse_shuffle("t1<u1<t2<u2<t3", Alphabet(3, 2))
 
@@ -227,19 +226,31 @@ class TestStructuralInvariants:
         assert [s.letter_ordinal for s in trace.steps] == [1, 2, 2, 3, 3, 4]
 
 
-class TestTraceJson:
-    def test_shape_of_records(self, a22, order_ttuu):
-        word = parse_word("u2,t1", a22)
-        trace = insert_word(word, order_ttuu, REGULAR_REGULAR).trace
-        records = trace_to_json(trace)
-        assert records[0] == {
-            "index": 1,
-            "letter_ordinal": 1,
-            "settled_cell": [1, 1],
-            "bumped": None,
-            "state": {"rows": [["u2"]]},
-        }
-        assert records[1]["bumped"] == {"letter": "u2", "column": 2}
+class TestOneRankCore:
+    def test_one_patch_reaches_every_driver(self, a22, monkeypatch):
+        # every driver inserts through insertion's module global, so a driver
+        # that bound its own copy of the core would read 0 calls here
+        import superrsk.insertion as insertion
+        from superrsk import change_shuffle
+
+        calls = [0]
+        original = insertion._insert_rank
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(insertion, "_insert_rank", counted)
+        source, target = all_shuffles(a22)[0], all_shuffles(a22)[-1]
+        word = parse_word("u2,t1,t2,u1,t1,u2,u1", a22)
+        result = insert_word(word, source, REGULAR_REGULAR)
+        assert calls[0] == len(word) == 7
+        calls[0] = 0
+        insert_letter(result.p, t(2), source, REGULAR_REGULAR)
+        assert calls[0] == 1
+        calls[0] = 0
+        change_shuffle(result.p, result.q, source, target, REGULAR_REGULAR)
+        assert calls[0] == result.p.size == 7
 
 
 @st.composite

@@ -289,12 +289,13 @@ class TestWeightPreservingBijection:
         assert "distinct_maps_by_shape" in report.stats
 
     def test_grid_reverses_once_per_source(self, a22, monkeypatch):
+        import superrsk.insertion as insertion
         import superrsk.verify as verify
 
         calls = count_calls(
-            monkeypatch, verify,
-            "enumerate_ssyt", "_reverse_ranks", "_insert_rank", "_valid_grid", "_check_recording",
+            monkeypatch, verify, "enumerate_ssyt", "_reverse_ranks", "_valid_grid", "_check_recording"
         )
+        inserts = count_calls(monkeypatch, insertion, "_insert_rank")
         monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
         report = check_weight_preserving_bijection_grid(a22, 3)
         assert report.passed
@@ -311,7 +312,7 @@ class TestWeightPreservingBijection:
         assert calls["_reverse_ranks"] == report.cases_run // (len(shuffles) - 1) == 4**3 * 6
         # every source recovers the same words, so each word of 3 letters is
         # inserted once per target: n (k+l)^n C(k+l, k) letter insertions
-        assert calls["_insert_rank"] == 3 * 4**3 * comb(4, 2) == 1152
+        assert inserts["_insert_rank"] == 3 * 4**3 * comb(4, 2) == 1152
 
 
 def snapshot_alignment(trace_a, a, trace_b, b):
@@ -460,9 +461,10 @@ class TestMonotonicityFromLog:
 
 class TestRestrictionGridInsertions:
     def test_restricted_lanes_follow_the_trie(self, a22, monkeypatch):
+        import superrsk.insertion as insertion
         import superrsk.verify as verify
 
-        calls = count_calls(monkeypatch, verify, "_insert_rank")
+        calls = count_calls(monkeypatch, insertion, "_insert_rank")
         monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
         report = check_restriction_subtableau_grid(a22, 4)
         assert report.passed and report.cases_run == 256 * 6 * 4
@@ -514,9 +516,10 @@ class TestWalkInsertions:
         ids=lambda x: getattr(x, "name", x),
     )
     def test_one_insertion_per_trie_node(self, monkeypatch, token, variant):
+        import superrsk.insertion as insertion
         import superrsk.verify as verify
 
-        calls = count_calls(monkeypatch, verify, "_insert_rank")
+        calls = count_calls(monkeypatch, insertion, "_insert_rank")
         monkeypatch.setattr(verify, "insert_word", refuse_insert_word)
         for (k, l), n in (((2, 2), 4), ((2, 1), 5)):
             calls["_insert_rank"] = 0
@@ -525,18 +528,18 @@ class TestWalkInsertions:
             assert calls["_insert_rank"] == comb(k + l, k) * trie_nodes(k + l, n)
 
     def test_one_take_back_per_lane_per_word_that_drops_letters(self, a22, monkeypatch):
-        import superrsk.verify as verify
+        import superrsk.insertion as insertion
 
-        calls = count_calls(monkeypatch, verify._Lane, "undo")
+        calls = count_calls(monkeypatch, insertion._Lane, "undo")
         assert run_token("2", a22, 4).passed
         # every word after the first drops held letters, and each of the six
         # lanes takes them back in one call
         assert calls["undo"] == 6 * (4**4 - 1) == 1530
 
     def test_repeated_u_prefixes_are_pruned(self, a22, monkeypatch):
-        import superrsk.verify as verify
+        import superrsk.insertion as insertion
 
-        calls = count_calls(monkeypatch, verify, "_insert_rank")
+        calls = count_calls(monkeypatch, insertion, "_insert_rank")
         report = check_dual_regular_agreement_grid(a22, 5)
         assert report.passed and report.cases_run == 352 * 6
 
@@ -693,11 +696,12 @@ def stacking_insert(rows, cols, x, is_t, find_t, find_u, log):
 
 class TestDeferredDiagramCheck:
     def test_a_corner_fault_raises_on_the_final_rows(self, a22, monkeypatch):
+        import superrsk.insertion as insertion
         import superrsk.verify as verify
 
-        monkeypatch.setattr(verify, "_insert_rank", stacking_insert)
-        lane = verify._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
-        marks = [lane.push(letter, m) for m, letter in enumerate((0, 1, 2, 3), 1)]
+        monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
+        lane = insertion._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
+        marks = [lane.push(x, m) for m, x in enumerate((0, 1, 2, 3), 1)]
         assert lane.bad == marks[2]  # the third letter's settle left row 2 longer than row 1
         with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 3\]$"):
             verify._check_diagrams([lane])
@@ -715,12 +719,13 @@ class TestDeferredDiagramCheck:
                 run_token(token, a22, 3)
 
     def test_a_note_whose_rows_became_a_diagram_again_passes(self, a22, monkeypatch):
+        import superrsk.insertion as insertion
         import superrsk.verify as verify
 
-        lane = verify._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
-        monkeypatch.setattr(verify, "_insert_rank", stacking_insert)
-        for m, letter in enumerate((0, 1, 2), 1):
-            lane.push(letter, m)
+        lane = insertion._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
+        monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
+        for m, x in enumerate((0, 1, 2), 1):
+            lane.push(x, m)
         monkeypatch.undo()
         lane.push(0, 4)  # a true insertion of t1 settles at the end of row 1
         assert lane.bad is not None and lane.rows == [[0, 0], [1, 2]]
@@ -783,7 +788,6 @@ FAULTY_ORDER = "t1<u1<t2<u2"
 
 def install_fault(monkeypatch, alphabet):
     import superrsk.insertion as insertion
-    import superrsk.verify as verify
 
     broken = [x.kind == "t" for x in parse_shuffle(FAULTY_ORDER, alphabet).order]
     original = insertion._insert_rank
@@ -795,7 +799,6 @@ def install_fault(monkeypatch, alphabet):
         return original(rows, cols, x, is_t, find_t, find_u, log)
 
     monkeypatch.setattr(insertion, "_insert_rank", faulty)
-    monkeypatch.setattr(verify, "_insert_rank", faulty)
 
 
 def reference_words(alphabet, n, mode):
