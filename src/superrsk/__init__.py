@@ -61,16 +61,11 @@ from .tableau import (
     Shape,
     StrictnessProfile,
     Tableau,
-    TypeVector,
     classify_regions,
-    content_type,
     is_standard,
-    is_subtableau,
     is_valid,
     region2_components,
     region2_shape_ok,
-    weight_monomial,
-    word_type,
 )
 from .verify import (
     Alignment,

@@ -150,12 +150,6 @@ class Standardization:
     shuffle: Shuffle
     source_map: tuple[tuple[Letter, Letter], ...]
 
-    def unmap_tableau(self, tab: Tableau) -> Tableau:
-        back = dict(self.source_map)
-        return Tableau(
-            tuple(tuple(back.get(e, e) for e in row) for row in tab.rows)
-        )
-
 
 def _standardize(v: Word, shuffle: Shuffle, kind: str) -> Standardization:
     """Relabel the letters of one kind; see standardize_u and standardize_t."""

@@ -134,13 +134,20 @@ def _shuffle(args, alphabet: Alphabet):
     return parse_shuffle(args.shuffle, alphabet)
 
 
+def _load_json(handle):
+    try:
+        return json.load(handle)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ValueError("input JSON is nested too deeply") from None
+
+
 def _read_pq(args):
     if args.infile is None:
-        data = json.load(sys.stdin)
+        data = _load_json(sys.stdin)
     else:
         try:
             with open(args.infile, encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = _load_json(handle)
         except OSError as exc:
             raise ValueError(f"cannot read {args.infile}: {exc.strerror}") from None
     try:

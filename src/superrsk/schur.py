@@ -51,33 +51,43 @@ def enumerate_ssyt(
     Backtracking fill in row-major order on shuffle ranks, candidates tried
     in rank order, so the output order is deterministic.  A candidate is held
     against its left and upper neighbours by the per-rank strictness table
-    that ``is_valid`` reads.  Shapes the alphabet cannot fill yield an empty
-    list.
+    that ``is_valid`` reads.  The fill is a loop over a per-cell next-candidate
+    array, not a recursion, so a long shape cannot exhaust the stack.  Shapes
+    the alphabet cannot fill yield an empty list.
     """
     shape = check_shape(shape)
     if not shape:
         return [Tableau()]
     strict_in_rows = _strict_in_rows(shuffle, variant_profile(variant))
     order = shuffle.order
+    size = len(order)
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    last = len(cells) - 1
     grid = [[-1] * length for length in shape]
+    nxt = [0] * len(cells)  # per cell: the next rank to try there
     found: list[Tableau] = []
-
-    def fill(i: int) -> None:
-        if i == len(cells):
+    i = 0
+    while i >= 0:
+        x = nxt[i]
+        if x == size:  # every candidate tried: back to the cell before
+            i -= 1
+            continue
+        nxt[i] = x + 1
+        r, c = cells[i]
+        grid[r][c] = x
+        if i == last:
             found.append(Tableau(tuple(tuple(order[x] for x in row) for row in grid)))
-            return
+            continue
+        i += 1
         r, c = cells[i]
         left = grid[r][c - 1] if c else -1
         above = grid[r - 1][c] if r else -1
-        for x in range(max(left, above), len(order)):
-            # an equal neighbour sits along the axis its letter is not strict in
-            if (x == left and strict_in_rows[x]) or (x == above and not strict_in_rows[x]):
-                continue
-            grid[r][c] = x
-            fill(i + 1)
-
-    fill(0)
+        # every rank from the larger neighbour up fits, but that neighbour's
+        # own rank only along the axis its letter is not strict in
+        x = max(left, above)
+        if (x == left and strict_in_rows[x]) or (x == above and not strict_in_rows[x]):
+            x += 1
+        nxt[i] = x
     return found
 
 
@@ -162,8 +172,9 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
 
     The result does not depend on the shuffle (Corollary 4); the walk follows
     the given order, so the harness's invariance check compares genuinely
-    different strip chains.  ``enumerate_ssyt`` summed through
-    ``weight_monomial`` is the oracle the tests hold this against.  A letter
+    different strip chains.  ``enumerate_ssyt`` with each filling's weight
+    monomial summed (the weight oracle in ``tests/oracles.py``) is what the
+    tests hold this against.  A letter
     of the shuffle outside ``alphabet`` raises ``ValueError`` when some
     filling of the shape uses it.
 

@@ -1,4 +1,4 @@
-"""Young-diagram shapes, letter tableaux, recording tableaux, regions, weights.
+"""Young-diagram shapes, letter tableaux, recording tableaux, validity, regions.
 
 Cells are 1-based (row, column) pairs.  A tableau's rows are stored densely;
 row lengths must be weakly decreasing, so the occupied cells of every column
@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .alphabet import Alphabet, Letter, Shuffle, parse_letter
-from .polynomial import Monomial
+from .alphabet import Letter, Shuffle, parse_letter
 
 __all__ = [
     "Cell",
@@ -19,19 +18,14 @@ __all__ = [
     "Tableau",
     "RecordingTableau",
     "StrictnessProfile",
-    "TypeVector",
     "RegionMap",
     "Component",
     "check_shape",
     "is_valid",
     "is_standard",
-    "content_type",
-    "word_type",
-    "weight_monomial",
     "classify_regions",
     "region2_components",
     "region2_shape_ok",
-    "is_subtableau",
     "tableau_to_json",
     "tableau_from_json",
     "recording_to_json",
@@ -113,7 +107,11 @@ class RecordingTableau(_Diagram):
     rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
+        for row in rows:
+            for e in row:
+                if type(e) is not int:  # a bool is an int to isinstance
+                    raise ValueError(f"recording entries must be integers, got {e!r}")
         object.__setattr__(self, "rows", rows)
         _check_diagram(rows)
         if any(e < 1 for row in rows for e in row):
@@ -131,18 +129,6 @@ class StrictnessProfile:
         for axis in (self.t_strict_in, self.u_strict_in):
             if axis not in ("rows", "columns"):
                 raise ValueError(f"strictness axis must be 'rows' or 'columns': {axis!r}")
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Occurrence counts (alpha_1..alpha_k; beta_1..beta_l) of each letter."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.alpha) + sum(self.beta)
 
 
 def is_valid(tab: Tableau, shuffle: Shuffle, profile: StrictnessProfile) -> bool:
@@ -200,29 +186,6 @@ def _standard_rows(rows) -> bool:
         if any(upper[c] >= lower[c] for c in range(len(lower))):
             return False
     return True
-
-
-def word_type(letters: Iterable[Letter], alphabet: Alphabet) -> TypeVector:
-    alpha = [0] * alphabet.k
-    beta = [0] * alphabet.l
-    for letter in letters:
-        if letter not in alphabet:
-            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-        if letter.kind == "t":
-            alpha[letter.index - 1] += 1
-        else:
-            beta[letter.index - 1] += 1
-    return TypeVector(tuple(alpha), tuple(beta))
-
-
-def content_type(tab: Tableau, alphabet: Alphabet) -> TypeVector:
-    return word_type((e for _, e in tab.items()), alphabet)
-
-
-def weight_monomial(tab: Tableau, alphabet: Alphabet) -> Monomial:
-    """x-exponents count the t's, y-exponents count the u's."""
-    tv = content_type(tab, alphabet)
-    return Monomial(tv.alpha, tv.beta)
 
 
 def _check_pair(pair: tuple[Letter, Letter]) -> tuple[Letter, Letter]:
@@ -310,13 +273,9 @@ def region2_shape_ok(tab: Tableau, shuffle: Shuffle, pair: tuple[Letter, Letter]
     return True
 
 
-def is_subtableau(small: Tableau, big: Tableau) -> bool:
-    """True when small's diagram fits inside big's and entries agree there."""
-    return _is_prefix_grid(small.rows, big.rows)
-
-
 def _is_prefix_grid(small, big) -> bool:
-    """``is_subtableau`` on rows: each row of small begins the same row of big."""
+    """Whether small's diagram fits inside big's with the entries agreeing there,
+    on rows: each row of small begins the same row of big."""
     if len(small) > len(big):
         return False
     for r, row in enumerate(small):
@@ -340,12 +299,7 @@ def recording_to_json(rec: RecordingTableau) -> dict:
 
 
 def recording_from_json(data: dict) -> RecordingTableau:
-    rows = tuple(tuple(row) for row in data["rows"])
-    for row in rows:
-        for e in row:
-            if type(e) is not int:  # a bool is an int to isinstance
-                raise ValueError(f"recording entries must be integers, got {e!r}")
-    return RecordingTableau(rows)
+    return RecordingTableau(data["rows"])
 
 
 def render_tableau(tab: Tableau) -> str:

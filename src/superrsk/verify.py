@@ -1,8 +1,9 @@
 """Exhaustive desk-scale checkers for the library's documented claims.
 
 Each grid checker runs every case in a parameter grid (or a seeded sample),
-collects replayable failures, and returns a Report.  Single-case predicates
-are exposed separately so individual instances can be replayed.
+collects replayable failures, and returns a Report.  The word grids insert
+every word under every shuffle on one rank-level walk of the word trie; a
+failure names its word and shuffles, so the case can be replayed on its own.
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from .insertion import (
     REGULAR_DUAL,
     REGULAR_REGULAR,
     VARIANTS,
-    InsertionResult,
     InsertionTrace,
     Variant,
     Word,
     _Lane,
     _ranks_of,
-    insert_word,
 )
 from .schur import enumerate_ssyt, enumerate_syt, hook_schur, partitions, rsk_counting_identity
 from .tableau import (
@@ -49,8 +48,6 @@ from .tableau import (
     _check_diagram,
     _is_prefix_grid,
     _valid_ranks,
-    classify_regions,
-    is_subtableau,
     region2_components,
 )
 
@@ -62,12 +59,6 @@ __all__ = [
     "AlignmentError",
     "align_traces",
     "check_shape_invariance",
-    "check_path_monotonicity",
-    "check_cell_monotonicity",
-    "check_restriction_subtableau",
-    "check_region1_agreement",
-    "check_dual_regular_agreement",
-    "check_standardization_mimicry",
     "check_path_monotonicity_grid",
     "check_cell_monotonicity_grid",
     "check_restriction_subtableau_grid",
@@ -310,20 +301,15 @@ def _align(sigs_a: list, sigs_b: list) -> Alignment:
 
 
 # ---------------------------------------------------------------------------
-# single-case predicates
+# placement-log checks
 
 
-def check_path_monotonicity(result: InsertionResult) -> bool:
-    """Bumped elements never drift outward.
+def _paths_ok(log, is_t: list[bool]) -> bool:
+    """Bumped elements never drift outward, on a placement log; ``is_t`` is per rank.
 
     Within one letter's steps, a t bumped from (i, j) acts in row i+1 at a
     column <= j, and a u bumped from (i, j) acts in column j+1 at a row <= i.
     """
-    return _paths_ok(result.trace.log, [x.kind == "t" for x in result.trace.order])
-
-
-def _paths_ok(log, is_t: list[bool]) -> bool:
-    """``check_path_monotonicity`` on a placement log; ``is_t`` is per rank."""
     for (r, c, _, y), (nr, nc, _, _) in zip(log, log[1:]):
         if y is None:
             continue
@@ -336,83 +322,19 @@ def _paths_ok(log, is_t: list[bool]) -> bool:
     return True
 
 
-def check_cell_monotonicity(result: InsertionResult, shuffle: Shuffle) -> bool:
-    """Across consecutive states, occupied cells persist and entries only shrink.
+def _cells_ok(placements) -> bool:
+    """Across consecutive states, occupied cells persist and entries only shrink,
+    on (row, col, rank) placements.
 
     Each placement writes one cell and leaves the others as they were, so it
     is enough that no write to an occupied cell raises that cell's rank.
     """
-    rank = _ranks_of(result.trace.order, shuffle)
-    return _cells_ok((r, c, rank[x]) for r, c, x, _ in result.trace.log)
-
-
-def _cells_ok(placements) -> bool:
-    """``check_cell_monotonicity`` on (row, col, rank) placements."""
     cells: dict[Cell, int] = {}
     for r, c, x in placements:
         if cells.get((r, c), x) < x:
             return False
         cells[(r, c)] = x
     return True
-
-
-def _restricted_p(v: Word, shuffle: Shuffle, x: Letter, variant: Variant) -> Tableau:
-    """P of the subword of the letters <= x."""
-    bound = shuffle.rank(x)
-    restricted = Word(tuple(a for a in v if shuffle.rank(a) <= bound))
-    return insert_word(restricted, shuffle, variant).p
-
-
-def check_restriction_subtableau(
-    v: Word, shuffle: Shuffle, x: Letter, variant: Variant = REGULAR_REGULAR
-) -> bool:
-    """Inserting only the letters <= x yields a subtableau of the full insertion."""
-    small = _restricted_p(v, shuffle, x, variant)
-    return is_subtableau(small, insert_word(v, shuffle, variant).p)
-
-
-def check_region1_agreement(v: Word, a: Shuffle, b: Shuffle) -> bool:
-    """Adjacent shuffles build identical subtableaux out of the low letters."""
-    pair = adjacent_transposition(a, b)
-    if pair is None:
-        raise ValueError("shuffles must be adjacent")
-    pa = insert_word(v, a, REGULAR_REGULAR).p
-    pb = insert_word(v, b, REGULAR_REGULAR).p
-    regions_a = classify_regions(pa, a, pair)
-    regions_b = classify_regions(pb, b, pair)
-    low_a = {cell: pa.entry(*cell) for cell, lab in regions_a.items() if lab == 1}
-    low_b = {cell: pb.entry(*cell) for cell, lab in regions_b.items() if lab == 1}
-    return low_a == low_b
-
-
-def check_dual_regular_agreement(v: Word, shuffle: Shuffle) -> bool:
-    """With pairwise distinct u-letters, the regular and dual u-rules coincide."""
-    seen = set()
-    for letter in v:
-        if letter.kind == "u":
-            if letter in seen:
-                raise ValueError(f"u-letter {letter} repeats in {v}")
-            seen.add(letter)
-    reg = insert_word(v, shuffle, REGULAR_REGULAR)
-    dual = insert_word(v, shuffle, REGULAR_DUAL)
-    return reg.p == dual.p and reg.q == dual.q
-
-
-def check_standardization_mimicry(v: Word, shuffle: Shuffle) -> bool:
-    """Relabelling repeated u's reproduces the dual insertion cell for cell.
-
-    The relabelled word, inserted under the derived shuffle, must give the
-    original dual insertion tableau once fresh letters are mapped back, with
-    the same recording tableau (hence the same shape).
-    """
-    std = standardize_u(v, shuffle)
-    original = insert_word(v, shuffle, REGULAR_DUAL)
-    relabelled = insert_word(std.word, std.shuffle, REGULAR_DUAL)
-    if original.p.shape != relabelled.p.shape:
-        return False
-    if original.q != relabelled.q:
-        return False
-    return std.unmap_tableau(relabelled.p) == original.p
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +387,22 @@ class _GridFailure(NamedTuple):
     failure: CaseFailure
 
 
-def _report(name: str, params: dict, cases: Iterable, stats: dict | None = None) -> Report:
-    """Run the cases and return their Report.
+def _report(
+    name: str,
+    alphabet: Alphabet,
+    n: int,
+    cases: Iterable,
+    params: dict | None = None,
+    stats: dict | None = None,
+) -> Report:
+    """Run the cases and return their Report, whose parameters are k, l, n and
+    then ``params``.
 
     Each item of ``cases`` is one case: ``None`` when it passed, else its
     ``CaseFailure``.  A ``_GridFailure`` is recorded without counting a case.
     ``stats`` may be filled while the cases run.
     """
-    if params.get("n", 0) < 0:
+    if n < 0:
         raise ValueError("n must be non-negative")
     start = time.perf_counter()
     failures: list[CaseFailure] = []
@@ -485,6 +415,7 @@ def _report(name: str, params: dict, cases: Iterable, stats: dict | None = None)
         if outcome is not None:
             failures.append(outcome)
     elapsed = time.perf_counter() - start
+    params = {"k": alphabet.k, "l": alphabet.l, "n": n, **(params or {})}
     return Report(name, params, count, tuple(failures), elapsed, stats or {})
 
 
@@ -506,14 +437,14 @@ def _word_grid(
 
     Words are alphabet-index tuples, in ``all_words`` order when exhaustive.
     """
-    params = {"k": alphabet.k, "l": alphabet.l, "n": n, **(extra_params or {})}
+    params = dict(extra_params or {})
     if mode == "exhaustive":
         params["mode"] = "exhaustive"
     elif isinstance(mode, Sample):
         params.update(mode="sample", samples=mode.count, seed=mode.seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _report(name, params, cases(_words(alphabet, n, mode)))
+    return _report(name, alphabet, n, cases(_words(alphabet, n, mode)), params)
 
 
 def _lanes(alphabet: Alphabet, *variants: Variant) -> list[_Lane]:
@@ -885,9 +816,8 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
                     key = f"{shape}"
                     distinct_maps[key] = max(distinct_maps.get(key, 0), len(maps))
 
-    params = {"k": alphabet.k, "l": alphabet.l, "n": n}
     stats = {"distinct_maps_by_shape": distinct_maps}
-    return _report("weight-preserving-bijection", params, cases(), stats)
+    return _report("weight-preserving-bijection", alphabet, n, cases(), stats=stats)
 
 
 def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
@@ -918,8 +848,7 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
                                 else "P and Q differ",
                             )
 
-    params = {"k": alphabet.k, "l": alphabet.l, "n": n}
-    return _report("converse-round-trip", params, cases())
+    return _report("converse-round-trip", alphabet, n, cases())
 
 
 def check_hook_schur_invariance(alphabet: Alphabet, n: int) -> Report:
@@ -942,8 +871,7 @@ def check_hook_schur_invariance(alphabet: Alphabet, n: int) -> Report:
                         actual=other.render(),
                     )
 
-    params = {"k": alphabet.k, "l": alphabet.l, "n": n}
-    return _report("hook-schur-invariance", params, cases())
+    return _report("hook-schur-invariance", alphabet, n, cases())
 
 
 def check_counting_identity(alphabet: Alphabet, n: int) -> Report:
@@ -965,8 +893,7 @@ def check_counting_identity(alphabet: Alphabet, n: int) -> Report:
                         actual=str(outcome["lhs"]),
                     )
 
-    params = {"k": alphabet.k, "l": alphabet.l, "n": n}
-    return _report("counting-identity", params, cases())
+    return _report("counting-identity", alphabet, n, cases())
 
 
 def check_round_trip_grid(
@@ -1025,9 +952,10 @@ def _relabel_u(word: tuple[int, ...], k: int, l: int) -> tuple[tuple[int, ...], 
 def check_standardization_mimicry_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    """``check_standardization_mimicry`` on every word and shuffle: the original
-    insertion is read from the walk, the relabelled word inserted into a lane
-    of its derived shuffle, and P compared on ranks once mapped back.
+    """Relabelling repeated u's (``standardize_u``) reproduces the dual
+    insertion cell for cell, on every word and shuffle: the original insertion
+    is read from the walk, the relabelled word inserted into a lane of its
+    derived shuffle, and Q compared, and P on ranks once mapped back.
 
     The derived shuffle and the map from its ranks back to the shuffle's
     depend on the shuffle and the word's u-counts alone, so they are built

@@ -1,0 +1,161 @@
+"""Per-word references for the claims the verify grids check, and tableau weights.
+
+The library checks each claim on the rank-level walk shared by the word
+grids.  These helpers check one word at a time, the literal way: they insert
+through ``insert_word`` and compare ``Tableau`` objects, so the tests can hold
+the grids (and ``hook_schur``) against the definitions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+from superrsk import (
+    REGULAR_DUAL,
+    REGULAR_REGULAR,
+    Alphabet,
+    InsertionResult,
+    Letter,
+    Shuffle,
+    Standardization,
+    Tableau,
+    Variant,
+    Word,
+    adjacent_transposition,
+    classify_regions,
+    insert_word,
+    standardize_u,
+)
+from superrsk.insertion import _ranks_of
+from superrsk.polynomial import Monomial
+from superrsk.tableau import _is_prefix_grid
+from superrsk.verify import _cells_ok, _paths_ok
+
+
+# ---------------------------------------------------------------------------
+# content and weight
+
+
+@dataclass(frozen=True)
+class TypeVector:
+    """Occurrence counts (alpha_1..alpha_k; beta_1..beta_l) of each letter."""
+
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
+
+    @property
+    def total(self) -> int:
+        return sum(self.alpha) + sum(self.beta)
+
+
+def word_type(letters: Iterable[Letter], alphabet: Alphabet) -> TypeVector:
+    alpha = [0] * alphabet.k
+    beta = [0] * alphabet.l
+    for letter in letters:
+        if letter not in alphabet:
+            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
+        if letter.kind == "t":
+            alpha[letter.index - 1] += 1
+        else:
+            beta[letter.index - 1] += 1
+    return TypeVector(tuple(alpha), tuple(beta))
+
+
+def content_type(tab: Tableau, alphabet: Alphabet) -> TypeVector:
+    return word_type((e for _, e in tab.items()), alphabet)
+
+
+def weight_monomial(tab: Tableau, alphabet: Alphabet) -> Monomial:
+    """x-exponents count the t's, y-exponents count the u's."""
+    tv = content_type(tab, alphabet)
+    return Monomial(tv.alpha, tv.beta)
+
+
+def is_subtableau(small: Tableau, big: Tableau) -> bool:
+    """True when small's diagram fits inside big's and entries agree there."""
+    return _is_prefix_grid(small.rows, big.rows)
+
+
+def unmap_tableau(std: Standardization, tab: Tableau) -> Tableau:
+    """``tab`` with each of the standardization's fresh letters sent back."""
+    back = dict(std.source_map)
+    return Tableau(tuple(tuple(back.get(e, e) for e in row) for row in tab.rows))
+
+
+# ---------------------------------------------------------------------------
+# single-case predicates
+
+
+def check_path_monotonicity(result: InsertionResult) -> bool:
+    """Bumped elements never drift outward.
+
+    Within one letter's steps, a t bumped from (i, j) acts in row i+1 at a
+    column <= j, and a u bumped from (i, j) acts in column j+1 at a row <= i.
+    """
+    return _paths_ok(result.trace.log, [x.kind == "t" for x in result.trace.order])
+
+
+def check_cell_monotonicity(result: InsertionResult, shuffle: Shuffle) -> bool:
+    """Across consecutive states, occupied cells persist and entries only shrink."""
+    rank = _ranks_of(result.trace.order, shuffle)
+    return _cells_ok((r, c, rank[x]) for r, c, x, _ in result.trace.log)
+
+
+def _restricted_p(v: Word, shuffle: Shuffle, x: Letter, variant: Variant) -> Tableau:
+    """P of the subword of the letters <= x."""
+    bound = shuffle.rank(x)
+    restricted = Word(tuple(a for a in v if shuffle.rank(a) <= bound))
+    return insert_word(restricted, shuffle, variant).p
+
+
+def check_restriction_subtableau(
+    v: Word, shuffle: Shuffle, x: Letter, variant: Variant = REGULAR_REGULAR
+) -> bool:
+    """Inserting only the letters <= x yields a subtableau of the full insertion."""
+    small = _restricted_p(v, shuffle, x, variant)
+    return is_subtableau(small, insert_word(v, shuffle, variant).p)
+
+
+def check_region1_agreement(v: Word, a: Shuffle, b: Shuffle) -> bool:
+    """Adjacent shuffles build identical subtableaux out of the low letters."""
+    pair = adjacent_transposition(a, b)
+    if pair is None:
+        raise ValueError("shuffles must be adjacent")
+    pa = insert_word(v, a, REGULAR_REGULAR).p
+    pb = insert_word(v, b, REGULAR_REGULAR).p
+    regions_a = classify_regions(pa, a, pair)
+    regions_b = classify_regions(pb, b, pair)
+    low_a = {cell: pa.entry(*cell) for cell, lab in regions_a.items() if lab == 1}
+    low_b = {cell: pb.entry(*cell) for cell, lab in regions_b.items() if lab == 1}
+    return low_a == low_b
+
+
+def check_dual_regular_agreement(v: Word, shuffle: Shuffle) -> bool:
+    """With pairwise distinct u-letters, the regular and dual u-rules coincide."""
+    seen = set()
+    for letter in v:
+        if letter.kind == "u":
+            if letter in seen:
+                raise ValueError(f"u-letter {letter} repeats in {v}")
+            seen.add(letter)
+    reg = insert_word(v, shuffle, REGULAR_REGULAR)
+    dual = insert_word(v, shuffle, REGULAR_DUAL)
+    return reg.p == dual.p and reg.q == dual.q
+
+
+def check_standardization_mimicry(v: Word, shuffle: Shuffle) -> bool:
+    """Relabelling repeated u's reproduces the dual insertion cell for cell.
+
+    The relabelled word, inserted under the derived shuffle, must give the
+    original dual insertion tableau once fresh letters are mapped back, with
+    the same recording tableau (hence the same shape).
+    """
+    std = standardize_u(v, shuffle)
+    original = insert_word(v, shuffle, REGULAR_DUAL)
+    relabelled = insert_word(std.word, std.shuffle, REGULAR_DUAL)
+    if original.p.shape != relabelled.p.shape:
+        return False
+    if original.q != relabelled.q:
+        return False
+    return unmap_tableau(std, relabelled.p) == original.p

@@ -411,6 +411,8 @@ class TestBadInputExitCodes:
              {"p": {"rows": [[None]]}, "q": {"rows": [[1]]}}, False),
             *[(["reverse", "--in", "{file}"], {"p": {"rows": [["t1", "u1"]]}, "q": {"rows": [q]}},
                False) for q in ([1.9, 2.2], [True, "2"], [1, 2.0], [1, None], [1, False])],
+            (["reverse", "--in", "{file}"], "[" * 100_000, False),
+            (["phi", "--shuffle-b", "u1<t1"], "[" * 100_000, False),
             (["trace", "--word", "t1,u1", "--shuffle-b", "u1<t1"], None, True),
             (["verify", "--theorem", "2", "--n", "2", "--mode", "sample", "--samples", "-3"],
              None, False),
@@ -436,6 +438,8 @@ class TestBadInputExitCodes:
             "phi-letter-null",
             *[f"reverse-q-entry-{name}" for name in ("floats", "bool-and-string", "float-2.0",
                                                       "null", "false")],
+            "reverse-json-nested-too-deeply",
+            "phi-stdin-json-nested-too-deeply",
             "trace-alignment-error",
             "verify-negative-samples",
             "verify-zero-samples",
@@ -452,8 +456,10 @@ class TestBadInputExitCodes:
         import superrsk.cli as cli
 
         path = tmp_path / "pq.json"
-        if payload is not None:
-            path.write_text(json.dumps(payload), encoding="utf-8")
+        if payload is not None:  # a str payload is written as given
+            text = payload if isinstance(payload, str) else json.dumps(payload)
+            path.write_text(text, encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
         if misalign:
             monkeypatch.setattr(cli, "align_traces", self._fail_alignment)
         argv = [arg.format(missing=tmp_path / "absent.json", file=path) for arg in argv]

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import tab
+from oracles import weight_monomial
 from superrsk import (
     REGULAR_REGULAR,
     VARIANTS,
@@ -23,7 +24,6 @@ from superrsk import (
     partitions,
     rsk_counting_identity,
     variant_profile,
-    weight_monomial,
 )
 from superrsk.polynomial import Monomial, Polynomial
 
@@ -82,6 +82,12 @@ class TestEnumerateSsyt:
         order = parse_shuffle("t1<u1", alph)
         found = enumerate_ssyt((2,), alph, order, REGULAR_REGULAR)
         assert set(found) == {tab("t1 t1"), tab("t1 u1")}
+
+    def test_row_longer_than_the_recursion_limit(self):
+        alph = Alphabet(1, 1)
+        order = parse_shuffle("t1<u1", alph)
+        found = enumerate_ssyt((1500,), alph, order, REGULAR_REGULAR)
+        assert found == [tab("t1 " * 1500), tab("t1 " * 1499 + "u1")]
 
     def test_column_of_two(self):
         alph = Alphabet(1, 1)

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rec, tab
+from oracles import content_type, is_subtableau, weight_monomial, word_type
 from superrsk import (
     VARIANTS,
     Alphabet,
@@ -14,9 +16,7 @@ from superrsk import (
     Word,
     all_shuffles,
     classify_regions,
-    content_type,
     is_standard,
-    is_subtableau,
     insert_word,
     is_valid,
     parse_shuffle,
@@ -25,8 +25,6 @@ from superrsk import (
     t,
     u,
     variant_profile,
-    weight_monomial,
-    word_type,
 )
 from superrsk.polynomial import Monomial
 from superrsk.tableau import (
@@ -65,6 +63,21 @@ class TestShape:
             check_shape((1, 2))
         with pytest.raises(ValueError):
             check_shape((2, 0))
+
+
+class TestRecordingTableau:
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (((1.9, True),), "recording entries must be integers, got 1.9"),
+            ((("1", "2"),), "recording entries must be integers, got '1'"),
+            (((0,),), "recording entries must be positive"),
+        ],
+        ids=["float-and-bool", "strings", "zero"],
+    )
+    def test_rejects_non_positive_or_non_int_entries(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecordingTableau(rows)
 
 
 class TestIsValid:
