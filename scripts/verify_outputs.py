@@ -16,7 +16,10 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   (2, 2), in both output formats;
 - ``hook-schur`` for every shape of 1 to 5 cells under every shuffle at
   (k, l) in {(2, 2), (2, 1), (1, 2)}, in both output formats, and once with
-  a shuffle holding a letter outside the alphabet.
+  a shuffle holding a letter outside the alphabet;
+- ``--format json hook-schur`` for every shape of 6 and 7 cells under every
+  shuffle at (k, l) = (3, 3), the benchmark's hook-schur grid and one size
+  below it.
 
 Each line of the output is one run: its argv, exit code and JSON payload with
 ``elapsed_ms`` removed, its text output, or its error line when it exits 2.
@@ -44,6 +47,14 @@ SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
 SHAPES = ("1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1")
 WORDS = ("t2,u2,u1,u1,t1", "u1,t1,u1,t2,t1,u2,u1", "t1,t1,t2,t1")
 HOOK_SHAPES = SHAPES + ("5", "4,1", "3,2", "3,1,1", "2,2,1", "2,1,1,1", "1,1,1,1,1")
+
+
+def partitions(n: int, cap: int) -> list[tuple[int, ...]]:
+    """The partitions of n with parts at most cap, largest parts first."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(n, cap), 0, -1)
+            for rest in partitions(n - first, first)]
 
 
 def chains(k: int, l: int) -> list[str]:
@@ -106,6 +117,13 @@ def matrix(claims: dict) -> list[list[str]]:
     runs.append([
         "--k", "2", "--l", "2", "--shuffle", "t1<u1<t2<u3", "hook-schur", "--shape", "2,1",
     ])
+    for n in (6, 7):
+        for shape in partitions(n, n):
+            for chain in chains(3, 3):
+                runs.append([
+                    "--k", "3", "--l", "3", "--shuffle", chain, "--format", "json",
+                    "hook-schur", "--shape", ",".join(map(str, shape)),
+                ])
     return runs
 
 

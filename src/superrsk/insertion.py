@@ -334,9 +334,10 @@ class _Lane:
     and ``log`` the placements so far.  ``rank`` maps alphabet indices to
     the shuffle's ranks, ``letter`` maps ranks back, and ``strict`` is
     ``is_valid``'s per-rank strictness table.  ``push`` records each new
-    cell in Q; ``place`` keeps P and the log only.  A lane with a ``bound``
-    pushes only the ranks <= bound, so it holds the insertion of the
-    restricted word (its Q records their positions in the whole word).
+    cell in Q, ``push_word`` does so for a whole word in an emptied lane,
+    and ``place`` keeps P and the log only.  A lane with a ``bound`` pushes
+    only the ranks <= bound, so it holds the insertion of the restricted
+    word (its Q records their positions in the whole word).
     ``bad`` is the log index of the first pushed settle, of those still
     held, that left a row longer than the row above it, or None.
     """
@@ -382,6 +383,27 @@ class _Lane:
                 self.bad = len(log) - 1
         return start
 
+    def push_word(self, ranks: Iterable[int]) -> list[int]:
+        """Empty the lane and push ranks as letters 1, 2, ...; returns the log
+        length before each letter, then after the last."""
+        self.clear()
+        rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
+        is_t, find_t, find_u, bound = self.is_t, self.find_t, self.find_u, self.bound
+        marks = []
+        for m, x in enumerate(ranks, 1):
+            marks.append(len(log))
+            if x > bound:
+                continue
+            i = _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
+            if i == len(qrows):
+                qrows.append([m])
+            else:
+                qrows[i].append(m)
+                if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
+                    self.bad = len(log) - 1
+        marks.append(len(log))
+        return marks
+
     def undo(self, start: int) -> None:
         """Take back the placements logged after position ``start``, newest first."""
         rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
@@ -425,9 +447,7 @@ def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     are built from its placement log only when read.
     """
     lane = _Lane(shuffle, variant)
-    push = lane.push
-    marks = [push(x, m) for m, x in enumerate(_ranks_of(v, shuffle), 1)]
-    marks.append(len(lane.log))
+    marks = lane.push_word(_ranks_of(v, shuffle))
     order = shuffle.order
     return InsertionResult(
         p=Tableau(tuple(tuple(order[x] for x in row) for row in lane.rows)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import factorial
 
@@ -92,32 +93,42 @@ def enumerate_ssyt(
 
 
 def enumerate_syt(shape: Shape) -> list[RecordingTableau]:
-    """All standard fillings of the shape, by placing 1..n at frontier cells."""
+    """All standard fillings of the shape, by placing 1..n at frontier cells.
+
+    Each value goes, in turn, to the first empty cell of every row whose cell
+    above is filled, rows taken top to bottom.  The search is a loop over a
+    per-value next-row array, not a recursion, so a long shape cannot exhaust
+    the stack.
+    """
     shape = check_shape(shape)
     if not shape:
         return [RecordingTableau()]
-    n = sum(shape)
+    n, height = sum(shape), len(shape)
     grid: list[list[int]] = [[0] * length for length in shape]
+    filled = [0] * height  # per row: its filled cells, a prefix of the row
+    nxt = [0] * (n + 2)  # per value: the next row to try it in
     found: list[RecordingTableau] = []
-
-    def place(value: int) -> None:
-        if value > n:
+    value = 1
+    while value:
+        if value <= n:
+            r = nxt[value]
+            while r < height and not (
+                filled[r] < shape[r] and (r == 0 or filled[r - 1] > filled[r])
+            ):
+                r += 1
+            if r < height:
+                grid[r][filled[r]] = value
+                filled[r] += 1
+                nxt[value] = r + 1
+                value += 1
+                nxt[value] = 0
+                continue
+        else:
             found.append(RecordingTableau(tuple(tuple(row) for row in grid)))
-            return
-        for r, length in enumerate(shape):
-            for c in range(length):
-                if grid[r][c]:
-                    continue
-                if c > 0 and not grid[r][c - 1]:
-                    break
-                if r > 0 and not grid[r - 1][c]:
-                    break
-                grid[r][c] = value
-                place(value + 1)
-                grid[r][c] = 0
-                break
-
-    place(1)
+        # back to the value before, taking it out of its row
+        value -= 1
+        if value:
+            filled[nxt[value] - 1] -= 1
     return found
 
 
@@ -153,6 +164,45 @@ def _horizontal_strips(mu: Shape, bound: Shape) -> list[tuple[Shape, int]]:
     return [(nu, sum(nu) - base) for nu in product(*ranges)]
 
 
+def _removed_strips(nu: Shape) -> list[Shape]:
+    """Every mu with nu/mu a horizontal strip: nu_{i+1} <= mu_i <= nu_i (zero-padded)."""
+    return list(product(*(range(low, high + 1) for low, high in zip(nu[1:] + (0,), nu))))
+
+
+def _build_strips(shape: Shape, kind: str, mu: Shape, outward: bool) -> list:
+    """The strips of one letter kind at the zero-padded sub-shape mu of shape.
+
+    Outward: every nu inside shape with nu/mu a strip, paired with |nu/mu|.
+    Inward: every sub-shape lambda with mu/lambda a strip.  A t adds a
+    horizontal strip; a u adds a vertical one, the conjugate's horizontal strip.
+    """
+    if kind == "t":
+        return _horizontal_strips(mu, shape) if outward else _removed_strips(mu)
+    rows, width = len(shape), (shape[0] if shape else 0)
+    flipped = _conjugate(mu, width)
+    if outward:
+        return [
+            (_conjugate(nu, rows), size)
+            for nu, size in _horizontal_strips(flipped, _conjugate(shape, width))
+        ]
+    return [_conjugate(nu, rows) for nu in _removed_strips(flipped)]
+
+
+# Shapes whose strip tables outlive a call.  A Corollary 4 check walks every
+# partition of n under every shuffle (15 shapes at n = 7, 42 at n = 10).
+_KEPT_SHAPES = 64
+
+
+@lru_cache(maxsize=_KEPT_SHAPES)
+def _strip_table(shape: Shape) -> dict[tuple[str, Shape, bool], list]:
+    """The strip lists inside one shape, keyed by (kind, sub-shape, outward).
+
+    They depend on nothing else, so the walks of every shuffle share them;
+    ``hook_schur`` fills the table as its walks ask for entries.
+    """
+    return {}
+
+
 def _unpack(packed: int, count: int, bits: int) -> tuple[int, ...]:
     """The first ``count`` fields of width ``bits`` of a packed int, lowest first."""
     mask = (1 << bits) - 1
@@ -166,17 +216,23 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
     ``shape`` that adds one strip per letter, letters taken in shuffle order:
     a horizontal strip for a t-letter (t's are strict in columns) and a
     vertical strip for a u-letter (u's are strict in rows); the strip's size
-    is that letter's exponent.  The walk keeps, for each sub-shape, the
-    exponent vectors of the chains reaching it with their counts, so it costs
-    one step per (sub-shape, strip, term) rather than one per filling.
+    is that letter's exponent.  A first pass goes backward from ``{shape}``,
+    removing one strip per letter, to find the live sub-shapes at each
+    position: those from which the later letters can still reach ``shape``.
+    The walk then goes forward from the empty shape and keeps, for each live
+    sub-shape, the exponent vectors of the chains reaching it with their
+    counts, so it costs one step per (live sub-shape, strip, term) rather
+    than one per filling; after the last letter only ``shape`` is live.  The
+    strip lists, both ways, depend only on (shape, sub-shape, letter kind),
+    so one table per shape, kept for a bounded number of shapes, serves the
+    calls of every shuffle; no polynomial or live set outlives a call.
 
     The result does not depend on the shuffle (Corollary 4); the walk follows
     the given order, so the harness's invariance check compares genuinely
     different strip chains.  ``enumerate_ssyt`` with each filling's weight
     monomial summed (the weight oracle in ``tests/oracles.py``) is what the
-    tests hold this against.  A letter
-    of the shuffle outside ``alphabet`` raises ``ValueError`` when some
-    filling of the shape uses it.
+    tests hold this against.  A letter of the shuffle outside ``alphabet``
+    raises ``ValueError`` when some filling of the shape uses it.
 
     Exponent vectors are packed ints with one bit field per letter, placed
     in alphabet order (t1..tk, then u1..ul), so a key's low k fields are its
@@ -184,22 +240,23 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
     exponent tuple once per call, and the terms share those tuples.
     """
     shape = check_shape(shape)
-    rows, width = len(shape), (shape[0] if shape else 0)
-    conjugate = _conjugate(shape, width)
-    strips: dict[tuple[str, Shape], list[tuple[Shape, int]]] = {}
+    table = _strip_table(shape)
 
-    def extensions(mu: Shape, kind: str) -> list[tuple[Shape, int]]:
-        found = strips.get((kind, mu))
+    def strips(kind: str, mu: Shape, outward: bool) -> list:
+        key = (kind, mu, outward)
+        found = table.get(key)
         if found is None:
-            if kind == "t":
-                found = _horizontal_strips(mu, shape)
-            else:
-                found = [
-                    (_conjugate(nu, rows), size)
-                    for nu, size in _horizontal_strips(_conjugate(mu, width), conjugate)
-                ]
-            strips[(kind, mu)] = found
+            found = table[key] = _build_strips(shape, kind, mu, outward)
         return found
+
+    # live[p]: the sub-shapes after letter p from which the later letters can
+    # still reach shape, found by removing one strip per letter from the end
+    live: list[set[Shape]] = []
+    reach = {shape}
+    for letter in reversed(shuffle.order):
+        live.append(reach)
+        reach = {mu for nu in reach for mu in strips(letter.kind, nu, False)}
+    live.reverse()
 
     # letter p of the alphabet owns the bit field at p * bits, wide enough
     # for a count up to |shape|; a shuffle letter outside the alphabet gets
@@ -208,12 +265,14 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
     outside = [letter for letter in shuffle.order if letter not in alphabet]
     field = {letter: p for p, letter in enumerate(alphabet.letters() + tuple(outside))}
 
-    chains: dict[Shape, dict[int, int]] = {(0,) * rows: {0: 1}}
-    for letter in shuffle.order:
+    chains: dict[Shape, dict[int, int]] = {(0,) * len(shape): {0: 1}}
+    for letter, targets in zip(shuffle.order, live):
         offset = field[letter] * bits
         extended: dict[Shape, dict[int, int]] = {}
         for mu, terms in chains.items():
-            for nu, size in extensions(mu, letter.kind):
+            for nu, size in strips(letter.kind, mu, True):
+                if nu not in targets:
+                    continue
                 target = extended.setdefault(nu, {})
                 shift = size << offset
                 for key, count in terms.items():

@@ -41,8 +41,11 @@ Component = frozenset[Cell]
 
 
 def check_shape(rows: Iterable[int]) -> Shape:
-    """Validate a partition: positive parts, weakly decreasing."""
-    shape = tuple(int(r) for r in rows)
+    """Validate a partition: positive integer parts, weakly decreasing."""
+    shape = tuple(rows)
+    for r in shape:
+        if type(r) is not int:  # a bool is an int to isinstance
+            raise ValueError(f"shape parts must be integers, got {r!r}")
     if any(r < 1 for r in shape):
         raise ValueError(f"shape parts must be positive: {shape}")
     if any(a < b for a, b in zip(shape, shape[1:])):

@@ -711,10 +711,7 @@ def _recovered(rows, cols, q_rows, lane: _Lane) -> tuple[int, ...]:
 
 def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
     """Insert an alphabet-index word into the emptied lane and check its diagram."""
-    lane.clear()
-    rank = lane.rank
-    for m, letter in enumerate(word, 1):
-        lane.push(rank[letter], m)
+    lane.push_word(map(lane.rank.__getitem__, word))
     _check_diagrams((lane,))
 
 

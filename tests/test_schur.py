@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -10,6 +11,7 @@ from superrsk import (
     REGULAR_REGULAR,
     VARIANTS,
     Alphabet,
+    RecordingTableau,
     Shuffle,
     Tableau,
     all_shuffles,
@@ -25,7 +27,9 @@ from superrsk import (
     rsk_counting_identity,
     variant_profile,
 )
+from superrsk import schur
 from superrsk.polynomial import Monomial, Polynomial
+from superrsk.tableau import check_shape
 
 
 class TestPartitions:
@@ -165,6 +169,10 @@ class TestSytCounts:
         found = enumerate_syt((2, 1))
         assert len(found) == 2
         assert all(is_standard(q) for q in found)
+
+    def test_row_longer_than_the_recursion_limit(self):
+        found = enumerate_syt((1500,))
+        assert found == [RecordingTableau((tuple(range(1, 1501)),))]
 
     def test_formula_vs_enumeration_vs_recursion(self):
         for n in range(0, 9):
@@ -318,6 +326,14 @@ class TestHookSchurAgainstEnumeration:
             with pytest.raises(ValueError):
                 hook_schur(shape, a22, order_ttuu)
 
+    @pytest.mark.parametrize("shape", [(2.9, True), (True,), ("2",)])
+    def test_non_int_parts_rejected(self, a22, order_ttuu, shape):
+        # int() would read (2.9, True) as (2, 1); a bool is an int to isinstance
+        with pytest.raises(ValueError, match="shape parts must be integers"):
+            check_shape(shape)
+        with pytest.raises(ValueError, match="shape parts must be integers"):
+            hook_schur(shape, a22, order_ttuu)
+
     @pytest.mark.parametrize("k,l", [(2, 2), (3, 3)])
     def test_counting_identity_without_enumeration(self, k, l):
         # insertion pairs each of the (k+l)^n words with a filling and a
@@ -331,6 +347,44 @@ class TestHookSchurAgainstEnumeration:
                     for shape in partitions(n)
                 )
                 assert total == (k + l) ** n
+
+
+class TestStripTables:
+    """The per-shape strip tables that ``hook_schur`` keeps between calls."""
+
+    @pytest.mark.parametrize("k,l", [(3, 3), (2, 2)])
+    def test_cold_tables_give_the_warm_results(self, k, l):
+        alph = Alphabet(k, l)
+        for n in range(7):
+            for shape in partitions(n):
+                for shuffle in all_shuffles(alph):
+                    warm = hook_schur(shape, alph, shuffle)
+                    schur._strip_table.cache_clear()
+                    assert hook_schur(shape, alph, shuffle) == warm
+
+    def test_every_shuffle_of_a_shape_shares_one_table(self, monkeypatch):
+        built = Counter()
+        build = schur._build_strips
+
+        def counted(shape, kind, mu, outward):
+            built[shape, kind, mu, outward] += 1
+            return build(shape, kind, mu, outward)
+
+        monkeypatch.setattr(schur, "_build_strips", counted)
+        schur._strip_table.cache_clear()
+        alph = Alphabet(3, 3)
+        shuffles = all_shuffles(alph)
+        assert len(shuffles) == 20
+        for shape in ((4, 2, 1), (3, 3, 1)):
+            for shuffle in shuffles:
+                hook_schur(shape, alph, shuffle)
+        assert built and max(built.values()) == 1
+        assert {kind for _, kind, _, _ in built} == {"t", "u"}
+        assert {outward for _, _, _, outward in built} == {True, False}
+
+    def test_cache_is_bounded(self):
+        maxsize = schur._strip_table.cache_info().maxsize
+        assert type(maxsize) is int and maxsize > 0
 
 
 class TestCountingIdentity:
