@@ -19,7 +19,12 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   a shuffle holding a letter outside the alphabet;
 - ``--format json hook-schur`` for every shape of 6 and 7 cells under every
   shuffle at (k, l) = (3, 3), the benchmark's hook-schur grid and one size
-  below it.
+  below it;
+- ``trace`` in both output formats for every ordered pair of adjacent
+  shuffles at (k, l) in {(2, 2), (2, 1), (1, 2)}, on each of the three fixed
+  words and the empty word (a word with a letter outside the alphabet exits 2);
+- ``--format json verify --theorem lemma2.15`` at (k, l) = (3, 2), n = 4, and
+  at (2, 2), n = 7 with ``--mode sample --samples 300 --seed 7``.
 
 Each line of the output is one run: its argv, exit code and JSON payload with
 ``elapsed_ms`` removed, its text output, or its error line when it exits 2.
@@ -65,6 +70,14 @@ def chains(k: int, l: int) -> list[str]:
         out.append("<".join(f"t{next(ts)}" if p in places else f"u{next(us)}"
                             for p in range(k + l)))
     return out
+
+
+def adjacent(a: str, b: str) -> bool:
+    """Whether two order chains differ by swapping one neighbouring t/u pair."""
+    x, y = a.split("<"), b.split("<")
+    diff = [i for i, (p, q) in enumerate(zip(x, y)) if p != q]
+    return (len(diff) == 2 and diff[1] == diff[0] + 1
+            and x[diff[0]] == y[diff[1]] and x[diff[1]] == y[diff[0]])
 
 
 def matrix(claims: dict) -> list[list[str]]:
@@ -124,6 +137,25 @@ def matrix(claims: dict) -> list[list[str]]:
                     "--k", "3", "--l", "3", "--shuffle", chain, "--format", "json",
                     "hook-schur", "--shape", ",".join(map(str, shape)),
                 ])
+    for k, l in ((2, 2), (2, 1), (1, 2)):
+        for a in chains(k, l):
+            for b in chains(k, l):
+                if not adjacent(a, b):
+                    continue
+                for word in (*WORDS, ""):
+                    for fmt in ("json", "text"):
+                        runs.append([
+                            "--k", str(k), "--l", str(l), "--shuffle", a, "--format", fmt,
+                            "trace", "--word", word, "--shuffle-b", b,
+                        ])
+    runs.append([
+        "--k", "3", "--l", "2", "--format", "json", "verify", "--theorem", "lemma2.15",
+        "--n", "4",
+    ])
+    runs.append([
+        "--k", "2", "--l", "2", "--format", "json", "verify", "--theorem", "lemma2.15",
+        "--n", "7", "--mode", "sample", "--samples", "300", "--seed", "7",
+    ])
     return runs
 
 

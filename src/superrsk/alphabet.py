@@ -42,6 +42,8 @@ class Letter:
     def __post_init__(self) -> None:
         if self.kind not in ("t", "u"):
             raise ValueError(f"letter kind must be 't' or 'u', got {self.kind!r}")
+        if type(self.index) is not int:  # a bool is an int to isinstance
+            raise ValueError(f"letter index must be an integer, got {self.index!r}")
         if self.index < 1:
             raise ValueError(f"letter index must be positive, got {self.index}")
 
@@ -78,6 +80,9 @@ class Alphabet:
     l: int
 
     def __post_init__(self) -> None:
+        for size in (self.k, self.l):
+            if type(size) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"alphabet sizes must be integers, got {size!r}")
         if self.k < 0 or self.l < 0:
             raise ValueError("alphabet sizes must be non-negative")
         if self.k + self.l == 0:

@@ -134,6 +134,16 @@ def _shuffle(args, alphabet: Alphabet):
     return parse_shuffle(args.shuffle, alphabet)
 
 
+def _parse_shape(text: str) -> tuple[int, ...]:
+    """A comma-separated list of row lengths; the empty string is the empty shape."""
+    if text == "":
+        return ()
+    parts = text.split(",")
+    if any(not part.strip() for part in parts):
+        raise ValueError(f"--shape {text!r} has an empty part")
+    return check_shape(int(part) for part in parts)
+
+
 def _load_json(handle):
     try:
         return json.load(handle)
@@ -240,7 +250,7 @@ def _cmd_enumerate(args) -> int:
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     variant = parse_variant(args.variant)
-    shape = check_shape(int(x) for x in args.shape.split(",") if x.strip())
+    shape = _parse_shape(args.shape)
     tableaux = enumerate_ssyt(shape, alphabet, shuffle, variant)
     if args.format == "json":
         _emit_json({"count": len(tableaux), "tableaux": [tableau_to_json(t) for t in tableaux]})
@@ -253,7 +263,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_hook_schur(args) -> int:
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
-    shape = check_shape(int(x) for x in args.shape.split(",") if x.strip())
+    shape = _parse_shape(args.shape)
     poly = hook_schur(shape, alphabet, shuffle)
     if args.format == "json":
         _emit_json(polynomial_to_json(poly))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations, product
@@ -156,59 +157,117 @@ class Alignment:
 _INCREMENTS = ((1, 1), (1, 2), (2, 1))
 
 
+class _States:
+    """Step states interned for the streams one grid or ``align_traces`` compares.
+
+    A state is its filled cells in sorted order and each cell's rank with
+    the swapped pair masked: -2 for t_i, -1 for u_j.
+    Its id is reached from the state before by the transition (state, row,
+    column, value), so a step costs one lookup once that transition has been
+    taken.  Each new state's class is computed once: its cells with the
+    pair's two values merged and the t_i-count of each region-2 component,
+    which is what two equivalent states share.  A signature is the int id of
+    (class, pending action).
+    """
+
+    __slots__ = ("edges", "known", "states", "cls", "classes", "components", "sigs")
+
+    def __init__(self) -> None:
+        self.edges: dict[tuple[int, int, int, int], int] = {}
+        self.states: list[tuple[tuple, tuple]] = [((), ())]  # per state: (cells, values)
+        self.known = {self.states[0]: 0}
+        self.cls = [0]  # per state: its class
+        self.classes: dict[tuple, int] = {((), (), ()): 0}
+        self.components: dict[tuple, tuple] = {}  # region-2 cells -> their components
+        self.sigs: dict[tuple, int] = {}
+
+    def after(self, key: tuple[int, int, int, int]) -> int:
+        """The state that a transition (state, row, column, value) not taken
+        before leads to: writing the value in that cell of the state."""
+        state, r, c, value = key
+        cells, values = self.states[state]
+        cell = (r, c)
+        i = bisect_left(cells, cell)
+        if i < len(cells) and cells[i] == cell:
+            values = values[:i] + (value,) + values[i + 1:]
+        else:
+            cells = cells[:i] + (cell,) + cells[i:]
+            values = values[:i] + (value,) + values[i:]
+        new = self.known.get((cells, values))
+        if new is None:
+            new = self.known[cells, values] = len(self.states)
+            self.states.append((cells, values))
+            self.cls.append(self._classify(cells, values))
+        self.edges[key] = new
+        return new
+
+    def _classify(self, cells: tuple, values: tuple) -> int:
+        region2 = tuple(x for x, v in zip(cells, values) if v < 0)
+        components = self.components.get(region2)
+        if components is None:
+            components = self.components[region2] = tuple(
+                region2_components(dict.fromkeys(region2, 2))
+            )
+        value = dict(zip(cells, values))
+        counts = tuple(sum(value[x] == -2 for x in comp) for comp in components)
+        masked = tuple(-1 if v < 0 else v for v in values)
+        return self.classes.setdefault((cells, masked, counts), len(self.classes))
+
+    def signature(self, state: int, pending: tuple[int, int] | None) -> int:
+        sigs = self.sigs
+        return sigs.setdefault((self.cls[state], pending), len(sigs))
+
+
 class _Signatures:
     """Each step's state in the form the alignment compares, read off a placement
     log that holds ranks into ``order`` (by default the shuffle's own).
 
-    A signature holds the cells' ranks under ``shuffle`` with the pair's two
-    ranks masked, the t_i-count of each region-2 component, and the pending
+    A step's signature is one int from the shared ``states``: its state's
+    class (the cells' ranks under ``shuffle`` with the pair's two ranks
+    masked, and the t_i-count of each region-2 component) with the pending
     action as (alphabet index, row of a t or column of a u).  An adjacent
     transposition keeps every other letter's rank, so masked cells are equal
     exactly when the region-1 entries, the region-3 entries and the region-2
-    cells agree.  Compared streams share ``seen``, each region-2 cell set's
-    components in one order.  ``follow`` takes back only the steps after the
-    prefix its log shares with the log it read before, as a walk's lane does.
+    cells agree.  ``follow`` takes back only the steps after the prefix its
+    log shares with the log it read before, as a walk's lane does, by
+    truncating the per-step lists.
     """
 
-    __slots__ = ("rank", "name", "is_t", "ti", "lo", "seen", "log", "cells", "masked",
-                 "regions", "sigs")
+    __slots__ = ("value", "name", "is_t", "states", "log", "ids", "sigs")
 
     def __init__(
-        self, shuffle: Shuffle, pair: tuple[Letter, Letter], seen: dict, order=None
+        self, shuffle: Shuffle, pair: tuple[Letter, Letter], states: _States, order=None
     ) -> None:
         order = shuffle.order if order is None else order
-        self.rank = _ranks_of(order, shuffle)
+        ti = shuffle.rank(pair[0])
+        lo = min(ti, shuffle.rank(pair[1]))
+        self.value = [
+            -2 if e == ti else -1 if lo <= e <= lo + 1 else e for e in _ranks_of(order, shuffle)
+        ]
         index = {x: i for i, x in enumerate(shuffle.alphabet.letters())}
         self.name = [index[x] for x in order]
         self.is_t = [x.kind == "t" for x in order]
-        self.ti = shuffle.rank(pair[0])
-        self.lo = min(self.ti, shuffle.rank(pair[1]))
-        self.seen = seen
-        self.cells: dict[Cell, int] = {}
-        self.masked: dict[Cell, int] = {}
-        # per step: its placement, its region-2 cells and its signature
-        self.log, self.regions, self.sigs = [], [], []
+        self.states = states
+        # per step: its placement, its state and its signature
+        self.log, self.ids, self.sigs = [], [], []
 
-    def follow(self, log) -> list:
-        """The signatures of every step of ``log``."""
-        old, sigs = self.log, self.sigs
-        kept = _common_prefix(old, log)
-        if len(old) > kept:
-            cells, masked, rank, lo = self.cells, self.masked, self.rank, self.lo
-            for r, c, _, y in reversed(old[kept:]):
-                if y is None:  # the step made this cell
-                    del cells[(r, c)], masked[(r, c)]
-                else:
-                    e = cells[(r, c)] = rank[y]
-                    masked[(r, c)] = -1 if lo <= e <= lo + 1 else e
-            del old[kept:], sigs[kept:], self.regions[kept:]
+    def follow(self, log) -> int:
+        """Bring ``sigs`` to the signatures of every step of ``log``; returns
+        the index of the first step whose signature changed."""
+        old, ids, sigs, states = self.log, self.ids, self.sigs, self.states
+        kept, end = _common_prefix(old, log), len(log)
+        del old[kept:], ids[kept:], sigs[kept:]
+        old += log[kept:]
+        changed = kept
         if kept and log[kept - 1][3] is None:
             # a settle's pending action is the next letter's entry
-            sigs[-1] = sigs[-1][:2] + (self._pending(log, kept - 1),)
-        for s in range(kept, len(log)):
-            old.append(log[s])
+            sig = states.signature(ids[-1], self._pending(log, kept - 1))
+            if sig != sigs[-1]:
+                sigs[-1] = sig
+                changed = kept - 1
+        for s in range(kept, end):
             self._step(log[s], self._pending(log, s))
-        return sigs
+        return changed
 
     def _pending(self, log, s: int) -> tuple[int, int] | None:
         r, c, _, y = log[s]
@@ -220,22 +279,64 @@ class _Signatures:
         return None
 
     def _step(self, step, pending: tuple[int, int] | None) -> None:
-        """Place one step's element and append its signature."""
+        """Place one step's element and append its state and signature."""
         r, c, x, _ = step
-        cells, masked, lo, ti, regions = self.cells, self.masked, self.lo, self.ti, self.regions
-        cell = (r, c)
-        e = cells[cell] = self.rank[x]
-        paired = lo <= e <= lo + 1
-        region2 = regions[-1] if regions else frozenset()
-        if paired != (masked.get(cell) == -1):
-            region2 = region2 | {cell} if paired else region2 - {cell}
-        masked[cell] = -1 if paired else e
-        regions.append(region2)
-        components = self.seen.get(region2)
-        if components is None:
-            components = self.seen[region2] = tuple(region2_components(dict.fromkeys(region2, 2)))
-        counts = tuple(sum(cells[cell] == ti for cell in comp) for comp in components)
-        self.sigs.append((dict(masked), counts, pending))
+        ids, states = self.ids, self.states
+        key = (ids[-1] if ids else 0, r, c, self.value[x])
+        state = states.edges.get(key)
+        if state is None:
+            state = states.after(key)
+        ids.append(state)
+        self.sigs.append(states.signature(state, pending))
+
+
+def _extend_witnesses(table: dict, sigs_a: list, sigs_b: list, ca: int, cb: int) -> None:
+    """Bring a witness table up to date with two signature streams.
+
+    ``table`` maps each step pair (p, q), 0-based, that some alignment from
+    the first steps reaches through equivalent matched pairs to the number
+    of such alignments; unreachable pairs are absent.  An entry depends only
+    on the signatures up to its own step pair, so when the streams changed
+    first at steps ``ca`` and ``cb`` only the pairs with p >= ca or q >= cb
+    are recomputed, by pushing counts forward from the kept entries next to
+    that region; ``ca = cb = 0`` builds the table afresh.
+    """
+    na, nb = len(sigs_a), len(sigs_b)
+    inbox: dict[tuple[int, int], int] = {}
+    if (not ca or not cb) and na and nb and sigs_a[0] == sigs_b[0]:
+        inbox[0, 0] = 1
+    for node, w in list(table.items()):
+        p, q = node
+        if p >= ca or q >= cb:
+            del table[node]
+        elif p + 2 >= ca or q + 2 >= cb:  # a successor may lie in the region
+            for dp, dq in _INCREMENTS:
+                np_, nq = p + dp, q + dq
+                if (np_ >= ca or nq >= cb) and np_ < na and nq < nb and sigs_a[np_] == sigs_b[nq]:
+                    inbox[np_, nq] = inbox.get((np_, nq), 0) + w
+    while inbox:  # every predecessor of the smallest pair has been pushed
+        node = min(inbox)
+        w = table[node] = inbox.pop(node)
+        p, q = node
+        for dp, dq in _INCREMENTS:
+            np_, nq = p + dp, q + dq
+            if np_ < na and nq < nb and sigs_a[np_] == sigs_b[nq]:
+                inbox[np_, nq] = inbox.get((np_, nq), 0) + w
+
+
+def _witness_count(table: dict, sa: int, sb: int) -> int:
+    """The witness count of two traces of sa and sb steps from their table,
+    or the AlignmentError that says why there is none."""
+    if sa == 0 or sb == 0:
+        if sa or sb:
+            raise AlignmentError("traces have different emptiness")
+        return 1
+    if (0, 0) not in table:
+        raise AlignmentError("initial states are not equivalent")
+    count = table.get((sa - 1, sb - 1))
+    if count is None:
+        raise AlignmentError(f"no alignment reaches ({sa}, {sb})")
+    return count
 
 
 def align_traces(
@@ -244,60 +345,47 @@ def align_traces(
     trace_b: InsertionTrace,
     shuffle_b: Shuffle,
 ) -> Alignment:
-    """Breadth-first search for a step alignment whose matched states are equivalent.
+    """A step alignment whose matched states are equivalent, with its witness count.
 
-    Starts at (1, 1), advances by the three allowed increments, and must end
-    at the final step of both traces.  The witness count is the number of
+    Alignments start at (1, 1), advance by the three allowed increments, and
+    end at the final step of both traces.  The witness count is the number of
     distinct alignments through equivalent matched pairs: equal cells and
     entries outside the swapped pair, equal pair-region cells with equal
-    t-counts per component, and equal pending actions.  States are compared
-    on signatures read from the placement logs, so no ``Step`` is built.
+    t-counts per component, and equal pending actions.  It is read from the
+    witness table the ``lemma2.15`` grid keeps, built here from scratch; the
+    path returned is the first a breadth-first search over the table's
+    nonzero entries finds.  States are compared on signatures read from the
+    placement logs, so no ``Step`` is built.
     """
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
         raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
-    seen: dict = {}
-    return _align(
-        _Signatures(shuffle_a, pair, seen, trace_a.order).follow(trace_a.log),
-        _Signatures(shuffle_b, pair, seen, trace_b.order).follow(trace_b.log),
-    )
-
-
-def _align(sigs_a: list, sigs_b: list) -> Alignment:
-    """``align_traces``'s search over two traces' signatures."""
-    sa, sb = len(sigs_a), len(sigs_b)
-    if sa == 0 and sb == 0:
-        return Alignment((), 1)
-    if sa == 0 or sb == 0:
-        raise AlignmentError("traces have different emptiness")
-
-    if sigs_a[0] != sigs_b[0]:
-        raise AlignmentError("initial states are not equivalent")
-    target = (sa, sb)
+    states = _States()
+    sigs_a = _Signatures(shuffle_a, pair, states, trace_a.order)
+    sigs_b = _Signatures(shuffle_b, pair, states, trace_b.order)
+    sigs_a.follow(trace_a.log)
+    sigs_b.follow(trace_b.log)
+    table: dict[tuple[int, int], int] = {}
+    _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, 0, 0)
+    sa, sb = len(sigs_a.sigs), len(sigs_b.sigs)
+    count = _witness_count(table, sa, sb)
+    if sa == 0:
+        return Alignment((), count)
     parent: dict[tuple[int, int], tuple[int, int] | None] = {(1, 1): None}
     queue = [(1, 1)]
     for node in queue:  # breadth first: the queue grows while it is read
         p, q = node
         for dp, dq in _INCREMENTS:
             np_, nq = p + dp, q + dq
-            if np_ <= sa and nq <= sb and (np_, nq) not in parent:
-                if sigs_a[np_ - 1] == sigs_b[nq - 1]:
-                    parent[np_, nq] = node
-                    queue.append((np_, nq))
-    if target not in parent:
-        raise AlignmentError(f"no alignment reaches ({sa}, {sb})")
+            if (np_ - 1, nq - 1) in table and (np_, nq) not in parent:
+                parent[np_, nq] = node
+                queue.append((np_, nq))
     path = []
-    step: tuple[int, int] | None = target
+    step: tuple[int, int] | None = (sa, sb)
     while step is not None:
         path.append(step)
         step = parent[step]
-    path.reverse()
-
-    # every increment raises p, so in p order each node follows its predecessors
-    counts: dict[tuple[int, int], int] = {(1, 1): 1}
-    for p, q in sorted(parent)[1:]:
-        counts[p, q] = sum(counts.get((p - dp, q - dq), 0) for dp, dq in _INCREMENTS)
-    return Alignment(tuple(path), counts[target])
+    return Alignment(tuple(reversed(path)), count)
 
 
 # ---------------------------------------------------------------------------
@@ -614,21 +702,32 @@ def check_region1_agreement_grid(
 def check_trace_alignment_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    """Every adjacent-shuffle pair admits a step alignment on every word."""
+    """Every adjacent-shuffle pair admits a step alignment on every word.
+
+    Each (shuffle pair) keeps one signature stream per side and their witness
+    table beside the walk, all over one table of interned states.  A word
+    recomputes only the table's rows and columns from the first step whose
+    signature changed, and the case's witness count or ``AlignmentError``
+    text is read off the table, the same as ``align_traces`` gives on the
+    word's separate traces.
+    """
     witness_histogram: dict[int, int] = {}
 
     def cases(words):
         lanes = _lanes(alphabet, REGULAR_REGULAR)
-        seen: dict = {}  # region-2 cell set -> its components
-        streams = [  # one signature stream per (lane, pair), kept along the walk
-            (lanes[i], lanes[j], _Signatures(lanes[i].shuffle, pair, seen),
-             _Signatures(lanes[j].shuffle, pair, seen))
+        states = _States()
+        # per (lane, pair): a signature stream for each side and their witness table
+        streams = [
+            (lanes[i], lanes[j], _Signatures(lanes[i].shuffle, pair, states),
+             _Signatures(lanes[j].shuffle, pair, states), {})
             for i, j, pair in _adjacent_pairs(lanes)
         ]
         for word in _walk(words, lanes):
-            for a, b, sigs_a, sigs_b in streams:
+            for a, b, sigs_a, sigs_b, table in streams:
+                ca, cb = sigs_a.follow(a.log), sigs_b.follow(b.log)
+                _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
                 try:
-                    alignment = _align(sigs_a.follow(a.log), sigs_b.follow(b.log))
+                    count = _witness_count(table, len(sigs_a.sigs), len(sigs_b.sigs))
                 except AlignmentError as exc:
                     yield CaseFailure(
                         word=_word_text(alphabet, word),
@@ -638,9 +737,7 @@ def check_trace_alignment_grid(
                         actual=str(exc),
                     )
                     continue
-                witness_histogram[alignment.witness_count] = (
-                    witness_histogram.get(alignment.witness_count, 0) + 1
-                )
+                witness_histogram[count] = witness_histogram.get(count, 0) + 1
                 yield None
 
     report = _word_grid("trace-alignment", alphabet, n, mode, cases)

@@ -38,6 +38,11 @@ class TestLetter:
         with pytest.raises(ValueError):
             Letter("t", 0)
 
+    @pytest.mark.parametrize("index", [1.5, 2.0, True, "1", None])
+    def test_rejects_a_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="letter index must be an integer"):
+            Letter("t", index)
+
     def test_parse_round_trip(self):
         assert parse_letter("t2") == t(2)
         assert parse_letter(" u10 ") == u(10)
@@ -58,6 +63,13 @@ class TestAlphabet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Alphabet(0, 0)
+
+    @pytest.mark.parametrize(
+        "k,l", [(2.0, 1), (1, 2.5), (True, 1), (1, False), ("2", 1), (None, 1)]
+    )
+    def test_rejects_non_integer_sizes(self, k, l):
+        with pytest.raises(ValueError, match="alphabet sizes must be integers"):
+            Alphabet(k, l)
 
 
 class TestAllShuffles:

@@ -156,6 +156,15 @@ class TestEnumerateAndHookSchur:
         ]
 
 
+    @pytest.mark.parametrize("command,expected", [("enumerate", "count: 1\n\n"), ("hook-schur", "1\n")])
+    def test_an_empty_shape_text_is_the_empty_shape(self, capsys, command, expected):
+        assert run(capsys, "--k", "1", "--l", "1", command, "--shape", "") == (0, expected)
+
+    def test_blanks_around_parts_are_allowed(self, capsys):
+        spaced = run(capsys, "--k", "1", "--l", "1", "enumerate", "--shape", " 2 , 1 ")
+        assert spaced == run(capsys, "--k", "1", "--l", "1", "enumerate", "--shape", "2,1")
+
+
 class TestVerify:
     def test_claim_2_exhaustive(self, capsys):
         code, out = run(
@@ -389,6 +398,9 @@ REG_REG_ONLY = (
     "converse",
 )
 
+# --shape values with an empty or blank part, which once ran as the shape without it
+SHAPES_WITH_EMPTY_PARTS = ("2,,1", "3,", ",2", " ", "2, ,1", ",")
+
 
 class TestBadInputExitCodes:
     @staticmethod
@@ -426,6 +438,8 @@ class TestBadInputExitCodes:
                None, False) for token in EXHAUSTIVE_ONLY],
             *[(["--variant", "dual-reg", "verify", "--theorem", token, "--n", "2"], None, False)
               for token in REG_REG_ONLY],
+            *[([command, "--shape", shape], None, False)
+              for command in ("enumerate", "hook-schur") for shape in SHAPES_WITH_EMPTY_PARTS],
         ],
         ids=[
             "reverse-missing-file",
@@ -448,6 +462,8 @@ class TestBadInputExitCodes:
             "verify-out-in-missing-dir",
             *[f"verify-{token}-sampled" for token in EXHAUSTIVE_ONLY],
             *[f"verify-{token}-variant" for token in REG_REG_ONLY],
+            *[f"{command}-shape-{shape!r}" for command in ("enumerate", "hook-schur")
+              for shape in SHAPES_WITH_EMPTY_PARTS],
         ],
     )
     def test_exits_2_with_one_error_line(

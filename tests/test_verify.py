@@ -582,20 +582,20 @@ WALK_WORDS = [(0, 1, 2), (0, 1, 3), (0, 1, 3), (3,), (), (2, 2, 2, 1)]
 
 
 def recorded_alignments(alphabet, n, mode, words=None):
-    """Each (word, adjacent pair) alignment the lemma2.15 grid makes, in order:
-    the Alignment, or the AlignmentError's message.  ``words`` replaces the
-    grid's word list."""
+    """Each (word, adjacent pair) outcome the lemma2.15 grid reads off its
+    witness tables, in order: the witness count, or the AlignmentError's
+    message.  ``words`` replaces the grid's word list."""
     import superrsk.verify as verify
 
     seen = []
-    original = verify._align
+    original = verify._witness_count
 
-    def recording(sigs_a, sigs_b):
-        seen.append(alignment_outcome(original, sigs_a, sigs_b))
-        return original(sigs_a, sigs_b)
+    def recording(table, sa, sb):
+        seen.append(alignment_outcome(original, table, sa, sb))
+        return original(table, sa, sb)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_align", recording)
+        patch.setattr(verify, "_witness_count", recording)
         if words is not None:
             patch.setattr(verify, "_words", lambda *args: iter(words))
         report = check_trace_alignment_grid(alphabet, n, mode)
@@ -603,7 +603,8 @@ def recorded_alignments(alphabet, n, mode, words=None):
 
 
 def reference_alignments(alphabet, words):
-    """``align_traces`` on separate ``insert_word`` traces, per word and adjacent pair."""
+    """``align_traces`` on separate ``insert_word`` traces, per word and
+    adjacent pair: the witness count, or the AlignmentError's message."""
     shuffles = all_shuffles(alphabet)
     pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
     letters = alphabet.letters()
@@ -611,8 +612,28 @@ def reference_alignments(alphabet, words):
     for word in words:
         v = Word(tuple(letters[i] for i in word))
         traces = {s: insert_word(v, s, REGULAR_REGULAR).trace for s in shuffles}
-        out.extend(alignment_outcome(align_traces, traces[a], a, traces[b], b) for a, b in pairs)
+        for a, b in pairs:
+            outcome = alignment_outcome(align_traces, traces[a], a, traces[b], b)
+            out.append(outcome if isinstance(outcome, str) else outcome.witness_count)
     return out
+
+
+def walked_streams(alphabet, words):
+    """Per word of the walk: each (lane, pair) stream and witness table kept along it."""
+    import superrsk.verify as verify
+
+    lanes = verify._lanes(alphabet, REGULAR_REGULAR)
+    states = verify._States()
+    streams = [
+        (lanes[i], lanes[j], verify._Signatures(lanes[i].shuffle, pair, states),
+         verify._Signatures(lanes[j].shuffle, pair, states), {}, pair)
+        for i, j, pair in verify._adjacent_pairs(lanes)
+    ]
+    for _ in verify._walk(iter(words), lanes):
+        for a, b, sigs_a, sigs_b, table, _ in streams:
+            ca, cb = sigs_a.follow(a.log), sigs_b.follow(b.log)
+            verify._extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
+        yield states, streams
 
 
 class TestSignatureStreams:
@@ -646,19 +667,72 @@ class TestSignatureStreams:
         # a stream that follows the walk holds what a new stream builds from the log
         import superrsk.verify as verify
 
-        alphabet = Alphabet(k, l)
-        lanes = verify._lanes(alphabet, REGULAR_REGULAR)
         words = [*WALK_WORDS, *product(range(k + l), repeat=3), (1,), (1, 0)]
-        seen = {}
-        streams = [
-            (lane, pair, verify._Signatures(lane.shuffle, pair, seen))
-            for i, j, pair in verify._adjacent_pairs(lanes)
-            for lane in (lanes[i], lanes[j])
-        ]
-        for _ in verify._walk(iter(words), lanes):
-            for lane, pair, stream in streams:
-                fresh = verify._Signatures(lane.shuffle, pair, seen)
-                assert stream.follow(lane.log) == fresh.follow(lane.log)
+        for states, streams in walked_streams(Alphabet(k, l), words):
+            for a, b, sigs_a, sigs_b, _, pair in streams:
+                for lane, stream in ((a, sigs_a), (b, sigs_b)):
+                    fresh = verify._Signatures(lane.shuffle, pair, states)
+                    assert fresh.follow(lane.log) == 0
+                    assert stream.sigs == fresh.sigs and stream.ids == fresh.ids
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
+    def test_witness_tables_equal_tables_built_afresh(self, k, l):
+        # the rows and columns a word leaves in place hold what a new table computes
+        import superrsk.verify as verify
+
+        words = [*WALK_WORDS, *product(range(k + l), repeat=3)]
+        walked = 0
+        for _, streams in walked_streams(Alphabet(k, l), words):
+            for _, _, sigs_a, sigs_b, table, _ in streams:
+                fresh = {}
+                verify._extend_witnesses(fresh, sigs_a.sigs, sigs_b.sigs, 0, 0)
+                assert table == fresh
+            walked += 1
+        assert walked == len(words)
+
+    def test_witness_tables_count_every_alignment_of_synthetic_streams(self):
+        # streams over two signatures match often, so many counts exceed 1; each
+        # table is then revised in place from a random change point on each side
+        import superrsk.verify as verify
+
+        def brute(a, b):
+            counts = {}
+            for p, q in product(range(len(a)), range(len(b))):
+                if a[p] == b[q]:
+                    w = 1 if (p, q) == (0, 0) else sum(
+                        counts.get((p - dp, q - dq), 0) for dp, dq in _INCREMENTS
+                    )
+                    if w:
+                        counts[p, q] = w
+            return counts
+
+        rng = random.Random(11)
+        most = 0
+        for _ in range(400):
+            a = [rng.randrange(2) for _ in range(rng.randrange(9))]
+            b = [rng.randrange(2) for _ in range(rng.randrange(9))]
+            table = {}
+            verify._extend_witnesses(table, a, b, 0, 0)
+            assert table == brute(a, b)
+            ca, cb = rng.randrange(len(a) + 1), rng.randrange(len(b) + 1)
+            a = a[:ca] + [rng.randrange(2) for _ in range(rng.randrange(4))]
+            b = b[:cb] + [rng.randrange(2) for _ in range(rng.randrange(4))]
+            verify._extend_witnesses(table, a, b, ca, cb)
+            assert table == brute(a, b)
+            most = max(most, *table.values(), 0)
+        assert most > 4
+
+    def test_a_settle_revised_by_the_next_letter_is_reported_changed(self, a22):
+        import superrsk.verify as verify
+
+        lane = verify._lanes(a22, REGULAR_REGULAR)[0]
+        pair = adjacent_transposition(*all_shuffles(a22)[:2])
+        stream = verify._Signatures(lane.shuffle, pair, verify._States())
+        lane.push(0, 1)  # t1 settles in (1, 1) with nothing pending
+        assert stream.follow(lane.log) == 0 and len(stream.sigs) == 1
+        assert stream.follow(lane.log) == 1  # nothing changed
+        lane.push(2, 2)  # the settle's pending action becomes u1's entry
+        assert stream.follow(lane.log) == 0 and len(stream.sigs) == 2
 
     def test_each_step_signature_is_built_once_per_trie_node(self, a22, monkeypatch):
         import superrsk.verify as verify
