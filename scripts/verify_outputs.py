@@ -24,12 +24,20 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   shuffles at (k, l) in {(2, 2), (2, 1), (1, 2)}, on each of the three fixed
   words and the empty word (a word with a letter outside the alphabet exits 2);
 - ``--format json verify --theorem lemma2.15`` at (k, l) = (3, 2), n = 4, and
-  at (2, 2), n = 7 with ``--mode sample --samples 300 --seed 7``.
+  at (2, 2), n = 7 with ``--mode sample --samples 300 --seed 7``;
+- ``insert`` in both output formats on each of the three fixed words and the
+  empty word under every shuffle and variant at (2, 2), and on three seeded
+  60-letter words under seeded shuffles and every variant at (5, 5).  Each
+  JSON output is written to a temporary file and fed through ``--in`` to
+  ``reverse`` and to ``phi`` (every other shuffle as ``--shuffle-b`` at
+  (2, 2), one seeded shuffle at (5, 5)), both in both formats;
+- ``reverse`` and ``phi`` on each bad (P, Q) of ``BAD_PQ`` under every
+  variant at (2, 2), each of which exits 2.
 
 Each line of the output is one run: its argv, exit code and JSON payload with
 ``elapsed_ms`` removed, its text output, or its error line when it exits 2.
-Two checkouts whose output agrees give identical files, so comparing them
-takes one ``diff``.  Tokens added later are left out so that older checkouts
+An ``--in`` file is shown in the argv as ``IN``.  Two checkouts whose output
+agrees give identical files, so comparing them takes one ``diff``.  Tokens added later are left out so that older checkouts
 can run the same matrix.
 """
 
@@ -38,7 +46,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -51,6 +61,17 @@ VARIANTS = ("reg-reg", "reg-dual", "dual-reg", "dual-dual")
 SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
 SHAPES = ("1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1")
 WORDS = ("t2,u2,u1,u1,t1", "u1,t1,u1,t2,t1,u2,u1", "t1,t1,t2,t1")
+BAD_PQ = (  # (P rows, Q rows) that reverse and phi refuse, with what is wrong
+    ([["t1", "t2", "u2"], ["u1"]], [[1, 2, 2], [4]]),  # a duplicate label
+    ([["t1", "t2", "u2"], ["u1"]], [[0, 1, 2], [3]]),  # label 0
+    ([["t1", "t2", "u2"], ["u1"]], [[1, 2, 5], [4]]),  # a label above n
+    ([["t1", "t2", "u2"], ["u1"]], [[1, 3, 2], [4]]),  # a row that decreases
+    ([["t1", "t2", "u2"], ["u1"]], [[2, 3, 4], [1]]),  # a column that decreases
+    ([["t1", "t2", "u2"], ["u1"]], [[1, 2], [3, 4]]),  # shapes differ
+    ([["t2", "t1", "u2"], ["u1"]], [[1, 2, 3], [4]]),  # P not valid
+    ([["t3"]], [[1]]),  # a letter outside the alphabet in a lone cell
+    ([["t1", "t3"], ["u1"]], [[1, 2], [3]]),  # and in a P of several cells
+)
 HOOK_SHAPES = SHAPES + ("5", "4,1", "3,2", "3,1,1", "2,2,1", "2,1,1,1", "1,1,1,1,1")
 
 
@@ -159,11 +180,49 @@ def matrix(claims: dict) -> list[list[str]]:
     return runs
 
 
-def record(main, argv: list[str]) -> dict:
+def pq_runs(main, folder: Path):
+    """The entries of the insert, reverse and phi runs, in a fixed order.
+
+    Each (P, Q) input is written to a file in ``folder`` that is passed as
+    ``--in`` and shown as ``IN``.
+    """
+    path = folder / "pq.json"
+
+    def fed(argv: list[str], pq: dict) -> dict:
+        path.write_text(json.dumps(pq), encoding="utf-8")
+        return record(main, argv + ["--in", str(path)], shown=argv + ["--in", "IN"])
+
+    rng = random.Random(14)
+    letters = [f"t{i}" for i in range(1, 6)] + [f"u{j}" for j in range(1, 6)]
+    long_words = [",".join(rng.choice(letters) for _ in range(60)) for _ in range(3)]
+    five = chains(5, 5)
+    cases = [(2, chain, (*WORDS, ""), [b for b in chains(2, 2) if b != chain])
+             for chain in chains(2, 2)]
+    cases += [(5, rng.choice(five), (word,), [rng.choice(five)]) for word in long_words]
+    for k, chain, words, targets in cases:
+        for variant in VARIANTS:
+            head = ["--k", str(k), "--l", str(k), "--shuffle", chain, "--variant", variant]
+            for word in words:
+                entry = record(main, head + ["--format", "json", "insert", "--word", word])
+                yield entry
+                yield record(main, head + ["insert", "--word", word])
+                for fmt in ("json", "text"):
+                    yield fed(head + ["--format", fmt, "reverse"], entry["report"])
+                    for b in targets:
+                        yield fed(head + ["--format", fmt, "phi", "--shuffle-b", b], entry["report"])
+    for p, q in BAD_PQ:
+        pq = {"p": {"rows": p}, "q": {"rows": q}}
+        for variant in VARIANTS:
+            head = ["--k", "2", "--l", "2", "--shuffle", "t1<t2<u1<u2", "--variant", variant]
+            yield fed(head + ["reverse"], pq)
+            yield fed(head + ["phi", "--shuffle-b", "u1<u2<t1<t2"], pq)
+
+def record(main, argv: list[str], shown: list[str] | None = None) -> dict:
+    """Run the CLI on argv; the entry shows ``shown`` as its argv if given."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    entry = {"argv": argv, "exit": code}
+    entry = {"argv": argv if shown is None else shown, "exit": code}
     if out.getvalue() and "json" in argv:
         report = json.loads(out.getvalue())
         if isinstance(report, dict):  # hook-schur prints a list of terms
@@ -187,9 +246,14 @@ def main(argv: list[str] | None = None) -> int:
     from superrsk.cli import _CLAIMS, main as cli_main
 
     codes: dict[int, int] = {}
-    with args.out.open("w", encoding="utf-8") as handle:
-        for run in matrix(_CLAIMS):
-            entry = record(cli_main, run)
+    with tempfile.TemporaryDirectory() as folder, args.out.open("w", encoding="utf-8") as handle:
+
+        def entries():
+            for run in matrix(_CLAIMS):
+                yield record(cli_main, run)
+            yield from pq_runs(cli_main, Path(folder))
+
+        for entry in entries():
             codes[entry["exit"]] = codes.get(entry["exit"], 0) + 1
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
     print(f"{sum(codes.values())} runs, exit codes {dict(sorted(codes.items()))}")

@@ -9,6 +9,7 @@ compare shuffles freely.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -32,20 +33,24 @@ __all__ = [
 _LETTER_RE = re.compile(r"([tu])([1-9][0-9]*)")
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A single symbol: kind "t" or "u" plus a 1-based index."""
+class Letter(namedtuple("_Letter", "kind index")):
+    """A single symbol: kind "t" or "u" plus a positive int index.
 
-    kind: str
-    index: int
+    A validating named tuple ``(kind, index)``: equality, hashing and ordering
+    are the tuple's, done in C.  The tuple order says nothing about any
+    shuffle; compare letters through ``Shuffle.rank``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("t", "u"):
-            raise ValueError(f"letter kind must be 't' or 'u', got {self.kind!r}")
-        if type(self.index) is not int:  # a bool is an int to isinstance
-            raise ValueError(f"letter index must be an integer, got {self.index!r}")
-        if self.index < 1:
-            raise ValueError(f"letter index must be positive, got {self.index}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "Letter":
+        if kind not in ("t", "u"):
+            raise ValueError(f"letter kind must be 't' or 'u', got {kind!r}")
+        if type(index) is not int:  # a bool is an int to isinstance
+            raise ValueError(f"letter index must be an integer, got {index!r}")
+        if index < 1:
+            raise ValueError(f"letter index must be positive, got {index}")
+        return tuple.__new__(cls, (kind, index))
 
     @property
     def name(self) -> str:
@@ -98,7 +103,9 @@ class Alphabet:
             u(j) for j in range(1, self.l + 1)
         )
 
-    def __contains__(self, letter: Letter) -> bool:
+    def __contains__(self, letter: object) -> bool:
+        if not isinstance(letter, Letter):  # a plain tuple equal to a letter is not one
+            return False
         bound = self.k if letter.kind == "t" else self.l
         return 1 <= letter.index <= bound
 

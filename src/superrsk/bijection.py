@@ -6,8 +6,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Letter, Shuffle, u as u_letter, t as t_letter
-from .insertion import _Lane, Variant, Word, _is_t, _rank_grid, _ranks_of, variant_profile
-from .tableau import RecordingTableau, Tableau, _standard_rows, is_valid
+from .insertion import _Lane, Variant, Word, _is_t, _ranks_of, _valid_grid, variant_profile
+from .tableau import Cell, RecordingTableau, Shape, Tableau, _standard_cells, _strict_in_rows
 
 __all__ = [
     "Standardization",
@@ -33,7 +33,9 @@ def reverse_word(
     i-1 by displacing the rightmost entry below it (regular rule) or
     below-or-equal (dual rule); a u-letter sitting in column j re-enters
     column j-1 by displacing the bottommost such entry.  A t-letter leaving
-    row 1, or a u-letter leaving column 1, is the recovered v_m.
+    row 1, or a u-letter leaving column 1, is the recovered v_m.  Q is checked
+    and its cells found in one pass, and P is checked on ranks, each letter
+    mapped once; the walk itself runs on ranks only.
     """
     order = shuffle.order
     return Word(tuple(order[x] for x in _checked_reverse(p, q, shuffle, variant)))
@@ -42,45 +44,39 @@ def reverse_word(
 _INVALID_P = "insertion tableau is not valid for this shuffle and variant"
 
 
-def _check_recording(p_shape: tuple[int, ...], q_rows) -> None:
-    """The reversal's guards on Q: P's shape, and standard entries."""
-    q_shape = tuple(len(row) for row in q_rows)
+def _check_recording(p_shape: Shape, q_rows) -> list[Cell]:
+    """The reversal's guards on Q, P's shape and standard entries, in one pass;
+    returns ``_standard_cells``, Q's cells by label."""
+    q_shape = tuple(map(len, q_rows))
     if p_shape != q_shape:
         raise ValueError(f"shape mismatch: {p_shape} vs {q_shape}")
-    if not _standard_rows(q_rows):
+    cells = _standard_cells(q_rows)
+    if cells is None:
         raise ValueError("recording tableau is not standard")
-
-
-def _valid_grid(p: Tableau, shuffle: Shuffle, variant: Variant):
-    """The rank rows and columns of p, once it passes the reversal's validity guard."""
-    if not is_valid(p, shuffle, variant_profile(variant)):
-        raise ValueError(_INVALID_P)
-    return _rank_grid(p, shuffle)
+    return cells
 
 
 def _checked_reverse(
     p: Tableau, q: RecordingTableau, shuffle: Shuffle, variant: Variant
 ) -> list[int]:
     """The shuffle ranks of ``reverse_word``'s word, after all of its guards."""
-    _check_recording(p.shape, q.rows)
-    rows, cols = _valid_grid(p, shuffle, variant)
-    return _reverse_ranks(rows, cols, q.rows, shuffle, variant)
+    cells = _check_recording(p.shape, q.rows)
+    strict = _strict_in_rows(shuffle, variant_profile(variant))
+    rows, cols = _valid_grid(p, shuffle, strict, _INVALID_P)
+    return _reverse_ranks(rows, cols, cells, shuffle, variant)
 
 
-def _reverse_ranks(
-    rows: list[list[int]], cols: list[list[int]], q_rows, shuffle: Shuffle, variant: Variant
-) -> list[int]:
-    """Reverse a checked (P, Q) held as rank rows and columns, which it empties.
+def _reverse_ranks(rows, cols, cells: list[Cell], shuffle: Shuffle, variant: Variant) -> list[int]:
+    """Reverse a checked (P, Q), P held as rank rows and columns, which it
+    empties, and Q as its cells by label.
 
     Returns the recovered word's ranks, first letter first.
     """
     order = shuffle.order
     is_t = _is_t(shuffle)
     find_t, find_u = _DISPLACE_SEARCH[variant.t_rule], _DISPLACE_SEARCH[variant.u_rule]
-    position = {m: (i, j) for i, row in enumerate(q_rows) for j, m in enumerate(row)}
     recovered: list[int] = []
-    for m in range(len(position), 0, -1):
-        i, j = position[m]
+    for i, j in reversed(cells):
         # the current maximum of a standard tableau sits at a corner
         assert j == len(rows[i]) - 1 and len(cols[j]) == i + 1
         x = rows[i].pop()
@@ -94,24 +90,28 @@ def _reverse_ranks(
                 if i == 0:
                     break
                 i -= 1
-                j = find_t(rows[i], x) - 1
+                row = rows[i]
+                j = find_t(row, x) - 1
                 if j < 0:
                     raise ValueError(
                         f"irreducible configuration: nothing in row {i + 1} "
                         f"admits {order[x]}"
                     )
+                col = cols[j]
             else:
                 if j == 0:
                     break
                 j -= 1
-                i = find_u(cols[j], x) - 1
+                col = cols[j]
+                i = find_u(col, x) - 1
                 if i < 0:
                     raise ValueError(
                         f"irreducible configuration: nothing in column {j + 1} "
                         f"admits {order[x]}"
                     )
-            y = rows[i][j]
-            rows[i][j] = cols[j][i] = x
+                row = rows[i]
+            y = row[j]
+            row[j] = col[i] = x
             x = y
         recovered.append(x)
     recovered.reverse()

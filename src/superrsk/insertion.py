@@ -8,7 +8,9 @@ the first entry strictly greater than the incomer, the dual rule the first
 entry greater than or equal to it.
 
 ``insert_word`` computes P, Q, the path lengths and the step total eagerly,
-on shuffle ranks with one bisection per bump.  The step trace is kept as a
+on shuffle ranks with one bisection per bump.  Each letter crosses to its
+rank once, by a dict lookup that hashes the named-tuple ``Letter`` in C; a
+given P crosses, and is checked, in one pass.  The step trace is kept as a
 compact placement log: ``trace.steps`` and ``trace.state_after`` build the
 intermediate ``Tableau`` snapshots on first read and cache them.  Snapshots
 are built only for those readers and ``insert_letter``; ``reverse_word``,
@@ -32,7 +34,7 @@ from .tableau import (
     StrictnessProfile,
     Tableau,
     _strict_in_rows,
-    is_valid,
+    _valid_ranks,
 )
 
 __all__ = [
@@ -236,18 +238,29 @@ Log = list[tuple[int, int, int, int | None]]
 
 
 def _ranks_of(letters: Iterable[Letter], shuffle: Shuffle) -> list[int]:
-    ranks = shuffle.ranks
     try:
-        return [ranks[x] for x in letters]
+        return list(map(shuffle.ranks.__getitem__, letters))
     except KeyError as exc:
         raise ValueError(f"letter {exc.args[0]} outside alphabet {shuffle.alphabet}") from None
 
 
-def _rank_grid(p: Tableau, shuffle: Shuffle) -> tuple[list[list[int]], list[list[int]]]:
-    """The rows and the columns of p as rank lists."""
-    rows = [_ranks_of(row, shuffle) for row in p.rows]
-    width = len(rows[0]) if rows else 0
-    cols = [[row[j] for row in rows if j < len(row)] for j in range(width)]
+def _valid_grid(p: Tableau, shuffle: Shuffle, strict: list[bool], invalid: str):
+    """The rows and the columns of p as rank lists, each letter mapped once,
+    once p passes ``is_valid`` under the per-rank table ``strict``; else
+    raises ``invalid``.  A foreign letter is "not in" the alphabet, or
+    "outside" it for a lone cell, which ``is_valid`` accepts."""
+    get = shuffle.ranks.__getitem__
+    try:
+        rows = [list(map(get, row)) for row in p.rows]
+    except KeyError as exc:
+        where = "outside" if p.size == 1 else "is not in"
+        raise ValueError(f"letter {exc.args[0]} {where} alphabet {shuffle.alphabet}") from None
+    if not _valid_ranks(rows, strict):
+        raise ValueError(invalid)
+    cols: list[list[int]] = [[] for _ in rows[0]] if rows else []
+    for row in rows:
+        for col, x in zip(cols, row):
+            col.append(x)
     return rows, cols
 
 
@@ -270,20 +283,23 @@ def _insert_rank(
     A t searches row i and a u searches column j; a bumped t moves on to the
     row below its cell and a bumped u to the column to its right.
     """
+    nrows, ncols = len(rows), len(cols)
     i = j = 0
     while True:
         if is_t[x]:
-            row = rows[i] if i < len(rows) else ()
+            row = rows[i] if i < nrows else ()
             j = find_t(row, x)
             if j == len(row):
                 break
+            col = cols[j]
         else:
-            col = cols[j] if j < len(cols) else ()
+            col = cols[j] if j < ncols else ()
             i = find_u(col, x)
             if i == len(col):
                 break
-        y = rows[i][j]
-        rows[i][j] = cols[j][i] = x
+            row = rows[i]
+        y = row[j]
+        row[j] = col[i] = x
         log.append((i + 1, j + 1, x, y))
         if is_t[y]:
             i += 1
@@ -291,11 +307,11 @@ def _insert_rank(
             j += 1
         x = y
     # x settles at the end of row i, which is also the end of column j
-    if i == len(rows):
+    if i == nrows:
         rows.append([x])
     else:
         rows[i].append(x)
-    if j == len(cols):
+    if j == ncols:
         cols.append([x])
     else:
         cols[j].append(x)
@@ -431,10 +447,10 @@ def insert_letter(
 ) -> tuple[Tableau, tuple[Step, ...]]:
     """Insert a single letter into a valid tableau; returns the result and steps."""
     (rank,) = _ranks_of((x,), shuffle)
-    if not is_valid(p, shuffle, variant_profile(variant)):
-        raise ValueError("tableau is not valid for this shuffle and variant")
     lane = _Lane(shuffle, variant)
-    lane.rows, lane.cols = _rank_grid(p, shuffle)
+    lane.rows, lane.cols = _valid_grid(
+        p, shuffle, lane.strict, "tableau is not valid for this shuffle and variant"
+    )
     lane.place(rank)
     steps = _replay(p, lane.log, (len(lane.log),), shuffle.order)
     return steps[-1].state, steps

@@ -174,21 +174,24 @@ def _valid_ranks(rows, strict_in_rows: list[bool]) -> bool:
 
 def is_standard(rec: RecordingTableau) -> bool:
     """Entries are exactly 1..n, rows increase left-to-right, columns top-down."""
-    return _standard_rows(rec.rows)
+    return _standard_cells(rec.rows) is not None
 
 
-def _standard_rows(rows) -> bool:
-    """``is_standard`` on the rows of a recording tableau."""
-    entries = [e for row in rows for e in row]
-    if sorted(entries) != list(range(1, len(entries) + 1)):
-        return False
-    for row in rows:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    for upper, lower in zip(rows, rows[1:]):
-        if any(upper[c] >= lower[c] for c in range(len(lower))):
-            return False
-    return True
+def _standard_cells(rows) -> list[Cell] | None:
+    """``is_standard`` in one pass over a diagram's rows: each label's 0-based
+    cell, label m's at index m - 1, or None if the filling is not standard."""
+    n = sum(map(len, rows))
+    cells: list = [None] * n
+    above = [0] * len(rows[0]) if rows else []  # above every cell of the first row
+    for i, row in enumerate(rows):
+        left = 0
+        for j, (m, up) in enumerate(zip(row, above)):  # rows weakly shorten
+            if not left < m <= n or up >= m or cells[m - 1] is not None:
+                return None
+            cells[m - 1] = (i, j)
+            left = m
+        above = row
+    return cells
 
 
 def _check_pair(pair: tuple[Letter, Letter]) -> tuple[Letter, Letter]:

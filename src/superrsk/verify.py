@@ -23,13 +23,7 @@ from .alphabet import (
     adjacent_transposition,
     all_shuffles,
 )
-from .bijection import (
-    _INVALID_P,
-    _check_recording,
-    _reverse_ranks,
-    _valid_grid,
-    standardize_u,
-)
+from .bijection import _INVALID_P, _check_recording, _reverse_ranks, standardize_u
 from .insertion import (
     REGULAR_DUAL,
     REGULAR_REGULAR,
@@ -39,6 +33,7 @@ from .insertion import (
     Word,
     _Lane,
     _ranks_of,
+    _valid_grid,
 )
 from .schur import enumerate_ssyt, enumerate_syt, hook_schur, partitions, rsk_counting_identity
 from .tableau import (
@@ -777,31 +772,35 @@ def check_dual_regular_agreement_grid(
 
 
 def _reverse_sources(
-    shape: Shape, fillings: list[Tableau], recorders: list[RecordingTableau], lane: _Lane
+    shape: Shape, fillings: list[Tableau], recorders: list[list[Cell]], lane: _Lane
 ):
     """Check each filling once and reverse every (q, P) once under the lane's order.
 
-    Returns each filling's rank rows, its sorted content as alphabet indices,
-    and the recovered words, ``words[q][P]``, as alphabet indices.  The
-    recorders are checked by the caller, once per shape.
+    ``recorders`` holds each recorder's cells by label, as ``_recorders``
+    gives them.  Returns each filling's rank rows, its sorted content as
+    alphabet indices, and the recovered words, ``words[q][P]``, as alphabet
+    indices.
     """
     grids = []
     for p in fillings:
         if p.shape != shape:
             raise ValueError(f"shape mismatch: {p.shape} vs {shape}")
-        grids.append(_valid_grid(p, lane.shuffle, lane.variant))
+        grids.append(_valid_grid(p, lane.shuffle, lane.strict, _INVALID_P))
     contents = [sorted(lane.letter[x] for row in rows for x in row) for rows, _ in grids]
-    words = [[_recovered(rows, cols, q.rows, lane) for rows, cols in grids] for q in recorders]
+    words = [
+        [_recovered(rows, cols, cells, lane) for rows, cols in grids] for cells in recorders
+    ]
     return [rows for rows, _ in grids], contents, words
 
 
-def _recovered(rows, cols, q_rows, lane: _Lane) -> tuple[int, ...]:
-    """The word that (P, Q) reverses to under the lane, as alphabet indices.
+def _recovered(rows, cols, cells: list[Cell], lane: _Lane) -> tuple[int, ...]:
+    """The word that (P, Q) reverses to under the lane, as alphabet indices,
+    with Q given by its cells by label.
 
     P's rank rows and columns are copied, so they are left as they were.
     """
     ranks = _reverse_ranks(
-        [row[:] for row in rows], [col[:] for col in cols], q_rows, lane.shuffle, lane.variant
+        [row[:] for row in rows], [col[:] for col in cols], cells, lane.shuffle, lane.variant
     )
     return tuple(lane.letter[x] for x in ranks)
 
@@ -867,12 +866,11 @@ def _transport_cases(
     return images
 
 
-def _recorders(shape: Shape) -> list[RecordingTableau]:
-    """The standard recorders of a shape, each passed through the reversal's Q guards."""
+def _recorders(shape: Shape) -> tuple[list[RecordingTableau], list[list[Cell]]]:
+    """The standard recorders of a shape and, from the reversal's Q guards,
+    each one's cells by label."""
     recorders = enumerate_syt(shape)
-    for q in recorders:
-        _check_recording(shape, q.rows)
-    return recorders
+    return recorders, [_check_recording(shape, q.rows) for q in recorders]
 
 
 def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report:
@@ -889,7 +887,7 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
 
     def cases():
         for shape in partitions(n):
-            recorders = _recorders(shape)
+            _, recorders = _recorders(shape)
             fillings = {s: enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR) for s in shuffles}
             lanes = {s: _Lane(s, REGULAR_REGULAR) for s in shuffles}
             memos: dict[Shuffle, dict] = {s: {} for s in shuffles}
@@ -920,11 +918,11 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
 
     def cases():
         for shape in partitions(n):
-            recorders = _recorders(shape)
+            recorders, cells = _recorders(shape)
             for s in all_shuffles(alphabet):
                 lane = _Lane(s, REGULAR_REGULAR)
                 fillings = enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR)
-                grids, _, words = _reverse_sources(shape, fillings, recorders, lane)
+                grids, _, words = _reverse_sources(shape, fillings, cells, lane)
                 for q, q_words in zip(recorders, words):
                     q_rows = [list(row) for row in q.rows]
                     for rows, word in zip(grids, q_words):
@@ -1000,10 +998,10 @@ def check_round_trip_grid(
         for word in _walk(words, lanes):
             for lane in lanes:
                 # reverse_word's guards, on ranks
-                _check_recording(tuple(map(len, lane.rows)), lane.qrows)
+                cells = _check_recording(tuple(map(len, lane.rows)), lane.qrows)
                 if not _valid_ranks(lane.rows, lane.strict):
                     raise ValueError(_INVALID_P)
-                back = _recovered(lane.rows, lane.cols, lane.qrows, lane)
+                back = _recovered(lane.rows, lane.cols, cells, lane)
                 if back == word:
                     yield None
                 else:

@@ -1,3 +1,5 @@
+import pickle
+from copy import deepcopy
 from itertools import combinations, product
 from math import comb
 
@@ -6,6 +8,7 @@ import pytest
 from superrsk import (
     Alphabet,
     Letter,
+    Word,
     adjacency_chain,
     adjacent_transposition,
     all_shuffles,
@@ -43,6 +46,42 @@ class TestLetter:
         with pytest.raises(ValueError, match="letter index must be an integer"):
             Letter("t", index)
 
+    def test_equal_letters_hash_equal_and_key_apart(self):
+        letters = Alphabet(5, 5).letters()
+        for x in letters:
+            twin = Letter(x.kind, x.index)
+            assert twin == x and hash(twin) == hash(x) and twin is not x
+        keys = {x: r for r, x in enumerate(letters)}
+        assert len(keys) == 10
+        assert [keys[Letter(x.kind, x.index)] for x in letters] == list(range(10))
+
+    def test_text_forms(self):
+        assert (t(1).name, str(t(1)), repr(t(1))) == ("t1", "t1", "Letter(kind='t', index=1)")
+        assert repr(u(12)) == "Letter(kind='u', index=12)"
+        assert (u(12).kind, u(12).index) == ("u", 12)
+
+    @pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), deepcopy])
+    def test_pickle_and_deepcopy_round_trip(self, copy_of):
+        for x in (t(1), u(3)):
+            back = copy_of(x)
+            assert back == x and type(back) is Letter and back.name == x.name
+
+    @pytest.mark.parametrize("kind,index", [("t", True), ("t", 1.0), ("v", 1), ("t", 0)])
+    def test_still_refused(self, kind, index):
+        with pytest.raises(ValueError):
+            Letter(kind, index)
+
+    def test_words_and_shuffles_compare_and_hash_by_letters(self):
+        a = Word((t(1), u(2), t(1)))
+        b = Word((Letter("t", 1), Letter("u", 2), Letter("t", 1)))
+        assert a == b and hash(a) == hash(b) and a != Word((t(1), u(2)))
+        alph = Alphabet(3, 3)
+        shuffles = all_shuffles(alph)
+        assert len(set(shuffles)) == len(shuffles) == 20
+        for s in shuffles:
+            again = parse_shuffle(str(s), alph)
+            assert again == s and hash(again) == hash(s)
+
     def test_parse_round_trip(self):
         assert parse_letter("t2") == t(2)
         assert parse_letter(" u10 ") == u(10)
@@ -59,6 +98,13 @@ class TestAlphabet:
         alph = Alphabet(2, 1)
         assert t(2) in alph and u(1) in alph
         assert t(3) not in alph and u(2) not in alph
+
+    @pytest.mark.parametrize(
+        "item", ["t1", ("t", 1), ["t", 1], None, 1, "u"],
+        ids=["str", "tuple", "list", "None", "int", "kind"],
+    )
+    def test_only_a_letter_is_a_member(self, item):
+        assert item not in Alphabet(2, 2)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

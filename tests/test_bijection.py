@@ -7,6 +7,7 @@ from superrsk import (
     REGULAR_REGULAR,
     VARIANTS,
     Alphabet,
+    RecordingTableau,
     Tableau,
     Word,
     all_shuffles,
@@ -133,6 +134,48 @@ class TestChangeShuffle:
         with pytest.raises(ValueError) as direct:
             change_shuffle(p, q, order_ttuu, target, REGULAR_REGULAR)
         assert str(direct.value) == str(composed.value)
+
+
+def bypass_checks(rows) -> RecordingTableau:
+    """A recording tableau holding ``rows`` as given, which the constructor
+    would refuse (a label below 1, say)."""
+    q = object.__new__(RecordingTableau)
+    object.__setattr__(q, "rows", rows)
+    return q
+
+
+A22_TEXT = "(k=2, l=2)"
+GUARD_CASES = [
+    # (P, Q, the ValueError text) for a bad input to the reversal
+    ("t1 t2 u2 / u1", "1 2 2 / 4", "recording tableau is not standard"),  # duplicate label
+    ("t1 t2 u2 / u1", ((0, 1, 2), (3,)), "recording tableau is not standard"),  # label 0
+    ("t1 t2 u2 / u1", "1 2 5 / 4", "recording tableau is not standard"),  # label above n
+    ("t1 t2 u2 / u1", "1 3 2 / 4", "recording tableau is not standard"),  # row decreases
+    ("t1 t2 u2 / u1", "2 3 4 / 1", "recording tableau is not standard"),  # column decreases
+    ("t1 t2 u2 / u1", "1 2 / 3 4", "shape mismatch: (3, 1) vs (2, 2)"),
+    ("t2 t1 u2 / u1", "1 2 3 / 4", "insertion tableau is not valid for this shuffle and variant"),
+    ("t3", "1", f"letter t3 outside alphabet {A22_TEXT}"),  # a lone cell is valid
+    ("t1 t3 / u1", "1 2 / 3", f"letter t3 is not in alphabet {A22_TEXT}"),
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+@pytest.mark.parametrize("p,q,text", GUARD_CASES)
+class TestReversalGuardErrors:
+    def pair(self, p, q):
+        return tab(p), rec(q) if isinstance(q, str) else bypass_checks(q)
+
+    def test_reverse_word(self, order_ttuu, variant, p, q, text):
+        p, q = self.pair(p, q)
+        with pytest.raises(ValueError) as error:
+            reverse_word(p, q, order_ttuu, variant)
+        assert str(error.value) == text
+
+    def test_change_shuffle(self, order_ttuu, order_uutt, variant, p, q, text):
+        p, q = self.pair(p, q)
+        with pytest.raises(ValueError) as error:
+            change_shuffle(p, q, order_ttuu, order_uutt, variant)
+        assert str(error.value) == text
 
 
 class TestStandardizeU:

@@ -111,6 +111,20 @@ class TestInsertLetter:
         with pytest.raises(ValueError):
             insert_letter(tab("u1 u1"), t(1), order_ttuu, REGULAR_REGULAR)
 
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+    @pytest.mark.parametrize(
+        "p,text",
+        [
+            ("t2 t1 u2 / u1", "tableau is not valid for this shuffle and variant"),
+            ("t3", "letter t3 outside alphabet (k=2, l=2)"),  # a lone cell is valid
+            ("t1 t3 / u1", "letter t3 is not in alphabet (k=2, l=2)"),
+        ],
+    )
+    def test_guard_error_texts(self, order_ttuu, variant, p, text):
+        with pytest.raises(ValueError) as error:
+            insert_letter(tab(p), t(1), order_ttuu, variant)
+        assert str(error.value) == text
+
 
 class TestInsertWord:
     def test_four_letter_word_two_orders(self, a22, order_ttuu, order_uutt):
