@@ -37,8 +37,8 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
 Each line of the output is one run: its argv, exit code and JSON payload with
 ``elapsed_ms`` removed, its text output, or its error line when it exits 2.
 An ``--in`` file is shown in the argv as ``IN``.  Two checkouts whose output
-agrees give identical files, so comparing them takes one ``diff``.  Tokens added later are left out so that older checkouts
-can run the same matrix.
+agrees give identical files, so comparing them takes one ``diff``.  Tokens
+added later are left out so that older checkouts can run the same matrix.
 """
 
 from __future__ import annotations
@@ -206,10 +206,11 @@ def pq_runs(main, folder: Path):
                 entry = record(main, head + ["--format", "json", "insert", "--word", word])
                 yield entry
                 yield record(main, head + ["insert", "--word", word])
+                pq = entry["report"]
                 for fmt in ("json", "text"):
-                    yield fed(head + ["--format", fmt, "reverse"], entry["report"])
+                    yield fed(head + ["--format", fmt, "reverse"], pq)
                     for b in targets:
-                        yield fed(head + ["--format", fmt, "phi", "--shuffle-b", b], entry["report"])
+                        yield fed(head + ["--format", fmt, "phi", "--shuffle-b", b], pq)
     for p, q in BAD_PQ:
         pq = {"p": {"rows": p}, "q": {"rows": q}}
         for variant in VARIANTS:
