@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 __all__ = [
     "Letter",
@@ -52,12 +52,25 @@ class Letter(namedtuple("_Letter", "kind index")):
             raise ValueError(f"letter index must be positive, got {index}")
         return tuple.__new__(cls, (kind, index))
 
+    @classmethod
+    def _make(cls, iterable) -> "Letter":
+        # through __new__'s checks, which the named tuple's _make and _replace skip
+        return cls(*iterable)
+
     @property
     def name(self) -> str:
         return f"{self.kind}{self.index}"
 
     def __str__(self) -> str:
         return self.name
+
+
+def _check_letters(rows, what: str) -> None:
+    """Refuse any entry of ``rows`` that is not a ``Letter``, such as a plain
+    tuple equal to one; the types are gathered in C, one pass over the entries."""
+    if not set(map(type, chain.from_iterable(rows))) <= {Letter}:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not Letter)
+        raise ValueError(f"{what} entries must be letters, got {bad!r}")
 
 
 def t(index: int) -> Letter:

@@ -130,10 +130,10 @@ def change_shuffle(
     Reverses (p, q) under the source order and re-inserts the recovered word
     under the target order; the new pair has the same shape, the same
     recording tableau, and the same letter content.  Both passes stay on
-    ranks: only the new P is built.
+    ranks and keep no step log: only the new P is built.
     """
     word = _ranks_of((source.order[x] for x in _checked_reverse(p, q, source, variant)), target)
-    lane = _Lane(target, variant)
+    lane = _Lane(target, variant, logged=False)
     for x in word:
         lane.place(x)
     return Tableau(tuple(tuple(target.order[x] for x in row) for row in lane.rows))

@@ -7,16 +7,16 @@ it left.  The bump condition is chosen per kind: the regular rule displaces
 the first entry strictly greater than the incomer, the dual rule the first
 entry greater than or equal to it.
 
-``insert_word`` computes P, Q, the path lengths and the step total eagerly,
-on shuffle ranks with one bisection per bump.  Each letter crosses to its
+``insert_word`` computes P and Q eagerly, on shuffle ranks with one bisection
+per bump, and keeps no step log while it does.  Each letter crosses to its
 rank once, by a dict lookup that hashes the named-tuple ``Letter`` in C; a
-given P crosses, and is checked, in one pass.  The step trace is kept as a
-compact placement log: ``trace.steps`` and ``trace.state_after`` build the
-intermediate ``Tableau`` snapshots on first read and cache them.  Snapshots
-are built only for those readers and ``insert_letter``; ``reverse_word``,
-``change_shuffle`` and the verification grids work on ranks and read the log
-directly.  Every insertion, those grids' included, runs through one
-rank-level state, ``_Lane``.
+given P crosses, and is checked, in one pass.  The trace holds the word's
+ranks: the first read of its path lengths, step total, placement log or steps
+re-inserts them once with a log, and the intermediate ``Tableau`` snapshots
+are built from that log only when ``steps`` or ``state_after`` is read.
+``reverse_word``, ``change_shuffle`` and the verification grids work on ranks
+and never build snapshots.  Every insertion, those grids' included, runs
+through one rank-level state, ``_Lane``, with a log or without one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import Alphabet, Letter, Shuffle, parse_letter
+from .alphabet import Alphabet, Letter, Shuffle, _check_letters, parse_letter
 from .tableau import (
     Cell,
     RecordingTableau,
@@ -65,7 +65,9 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+        letters = tuple(self.letters)
+        _check_letters((letters,), "word")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -188,6 +190,12 @@ class InsertionTrace:
     snapshots the first time it is read and keeps them; ``total`` and
     ``path_lengths`` never build them.  Traces compare equal when they hold
     the same log under the same order.
+
+    A trace from ``insert_word`` holds its word's ranks, shuffle and variant
+    instead: the first read of ``path_lengths`` or ``log`` (and so of
+    ``total``, ``steps``, equality, hash or repr) re-inserts the ranks once
+    with a log and keeps the result.  Filling keeps those ranks and always
+    gives the same values, so two readers that fill one trace at once agree.
     """
 
     path_lengths: tuple[int, ...]
@@ -197,6 +205,27 @@ class InsertionTrace:
     def __post_init__(self) -> None:
         if sum(self.path_lengths) != len(self.log):
             raise ValueError("path lengths must sum to the step count")
+
+    @classmethod
+    def _deferred(cls, ranks: tuple[int, ...], shuffle: Shuffle, variant: Variant):
+        """A trace of the insertion of ``ranks`` that is filled on first read."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "order", shuffle.order)
+        object.__setattr__(trace, "_recipe", (ranks, shuffle, variant))
+        return trace
+
+    def __getattr__(self, name: str):
+        # reached only while a deferred trace lacks path_lengths and log
+        if name not in ("path_lengths", "log"):
+            raise AttributeError(name)
+        ranks, shuffle, variant = self._recipe
+        lane = _Lane(shuffle, variant)
+        lane.push_word(ranks)
+        # each letter's path ends with its settle, the one placement that bumps nothing
+        ends = [s for s, (_, _, _, y) in enumerate(lane.log, 1) if y is None]
+        object.__setattr__(self, "path_lengths", tuple(b - a for a, b in zip([0] + ends, ends)))
+        object.__setattr__(self, "log", tuple(lane.log))
+        return vars(self)[name]
 
     @property
     def total(self) -> int:
@@ -276,9 +305,10 @@ def _insert_rank(
     is_t: list[bool],
     find_t,
     find_u,
-    log: Log,
+    log: Log | None,
 ) -> int:
-    """Insert rank x, logging each placement; returns the new cell's row, 0-based.
+    """Insert rank x, logging each placement unless ``log`` is None; returns
+    the new cell's row, 0-based.
 
     A t searches row i and a u searches column j; a bumped t moves on to the
     row below its cell and a bumped u to the column to its right.
@@ -300,7 +330,8 @@ def _insert_rank(
             row = rows[i]
         y = row[j]
         row[j] = col[i] = x
-        log.append((i + 1, j + 1, x, y))
+        if log is not None:
+            log.append((i + 1, j + 1, x, y))
         if is_t[y]:
             i += 1
         else:
@@ -315,7 +346,8 @@ def _insert_rank(
         cols.append([x])
     else:
         cols[j].append(x)
-    log.append((i + 1, j + 1, x, None))
+    if log is not None:
+        log.append((i + 1, j + 1, x, None))
     return i
 
 
@@ -347,15 +379,19 @@ class _Lane:
     """Insertion under one (shuffle, variant), held on shuffle ranks.
 
     ``rows`` and ``cols`` are P's rank rows and columns, ``qrows`` Q's rows
-    and ``log`` the placements so far.  ``rank`` maps alphabet indices to
+    and ``log`` the placements so far, or None in a lane built with
+    ``logged=False``, which keeps no log.  ``rank`` maps alphabet indices to
     the shuffle's ranks, ``letter`` maps ranks back, and ``strict`` is
     ``is_valid``'s per-rank strictness table.  ``push`` records each new
     cell in Q, ``push_word`` does so for a whole word in an emptied lane,
-    and ``place`` keeps P and the log only.  A lane with a ``bound`` pushes
-    only the ranks <= bound, so it holds the insertion of the restricted
-    word (its Q records their positions in the whole word).
-    ``bad`` is the log index of the first pushed settle, of those still
-    held, that left a row longer than the row above it, or None.
+    and ``place`` keeps P and the log only.  ``push`` and ``undo`` need a
+    log, so a lane without one fills only through ``push_word`` and
+    ``place`` and can never take a placement back.  A lane with a ``bound``
+    pushes only the ranks <= bound, so it holds the insertion of the
+    restricted word (its Q records their positions in the whole word).
+    ``bad`` notes the first pushed settle, of those still held, that left a
+    row longer than the row above it, or is None: its log index, or its
+    letter number in a lane without a log.
     """
 
     __slots__ = (
@@ -363,7 +399,9 @@ class _Lane:
         "rows", "cols", "qrows", "log", "bad",
     )
 
-    def __init__(self, shuffle: Shuffle, variant: Variant, bound: int | None = None) -> None:
+    def __init__(
+        self, shuffle: Shuffle, variant: Variant, bound: int | None = None, logged: bool = True
+    ) -> None:
         self.shuffle, self.variant = shuffle, variant
         self.bound = shuffle.alphabet.size - 1 if bound is None else bound
         k = shuffle.alphabet.k
@@ -373,14 +411,17 @@ class _Lane:
         self.find_t = _BUMP_SEARCH[variant.t_rule]
         self.find_u = _BUMP_SEARCH[variant.u_rule]
         self.strict = _strict_in_rows(shuffle, variant_profile(variant))
+        self.log = [] if logged else None
         self.clear()
 
     def clear(self) -> None:
-        self.rows, self.cols, self.qrows, self.log = [], [], [], []
+        self.rows, self.cols, self.qrows = [], [], []
+        if self.log is not None:
+            self.log = []
         self.bad = None
 
     def place(self, x: int) -> None:
-        """Insert rank x into P, logging its placements."""
+        """Insert rank x into P, logging its placements if the lane keeps a log."""
         _insert_rank(self.rows, self.cols, x, self.is_t, self.find_t, self.find_u, self.log)
 
     def push(self, x: int, m: int) -> int:
@@ -399,15 +440,12 @@ class _Lane:
                 self.bad = len(log) - 1
         return start
 
-    def push_word(self, ranks: Iterable[int]) -> list[int]:
-        """Empty the lane and push ranks as letters 1, 2, ...; returns the log
-        length before each letter, then after the last."""
+    def push_word(self, ranks: Iterable[int]) -> None:
+        """Empty the lane and push ranks as letters 1, 2, ..."""
         self.clear()
         rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
         is_t, find_t, find_u, bound = self.is_t, self.find_t, self.find_u, self.bound
-        marks = []
         for m, x in enumerate(ranks, 1):
-            marks.append(len(log))
             if x > bound:
                 continue
             i = _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
@@ -416,9 +454,7 @@ class _Lane:
             else:
                 qrows[i].append(m)
                 if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
-                    self.bad = len(log) - 1
-        marks.append(len(log))
-        return marks
+                    self.bad = m if log is None else len(log) - 1
 
     def undo(self, start: int) -> None:
         """Take back the placements logged after position ``start``, newest first."""
@@ -459,16 +495,15 @@ def insert_letter(
 def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     """Insert a word letter by letter, recording where each new cell appears.
 
-    P, Q and the path lengths are computed here; the trace's Step snapshots
-    are built from its placement log only when read.
+    P and Q are computed here, without a step log; the trace keeps the word's
+    ranks and logs their insertion only when it is first read.
     """
-    lane = _Lane(shuffle, variant)
-    marks = lane.push_word(_ranks_of(v, shuffle))
+    ranks = _ranks_of(v, shuffle)
+    lane = _Lane(shuffle, variant, logged=False)
+    lane.push_word(ranks)
     order = shuffle.order
     return InsertionResult(
         p=Tableau(tuple(tuple(order[x] for x in row) for row in lane.rows)),
         q=RecordingTableau(tuple(map(tuple, lane.qrows))),
-        trace=InsertionTrace(
-            tuple(b - a for a, b in zip(marks, marks[1:])), tuple(lane.log), order
-        ),
+        trace=InsertionTrace._deferred(tuple(ranks), shuffle, variant),
     )

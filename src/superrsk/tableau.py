@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .alphabet import Letter, Shuffle, parse_letter
+from .alphabet import Letter, Shuffle, _check_letters, parse_letter
 
 __all__ = [
     "Cell",
@@ -89,6 +89,7 @@ class Tableau(_Diagram):
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.rows)
+        _check_letters(rows, "tableau")
         object.__setattr__(self, "rows", rows)
         _check_diagram(rows)
 

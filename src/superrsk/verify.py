@@ -806,7 +806,10 @@ def _recovered(rows, cols, cells: list[Cell], lane: _Lane) -> tuple[int, ...]:
 
 
 def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
-    """Insert an alphabet-index word into the emptied lane and check its diagram."""
+    """Insert an alphabet-index word into the emptied lane and check its diagram.
+
+    Only P's and Q's rows are read afterwards, so the grids hand in lanes
+    built without a log."""
     lane.push_word(map(lane.rank.__getitem__, word))
     _check_diagrams((lane,))
 
@@ -889,7 +892,7 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
         for shape in partitions(n):
             _, recorders = _recorders(shape)
             fillings = {s: enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR) for s in shuffles}
-            lanes = {s: _Lane(s, REGULAR_REGULAR) for s in shuffles}
+            lanes = {s: _Lane(s, REGULAR_REGULAR, logged=False) for s in shuffles}
             memos: dict[Shuffle, dict] = {s: {} for s in shuffles}
             for a in shuffles:
                 _, contents, words = _reverse_sources(shape, fillings[a], recorders, lanes[a])
@@ -920,7 +923,7 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
         for shape in partitions(n):
             recorders, cells = _recorders(shape)
             for s in all_shuffles(alphabet):
-                lane = _Lane(s, REGULAR_REGULAR)
+                lane = _Lane(s, REGULAR_REGULAR, logged=False)
                 fillings = enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR)
                 grids, _, words = _reverse_sources(shape, fillings, cells, lane)
                 for q, q_words in zip(recorders, words):
@@ -1067,7 +1070,8 @@ def check_standardization_mimicry_grid(
                     std = standardize_u(Word(tuple(letters[a] for a in word)), s)
                     back = dict(std.source_map)
                     to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
-                    entry = keyed[(i, counts)] = (_Lane(std.shuffle, REGULAR_DUAL), to_rank)
+                    derived = _Lane(std.shuffle, REGULAR_DUAL, logged=False)
+                    entry = keyed[(i, counts)] = (derived, to_rank)
                 rel, to_rank = entry
                 _insert_into(rel, relabelled)
                 unmapped = [[to_rank[x] for x in row] for row in rel.rows]

@@ -6,12 +6,15 @@ from math import comb
 import pytest
 
 from superrsk import (
+    REGULAR_REGULAR,
     Alphabet,
     Letter,
+    Tableau,
     Word,
     adjacency_chain,
     adjacent_transposition,
     all_shuffles,
+    insert_word,
     kl_shuffle,
     order_adjacent_pairs,
     parse_letter,
@@ -70,6 +73,36 @@ class TestLetter:
     def test_still_refused(self, kind, index):
         with pytest.raises(ValueError):
             Letter(kind, index)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: t(1)._replace(index=0),
+            lambda: u(2)._replace(kind="v"),
+            lambda: t(1)._replace(index=True),
+            lambda: Letter._make(("v", 1)),
+            lambda: Letter._make(("t", 0)),
+        ],
+    )
+    def test_make_and_replace_run_the_checks(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_make_and_replace_still_build_letters(self):
+        assert t(1)._replace(index=3) == t(3) and type(t(1)._replace(index=3)) is Letter
+        assert Letter._make(("u", 2)) == u(2) and type(Letter._make(("u", 2))) is Letter
+
+    @pytest.mark.parametrize("entry", [("t", 1), ["t", 1], "t1", None, 1], ids=repr)
+    def test_words_and_tableaux_refuse_what_is_not_a_letter(self, entry):
+        with pytest.raises(ValueError, match=r"^word entries must be letters, got "):
+            Word((t(1), entry))
+        with pytest.raises(ValueError, match=r"^tableau entries must be letters, got "):
+            Tableau(((t(1), u(1)), (entry,)))
+
+    def test_a_plain_tuple_word_is_not_inserted(self):
+        shuffle = all_shuffles(Alphabet(2, 2))[0]
+        with pytest.raises(ValueError, match=r"^word entries must be letters, got \('t', 1\)$"):
+            insert_word(Word((("t", 1), ("u", 2))), shuffle, REGULAR_REGULAR)
 
     def test_words_and_shuffles_compare_and_hash_by_letters(self):
         a = Word((t(1), u(2), t(1)))

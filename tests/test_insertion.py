@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from superrsk import (
     REGULAR_REGULAR,
     VARIANTS,
     Alphabet,
+    InsertionTrace,
     PendingAction,
     Tableau,
     Word,
@@ -265,6 +269,126 @@ class TestOneRankCore:
         calls[0] = 0
         change_shuffle(result.p, result.q, source, target, REGULAR_REGULAR)
         assert calls[0] == result.p.size == 7
+
+
+def record_core_logs(monkeypatch) -> list:
+    """Wrap the one rank core; returns the list of the log each call was given."""
+    import superrsk.insertion as insertion
+
+    logs = []
+    original = insertion._insert_rank
+
+    def recorded(rows, cols, x, is_t, find_t, find_u, log):
+        logs.append(log)
+        return original(rows, cols, x, is_t, find_t, find_u, log)
+
+    monkeypatch.setattr(insertion, "_insert_rank", recorded)
+    return logs
+
+
+def eager_trace(word, shuffle, variant):
+    """The trace of a logged lane, filled one push per letter, built through
+    the constructor."""
+    from superrsk.insertion import _Lane, _ranks_of
+
+    lane = _Lane(shuffle, variant)
+    marks = [lane.push(x, m) for m, x in enumerate(_ranks_of(word, shuffle), 1)]
+    marks.append(len(lane.log))
+    lengths = tuple(b - a for a, b in zip(marks, marks[1:]))
+    return InsertionTrace(lengths, tuple(lane.log), shuffle.order)
+
+
+class TestDeferredTrace:
+    WORD = "u2,t1,t2,u1,t1,u2,u1,t2"
+
+    def test_insert_word_keeps_no_log(self, a22, order_ttuu, monkeypatch):
+        logs = record_core_logs(monkeypatch)
+        word = parse_word(self.WORD, a22)
+        for variant in VARIANTS:
+            insert_word(word, order_ttuu, variant)
+        assert len(logs) == 4 * len(word) and all(log is None for log in logs)
+
+    @pytest.mark.parametrize("read", ["path_lengths", "log", "total", "steps", "state_after"])
+    def test_first_read_logs_one_insertion_and_a_second_none(
+        self, a22, order_ttuu, monkeypatch, read
+    ):
+        word = parse_word(self.WORD, a22)
+        trace = insert_word(word, order_ttuu, REGULAR_DUAL).trace
+        logs = record_core_logs(monkeypatch)
+
+        def reading():
+            value = getattr(trace, read)
+            return value(1) if read == "state_after" else value
+
+        first = reading()
+        assert len(logs) == len(word) and all(isinstance(log, list) for log in logs)
+        assert len({id(log) for log in logs}) == 1  # one logged push_word
+        del logs[:]
+        assert reading() == first
+        _ = trace.path_lengths, trace.log, trace.total, trace.steps
+        assert logs == []
+
+    def test_equals_the_eager_trace_on_every_small_word(self, a22):
+        shuffles = all_shuffles(a22)
+        for n in range(0, 5):
+            for word in all_words(a22, n):
+                for shuffle in shuffles:
+                    for variant in VARIANTS:
+                        eager = eager_trace(word, shuffle, variant)
+                        deferred = insert_word(word, shuffle, variant).trace
+                        assert repr(deferred) == repr(eager)
+                        assert hash(deferred) == hash(eager)
+                        assert deferred.log == eager.log
+                        assert deferred.path_lengths == eager.path_lengths
+                        assert deferred.total == eager.total
+                        assert deferred == eager
+
+    def test_steps_match_the_eager_trace(self, a22, order_uutt):
+        word = parse_word(self.WORD, a22)
+        for variant in VARIANTS:
+            deferred = insert_word(word, order_uutt, variant).trace
+            assert deferred.steps == eager_trace(word, order_uutt, variant).steps
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    @pytest.mark.parametrize("filled", [False, True], ids=["deferred", "filled"])
+    def test_copies_round_trip(self, a22, order_ttuu, copy_of, filled):
+        word = parse_word(self.WORD, a22)
+        result = insert_word(word, order_ttuu, DUAL_REGULAR)
+        if filled:
+            _ = result.trace.steps
+        assert ("log" in vars(result.trace)) == filled
+        back = copy_of(result)
+        assert ("log" in vars(back.trace)) == filled
+        assert back == result and hash(back.trace) == hash(result.trace)
+        assert back.trace.steps == result.trace.steps
+        assert back.trace == eager_trace(word, order_ttuu, DUAL_REGULAR)
+
+    def test_filling_twice_gives_the_same_value(self, a22, order_ttuu):
+        # two readers may both fill one trace; neither loses what it needs
+        trace = insert_word(parse_word(self.WORD, a22), order_ttuu, REGULAR_REGULAR).trace
+        recipe = vars(trace)["_recipe"]
+        first = (trace.path_lengths, trace.log)
+        del vars(trace)["path_lengths"], vars(trace)["log"]
+        assert (trace.path_lengths, trace.log) == first
+        assert vars(trace)["_recipe"] is recipe
+
+    def test_change_shuffle_keeps_no_log(self, a22, monkeypatch):
+        from superrsk import change_shuffle
+
+        source, target = all_shuffles(a22)[0], all_shuffles(a22)[-1]
+        logs = record_core_logs(monkeypatch)
+        for variant in VARIANTS:
+            result = insert_word(parse_word(self.WORD, a22), source, variant)
+            del logs[:]
+            change_shuffle(result.p, result.q, source, target, variant)
+            assert len(logs) == result.p.size and all(log is None for log in logs)
+
+    def test_the_constructor_still_checks_the_sum(self, order_ttuu):
+        with pytest.raises(ValueError, match="path lengths must sum to the step count"):
+            InsertionTrace((1, 1), ((1, 1, 0, None),), order_ttuu.order)
 
 
 @st.composite

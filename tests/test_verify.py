@@ -766,7 +766,8 @@ def stacking_insert(rows, cols, x, is_t, find_t, find_u, log):
         cols.append([x])
     else:
         cols[j].append(x)
-    log.append((i + 1, j + 1, x, None))
+    if log is not None:
+        log.append((i + 1, j + 1, x, None))
     return i
 
 
