@@ -25,6 +25,9 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   words and the empty word (a word with a letter outside the alphabet exits 2);
 - ``--format json verify --theorem lemma2.15`` at (k, l) = (3, 2), n = 4, and
   at (2, 2), n = 7 with ``--mode sample --samples 300 --seed 7``;
+- ``--format json verify --theorem 2``, and ``--theorem 5`` under every
+  variant, at (k, l) = (3, 3), n = 3 and at (3, 2), n = 4, where many
+  shuffles give many pairs per word;
 - ``insert`` in both output formats on each of the three fixed words and the
   empty word under every shuffle and variant at (2, 2), and on three seeded
   60-letter words under seeded shuffles and every variant at (5, 5).  Each
@@ -177,6 +180,13 @@ def matrix(claims: dict) -> list[list[str]]:
         "--k", "2", "--l", "2", "--format", "json", "verify", "--theorem", "lemma2.15",
         "--n", "7", "--mode", "sample", "--samples", "300", "--seed", "7",
     ])
+    for (k, l), n in (((3, 3), 3), ((3, 2), 4)):
+        for token, variants in (("2", ("reg-reg",)), ("5", VARIANTS)):
+            for variant in variants:
+                runs.append([
+                    "--k", str(k), "--l", str(l), "--variant", variant, "--format", "json",
+                    "verify", "--theorem", token, "--n", str(n),
+                ])
     return runs
 
 

@@ -156,6 +156,8 @@ class Shuffle:
         return {letter: r for r, letter in enumerate(self.order)}
 
     def rank(self, letter: Letter) -> int:
+        if type(letter) is not Letter:  # a plain tuple equal to a letter is not one
+            raise ValueError(f"rank arguments must be letters, got {letter!r}")
         try:
             return self.ranks[letter]
         except KeyError:

@@ -12,7 +12,7 @@ from .alphabet import Alphabet, kl_shuffle, parse_shuffle, shuffle_to_json
 from .bijection import change_shuffle, reverse_word, standardize_t, standardize_u
 from .insertion import (
     REGULAR_REGULAR,
-    insert_word,
+    _insert_traced,
     parse_variant,
     parse_word,
 )
@@ -122,6 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reg_reg_only(args, what: str) -> None:
+    """Refuse a ``--variant`` other than reg-reg where ``what`` honours none."""
+    if args.variant != REGULAR_REGULAR.name:
+        raise ValueError(f"{what} reg-reg only; drop --variant")
+
+
 def _alphabet(args) -> Alphabet:
     if args.k is None or args.l is None:
         raise ValueError("--k and --l are required for this command")
@@ -183,7 +189,7 @@ def _cmd_insert(args) -> int:
     shuffle = _shuffle(args, alphabet)
     variant = parse_variant(args.variant)
     word = parse_word(args.word, alphabet)
-    result = insert_word(word, shuffle, variant)
+    result = _insert_traced(word, shuffle, variant)
     if args.format == "json":
         _emit_json(
             {
@@ -261,6 +267,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_hook_schur(args) -> int:
+    _reg_reg_only(args, "hook-schur counts")
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     shape = _parse_shape(args.shape)
@@ -277,8 +284,8 @@ def _cmd_verify(args) -> int:
     honours, run = _CLAIMS[args.theorem]
     if args.mode != "exhaustive" and "mode" not in honours:
         raise ValueError(f"--theorem {args.theorem} has no sampled grid; drop --mode sample")
-    if args.variant != REGULAR_REGULAR.name and "variant" not in honours:
-        raise ValueError(f"--theorem {args.theorem} checks reg-reg only; drop --variant")
+    if "variant" not in honours:
+        _reg_reg_only(args, f"--theorem {args.theorem} checks")
     variant = parse_variant(args.variant)
     mode = "exhaustive" if args.mode == "exhaustive" else Sample(args.samples, args.seed)
     report = run(alphabet, args.n, variant, mode)
@@ -303,12 +310,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    _reg_reg_only(args, "trace aligns")
     alphabet = _alphabet(args)
     shuffle_a = _shuffle(args, alphabet)
     shuffle_b = parse_shuffle(args.shuffle_b, alphabet)
     word = parse_word(args.word, alphabet)
-    trace_a = insert_word(word, shuffle_a, REGULAR_REGULAR).trace
-    trace_b = insert_word(word, shuffle_b, REGULAR_REGULAR).trace
+    trace_a = _insert_traced(word, shuffle_a, REGULAR_REGULAR).trace
+    trace_b = _insert_traced(word, shuffle_b, REGULAR_REGULAR).trace
     alignment = align_traces(trace_a, shuffle_a, trace_b, shuffle_b)
     if args.format == "json":
         _emit_json(

@@ -221,11 +221,18 @@ class InsertionTrace:
         ranks, shuffle, variant = self._recipe
         lane = _Lane(shuffle, variant)
         lane.push_word(ranks)
+        filled = InsertionTrace._of_lane(lane)
+        object.__setattr__(self, "path_lengths", filled.path_lengths)
+        object.__setattr__(self, "log", filled.log)
+        return vars(self)[name]
+
+    @classmethod
+    def _of_lane(cls, lane: _Lane) -> InsertionTrace:
+        """The trace of the insertion a logged lane holds."""
         # each letter's path ends with its settle, the one placement that bumps nothing
         ends = [s for s, (_, _, _, y) in enumerate(lane.log, 1) if y is None]
-        object.__setattr__(self, "path_lengths", tuple(b - a for a, b in zip([0] + ends, ends)))
-        object.__setattr__(self, "log", tuple(lane.log))
-        return vars(self)[name]
+        lengths = tuple(b - a for a, b in zip([0] + ends, ends))
+        return cls(lengths, tuple(lane.log), lane.shuffle.order)
 
     @property
     def total(self) -> int:
@@ -506,4 +513,17 @@ def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
         p=Tableau(tuple(tuple(order[x] for x in row) for row in lane.rows)),
         q=RecordingTableau(tuple(map(tuple, lane.qrows))),
         trace=InsertionTrace._deferred(tuple(ranks), shuffle, variant),
+    )
+
+
+def _insert_traced(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
+    """``insert_word`` for a caller that reads the trace: one insertion that
+    keeps a log gives P, Q and the filled trace."""
+    lane = _Lane(shuffle, variant)
+    lane.push_word(_ranks_of(v, shuffle))
+    order = shuffle.order
+    return InsertionResult(
+        p=Tableau(tuple(tuple(order[x] for x in row) for row in lane.rows)),
+        q=RecordingTableau(tuple(map(tuple, lane.qrows))),
+        trace=InsertionTrace._of_lane(lane),
     )

@@ -213,56 +213,34 @@ class _States:
         return sigs.setdefault((self.cls[state], pending), len(sigs))
 
 
-class _Signatures:
-    """Each step's state in the form the alignment compares, read off a placement
-    log that holds ranks into ``order`` (by default the shuffle's own).
-
-    A step's signature is one int from the shared ``states``: its state's
-    class (the cells' ranks under ``shuffle`` with the pair's two ranks
-    masked, and the t_i-count of each region-2 component) with the pending
-    action as (alphabet index, row of a t or column of a u).  An adjacent
-    transposition keeps every other letter's rank, so masked cells are equal
-    exactly when the region-1 entries, the region-3 entries and the region-2
-    cells agree.  ``follow`` takes back only the steps after the prefix its
-    log shares with the log it read before, as a walk's lane does, by
-    truncating the per-step lists.
+class _Reading:
+    """A copy of one lane's placement log, ranks into ``order`` (by default
+    the shuffle's), and each step's pending action as (alphabet index, row of
+    a t or column of a u), or None after the last step.  Neither depends on
+    the swapped pair, so every signature stream of the lane shares them.
     """
 
-    __slots__ = ("value", "name", "is_t", "states", "log", "ids", "sigs")
+    __slots__ = ("name", "is_t", "log", "pending")
 
-    def __init__(
-        self, shuffle: Shuffle, pair: tuple[Letter, Letter], states: _States, order=None
-    ) -> None:
+    def __init__(self, shuffle: Shuffle, order=None) -> None:
         order = shuffle.order if order is None else order
-        ti = shuffle.rank(pair[0])
-        lo = min(ti, shuffle.rank(pair[1]))
-        self.value = [
-            -2 if e == ti else -1 if lo <= e <= lo + 1 else e for e in _ranks_of(order, shuffle)
-        ]
         index = {x: i for i, x in enumerate(shuffle.alphabet.letters())}
         self.name = [index[x] for x in order]
         self.is_t = [x.kind == "t" for x in order]
-        self.states = states
-        # per step: its placement, its state and its signature
-        self.log, self.ids, self.sigs = [], [], []
+        self.log, self.pending = [], []
 
     def follow(self, log) -> int:
-        """Bring ``sigs`` to the signatures of every step of ``log``; returns
-        the index of the first step whose signature changed."""
-        old, ids, sigs, states = self.log, self.ids, self.sigs, self.states
-        kept, end = _common_prefix(old, log), len(log)
-        del old[kept:], ids[kept:], sigs[kept:]
+        """Bring both lists to ``log``, truncating them to the prefix it shares
+        with the log read before, as a walk's lane does; returns its length."""
+        old, pending = self.log, self.pending
+        kept = _common_prefix(old, log)
+        del old[kept:], pending[kept:]
         old += log[kept:]
-        changed = kept
         if kept and log[kept - 1][3] is None:
             # a settle's pending action is the next letter's entry
-            sig = states.signature(ids[-1], self._pending(log, kept - 1))
-            if sig != sigs[-1]:
-                sigs[-1] = sig
-                changed = kept - 1
-        for s in range(kept, end):
-            self._step(log[s], self._pending(log, s))
-        return changed
+            pending[-1] = self._pending(log, kept - 1)
+        pending += [self._pending(log, s) for s in range(kept, len(log))]
+        return kept
 
     def _pending(self, log, s: int) -> tuple[int, int] | None:
         r, c, _, y = log[s]
@@ -272,6 +250,58 @@ class _Signatures:
             r, c, x, _ = log[s + 1]
             return self.name[x], r if self.is_t[x] else c
         return None
+
+
+class _Signatures:
+    """Each step's state in the form the alignment compares, for the steps of
+    a ``_Reading`` of one lane's log (its own unless one is given).
+
+    A step's signature is one int from the shared ``states``: its state's
+    class (the cells' ranks under ``shuffle`` with the pair's two ranks
+    masked, and the t_i-count of each region-2 component) with the reading's
+    pending action.  An adjacent transposition keeps every other letter's
+    rank, so masked cells are equal exactly when the region-1 entries, the
+    region-3 entries and the region-2 cells agree.
+    """
+
+    __slots__ = ("value", "reading", "states", "ids", "sigs")
+
+    def __init__(
+        self, shuffle: Shuffle, pair: tuple[Letter, Letter], states: _States, order=None,
+        reading: _Reading | None = None,
+    ) -> None:
+        order = shuffle.order if order is None else order
+        ti = shuffle.rank(pair[0])
+        lo = min(ti, shuffle.rank(pair[1]))
+        self.value = [
+            -2 if e == ti else -1 if lo <= e <= lo + 1 else e for e in _ranks_of(order, shuffle)
+        ]
+        self.reading = _Reading(shuffle, order) if reading is None else reading
+        self.states = states
+        # per step: its state and its signature
+        self.ids, self.sigs = [], []
+
+    def follow(self, log) -> int:
+        """Bring ``sigs`` to the signatures of every step of ``log``; returns
+        the index of the first step whose signature changed."""
+        return self.catch_up(self.reading.follow(log))
+
+    def catch_up(self, kept: int) -> int:
+        """Bring ``sigs`` to the steps of the reading, which kept its first
+        ``kept`` steps when it last followed a log; returns the index of the
+        first step whose signature changed."""
+        log, pending = self.reading.log, self.reading.pending
+        ids, sigs, states = self.ids, self.sigs, self.states
+        del ids[kept:], sigs[kept:]
+        changed = kept
+        if kept and log[kept - 1][3] is None:
+            sig = states.signature(ids[-1], pending[kept - 1])
+            if sig != sigs[-1]:
+                sigs[-1] = sig
+                changed = kept - 1
+        for s in range(kept, len(log)):
+            self._step(log[s], pending[s])
+        return changed
 
     def _step(self, step, pending: tuple[int, int] | None) -> None:
         """Place one step's element and append its state and signature."""
@@ -447,6 +477,7 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
     """
     held: tuple[int, ...] = ()
     marks: list[list[int]] = []  # per held letter: each lane's log length before it
+    pushes = [(lane.push, lane.rank) for lane in lanes]
     for word in words:
         shared = _common_prefix(held, word)
         if len(marks) > shared:
@@ -454,7 +485,7 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
                 lane.undo(start)
             del marks[shared:]
         for m in range(shared, len(word)):
-            marks.append([lane.push(lane.rank[word[m]], m + 1) for lane in lanes])
+            marks.append([push(rank[word[m]], m + 1) for push, rank in pushes])
         _check_diagrams(lanes)
         held = word
         yield word
@@ -481,9 +512,9 @@ def _report(
     """Run the cases and return their Report, whose parameters are k, l, n and
     then ``params``.
 
-    Each item of ``cases`` is one case: ``None`` when it passed, else its
-    ``CaseFailure``.  A ``_GridFailure`` is recorded without counting a case.
-    ``stats`` may be filled while the cases run.
+    ``cases`` yields an ``int`` for a run of that many passed cases, a
+    ``CaseFailure`` for one failed case, and a ``_GridFailure`` for a finding
+    recorded without counting a case.  ``stats`` may be filled meanwhile.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -491,11 +522,12 @@ def _report(
     failures: list[CaseFailure] = []
     count = 0
     for outcome in cases:
-        if isinstance(outcome, _GridFailure):
+        if type(outcome) is int:
+            count += outcome
+        elif isinstance(outcome, _GridFailure):
             failures.append(outcome.failure)
-            continue
-        count += 1
-        if outcome is not None:
+        else:
+            count += 1
             failures.append(outcome)
     elapsed = time.perf_counter() - start
     params = {"k": alphabet.k, "l": alphabet.l, "n": n, **(params or {})}
@@ -547,17 +579,12 @@ def _per_lane(alphabet: Alphabet, variant: Variant, holds, expected: str, actual
     def cases(words):
         lanes = _lanes(alphabet, variant)
         for word in _walk(words, lanes):
-            for lane in lanes:
-                if holds(lane):
-                    yield None
-                else:
-                    yield CaseFailure(
-                        word=_word_text(alphabet, word),
-                        shuffles=str(lane.shuffle),
-                        variant=variant.name,
-                        expected=expected,
-                        actual=actual,
-                    )
+            failed = [lane for lane in lanes if not holds(lane)]
+            yield len(lanes) - len(failed)
+            for lane in failed:
+                yield CaseFailure(
+                    _word_text(alphabet, word), str(lane.shuffle), variant.name, expected, actual
+                )
 
     return cases
 
@@ -568,25 +595,28 @@ def check_shape_invariance(
     variant: Variant = REGULAR_REGULAR,
     mode: Mode = "exhaustive",
 ) -> Report:
-    """Shape and recording tableau agree across every pair of shuffles."""
+    """Shape and recording tableau agree across every pair of shuffles.
+
+    A pair passes when its lanes' keys (P's shape, Q's rows) are equal, so a
+    word whose keys all equal the first lane's passes every pair at once."""
 
     def cases(words):
         lanes = _lanes(alphabet, variant)
         pairs = list(combinations(range(len(lanes)), 2))
         for word in _walk(words, lanes):
-            shapes = [tuple(map(len, lane.rows)) for lane in lanes]
-            for i, j in pairs:
-                q_equal = lanes[i].qrows == lanes[j].qrows
-                if shapes[i] == shapes[j] and q_equal:
-                    yield None
-                else:
-                    yield CaseFailure(
-                        word=_word_text(alphabet, word),
-                        shuffles=f"{lanes[i].shuffle} | {lanes[j].shuffle}",
-                        variant=variant.name,
-                        expected="equal shapes and recording tableaux",
-                        actual=f"shapes {shapes[i]} vs {shapes[j]}, q equal: {q_equal}",
-                    )
+            keys = [(tuple(map(len, lane.rows)), lane.qrows) for lane in lanes]
+            if keys.count(keys[0]) == len(keys):
+                yield len(pairs)
+                continue
+            failed = [(i, j) for i, j in pairs if keys[i] != keys[j]]
+            yield len(pairs) - len(failed)
+            for i, j in failed:
+                (shape_i, q_i), (shape_j, q_j) = keys[i], keys[j]
+                yield CaseFailure(
+                    _word_text(alphabet, word), f"{lanes[i].shuffle} | {lanes[j].shuffle}",
+                    variant.name, "equal shapes and recording tableaux",
+                    f"shapes {shape_i} vs {shape_j}, q equal: {q_i == q_j}",
+                )
 
     return _word_grid(
         "shape-invariance", alphabet, n, mode, cases, {"variant": variant.name}
@@ -635,19 +665,21 @@ def check_restriction_subtableau_grid(
             [_Lane(s, REGULAR_REGULAR, s.rank(x)) for x in letters] for s in all_shuffles(alphabet)
         ]
         wholes = [max(group, key=lambda lane: lane.bound) for group in groups]
+        size = len(groups) * len(letters)
         for word in _walk(words, [lane for group in groups for lane in group]):
-            for restricted, full in zip(groups, wholes):
-                for x, lane in zip(letters, restricted):
-                    if _is_prefix_grid(lane.rows, full.rows):
-                        yield None
-                    else:
-                        yield CaseFailure(
-                            word=_word_text(alphabet, word),
-                            shuffles=str(lane.shuffle),
-                            variant=REGULAR_REGULAR.name,
-                            expected=f"restriction to letters <= {x} is a subtableau",
-                            actual="subtableau containment failed",
-                        )
+            failed = [
+                (x, full)
+                for restricted, full in zip(groups, wholes)
+                for x, lane in zip(letters, restricted)
+                if not _is_prefix_grid(lane.rows, full.rows)
+            ]
+            yield size - len(failed)
+            for x, full in failed:
+                yield CaseFailure(
+                    _word_text(alphabet, word), str(full.shuffle), REGULAR_REGULAR.name,
+                    f"restriction to letters <= {x} is a subtableau",
+                    "subtableau containment failed",
+                )
 
     return _word_grid("restriction-subtableau", alphabet, n, mode, cases)
 
@@ -679,17 +711,16 @@ def check_region1_agreement_grid(
             for i, j, (ti, uj) in _adjacent_pairs(lanes)
         ]
         for word in _walk(words, lanes):
-            for i, j, lo in pairs:
-                if _low_cells(lanes[i].rows, lo) == _low_cells(lanes[j].rows, lo):
-                    yield None
-                else:
-                    yield CaseFailure(
-                        word=_word_text(alphabet, word),
-                        shuffles=f"{lanes[i].shuffle} | {lanes[j].shuffle}",
-                        variant=REGULAR_REGULAR.name,
-                        expected="identical low-letter subtableaux",
-                        actual="low regions differ",
-                    )
+            failed = [
+                (i, j) for i, j, lo in pairs
+                if _low_cells(lanes[i].rows, lo) != _low_cells(lanes[j].rows, lo)
+            ]
+            yield len(pairs) - len(failed)
+            for i, j in failed:
+                yield CaseFailure(
+                    _word_text(alphabet, word), f"{lanes[i].shuffle} | {lanes[j].shuffle}",
+                    REGULAR_REGULAR.name, "identical low-letter subtableaux", "low regions differ",
+                )
 
     return _word_grid("region1-agreement", alphabet, n, mode, cases)
 
@@ -711,29 +742,31 @@ def check_trace_alignment_grid(
     def cases(words):
         lanes = _lanes(alphabet, REGULAR_REGULAR)
         states = _States()
+        readings = [_Reading(lane.shuffle) for lane in lanes]
         # per (lane, pair): a signature stream for each side and their witness table
         streams = [
-            (lanes[i], lanes[j], _Signatures(lanes[i].shuffle, pair, states),
-             _Signatures(lanes[j].shuffle, pair, states), {})
+            (i, j, _Signatures(lanes[i].shuffle, pair, states, reading=readings[i]),
+             _Signatures(lanes[j].shuffle, pair, states, reading=readings[j]), {})
             for i, j, pair in _adjacent_pairs(lanes)
         ]
         for word in _walk(words, lanes):
-            for a, b, sigs_a, sigs_b, table in streams:
-                ca, cb = sigs_a.follow(a.log), sigs_b.follow(b.log)
+            kept = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
+            failed = []
+            for i, j, sigs_a, sigs_b, table in streams:
+                ca, cb = sigs_a.catch_up(kept[i]), sigs_b.catch_up(kept[j])
                 _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
                 try:
                     count = _witness_count(table, len(sigs_a.sigs), len(sigs_b.sigs))
                 except AlignmentError as exc:
-                    yield CaseFailure(
-                        word=_word_text(alphabet, word),
-                        shuffles=f"{a.shuffle} | {b.shuffle}",
-                        variant=REGULAR_REGULAR.name,
-                        expected="an alignment with equivalent matched states",
-                        actual=str(exc),
-                    )
+                    failed.append(CaseFailure(
+                        _word_text(alphabet, word), f"{lanes[i].shuffle} | {lanes[j].shuffle}",
+                        REGULAR_REGULAR.name, "an alignment with equivalent matched states",
+                        str(exc),
+                    ))
                     continue
                 witness_histogram[count] = witness_histogram.get(count, 0) + 1
-                yield None
+            yield len(streams) - len(failed)
+            yield from failed
 
     report = _word_grid("trace-alignment", alphabet, n, mode, cases)
     report.stats["witness_counts"] = {
@@ -755,18 +788,17 @@ def check_dual_regular_agreement_grid(
     def cases(words):
         lanes = _lanes(alphabet, REGULAR_REGULAR, REGULAR_DUAL)
         # every prefix of a kept word is kept, so no prefix with a repeated u is inserted
+        pairs = list(zip(lanes[::2], lanes[1::2]))
         for word in _walk(filter(distinct_us, words), lanes):
-            for reg, dual in zip(lanes[::2], lanes[1::2]):
-                if reg.rows == dual.rows and reg.qrows == dual.qrows:
-                    yield None
-                else:
-                    yield CaseFailure(
-                        word=_word_text(alphabet, word),
-                        shuffles=str(reg.shuffle),
-                        variant="reg-reg vs reg-dual",
-                        expected="identical insertion and recording tableaux",
-                        actual="outputs differ",
-                    )
+            failed = [
+                reg for reg, dual in pairs if reg.rows != dual.rows or reg.qrows != dual.qrows
+            ]
+            yield len(pairs) - len(failed)
+            for reg in failed:
+                yield CaseFailure(
+                    _word_text(alphabet, word), str(reg.shuffle), "reg-reg vs reg-dual",
+                    "identical insertion and recording tableaux", "outputs differ",
+                )
 
     return _word_grid("dual-regular-agreement", alphabet, n, mode, cases)
 
@@ -817,17 +849,16 @@ def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
 def _image(target: _Lane, word: tuple[int, ...], memo: dict):
     """The target's image of a recovered word: rank rows, shape, validity under
     the target and sorted content (alphabet indices).  It depends on the target
-    and the word alone, so the target's ``memo`` keeps it for every source."""
-    image = memo.get(word)
-    if image is None:
-        _insert_into(target, word)
-        rows = target.rows
-        image = memo[word] = (
-            tuple(map(tuple, rows)),
-            tuple(map(len, rows)),
-            _valid_ranks(rows, target.strict),
-            sorted(target.letter[x] for row in rows for x in row),
-        )
+    and the word alone, so it is kept in the target's ``memo`` for every source,
+    which looks it up there before calling this."""
+    _insert_into(target, word)
+    rows = target.rows
+    image = memo[word] = (
+        tuple(map(tuple, rows)),
+        tuple(map(len, rows)),
+        _valid_ranks(rows, target.strict),
+        sorted(target.letter[x] for row in rows for x in row),
+    )
     return image
 
 
@@ -842,14 +873,17 @@ def _transport_cases(
 ):
     """Map one recorder's recovered words to their images under the target lane.
 
-    Yields one case per source filling, checked against that filling's shape and
-    content, then the findings about the whole map, and returns the images
-    (rank rows under the target) in source order.
+    Checks one case per source filling against that filling's shape and
+    content, and yields the passes as one run, then the failures, then the
+    findings about the whole map; returns the images (rank rows under the
+    target) in source order.
     """
-    images = []
+    images, failed = [], []
     for word, content in zip(words, contents):
-        image, image_shape, valid, image_content = _image(target, word, memo)
+        image, image_shape, valid, image_content = memo.get(word) or _image(target, word, memo)
         images.append(image)
+        if image_shape == shape and valid and image_content == content:
+            continue
         problems = []
         if image_shape != shape:
             problems.append(f"shape changed to {image_shape}")
@@ -857,10 +891,9 @@ def _transport_cases(
             problems.append("image not valid under target order")
         if image_content != content:
             problems.append("content changed")
-        if problems:
-            yield failure("valid, content-preserving image", "; ".join(problems))
-        else:
-            yield None
+        failed.append(failure("valid, content-preserving image", "; ".join(problems)))
+    yield len(words) - len(failed)
+    yield from failed
     if len(set(images)) != len(images):
         yield _GridFailure(failure("injective map", "two fillings share an image"))
     if len(words) != target_count:
@@ -928,20 +961,19 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
                 grids, _, words = _reverse_sources(shape, fillings, cells, lane)
                 for q, q_words in zip(recorders, words):
                     q_rows = [list(row) for row in q.rows]
+                    failed = []
                     for rows, word in zip(grids, q_words):
                         _insert_into(lane, word)
                         p_same, q_same = lane.rows == rows, lane.qrows == q_rows
-                        if p_same and q_same:
-                            yield None
-                        else:
-                            yield CaseFailure(
-                                word=_word_text(alphabet, word),
-                                shuffles=str(s),
-                                variant=REGULAR_REGULAR.name,
-                                expected="insertion gives back the reversed (P, Q)",
-                                actual="P differs" if q_same else "Q differs" if p_same
+                        if not (p_same and q_same):
+                            failed.append(CaseFailure(
+                                _word_text(alphabet, word), str(s), REGULAR_REGULAR.name,
+                                "insertion gives back the reversed (P, Q)",
+                                "P differs" if q_same else "Q differs" if p_same
                                 else "P and Q differ",
-                            )
+                            ))
+                    yield len(grids) - len(failed)
+                    yield from failed
 
     return _report("converse-round-trip", alphabet, n, cases())
 
@@ -956,14 +988,11 @@ def check_hook_schur_invariance(alphabet: Alphabet, n: int) -> Report:
             for s in shuffles[1:]:
                 other = hook_schur(shape, alphabet, s)
                 if other == reference:
-                    yield None
+                    yield 1
                 else:
                     yield CaseFailure(
-                        word=f"shape {shape}",
-                        shuffles=f"{shuffles[0]} | {s}",
-                        variant=REGULAR_REGULAR.name,
-                        expected=reference.render(),
-                        actual=other.render(),
+                        f"shape {shape}", f"{shuffles[0]} | {s}", REGULAR_REGULAR.name,
+                        reference.render(), other.render(),
                     )
 
     return _report("hook-schur-invariance", alphabet, n, cases())
@@ -978,14 +1007,10 @@ def check_counting_identity(alphabet: Alphabet, n: int) -> Report:
             for variant in VARIANTS:
                 outcome = rsk_counting_identity(alphabet, n, s, variant)
                 if outcome["equal"]:
-                    yield None
+                    yield 1
                 else:
                     yield CaseFailure(
-                        word=f"n={n}",
-                        shuffles=str(s),
-                        variant=variant.name,
-                        expected=str(outcome["rhs"]),
-                        actual=str(outcome["lhs"]),
+                        f"n={n}", str(s), variant.name, str(outcome["rhs"]), str(outcome["lhs"])
                     )
 
     return _report("counting-identity", alphabet, n, cases())
@@ -999,22 +1024,20 @@ def check_round_trip_grid(
     def cases(words):
         lanes = _lanes(alphabet, variant)
         for word in _walk(words, lanes):
+            failed = []
             for lane in lanes:
                 # reverse_word's guards, on ranks
                 cells = _check_recording(tuple(map(len, lane.rows)), lane.qrows)
                 if not _valid_ranks(lane.rows, lane.strict):
                     raise ValueError(_INVALID_P)
                 back = _recovered(lane.rows, lane.cols, cells, lane)
-                if back == word:
-                    yield None
-                else:
-                    yield CaseFailure(
-                        word=_word_text(alphabet, word),
-                        shuffles=str(lane.shuffle),
-                        variant=variant.name,
-                        expected=_word_text(alphabet, word),
-                        actual=_word_text(alphabet, back),
-                    )
+                if back != word:
+                    failed.append(CaseFailure(
+                        _word_text(alphabet, word), str(lane.shuffle), variant.name,
+                        _word_text(alphabet, word), _word_text(alphabet, back),
+                    ))
+            yield len(lanes) - len(failed)
+            yield from failed
 
     return _word_grid("round-trip", alphabet, n, mode, cases, {"variant": variant.name})
 
@@ -1063,6 +1086,7 @@ def check_standardization_mimicry_grid(
         keyed: dict[tuple[int, tuple[int, ...]], tuple[_Lane, list[int]]] = {}
         for word in _walk(words, lanes):
             counts, relabelled = _relabel_u(word, alphabet.k, alphabet.l)
+            failed = []
             for i, lane in enumerate(lanes):
                 s = lane.shuffle
                 entry = keyed.get((i, counts))
@@ -1075,15 +1099,12 @@ def check_standardization_mimicry_grid(
                 rel, to_rank = entry
                 _insert_into(rel, relabelled)
                 unmapped = [[to_rank[x] for x in row] for row in rel.rows]
-                if rel.qrows == lane.qrows and unmapped == lane.rows:
-                    yield None
-                else:
-                    yield CaseFailure(
-                        word=_word_text(alphabet, word),
-                        shuffles=str(s),
-                        variant=REGULAR_DUAL.name,
-                        expected="relabelled insertion matches cell for cell",
-                        actual="mimicry failed",
-                    )
+                if rel.qrows != lane.qrows or unmapped != lane.rows:
+                    failed.append(CaseFailure(
+                        _word_text(alphabet, word), str(s), REGULAR_DUAL.name,
+                        "relabelled insertion matches cell for cell", "mimicry failed",
+                    ))
+            yield len(lanes) - len(failed)
+            yield from failed
 
     return _word_grid("standardization-mimicry", alphabet, n, mode, cases)

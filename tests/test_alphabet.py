@@ -205,6 +205,15 @@ class TestLess:
         with pytest.raises(ValueError):
             A.less(t(3), u(1))
 
+    @pytest.mark.parametrize("entry", [("t", 1), ["t", 1], "t1", None, 1], ids=repr)
+    def test_rank_refuses_what_is_not_a_letter(self, a22, entry):
+        shuffle = all_shuffles(a22)[0]
+        assert shuffle.rank(t(1)) == 0
+        with pytest.raises(ValueError, match=r"^rank arguments must be letters, got "):
+            shuffle.rank(entry)
+        with pytest.raises(ValueError, match=r"^rank arguments must be letters, got "):
+            shuffle.less(t(1), entry)
+
     def test_total_order_axioms_exhaustively(self):
         for alph in small_alphabets(4):
             for s in all_shuffles(alph):

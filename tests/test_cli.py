@@ -59,6 +59,25 @@ class TestInsert:
         assert code == 0
         assert out == "P:\nt1\nu1\nQ:\n1\n2\npath lengths: 1 1\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_insertion_per_letter(self, capsys, monkeypatch, fmt):
+        # P, Q and the path lengths all come from one logged insertion
+        import superrsk.insertion as insertion
+
+        calls = []
+        original = insertion._insert_rank
+
+        def counted(*args):
+            calls.append(args[-1] is not None)
+            return original(*args)
+
+        monkeypatch.setattr(insertion, "_insert_rank", counted)
+        code, out = run(capsys, "--k", "2", "--l", "2", "--format", fmt,
+                        "insert", "--word", "t1,u1,t2,u2,t1")
+        lengths = json.loads(out)["path_lengths"] if fmt == "json" else out.splitlines()[-1]
+        assert code == 0 and lengths in ([1, 1, 1, 1, 3], "path lengths: 1 1 1 1 3")
+        assert calls == [True] * 5  # each letter once, with a log
+
     def test_byte_identical_output(self, capsys):
         argv = ["--k", "2", "--l", "2", "insert", "--word", "u2,t1,t2,u1"]
         _, first = run(capsys, *argv)
@@ -398,6 +417,13 @@ REG_REG_ONLY = (
     "converse",
 )
 
+# commands that work under reg-reg only and refuse any other --variant
+UNVARIED_COMMANDS = (
+    ["hook-schur", "--shape", "2"],
+    ["trace", "--word", "t1,u1", "--shuffle-b", "u1<t1"],
+)
+OTHER_VARIANTS = ("reg-dual", "dual-reg", "dual-dual")
+
 # --shape values with an empty or blank part, which once ran as the shape without it
 SHAPES_WITH_EMPTY_PARTS = ("2,,1", "3,", ",2", " ", "2, ,1", ",")
 
@@ -440,6 +466,8 @@ class TestBadInputExitCodes:
               for token in REG_REG_ONLY],
             *[([command, "--shape", shape], None, False)
               for command in ("enumerate", "hook-schur") for shape in SHAPES_WITH_EMPTY_PARTS],
+            *[(["--variant", variant, *command], None, False)
+              for command in UNVARIED_COMMANDS for variant in OTHER_VARIANTS],
         ],
         ids=[
             "reverse-missing-file",
@@ -464,6 +492,8 @@ class TestBadInputExitCodes:
             *[f"verify-{token}-variant" for token in REG_REG_ONLY],
             *[f"{command}-shape-{shape!r}" for command in ("enumerate", "hook-schur")
               for shape in SHAPES_WITH_EMPTY_PARTS],
+            *[f"{command[0]}-{variant}" for command in UNVARIED_COMMANDS
+              for variant in OTHER_VARIANTS],
         ],
     )
     def test_exits_2_with_one_error_line(

@@ -36,11 +36,14 @@ from superrsk import (
     enumerate_ssyt,
     enumerate_syt,
     insert_word,
+    is_valid,
     parse_shuffle,
     parse_word,
+    partitions,
     reverse_word,
     t,
     u,
+    variant_profile,
 )
 from superrsk.bijection import _DISPLACE_SEARCH
 from superrsk.verify import (
@@ -267,6 +270,23 @@ class TestReports:
         report = check_shape_invariance(Alphabet(2, 0), 3)
         assert report.cases_run == 0 and report.failures == ()
         assert not report.passed
+
+    def test_runs_count_their_passes(self, a22):
+        import superrsk.verify as verify
+
+        failure = CaseFailure("t1", "t1<t2<u1<u2", "reg-reg", "a pass", "a failure")
+        finding = verify._GridFailure(failure)
+        report = verify._report("runs", a22, 1, iter([3, 0, failure, finding, 4]))
+        # a run adds its passes, a failure is one case, a grid finding none
+        assert report.cases_run == 3 + 0 + 1 + 4
+        assert report.failures == (failure, failure) and not report.passed
+        assert verify._report("runs", a22, 1, iter([0, 5, 0])).passed
+
+    def test_a_grid_of_empty_runs_has_no_cases(self, a22):
+        import superrsk.verify as verify
+
+        report = verify._report("runs", a22, 1, iter([0, 0, 0]))
+        assert report.cases_run == 0 and report.failures == () and not report.passed
 
     def test_negative_length_rejected(self, a22):
         with pytest.raises(ValueError, match="n must be non-negative"):
@@ -752,6 +772,25 @@ class TestSignatureStreams:
         )
         assert calls["_step"] == expected == 6216  # one per (word, pair, step) was 16,512
 
+    def test_each_lane_log_is_read_once_per_word(self, a22, monkeypatch):
+        # a lane's kept prefix and pending actions do not depend on the pair,
+        # so the streams of every pair the lane is in share one reading of it
+        import superrsk.verify as verify
+
+        calls = count_calls(monkeypatch, verify._Reading, "follow", "_pending")
+        assert check_trace_alignment_grid(a22, 4).passed
+        shuffles = all_shuffles(a22)
+        new_steps = sum(
+            insert_word(word, s, REGULAR_REGULAR).trace.path_lengths[-1]
+            for m in range(1, 5)
+            for word in all_words(a22, m)
+            for s in shuffles
+        )
+        assert calls["follow"] == len(shuffles) * 4**4
+        # a pending action per new step, and one more for the kept settle of
+        # every word that keeps a prefix: all but the first of each first letter
+        assert calls["_pending"] == new_steps + len(shuffles) * (4**4 - 4)
+
 
 def stacking_insert(rows, cols, x, is_t, find_t, find_u, log):
     """A faulty insertion: x settles in a new row while P has fewer than two
@@ -860,15 +899,15 @@ class TestMimicryOnTheWalk:
 
 
 # a bump search made wrong for one shuffle: under a regular u-rule, once P
-# has two rows, the t-search of t1<u1<t2<u2 switches between the regular and
-# the dual rule
+# has two rows, the t-search of the faulty order (by default t1<u1<t2<u2)
+# switches between the regular and the dual rule
 FAULTY_ORDER = "t1<u1<t2<u2"
 
 
-def install_fault(monkeypatch, alphabet):
+def install_fault(monkeypatch, alphabet, order=FAULTY_ORDER):
     import superrsk.insertion as insertion
 
-    broken = [x.kind == "t" for x in parse_shuffle(FAULTY_ORDER, alphabet).order]
+    broken = [x.kind == "t" for x in parse_shuffle(order, alphabet).order]
     original = insertion._insert_rank
     swap = {bisect_right: bisect_left, bisect_left: bisect_right}
 
@@ -975,6 +1014,58 @@ def grid_outcome(token, alphabet, n, variant, mode):
     return report.cases_run, list(report.failures), report.stats.get("witness_counts", {})
 
 
+def theorem3_reference(alphabet, n, fillings_of=enumerate_ssyt):
+    """theorem3 case by case from public functions: the case count, the
+    failures in the grid's order (each case's, then the findings about each
+    recorder's map) and the most distinct maps of any ordered shuffle pair,
+    per shape.  ``fillings_of`` lists a shape's fillings under a shuffle."""
+    shuffles = all_shuffles(alphabet)
+    profile = variant_profile(REGULAR_REGULAR)
+
+    def content(tab):
+        return sorted(x for row in tab.rows for x in row)
+
+    cases, failures, distinct = 0, [], {}
+    for shape in partitions(n):
+        recorders = enumerate_syt(shape)
+        fillings = {s: fillings_of(shape, alphabet, s, REGULAR_REGULAR) for s in shuffles}
+        for a, b in product(shuffles, repeat=2):
+            if a == b:
+                continue
+            maps = set()
+            for q in recorders:
+                images = []
+                for p in fillings[a]:
+                    back = reverse_word(p, q, a, REGULAR_REGULAR)
+                    image = insert_word(back, b, REGULAR_REGULAR).p
+                    images.append(image)
+                    problems = []
+                    if image.shape != shape:
+                        problems.append(f"shape changed to {image.shape}")
+                    if not is_valid(image, b, profile):
+                        problems.append("image not valid under target order")
+                    if content(image) != content(p):
+                        problems.append("content changed")
+                    cases += 1
+                    if problems:
+                        failures.append(CaseFailure(
+                            "", f"{a} -> {b}", "reg-reg", "valid, content-preserving image",
+                            "; ".join(problems),
+                        ))
+                if len(set(images)) != len(images):
+                    failures.append(CaseFailure(
+                        "", f"{a} -> {b}", "reg-reg", "injective map", "two fillings share an image"
+                    ))
+                if len(fillings[a]) != len(fillings[b]):
+                    failures.append(CaseFailure(
+                        "", f"{a} -> {b}", "reg-reg", "equal counts on both sides",
+                        f"{len(fillings[a])} vs {len(fillings[b])}",
+                    ))
+                maps.add(tuple(images))
+            distinct[str(shape)] = max(distinct.get(str(shape), 0), len(maps))
+    return cases, failures, distinct
+
+
 class TestFailureRecordsUnderAFault:
     @pytest.mark.parametrize(
         "mode,n", [("exhaustive", 3), (Sample(40, 3), 4)], ids=["exhaustive", "sampled"]
@@ -1001,6 +1092,48 @@ class TestFailureRecordsUnderAFault:
         expected = reference_outcome("round-trip", a22, n, REGULAR_REGULAR, mode)
         assert grid_outcome("round-trip", a22, n, REGULAR_REGULAR, mode) == expected
         assert expected[1]
+
+    @pytest.mark.parametrize("token", ["2", "5"])
+    def test_shape_failures_match_with_many_lanes(self, monkeypatch, token):
+        # 10 shuffles and 45 pairs a word: a word whose keys differ is
+        # compared pair by pair, and its failures keep the pair order
+        alphabet = Alphabet(3, 2)
+        install_fault(monkeypatch, alphabet, "t1<u1<t2<u2<t3")
+        variants = VARIANTS if token == "5" else [REGULAR_REGULAR]
+        recorded = 0
+        for variant in variants:
+            expected = outcome(lambda: reference_outcome(token, alphabet, 3, variant, "exhaustive"))
+            assert outcome(lambda: grid_outcome(token, alphabet, 3, variant, "exhaustive")) == expected
+            recorded += not isinstance(expected, str) and len(expected[1]) > 0
+        assert recorded > 0
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["all-fillings", "a-filling-lost"])
+    def test_theorem3_failures_match_per_case_reference(self, a22, monkeypatch, lossy):
+        import superrsk.verify as verify
+
+        install_fault(monkeypatch, a22)
+        fillings_of = enumerate_ssyt
+        if lossy:
+            # the faulty order loses the last filling of each shape, so every
+            # map to or from it also records unequal counts
+            faulty = parse_shuffle(FAULTY_ORDER, a22)
+
+            def fillings_of(shape, alphabet, shuffle, variant):
+                fillings = enumerate_ssyt(shape, alphabet, shuffle, variant)
+                return fillings[:-1] if shuffle == faulty else fillings
+
+            monkeypatch.setattr(verify, "enumerate_ssyt", fillings_of)
+        report = check_weight_preserving_bijection_grid(a22, 3)
+        cases, failures, distinct = theorem3_reference(a22, 3, fillings_of)
+        assert (report.cases_run, len(report.failures)) == (cases, len(failures))
+        assert list(report.failures) == failures
+        assert report.stats["distinct_maps_by_shape"] == distinct
+        findings = sum(f.expected == "equal counts on both sides" for f in failures)
+        if lossy:
+            # per recorder of each shape, 10 ordered pairs hold the faulty order
+            assert findings == 10 * sum(len(enumerate_syt(shape)) for shape in partitions(3))
+        else:
+            assert (cases, len(failures), findings) == (1920, 20, 0)
 
     def test_converse_sees_the_fault(self, a22, monkeypatch):
         install_fault(monkeypatch, a22)
