@@ -6,8 +6,9 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
 (default: this checkout's ``src/``), over a fixed matrix:
 
 - ``--format json verify`` for the 14 claim tokens below, each with every
-  variant it honours, at (k, l) in {(2, 2), (2, 1), (1, 2)} and n in
-  {0, 3, 4}, exhaustive and, where the token honours it,
+  variant it honours (and ``cor4`` with every variant, which checkouts that
+  check it under reg-reg only refuse), at (k, l) in {(2, 2), (2, 1), (1, 2)}
+  and n in {0, 3, 4}, exhaustive and, where the token honours it,
   ``--mode sample --samples 7 --seed 5``;
 - every token once more at (k, l) in {(2, 0), (0, 2)} and n in {0, 3};
 - ``--format json enumerate`` for every shape of 1 to 4 cells under every
@@ -20,6 +21,9 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
 - ``--format json hook-schur`` for every shape of 6 and 7 cells under every
   shuffle at (k, l) = (3, 3), the benchmark's hook-schur grid and one size
   below it;
+- ``--format json hook-schur`` for every shape of 1 to 4 cells under every
+  shuffle and variant at (k, l) in {(2, 2), (2, 1)} (checkouts that count
+  reg-reg fillings only refuse the other variants);
 - ``trace`` in both output formats for every ordered pair of adjacent
   shuffles at (k, l) in {(2, 2), (2, 1), (1, 2)}, on each of the three fixed
   words and the empty word (a word with a letter outside the alphabet exits 2);
@@ -61,6 +65,10 @@ TOKENS = (
     "paths", "cells", "region1", "round-trip", "mimicry", "converse",
 )
 VARIANTS = ("reg-reg", "reg-dual", "dual-reg", "dual-dual")
+# tokens run under every variant even where a checkout does not honour
+# --variant for them (it exits 2 there), so that checkouts from before and
+# after they honoured it run one matrix
+ALWAYS_VARIED = ("cor4",)
 SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
 SHAPES = ("1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1")
 WORDS = ("t2,u2,u1,u1,t1", "u1,t1,u1,t2,t1,u2,u1", "t1,t1,t2,t1")
@@ -111,7 +119,8 @@ def matrix(claims: dict) -> list[list[str]]:
         for n in (0, 3, 4):
             for token in TOKENS:
                 honours, _ = claims[token]
-                variants = VARIANTS if "variant" in honours else ("reg-reg",)
+                varied = "variant" in honours or token in ALWAYS_VARIED
+                variants = VARIANTS if varied else ("reg-reg",)
                 modes = ((), SAMPLE) if "mode" in honours else ((),)
                 for variant in variants:
                     for mode in modes:
@@ -161,6 +170,14 @@ def matrix(claims: dict) -> list[list[str]]:
                     "--k", "3", "--l", "3", "--shuffle", chain, "--format", "json",
                     "hook-schur", "--shape", ",".join(map(str, shape)),
                 ])
+    for k, l in ((2, 2), (2, 1)):
+        for chain in chains(k, l):
+            for variant in VARIANTS:
+                for shape in SHAPES:
+                    runs.append([
+                        "--k", str(k), "--l", str(l), "--shuffle", chain, "--variant", variant,
+                        "--format", "json", "hook-schur", "--shape", shape,
+                    ])
     for k, l in ((2, 2), (2, 1), (1, 2)):
         for a in chains(k, l):
             for b in chains(k, l):

@@ -54,7 +54,7 @@ from .verify import (
 _CLAIMS = {
     "2": (("mode",), lambda a, n, v, m: check_shape_invariance(a, n, REGULAR_REGULAR, m)),
     "5": (("mode", "variant"), lambda a, n, v, m: check_shape_invariance(a, n, v, m)),
-    "cor4": ((), lambda a, n, v, m: check_hook_schur_invariance(a, n)),
+    "cor4": (("variant",), lambda a, n, v, m: check_hook_schur_invariance(a, n, v)),
     "lemma2.6": (("mode",), lambda a, n, v, m: check_restriction_subtableau_grid(a, n, m)),
     "lemma2.15": (("mode",), lambda a, n, v, m: check_trace_alignment_grid(a, n, m)),
     "lemma3.2": (("mode",), lambda a, n, v, m: check_dual_regular_agreement_grid(a, n, m)),
@@ -267,11 +267,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_hook_schur(args) -> int:
-    _reg_reg_only(args, "hook-schur counts")
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
+    variant = parse_variant(args.variant)
     shape = _parse_shape(args.shape)
-    poly = hook_schur(shape, alphabet, shuffle)
+    poly = hook_schur(shape, alphabet, shuffle, variant)
     if args.format == "json":
         _emit_json(polynomial_to_json(poly))
     else:

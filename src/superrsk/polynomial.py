@@ -65,6 +65,14 @@ class Polynomial:
         # distinct keys: nothing to merge
         self._terms = {m: c for m, c in zip(terms, map(int, terms.values())) if c}
 
+    @classmethod
+    def _of(cls, terms: dict[Monomial, int]) -> "Polynomial":
+        """The polynomial of ``terms``, taken as it is: its keys are ``Monomial``s
+        and its coefficients nonzero ints by construction, and no one else holds it."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
+
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
 
@@ -95,7 +103,7 @@ class Polynomial:
                 merged[mono] = c
             elif mono in merged:
                 del merged[mono]
-        return Polynomial(merged)
+        return Polynomial._of(merged)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -109,7 +117,7 @@ class Polynomial:
                     prod[m] = c
                 elif m in prod:
                     del prod[m]
-        return Polynomial(prod)
+        return Polynomial._of(prod)
 
     def render(self) -> str:
         if not self._terms:

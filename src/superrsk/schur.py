@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import factorial
 
 from .alphabet import Alphabet, Shuffle
-from .insertion import Variant, variant_profile
+from .insertion import REGULAR_REGULAR, Variant, variant_profile
 from .polynomial import Monomial, Polynomial
 from .tableau import (
     RecordingTableau,
@@ -164,68 +164,86 @@ def _horizontal_strips(mu: Shape, bound: Shape) -> list[tuple[Shape, int]]:
     return [(nu, sum(nu) - base) for nu in product(*ranges)]
 
 
-def _removed_strips(nu: Shape) -> list[Shape]:
-    """Every mu with nu/mu a horizontal strip: nu_{i+1} <= mu_i <= nu_i (zero-padded)."""
-    return list(product(*(range(low, high + 1) for low, high in zip(nu[1:] + (0,), nu))))
+def _removed_strips(nu: Shape) -> list[tuple[Shape, int]]:
+    """Every mu with nu/mu a horizontal strip, paired with |nu/mu|.
+
+    nu is zero-padded; each row ranges over nu_{i+1} <= mu_i <= nu_i.
+    """
+    base = sum(nu)
+    ranges = [range(low, high + 1) for low, high in zip(nu[1:] + (0,), nu)]
+    return [(mu, base - sum(mu)) for mu in product(*ranges)]
 
 
 def _build_strips(shape: Shape, kind: str, mu: Shape, outward: bool) -> list:
-    """The strips of one letter kind at the zero-padded sub-shape mu of shape.
+    """The strips of one kind at the zero-padded sub-shape mu of shape.
 
-    Outward: every nu inside shape with nu/mu a strip, paired with |nu/mu|.
-    Inward: every sub-shape lambda with mu/lambda a strip.  A t adds a
-    horizontal strip; a u adds a vertical one, the conjugate's horizontal strip.
+    Outward: every nu inside shape with nu/mu a strip.  Inward: every
+    sub-shape lambda with mu/lambda a strip.  Each comes paired with the
+    strip's size.  Kind "t" is a horizontal strip, the one a regular t adds;
+    kind "u" is a vertical strip, the conjugate's horizontal strip.
     """
     if kind == "t":
         return _horizontal_strips(mu, shape) if outward else _removed_strips(mu)
     rows, width = len(shape), (shape[0] if shape else 0)
     flipped = _conjugate(mu, width)
     if outward:
-        return [
-            (_conjugate(nu, rows), size)
-            for nu, size in _horizontal_strips(flipped, _conjugate(shape, width))
-        ]
-    return [_conjugate(nu, rows) for nu in _removed_strips(flipped)]
+        found = _horizontal_strips(flipped, _conjugate(shape, width))
+    else:
+        found = _removed_strips(flipped)
+    return [(_conjugate(nu, rows), size) for nu, size in found]
 
 
 # Shapes whose strip tables outlive a call.  A Corollary 4 check walks every
 # partition of n under every shuffle (15 shapes at n = 7, 42 at n = 10).
 _KEPT_SHAPES = 64
+# Decoded monomials that outlive a call.  Six letters with exponents summing
+# to 7 give 792 of them.
+_KEPT_TERMS = 4096
 
 
 @lru_cache(maxsize=_KEPT_SHAPES)
 def _strip_table(shape: Shape) -> dict[tuple[str, Shape, bool], list]:
     """The strip lists inside one shape, keyed by (kind, sub-shape, outward).
 
-    They depend on nothing else, so the walks of every shuffle share them;
-    ``hook_schur`` fills the table as its walks ask for entries.
+    They depend on nothing else, so the walks of every shuffle and variant
+    share them; ``hook_schur`` fills the table as its walks ask for entries.
     """
     return {}
 
 
-def _unpack(packed: int, count: int, bits: int) -> tuple[int, ...]:
-    """The first ``count`` fields of width ``bits`` of a packed int, lowest first."""
+@lru_cache(maxsize=_KEPT_TERMS)
+def _monomial(key: int, k: int, l: int, bits: int) -> Monomial:
+    """The monomial of a packed exponent vector: k x-fields, then l y-fields,
+    each ``bits`` wide, lowest first."""
     mask = (1 << bits) - 1
-    return tuple(packed >> i * bits & mask for i in range(count))
+    exponents = [key >> i * bits & mask for i in range(k + l)]
+    return tuple.__new__(Monomial, (tuple(exponents[:k]), tuple(exponents[k:])))
 
 
-def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial:
-    """Weight generating polynomial of the shape's regular-regular fillings.
+def hook_schur(
+    shape: Shape, alphabet: Alphabet, shuffle: Shuffle, variant: Variant = REGULAR_REGULAR
+) -> Polynomial:
+    """Weight generating polynomial of the shape's fillings under the variant.
 
     A filling under the shuffle is a chain of shapes from the empty shape to
-    ``shape`` that adds one strip per letter, letters taken in shuffle order:
-    a horizontal strip for a t-letter (t's are strict in columns) and a
-    vertical strip for a u-letter (u's are strict in rows); the strip's size
-    is that letter's exponent.  A first pass goes backward from ``{shape}``,
-    removing one strip per letter, to find the live sub-shapes at each
-    position: those from which the later letters can still reach ``shape``.
-    The walk then goes forward from the empty shape and keeps, for each live
-    sub-shape, the exponent vectors of the chains reaching it with their
-    counts, so it costs one step per (live sub-shape, strip, term) rather
-    than one per filling; after the last letter only ``shape`` is live.  The
-    strip lists, both ways, depend only on (shape, sub-shape, letter kind),
-    so one table per shape, kept for a bounded number of shapes, serves the
-    calls of every shuffle; no polynomial or live set outlives a call.
+    ``shape`` that adds one strip per letter, letters taken in shuffle order;
+    the strip's size is that letter's exponent.  A letter strict in columns
+    adds a horizontal strip, one strict in rows a vertical strip: under the
+    regular rule a t adds a horizontal and a u a vertical strip, and the dual
+    rule swaps them.
+
+    The walk meets in the middle.  The second half of the shuffle is walked
+    backward from ``{shape}``, removing one strip per letter from the last,
+    which gives for each sub-shape mu the exponent vectors, with counts, of
+    the chains from mu up to ``shape``.  The sub-shapes from which the first
+    half can still reach one of those mu are found the same way, without
+    terms.  The first half is then walked forward from the empty shape over
+    those live sub-shapes only, and the two halves are joined at each mu.
+    Each walk costs one step per (sub-shape, strip, term) rather than
+    one per filling.  The strip lists, both ways, depend only on (shape,
+    sub-shape, strip kind), so one table per shape, kept for a bounded
+    number of shapes, serves the calls of every shuffle and variant; no
+    polynomial, chain or live set outlives a call.
 
     The result does not depend on the shuffle (Corollary 4); the walk follows
     the given order, so the harness's invariance check compares genuinely
@@ -236,8 +254,10 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
 
     Exponent vectors are packed ints with one bit field per letter, placed
     in alphabet order (t1..tk, then u1..ul), so a key's low k fields are its
-    x-part and the rest its y-part.  Each distinct part is decoded into an
-    exponent tuple once per call, and the terms share those tuples.
+    x-part and the rest its y-part.  Each letter's field lies in one half, so
+    adding a first-half key to a second-half key multiplies the monomials.
+    Each distinct key is decoded into a ``Monomial`` once per process, for a
+    bounded number of keys, and the results share those monomials.
     """
     shape = check_shape(shape)
     table = _strip_table(shape)
@@ -249,52 +269,64 @@ def hook_schur(shape: Shape, alphabet: Alphabet, shuffle: Shuffle) -> Polynomial
             found = table[key] = _build_strips(shape, kind, mu, outward)
         return found
 
-    # live[p]: the sub-shapes after letter p from which the later letters can
-    # still reach shape, found by removing one strip per letter from the end
-    live: list[set[Shape]] = []
-    reach = {shape}
-    for letter in reversed(shuffle.order):
-        live.append(reach)
-        reach = {mu for nu in reach for mu in strips(letter.kind, nu, False)}
-    live.reverse()
-
     # letter p of the alphabet owns the bit field at p * bits, wide enough
     # for a count up to |shape|; a shuffle letter outside the alphabet gets
     # a field past the alphabet's, in shuffle order
     bits = sum(shape).bit_length()
     outside = [letter for letter in shuffle.order if letter not in alphabet]
     field = {letter: p for p, letter in enumerate(alphabet.letters() + tuple(outside))}
+    strip_kind = {
+        "t": "t" if variant.t_rule == "regular" else "u",
+        "u": "u" if variant.u_rule == "regular" else "t",
+    }
+    steps = [(strip_kind[letter.kind], field[letter] * bits) for letter in shuffle.order]
+    half = len(steps) // 2
 
-    chains: dict[Shape, dict[int, int]] = {(0,) * len(shape): {0: 1}}
-    for letter, targets in zip(shuffle.order, live):
-        offset = field[letter] * bits
-        extended: dict[Shape, dict[int, int]] = {}
-        for mu, terms in chains.items():
-            for nu, size in strips(letter.kind, mu, True):
-                if nu not in targets:
-                    continue
-                target = extended.setdefault(nu, {})
-                shift = size << offset
-                for key, count in terms.items():
-                    key += shift
-                    target[key] = target.get(key, 0) + count
-        chains = extended
+    def walk(chains, steps, outward, keep):
+        """Add (outward) or remove one strip per step, keeping at step p only
+        the sub-shapes in keep[p] (all of them where it is None)."""
+        for (kind, offset), targets in zip(steps, keep):
+            extended: dict[Shape, dict[int, int]] = {}
+            for mu, terms in chains.items():
+                for nu, size in strips(kind, mu, outward):
+                    if targets is not None and nu not in targets:
+                        continue
+                    target = extended.setdefault(nu, {})
+                    shift = size << offset
+                    for key, count in terms.items():
+                        key += shift
+                        target[key] = target.get(key, 0) + count
+            chains = extended
+        return chains
 
-    terms = chains.get(shape, {})
+    # back[mu]: the chains from mu after the first half up to shape
+    back = walk({shape: {0: 1}}, steps[half:][::-1], False, repeat(None))
+    # live[p]: the sub-shapes after letter p of the first half from which
+    # its later letters can still reach some mu of back
+    live: list[set[Shape]] = []
+    reach = set(back)
+    for kind, _ in reversed(steps[:half]):
+        live.append(reach)
+        reach = {mu for nu in reach for mu, _ in strips(kind, nu, False)}
+    live.reverse()
+    front = walk({(0,) * len(shape): {0: 1}}, steps[:half], True, live)
+
+    terms: dict[int, int] = {}
+    for mu, heads in front.items():
+        tails = back.get(mu, {})
+        for head, count in heads.items():
+            for tail, other in tails.items():
+                key = head + tail
+                terms[key] = terms.get(key, 0) + count * other
+
     mask = (1 << bits) - 1
     for letter in outside:
         offset = field[letter] * bits
         if any(key >> offset & mask for key in terms):
             raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-    # no key uses an outside field now: a y-part is the whole key above its x-part
-    y_shift = alphabet.k * bits
-    x_mask = (1 << y_shift) - 1
-    xs = {part: _unpack(part, alphabet.k, bits) for part in {key & x_mask for key in terms}}
-    ys = {part: _unpack(part, alphabet.l, bits) for part in {key >> y_shift for key in terms}}
-    make = Monomial._make
-    return Polynomial(
-        {make((xs[key & x_mask], ys[key >> y_shift])): count for key, count in terms.items()}
-    )
+    # no key uses an outside field now: a key is k x-fields, then l y-fields
+    k, l = alphabet.k, alphabet.l
+    return Polynomial._of({_monomial(key, k, l, bits): count for key, count in terms.items()})
 
 
 def rsk_counting_identity(
@@ -303,12 +335,13 @@ def rsk_counting_identity(
     """Compare sum over shapes of (#fillings x #standard fillings) to (k+l)^n.
 
     Insertion pairs each length-n word with a (tableau, standard tableau)
-    pair of equal shape, so the two counts must agree.
+    pair of equal shape, so the two counts must agree.  A shape's fillings
+    are counted as the coefficient sum of its ``hook_schur`` polynomial, so
+    none is listed; a shuffle letter outside the alphabet raises as there.
     """
     lhs = 0
     for shape in partitions(n):
-        fillings = len(enumerate_ssyt(shape, alphabet, shuffle, variant))
-        if fillings:
-            lhs += fillings * count_syt(shape)
+        poly = hook_schur(shape, alphabet, shuffle, variant)
+        lhs += sum(coeff for _, coeff in poly.sorted_terms()) * count_syt(shape)
     rhs = alphabet.size**n
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

@@ -978,20 +978,22 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
     return _report("converse-round-trip", alphabet, n, cases())
 
 
-def check_hook_schur_invariance(alphabet: Alphabet, n: int) -> Report:
-    """The weight generating polynomial of each shape ignores the shuffle."""
+def check_hook_schur_invariance(
+    alphabet: Alphabet, n: int, variant: Variant = REGULAR_REGULAR
+) -> Report:
+    """The weight generating polynomial of each shape, under the variant, ignores the shuffle."""
     shuffles = all_shuffles(alphabet)
 
     def cases():
         for shape in partitions(n):
-            reference = hook_schur(shape, alphabet, shuffles[0])
+            reference = hook_schur(shape, alphabet, shuffles[0], variant)
             for s in shuffles[1:]:
-                other = hook_schur(shape, alphabet, s)
+                other = hook_schur(shape, alphabet, s, variant)
                 if other == reference:
                     yield 1
                 else:
                     yield CaseFailure(
-                        f"shape {shape}", f"{shuffles[0]} | {s}", REGULAR_REGULAR.name,
+                        f"shape {shape}", f"{shuffles[0]} | {s}", variant.name,
                         reference.render(), other.render(),
                     )
 

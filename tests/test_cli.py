@@ -175,6 +175,24 @@ class TestEnumerateAndHookSchur:
         ]
 
 
+    @pytest.mark.parametrize(
+        "variant,expected",
+        [
+            ("reg-reg", "x1^2 + x1 y1\n"),
+            ("reg-dual", "x1^2 + x1 y1 + y1^2\n"),
+            ("dual-reg", "x1 y1\n"),
+            ("dual-dual", "x1 y1 + y1^2\n"),
+        ],
+        ids=["reg-reg", "reg-dual", "dual-reg", "dual-dual"],
+    )
+    def test_hook_schur_honours_the_variant(self, capsys, variant, expected):
+        # one row of two: t1 t1 and t1 u1 under reg-reg; a dual t is strict
+        # in rows and a dual u weak, so dual-dual fills it with t1 u1 and u1 u1
+        argv = ["--k", "1", "--l", "1", "--variant", variant]
+        assert run(capsys, *argv, "hook-schur", "--shape", "2") == (0, expected)
+        code, out = run(capsys, *argv, "enumerate", "--shape", "2")
+        assert int(out.split()[1]) == expected.count("+") + 1
+
     @pytest.mark.parametrize("command,expected", [("enumerate", "count: 1\n\n"), ("hook-schur", "1\n")])
     def test_an_empty_shape_text_is_the_empty_shape(self, capsys, command, expected):
         assert run(capsys, "--k", "1", "--l", "1", command, "--shape", "") == (0, expected)
@@ -278,6 +296,8 @@ class TestVerify:
             ("cells", "reg-reg", "cell-monotonicity", 4**3 * comb(4, 2)),
             ("region1", "reg-reg", "region1-agreement", 4**3 * comb(3, 1) * 2),
             ("round-trip", "dual-dual", "round-trip", 4**3 * comb(4, 2)),
+            # the shapes of 3 cells x the shuffles after the first
+            ("cor4", "dual-reg", "hook-schur-invariance", 3 * (comb(4, 2) - 1)),
             ("mimicry", "reg-reg", "standardization-mimicry", 4**3 * comb(4, 2)),
             # (P, Q) pairs of 3 cells, counted by the words of length 3, x shuffles
             ("converse", "reg-reg", "converse-round-trip", 4**3 * comb(4, 2)),
@@ -413,13 +433,12 @@ class TestErrors:
 # verify tokens that would otherwise drop --mode sample / a non-default --variant
 EXHAUSTIVE_ONLY = ("cor4", "theorem3", "identity", "converse")
 REG_REG_ONLY = (
-    "2", "cor4", "lemma2.6", "lemma2.15", "lemma3.2", "theorem3", "identity", "region1", "mimicry",
+    "2", "lemma2.6", "lemma2.15", "lemma3.2", "theorem3", "identity", "region1", "mimicry",
     "converse",
 )
 
 # commands that work under reg-reg only and refuse any other --variant
 UNVARIED_COMMANDS = (
-    ["hook-schur", "--shape", "2"],
     ["trace", "--word", "t1,u1", "--shuffle-b", "u1<t1"],
 )
 OTHER_VARIANTS = ("reg-dual", "dual-reg", "dual-dual")

@@ -223,10 +223,10 @@ class TestHookSchur:
                     assert sum(mono.x) + sum(mono.y) == n
 
 
-def weight_sum(shape, alphabet, shuffle):
+def weight_sum(shape, alphabet, shuffle, variant=REGULAR_REGULAR):
     """The oracle: weights of the enumerated fillings, summed."""
     terms = {}
-    for filling in enumerate_ssyt(shape, alphabet, shuffle, REGULAR_REGULAR):
+    for filling in enumerate_ssyt(shape, alphabet, shuffle, variant):
         mono = weight_monomial(filling, alphabet)
         terms[mono] = terms.get(mono, 0) + 1
     return Polynomial(terms)
@@ -235,25 +235,42 @@ def weight_sum(shape, alphabet, shuffle):
 class TestHookSchurAgainstEnumeration:
     @pytest.mark.parametrize(
         "k,l,max_n",
-        [(1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (3, 0, 6), (0, 3, 6), (3, 3, 5)],
+        [(1, 0, 5), (0, 1, 5), (1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (3, 0, 6), (0, 3, 6),
+         (3, 1, 5), (3, 3, 5)],
     )
     def test_equals_enumerated_weights_under_every_shuffle(self, k, l, max_n):
+        # shuffles of 1 to 6 letters: the walk's first half is empty at one
+        # letter and one letter shorter than its second half at odd lengths
         alph = Alphabet(k, l)
         for n in range(max_n + 1):
             for shape in partitions(n):
                 for shuffle in all_shuffles(alph):
                     assert hook_schur(shape, alph, shuffle) == weight_sum(shape, alph, shuffle)
+                    for variant in VARIANTS[1:]:
+                        expected = weight_sum(shape, alph, shuffle, variant)
+                        assert hook_schur(shape, alph, shuffle, variant) == expected
 
     @pytest.mark.parametrize("k,l", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 0), (2, 2)])
     def test_hook_vanishing_criterion(self, k, l):
-        # a shape has fillings iff it fits in the (k, l) hook: at most k rows,
-        # or row k+1 no longer than l; (3, 3, 3) is the first miss at (2, 2)
+        # a regular t or a dual u adds a horizontal strip, the other two a
+        # vertical one.  So under reg-reg a shape has fillings iff it fits in
+        # the (k, l) hook: at most k rows, or row k+1 no longer than l;
+        # (3, 3, 3) is the first miss at (2, 2).  dual-dual swaps k and l,
+        # reg-dual allows k + l rows and dual-reg k + l columns.
         alph = Alphabet(k, l)
         for n in range(10):
             for shape in partitions(n):
-                in_hook = len(shape) <= k or shape[k] <= l
+                in_hook = {
+                    "reg-reg": len(shape) <= k or shape[k] <= l,
+                    "dual-dual": len(shape) <= l or shape[l] <= k,
+                    "reg-dual": len(shape) <= k + l,
+                    "dual-reg": not shape or shape[0] <= k + l,
+                }
                 for shuffle in all_shuffles(alph):
-                    assert bool(hook_schur(shape, alph, shuffle)) == in_hook
+                    assert bool(hook_schur(shape, alph, shuffle)) == in_hook["reg-reg"]
+                    for variant in VARIANTS:
+                        poly = hook_schur(shape, alph, shuffle, variant)
+                        assert bool(poly) == in_hook[variant.name]
 
     def test_empty_shape_is_constant_one(self):
         for alph in (Alphabet(1, 0), Alphabet(0, 2), Alphabet(3, 3)):
@@ -349,6 +366,81 @@ class TestHookSchurAgainstEnumeration:
                 assert total == (k + l) ** n
 
 
+class TestMeetInTheMiddle:
+    """The walk split at the middle of the shuffle, under every variant."""
+
+    @pytest.mark.parametrize(
+        "k,l,shuffle_text",
+        [
+            (1, 1, "t1<t2<u1<u2"),  # one outside letter in each half
+            (1, 1, "u1<u2<t1<t2"),
+            (1, 1, "t1<u1<t2<u2"),  # both in the second half
+            (1, 1, "t1<t2<t3<u1<u2<u3"),  # two in each half
+            (1, 0, "u1<t1<t2"),  # a first half of one outside letter
+            (1, 1, "t1<u1<t2"),  # the longer second half
+            (0, 1, "u1<t1"),
+        ],
+    )
+    def test_first_outside_letter_used_is_named_from_either_half(self, k, l, shuffle_text):
+        # the oracle: the first outside letter, in shuffle order, that some
+        # enumerated filling holds; a shape no filling of which holds one
+        # gets its polynomial
+        alph = Alphabet(k, l)
+        big = Alphabet(shuffle_text.count("t"), shuffle_text.count("u"))
+        shuffle = parse_shuffle(shuffle_text, big)
+        named = 0
+        for n in range(5):
+            for shape in partitions(n):
+                for variant in VARIANTS:
+                    fillings = enumerate_ssyt(shape, big, shuffle, variant)
+                    used = {x for filling in fillings for _, x in filling.items()}
+                    outside = [x for x in shuffle.order if x not in alph and x in used]
+                    if not outside:
+                        expected = weight_sum(shape, alph, shuffle, variant)
+                        assert hook_schur(shape, alph, shuffle, variant) == expected
+                        continue
+                    named += 1
+                    message = f"letter {outside[0]} outside alphabet {alph}"
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        hook_schur(shape, alph, shuffle, variant)
+        assert named
+
+    def test_results_are_built_per_call(self, a22, order_ttuu):
+        first = hook_schur((3, 1), a22, order_ttuu)
+        second = hook_schur((3, 1), a22, order_ttuu)
+        assert first == second and first is not second
+        assert first._terms is not second._terms
+
+
+class TestDecodedMonomials:
+    """The decoded monomials that ``hook_schur`` keeps between calls."""
+
+    @pytest.mark.parametrize("k,l,max_n", [(3, 3, 5), (2, 1, 6)])
+    def test_cold_cache_gives_the_warm_results(self, k, l, max_n):
+        alph = Alphabet(k, l)
+        for n in range(max_n + 1):
+            for shape in partitions(n):
+                for shuffle in all_shuffles(alph):
+                    for variant in VARIANTS:
+                        warm = hook_schur(shape, alph, shuffle, variant)
+                        schur._monomial.cache_clear()
+                        cold = hook_schur(shape, alph, shuffle, variant)
+                        assert cold == warm and cold.sorted_terms() == warm.sorted_terms()
+
+    def test_results_share_their_monomials(self):
+        alph = Alphabet(3, 3)
+        first, second = all_shuffles(alph)[:2]
+        a = dict(hook_schur((4, 2, 1), alph, first).sorted_terms())
+        b = dict(hook_schur((4, 2, 1), alph, second).sorted_terms())
+        assert a == b
+        shared = {id(m) for m in a} & {id(m) for m in b}
+        assert len(shared) == len(a)
+
+    def test_cache_is_bounded(self):
+        maxsize = schur._monomial.cache_info().maxsize
+        assert type(maxsize) is int and maxsize > 0
+
+
 class TestStripTables:
     """The per-shape strip tables that ``hook_schur`` keeps between calls."""
 
@@ -403,3 +495,17 @@ class TestCountingIdentity:
         alph = Alphabet(2, 1)
         outcome = rsk_counting_identity(alph, 3, kl_shuffle(alph), REGULAR_REGULAR)
         assert outcome["lhs"] == outcome["rhs"] == 27
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (2, 1), (0, 2), (3, 0)])
+    def test_counts_the_enumerated_fillings_under_every_variant(self, k, l):
+        alph = Alphabet(k, l)
+        for n in range(6):
+            for shuffle in all_shuffles(alph):
+                for variant in VARIANTS:
+                    lhs = sum(
+                        len(enumerate_ssyt(shape, alph, shuffle, variant)) * count_syt(shape)
+                        for shape in partitions(n)
+                    )
+                    rhs = alph.size**n
+                    outcome = rsk_counting_identity(alph, n, shuffle, variant)
+                    assert outcome == {"lhs": lhs, "rhs": rhs, "equal": True}

@@ -303,6 +303,28 @@ class TestReports:
         assert check_hook_schur_invariance(a22, 3).passed
         assert check_counting_identity(a22, 3).passed
 
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+    def test_hook_schur_invariance_under_every_variant(self, a22, variant, monkeypatch):
+        # the shapes of 4 cells x the shuffles after the first
+        report = check_hook_schur_invariance(a22, 4, variant)
+        assert report.passed and report.cases_run == 5 * 5
+        import superrsk.verify as verify
+
+        walk = verify.hook_schur
+        seen = []
+
+        def skewed(shape, alphabet, shuffle, v):
+            seen.append(v)
+            poly = walk(shape, alphabet, shuffle, v)
+            return poly + poly if shuffle.order[0].kind == "u" else poly
+
+        monkeypatch.setattr(verify, "hook_schur", skewed)
+        report = check_hook_schur_invariance(a22, 2, variant)
+        assert set(seen) == {variant}
+        # of the shuffles after t1<t2<u1<u2, three start with a u
+        assert len(report.failures) == 2 * 3
+        assert {failure.variant for failure in report.failures} == {variant.name}
+
 
 class TestWeightPreservingBijection:
     def test_grid_reports_distinct_maps(self, a22):
