@@ -15,6 +15,9 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   shuffle and variant at (k, l) in {(2, 2), (2, 1)};
 - ``standardize --side u|t`` on three fixed words under every shuffle at
   (2, 2), in both output formats;
+- ``standardize --side u|t`` in both output formats on three seeded
+  12-letter words and the empty word under every shuffle at (3, 3), and
+  likewise at (0, 3) and (3, 0), where one side has no letters to relabel;
 - ``hook-schur`` for every shape of 1 to 5 cells under every shuffle at
   (k, l) in {(2, 2), (2, 1), (1, 2)}, in both output formats, and once with
   a shuffle holding a letter outside the alphabet;
@@ -152,6 +155,18 @@ def matrix(claims: dict) -> list[list[str]]:
                         "--k", "2", "--l", "2", "--shuffle", chain, "--format", fmt,
                         "standardize", "--word", word, "--side", side,
                     ])
+    rng = random.Random(3)
+    for k, l in ((3, 3), (0, 3), (3, 0)):
+        letters = [f"t{i}" for i in range(1, k + 1)] + [f"u{j}" for j in range(1, l + 1)]
+        words = [",".join(rng.choice(letters) for _ in range(12)) for _ in range(3)]
+        for chain in chains(k, l):
+            for word in (*words, ""):
+                for side in ("u", "t"):
+                    for fmt in ("json", "text"):
+                        runs.append([
+                            "--k", str(k), "--l", str(l), "--shuffle", chain, "--format", fmt,
+                            "standardize", "--word", word, "--side", side,
+                        ])
     for k, l in ((2, 2), (2, 1), (1, 2)):
         for chain in chains(k, l):
             for shape in HOOK_SHAPES:

@@ -251,18 +251,23 @@ def order_adjacent_pairs(s: Shuffle) -> list[tuple[Letter, Letter]]:
     return pairs
 
 
+def _parse_letters(tokens, alphabet: Alphabet) -> tuple[Letter, ...]:
+    """The letters that the tokens name, each checked to be in the alphabet."""
+    letters = []
+    for token in tokens:
+        letter = parse_letter(token)
+        if letter not in alphabet:
+            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
+        letters.append(letter)
+    return tuple(letters)
+
+
 def parse_shuffle(text: str, alphabet: Alphabet) -> Shuffle:
     """Parse a chain like "t1<u1<t2<u2"; the Shuffle constructor validates it."""
     tokens = [tok.strip() for tok in text.split("<")]
     if tokens == [""]:
         raise ValueError("empty shuffle text")
-    letters = []
-    for tok in tokens:
-        letter = parse_letter(tok)
-        if letter not in alphabet:
-            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-        letters.append(letter)
-    return Shuffle(alphabet, tuple(letters))
+    return Shuffle(alphabet, _parse_letters(tokens, alphabet))
 
 
 def shuffle_to_json(s: Shuffle) -> list[str]:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .alphabet import Alphabet, Letter, Shuffle, u as u_letter, t as t_letter
-from .insertion import _Lane, Variant, Word, _is_t, _ranks_of, _valid_grid, variant_profile
-from .tableau import Cell, RecordingTableau, Shape, Tableau, _standard_cells, _strict_in_rows
+from .alphabet import Alphabet, Letter, Shuffle, kl_shuffle, u as u_letter, t as t_letter
+from .insertion import _Lane, Variant, Word, _ranks_of, _valid_grid
+from .tableau import Cell, RecordingTableau, Shape, Tableau, _standard_cells
 
 __all__ = [
     "Standardization",
@@ -16,11 +15,6 @@ __all__ = [
     "standardize_u",
     "standardize_t",
 ]
-
-
-# displacement search per rule, one past the rightmost entry < x (regular)
-# or <= x (dual)
-_DISPLACE_SEARCH = {"regular": bisect_left, "dual": bisect_right}
 
 
 def reverse_word(
@@ -38,7 +32,8 @@ def reverse_word(
     mapped once; the walk itself runs on ranks only.
     """
     order = shuffle.order
-    return Word(tuple(order[x] for x in _checked_reverse(p, q, shuffle, variant)))
+    ranks = _checked_reverse(p, q, _Lane(shuffle, variant, logged=False))
+    return Word(tuple(order[x] for x in ranks))
 
 
 _INVALID_P = "insertion tableau is not valid for this shuffle and variant"
@@ -56,25 +51,21 @@ def _check_recording(p_shape: Shape, q_rows) -> list[Cell]:
     return cells
 
 
-def _checked_reverse(
-    p: Tableau, q: RecordingTableau, shuffle: Shuffle, variant: Variant
-) -> list[int]:
-    """The shuffle ranks of ``reverse_word``'s word, after all of its guards."""
+def _checked_reverse(p: Tableau, q: RecordingTableau, lane: _Lane) -> list[int]:
+    """The ranks of the word that (p, q) reverses to under the lane's shuffle
+    and variant, after all of ``reverse_word``'s guards."""
     cells = _check_recording(p.shape, q.rows)
-    strict = _strict_in_rows(shuffle, variant_profile(variant))
-    rows, cols = _valid_grid(p, shuffle, strict, _INVALID_P)
-    return _reverse_ranks(rows, cols, cells, shuffle, variant)
+    rows, cols = _valid_grid(p, lane.shuffle, lane.strict, _INVALID_P)
+    return _reverse_ranks(rows, cols, cells, lane)
 
 
-def _reverse_ranks(rows, cols, cells: list[Cell], shuffle: Shuffle, variant: Variant) -> list[int]:
-    """Reverse a checked (P, Q), P held as rank rows and columns, which it
-    empties, and Q as its cells by label.
+def _reverse_ranks(rows, cols, cells: list[Cell], lane: _Lane) -> list[int]:
+    """Reverse a checked (P, Q) under the lane's shuffle and variant, P held
+    as rank rows and columns, which it empties, and Q as its cells by label.
 
     Returns the recovered word's ranks, first letter first.
     """
-    order = shuffle.order
-    is_t = _is_t(shuffle)
-    find_t, find_u = _DISPLACE_SEARCH[variant.t_rule], _DISPLACE_SEARCH[variant.u_rule]
+    order, is_t, find_t, find_u = lane.shuffle.order, lane.is_t, lane.back_t, lane.back_u
     recovered: list[int] = []
     for i, j in reversed(cells):
         # the current maximum of a standard tableau sits at a corner
@@ -130,13 +121,15 @@ def change_shuffle(
     Reverses (p, q) under the source order and re-inserts the recovered word
     under the target order; the new pair has the same shape, the same
     recording tableau, and the same letter content.  Both passes stay on
-    ranks and keep no step log: only the new P is built.
+    ranks and keep no step log: only the new P is built.  The two shuffles
+    must order one alphabet.
     """
-    word = _ranks_of((source.order[x] for x in _checked_reverse(p, q, source, variant)), target)
+    if source.alphabet != target.alphabet:
+        raise ValueError("shuffles must share an alphabet")
+    ranks = _checked_reverse(p, q, _Lane(source, variant, logged=False))
     lane = _Lane(target, variant, logged=False)
-    for x in word:
-        lane.place(x)
-    return Tableau(tuple(tuple(target.order[x] for x in row) for row in lane.rows))
+    lane.push_word(_ranks_of((source.order[x] for x in ranks), target))
+    return lane.tableau()
 
 
 @dataclass(frozen=True)
@@ -151,51 +144,59 @@ class Standardization:
     source_map: tuple[tuple[Letter, Letter], ...]
 
 
+def _relabel(word: tuple[int, ...], k: int, l: int, kind: str):
+    """The letter counts of one kind in an alphabet-index word over (k, l),
+    and the word relabelled as ``standardize_u`` or ``standardize_t`` does.
+
+    The relabelled word is written in alphabet indices of the derived
+    alphabet, whose letters of that kind number the counts' sum: the other
+    kind's letters keep their letter, and the occurrences of the kind's j-th
+    letter take the next fresh letters of its block, u's rightmost first and
+    t's leftmost first.
+    """
+    low, size = (k, l) if kind == "u" else (0, k)
+    counts = [0] * size
+    for a in word:
+        if low <= a < low + size:
+            counts[a - low] += 1
+    # fresh[j]: the derived index of the next occurrence of the kind's j-th letter
+    fresh = [low] * size
+    for j in range(1, size):
+        fresh[j] = fresh[j - 1] + counts[j - 1]
+    # a derived alphabet with more (or fewer) t's moves every u's index
+    shift = 0 if kind == "u" else sum(counts) - k
+    relabelled = [a + shift for a in word]
+    for pos in range(len(word) - 1, -1, -1) if kind == "u" else range(len(word)):
+        a = word[pos] - low
+        if 0 <= a < size:
+            relabelled[pos] = fresh[a]
+            fresh[a] += 1
+    return tuple(counts), tuple(relabelled)
+
+
 def _standardize(v: Word, shuffle: Shuffle, kind: str) -> Standardization:
     """Relabel the letters of one kind; see standardize_u and standardize_t."""
     alphabet = shuffle.alphabet
-    size, other = (alphabet.l, alphabet.k) if kind == "u" else (alphabet.k, alphabet.l)
-    fresh = u_letter if kind == "u" else t_letter
-    counts = [0] * size
-    for letter in v:
-        if letter not in alphabet:
-            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-        if letter.kind == kind:
-            counts[letter.index - 1] += 1
-    total = sum(counts)
+    k, l = alphabet.k, alphabet.l
+    # alphabet indices are the ranks of the t's-then-u's order
+    counts, relabelled = _relabel(tuple(_ranks_of(v, kl_shuffle(alphabet))), k, l, kind)
+    total, other = sum(counts), (k if kind == "u" else l)
     if total == 0 and other == 0:
         # empty word over a one-kind alphabet: nothing to relabel
         return Standardization(v, shuffle, ())
-    offsets = [0] * size
-    for j in range(1, size):
-        offsets[j] = offsets[j - 1] + counts[j - 1]
-
-    new_letters = list(v.letters)
-    used = [0] * size
-    # u's are renamed rightmost first, t's leftmost first
-    positions = range(len(v) - 1, -1, -1) if kind == "u" else range(len(v))
-    for pos in positions:
-        letter = v[pos]
-        if letter.kind == kind:
-            j = letter.index - 1
-            used[j] += 1
-            new_letters[pos] = fresh(offsets[j] + used[j])
-
-    new_alphabet = Alphabet(alphabet.k, total) if kind == "u" else Alphabet(total, alphabet.l)
+    fresh = u_letter if kind == "u" else t_letter
+    blocks, start = [], 0  # per letter of the kind: its fresh letters, ascending
+    for count in counts:
+        blocks.append([fresh(start + i) for i in range(1, count + 1)])
+        start += count
+    new_alphabet = Alphabet(k, total) if kind == "u" else Alphabet(total, l)
     order: list[Letter] = []
     for letter in shuffle.order:
-        if letter.kind != kind:
-            order.append(letter)
-        else:
-            j = letter.index - 1
-            order.extend(fresh(offsets[j] + i) for i in range(1, counts[j] + 1))
+        order.extend(blocks[letter.index - 1] if letter.kind == kind else (letter,))
     derived = Shuffle(new_alphabet, tuple(order))
-    source = tuple(
-        (fresh(offsets[j] + i), fresh(j + 1))
-        for j in range(size)
-        for i in range(1, counts[j] + 1)
-    )
-    return Standardization(Word(tuple(new_letters)), derived, source)
+    source = tuple((new, fresh(j)) for j, block in enumerate(blocks, 1) for new in block)
+    letters = new_alphabet.letters()
+    return Standardization(Word(tuple(letters[a] for a in relabelled)), derived, source)
 
 
 def standardize_u(v: Word, shuffle: Shuffle) -> Standardization:

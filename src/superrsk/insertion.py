@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import Alphabet, Letter, Shuffle, _check_letters, parse_letter
+from .alphabet import Alphabet, Letter, Shuffle, _check_letters, _parse_letters
 from .tableau import (
     Cell,
     RecordingTableau,
@@ -85,15 +85,7 @@ class Word:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a comma-separated word like "u2,t1,t2,u1"; whitespace is ignored."""
     text = text.strip()
-    if not text:
-        return Word()
-    letters = []
-    for token in text.split(","):
-        letter = parse_letter(token)
-        if letter not in alphabet:
-            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-        letters.append(letter)
-    return Word(tuple(letters))
+    return Word(_parse_letters(text.split(","), alphabet) if text else ())
 
 
 def all_words(alphabet: Alphabet, n: int) -> Iterator[Word]:
@@ -267,8 +259,10 @@ def _pending_action(letter: Letter, row: int, col: int) -> PendingAction:
 # as rank lists for its rows and for its columns, updated together.  Rows and
 # columns stay weakly increasing in rank, so every search is one bisection.
 
-# bump search per rule: the first entry > x (regular) or >= x (dual)
-_BUMP_SEARCH = {"regular": bisect_right, "dual": bisect_left}
+# per rule: the bump search, the first entry > x (regular) or >= x (dual),
+# and the displacement search that reverses it, one past the rightmost
+# entry < x (regular) or <= x (dual)
+_SEARCH = {"regular": (bisect_right, bisect_left), "dual": (bisect_left, bisect_right)}
 
 Log = list[tuple[int, int, int, int | None]]
 
@@ -298,11 +292,6 @@ def _valid_grid(p: Tableau, shuffle: Shuffle, strict: list[bool], invalid: str):
         for col, x in zip(cols, row):
             col.append(x)
     return rows, cols
-
-
-def _is_t(shuffle: Shuffle) -> list[bool]:
-    """Whether each rank holds a t-letter."""
-    return [x.kind == "t" for x in shuffle.order]
 
 
 def _insert_rank(
@@ -388,22 +377,24 @@ class _Lane:
     ``rows`` and ``cols`` are P's rank rows and columns, ``qrows`` Q's rows
     and ``log`` the placements so far, or None in a lane built with
     ``logged=False``, which keeps no log.  ``rank`` maps alphabet indices to
-    the shuffle's ranks, ``letter`` maps ranks back, and ``strict`` is
-    ``is_valid``'s per-rank strictness table.  ``push`` records each new
-    cell in Q, ``push_word`` does so for a whole word in an emptied lane,
-    and ``place`` keeps P and the log only.  ``push`` and ``undo`` need a
-    log, so a lane without one fills only through ``push_word`` and
-    ``place`` and can never take a placement back.  A lane with a ``bound``
-    pushes only the ranks <= bound, so it holds the insertion of the
-    restricted word (its Q records their positions in the whole word).
+    the shuffle's ranks, ``letter`` maps ranks back, ``is_t`` says which
+    ranks hold t-letters, and ``strict`` is ``is_valid``'s per-rank
+    strictness table.  ``find_t``/``find_u`` are the variant's bump searches
+    and ``back_t``/``back_u`` the displacement searches that reverse them.
+    ``push`` records each new cell in Q, and ``push_word`` does so for a
+    whole word in an emptied lane.  ``push`` and ``undo`` need a log, so a
+    lane without one fills only through ``push_word`` and can never take a
+    placement back.  A lane with a ``bound`` pushes only the ranks <= bound,
+    so it holds the insertion of the restricted word (its Q records their
+    positions in the whole word).
     ``bad`` notes the first pushed settle, of those still held, that left a
     row longer than the row above it, or is None: its log index, or its
     letter number in a lane without a log.
     """
 
     __slots__ = (
-        "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "strict",
-        "rows", "cols", "qrows", "log", "bad",
+        "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "back_t",
+        "back_u", "strict", "rows", "cols", "qrows", "log", "bad",
     )
 
     def __init__(
@@ -414,9 +405,9 @@ class _Lane:
         k = shuffle.alphabet.k
         self.letter = [x.index - 1 if x.kind == "t" else k + x.index - 1 for x in shuffle.order]
         self.rank = sorted(range(len(self.letter)), key=self.letter.__getitem__)
-        self.is_t = _is_t(shuffle)
-        self.find_t = _BUMP_SEARCH[variant.t_rule]
-        self.find_u = _BUMP_SEARCH[variant.u_rule]
+        self.is_t = [x.kind == "t" for x in shuffle.order]
+        self.find_t, self.back_t = _SEARCH[variant.t_rule]
+        self.find_u, self.back_u = _SEARCH[variant.u_rule]
         self.strict = _strict_in_rows(shuffle, variant_profile(variant))
         self.log = [] if logged else None
         self.clear()
@@ -427,9 +418,10 @@ class _Lane:
             self.log = []
         self.bad = None
 
-    def place(self, x: int) -> None:
-        """Insert rank x into P, logging its placements if the lane keeps a log."""
-        _insert_rank(self.rows, self.cols, x, self.is_t, self.find_t, self.find_u, self.log)
+    def tableau(self) -> Tableau:
+        """P as a ``Tableau`` of letters."""
+        order = self.shuffle.order
+        return Tableau(tuple(tuple(order[x] for x in row) for row in self.rows))
 
     def push(self, x: int, m: int) -> int:
         """Insert rank x as the m-th letter; returns the log length before it."""
@@ -494,7 +486,7 @@ def insert_letter(
     lane.rows, lane.cols = _valid_grid(
         p, shuffle, lane.strict, "tableau is not valid for this shuffle and variant"
     )
-    lane.place(rank)
+    _insert_rank(lane.rows, lane.cols, rank, lane.is_t, lane.find_t, lane.find_u, lane.log)
     steps = _replay(p, lane.log, (len(lane.log),), shuffle.order)
     return steps[-1].state, steps
 
@@ -508,9 +500,8 @@ def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     ranks = _ranks_of(v, shuffle)
     lane = _Lane(shuffle, variant, logged=False)
     lane.push_word(ranks)
-    order = shuffle.order
     return InsertionResult(
-        p=Tableau(tuple(tuple(order[x] for x in row) for row in lane.rows)),
+        p=lane.tableau(),
         q=RecordingTableau(tuple(map(tuple, lane.qrows))),
         trace=InsertionTrace._deferred(tuple(ranks), shuffle, variant),
     )
@@ -521,9 +512,8 @@ def _insert_traced(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResu
     keeps a log gives P, Q and the filled trace."""
     lane = _Lane(shuffle, variant)
     lane.push_word(_ranks_of(v, shuffle))
-    order = shuffle.order
     return InsertionResult(
-        p=Tableau(tuple(tuple(order[x] for x in row) for row in lane.rows)),
+        p=lane.tableau(),
         q=RecordingTableau(tuple(map(tuple, lane.qrows))),
         trace=InsertionTrace._of_lane(lane),
     )

@@ -53,6 +53,8 @@ class Polynomial:
     """A finite map monomial -> integer coefficient; zeros are never stored.
 
     Coefficients are plain Python ints, so counts can grow without overflow.
+    The constructor refuses a key that is not a ``Monomial`` and a
+    coefficient that is not an int; a bool is taken as 0 or 1.
     """
 
     __slots__ = ("_terms",)
@@ -62,8 +64,14 @@ class Polynomial:
             terms = {}
         elif not isinstance(terms, Mapping):
             raise TypeError("terms must be a mapping of monomials to coefficients")
-        # distinct keys: nothing to merge
-        self._terms = {m: c for m, c in zip(terms, map(int, terms.values())) if c}
+        self._terms = {}  # distinct keys: nothing to merge
+        for mono, coeff in terms.items():
+            if not isinstance(mono, Monomial):
+                raise TypeError(f"polynomial keys must be monomials, got {mono!r}")
+            if not isinstance(coeff, int):
+                raise ValueError(f"coefficients must be integers, got {coeff!r}")
+            if coeff:
+                self._terms[mono] = int(coeff)  # a bool becomes 0 or 1
 
     @classmethod
     def _of(cls, terms: dict[Monomial, int]) -> "Polynomial":

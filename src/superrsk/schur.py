@@ -275,11 +275,13 @@ def hook_schur(
     bits = sum(shape).bit_length()
     outside = [letter for letter in shuffle.order if letter not in alphabet]
     field = {letter: p for p, letter in enumerate(alphabet.letters() + tuple(outside))}
-    strip_kind = {
-        "t": "t" if variant.t_rule == "regular" else "u",
-        "u": "u" if variant.u_rule == "regular" else "t",
-    }
-    steps = [(strip_kind[letter.kind], field[letter] * bits) for letter in shuffle.order]
+    # from is_valid's per-rank table: a letter strict in rows adds a vertical
+    # strip (kind "u"), any other a horizontal one (kind "t")
+    strict_in_rows = _strict_in_rows(shuffle, variant_profile(variant))
+    steps = [
+        ("u" if strict else "t", field[letter] * bits)
+        for letter, strict in zip(shuffle.order, strict_in_rows)
+    ]
     half = len(steps) // 2
 
     def walk(chains, steps, outward, keep):

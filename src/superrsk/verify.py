@@ -23,7 +23,7 @@ from .alphabet import (
     adjacent_transposition,
     all_shuffles,
 )
-from .bijection import _INVALID_P, _check_recording, _reverse_ranks, standardize_u
+from .bijection import _INVALID_P, _check_recording, _relabel, _reverse_ranks, standardize_u
 from .insertion import (
     REGULAR_DUAL,
     REGULAR_REGULAR,
@@ -116,6 +116,9 @@ class Sample:
     seed: int
 
     def __post_init__(self) -> None:
+        for value in (self.count, self.seed):
+            if type(value) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"sample count and seed must be integers, got {value!r}")
         if self.count < 1:
             raise ValueError(f"sample count must be positive, got {self.count}")
 
@@ -546,19 +549,35 @@ def _words(alphabet: Alphabet, n: int, mode: Mode) -> Iterator[tuple[int, ...]]:
 
 
 def _word_grid(
-    name: str, alphabet: Alphabet, n: int, mode: Mode, cases, extra_params: dict | None = None
+    name: str, alphabet: Alphabet, n: int, mode: Mode, lanes: list[_Lane], judge,
+    params: dict | None = None, keep=None,
 ) -> Report:
-    """Run ``cases(words)`` over every word of length n, or a seeded sample.
+    """Walk every word of length n, or a seeded sample, through the lanes and
+    judge each one.
 
-    Words are alphabet-index tuples, in ``all_words`` order when exhaustive.
+    Words are alphabet-index tuples, in ``all_words`` order when exhaustive;
+    where ``keep`` is given, only the words it accepts are walked.
+    ``judge(word)``, called once every lane holds the word, returns the
+    word's case count and its failed cases as (shuffles, variant, expected,
+    actual) records.
     """
-    params = dict(extra_params or {})
+    params = dict(params or {})
     if mode == "exhaustive":
         params["mode"] = "exhaustive"
     elif isinstance(mode, Sample):
         params.update(mode="sample", samples=mode.count, seed=mode.seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+
+    def cases(words):
+        for word in _walk(words if keep is None else filter(keep, words), lanes):
+            count, failed = judge(word)
+            yield count - len(failed)
+            if failed:
+                text = _word_text(alphabet, word)
+                for record in failed:
+                    yield CaseFailure(text, *record)
+
     return _report(name, alphabet, n, cases(_words(alphabet, n, mode)), params)
 
 
@@ -573,20 +592,18 @@ def _word_text(alphabet: Alphabet, word: Iterable[int]) -> str:
     return ",".join(letters[i].name for i in word)
 
 
-def _per_lane(alphabet: Alphabet, variant: Variant, holds, expected: str, actual: str):
-    """Word cases, one per shuffle, that pass when ``holds(lane)`` after the walk."""
+def _per_lane(
+    name: str, alphabet: Alphabet, n: int, variant: Variant, mode: Mode, holds, expected: str,
+    actual: str,
+) -> Report:
+    """The word grid of one case per shuffle that passes when ``holds(lane)``."""
+    lanes = _lanes(alphabet, variant)
 
-    def cases(words):
-        lanes = _lanes(alphabet, variant)
-        for word in _walk(words, lanes):
-            failed = [lane for lane in lanes if not holds(lane)]
-            yield len(lanes) - len(failed)
-            for lane in failed:
-                yield CaseFailure(
-                    _word_text(alphabet, word), str(lane.shuffle), variant.name, expected, actual
-                )
+    def judge(word):
+        failed = [lane for lane in lanes if not holds(lane)]
+        return len(lanes), [(str(lane.shuffle), variant.name, expected, actual) for lane in failed]
 
-    return cases
+    return _word_grid(name, alphabet, n, mode, lanes, judge, {"variant": variant.name})
 
 
 def check_shape_invariance(
@@ -599,57 +616,45 @@ def check_shape_invariance(
 
     A pair passes when its lanes' keys (P's shape, Q's rows) are equal, so a
     word whose keys all equal the first lane's passes every pair at once."""
+    lanes = _lanes(alphabet, variant)
+    pairs = list(combinations(range(len(lanes)), 2))
 
-    def cases(words):
-        lanes = _lanes(alphabet, variant)
-        pairs = list(combinations(range(len(lanes)), 2))
-        for word in _walk(words, lanes):
-            keys = [(tuple(map(len, lane.rows)), lane.qrows) for lane in lanes]
-            if keys.count(keys[0]) == len(keys):
-                yield len(pairs)
-                continue
-            failed = [(i, j) for i, j in pairs if keys[i] != keys[j]]
-            yield len(pairs) - len(failed)
-            for i, j in failed:
-                (shape_i, q_i), (shape_j, q_j) = keys[i], keys[j]
-                yield CaseFailure(
-                    _word_text(alphabet, word), f"{lanes[i].shuffle} | {lanes[j].shuffle}",
-                    variant.name, "equal shapes and recording tableaux",
-                    f"shapes {shape_i} vs {shape_j}, q equal: {q_i == q_j}",
-                )
+    def judge(word):
+        keys = [(tuple(map(len, lane.rows)), lane.qrows) for lane in lanes]
+        if keys.count(keys[0]) == len(keys):
+            return len(pairs), ()
+        return len(pairs), [
+            (
+                f"{lanes[i].shuffle} | {lanes[j].shuffle}", variant.name,
+                "equal shapes and recording tableaux",
+                f"shapes {keys[i][0]} vs {keys[j][0]}, q equal: {keys[i][1] == keys[j][1]}",
+            )
+            for i, j in pairs
+            if keys[i] != keys[j]
+        ]
 
     return _word_grid(
-        "shape-invariance", alphabet, n, mode, cases, {"variant": variant.name}
+        "shape-invariance", alphabet, n, mode, lanes, judge, {"variant": variant.name}
     )
 
 
 def check_path_monotonicity_grid(
     alphabet: Alphabet, n: int, variant: Variant = REGULAR_REGULAR, mode: Mode = "exhaustive"
 ) -> Report:
-    cases = _per_lane(
-        alphabet,
-        variant,
+    return _per_lane(
+        "path-monotonicity", alphabet, n, variant, mode,
         lambda lane: _paths_ok(lane.log, lane.is_t),
-        "monotone bump targets",
-        "a bumped element drifted outward",
-    )
-    return _word_grid(
-        "path-monotonicity", alphabet, n, mode, cases, {"variant": variant.name}
+        "monotone bump targets", "a bumped element drifted outward",
     )
 
 
 def check_cell_monotonicity_grid(
     alphabet: Alphabet, n: int, variant: Variant = REGULAR_REGULAR, mode: Mode = "exhaustive"
 ) -> Report:
-    cases = _per_lane(
-        alphabet,
-        variant,
+    return _per_lane(
+        "cell-monotonicity", alphabet, n, variant, mode,
         lambda lane: _cells_ok((r, c, x) for r, c, x, _ in lane.log),
-        "entries only shrink in place",
-        "a cell emptied or its entry grew",
-    )
-    return _word_grid(
-        "cell-monotonicity", alphabet, n, mode, cases, {"variant": variant.name}
+        "entries only shrink in place", "a cell emptied or its entry grew",
     )
 
 
@@ -657,31 +662,26 @@ def check_restriction_subtableau_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
     letters = alphabet.letters()
+    # per shuffle, one lane per letter x inserting the letters <= x; the
+    # lane of the shuffle's largest letter inserts the whole word
+    groups = [
+        [_Lane(s, REGULAR_REGULAR, s.rank(x)) for x in letters] for s in all_shuffles(alphabet)
+    ]
+    wholes = [max(group, key=lambda lane: lane.bound) for group in groups]
 
-    def cases(words):
-        # per shuffle, one lane per letter x inserting the letters <= x; the
-        # lane of the shuffle's largest letter inserts the whole word
-        groups = [
-            [_Lane(s, REGULAR_REGULAR, s.rank(x)) for x in letters] for s in all_shuffles(alphabet)
+    def judge(word):
+        return len(groups) * len(letters), [
+            (
+                str(full.shuffle), REGULAR_REGULAR.name,
+                f"restriction to letters <= {x} is a subtableau", "subtableau containment failed",
+            )
+            for restricted, full in zip(groups, wholes)
+            for x, lane in zip(letters, restricted)
+            if not _is_prefix_grid(lane.rows, full.rows)
         ]
-        wholes = [max(group, key=lambda lane: lane.bound) for group in groups]
-        size = len(groups) * len(letters)
-        for word in _walk(words, [lane for group in groups for lane in group]):
-            failed = [
-                (x, full)
-                for restricted, full in zip(groups, wholes)
-                for x, lane in zip(letters, restricted)
-                if not _is_prefix_grid(lane.rows, full.rows)
-            ]
-            yield size - len(failed)
-            for x, full in failed:
-                yield CaseFailure(
-                    _word_text(alphabet, word), str(full.shuffle), REGULAR_REGULAR.name,
-                    f"restriction to letters <= {x} is a subtableau",
-                    "subtableau containment failed",
-                )
 
-    return _word_grid("restriction-subtableau", alphabet, n, mode, cases)
+    lanes = [lane for group in groups for lane in group]
+    return _word_grid("restriction-subtableau", alphabet, n, mode, lanes, judge)
 
 
 def _adjacent_pairs(lanes: list[_Lane]) -> list[tuple[int, int, tuple[Letter, Letter]]]:
@@ -704,25 +704,23 @@ def _low_cells(rows: list[list[int]], lo: int) -> dict[Cell, int]:
 def check_region1_agreement_grid(
     alphabet: Alphabet, n: int, mode: Mode = "exhaustive"
 ) -> Report:
-    def cases(words):
-        lanes = _lanes(alphabet, REGULAR_REGULAR)
-        pairs = [
-            (i, j, min(lanes[i].shuffle.rank(ti), lanes[i].shuffle.rank(uj)))
-            for i, j, (ti, uj) in _adjacent_pairs(lanes)
-        ]
-        for word in _walk(words, lanes):
-            failed = [
-                (i, j) for i, j, lo in pairs
-                if _low_cells(lanes[i].rows, lo) != _low_cells(lanes[j].rows, lo)
-            ]
-            yield len(pairs) - len(failed)
-            for i, j in failed:
-                yield CaseFailure(
-                    _word_text(alphabet, word), f"{lanes[i].shuffle} | {lanes[j].shuffle}",
-                    REGULAR_REGULAR.name, "identical low-letter subtableaux", "low regions differ",
-                )
+    lanes = _lanes(alphabet, REGULAR_REGULAR)
+    pairs = [
+        (i, j, min(lanes[i].shuffle.rank(ti), lanes[i].shuffle.rank(uj)))
+        for i, j, (ti, uj) in _adjacent_pairs(lanes)
+    ]
 
-    return _word_grid("region1-agreement", alphabet, n, mode, cases)
+    def judge(word):
+        return len(pairs), [
+            (
+                f"{lanes[i].shuffle} | {lanes[j].shuffle}", REGULAR_REGULAR.name,
+                "identical low-letter subtableaux", "low regions differ",
+            )
+            for i, j, lo in pairs
+            if _low_cells(lanes[i].rows, lo) != _low_cells(lanes[j].rows, lo)
+        ]
+
+    return _word_grid("region1-agreement", alphabet, n, mode, lanes, judge)
 
 
 def check_trace_alignment_grid(
@@ -738,37 +736,34 @@ def check_trace_alignment_grid(
     word's separate traces.
     """
     witness_histogram: dict[int, int] = {}
+    lanes = _lanes(alphabet, REGULAR_REGULAR)
+    states = _States()
+    readings = [_Reading(lane.shuffle) for lane in lanes]
+    # per (lane, pair): a signature stream for each side and their witness table
+    streams = [
+        (i, j, _Signatures(lanes[i].shuffle, pair, states, reading=readings[i]),
+         _Signatures(lanes[j].shuffle, pair, states, reading=readings[j]), {})
+        for i, j, pair in _adjacent_pairs(lanes)
+    ]
 
-    def cases(words):
-        lanes = _lanes(alphabet, REGULAR_REGULAR)
-        states = _States()
-        readings = [_Reading(lane.shuffle) for lane in lanes]
-        # per (lane, pair): a signature stream for each side and their witness table
-        streams = [
-            (i, j, _Signatures(lanes[i].shuffle, pair, states, reading=readings[i]),
-             _Signatures(lanes[j].shuffle, pair, states, reading=readings[j]), {})
-            for i, j, pair in _adjacent_pairs(lanes)
-        ]
-        for word in _walk(words, lanes):
-            kept = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
-            failed = []
-            for i, j, sigs_a, sigs_b, table in streams:
-                ca, cb = sigs_a.catch_up(kept[i]), sigs_b.catch_up(kept[j])
-                _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
-                try:
-                    count = _witness_count(table, len(sigs_a.sigs), len(sigs_b.sigs))
-                except AlignmentError as exc:
-                    failed.append(CaseFailure(
-                        _word_text(alphabet, word), f"{lanes[i].shuffle} | {lanes[j].shuffle}",
-                        REGULAR_REGULAR.name, "an alignment with equivalent matched states",
-                        str(exc),
-                    ))
-                    continue
-                witness_histogram[count] = witness_histogram.get(count, 0) + 1
-            yield len(streams) - len(failed)
-            yield from failed
+    def judge(word):
+        kept = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
+        failed = []
+        for i, j, sigs_a, sigs_b, table in streams:
+            ca, cb = sigs_a.catch_up(kept[i]), sigs_b.catch_up(kept[j])
+            _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
+            try:
+                count = _witness_count(table, len(sigs_a.sigs), len(sigs_b.sigs))
+            except AlignmentError as exc:
+                failed.append((
+                    f"{lanes[i].shuffle} | {lanes[j].shuffle}", REGULAR_REGULAR.name,
+                    "an alignment with equivalent matched states", str(exc),
+                ))
+                continue
+            witness_histogram[count] = witness_histogram.get(count, 0) + 1
+        return len(streams), failed
 
-    report = _word_grid("trace-alignment", alphabet, n, mode, cases)
+    report = _word_grid("trace-alignment", alphabet, n, mode, lanes, judge)
     report.stats["witness_counts"] = {
         str(k): v for k, v in sorted(witness_histogram.items())
     }
@@ -785,22 +780,23 @@ def check_dual_regular_agreement_grid(
         us = [a for a in word if a >= k]
         return len(us) == len(set(us))
 
-    def cases(words):
-        lanes = _lanes(alphabet, REGULAR_REGULAR, REGULAR_DUAL)
-        # every prefix of a kept word is kept, so no prefix with a repeated u is inserted
-        pairs = list(zip(lanes[::2], lanes[1::2]))
-        for word in _walk(filter(distinct_us, words), lanes):
-            failed = [
-                reg for reg, dual in pairs if reg.rows != dual.rows or reg.qrows != dual.qrows
-            ]
-            yield len(pairs) - len(failed)
-            for reg in failed:
-                yield CaseFailure(
-                    _word_text(alphabet, word), str(reg.shuffle), "reg-reg vs reg-dual",
-                    "identical insertion and recording tableaux", "outputs differ",
-                )
+    lanes = _lanes(alphabet, REGULAR_REGULAR, REGULAR_DUAL)
+    pairs = list(zip(lanes[::2], lanes[1::2]))
 
-    return _word_grid("dual-regular-agreement", alphabet, n, mode, cases)
+    def judge(word):
+        return len(pairs), [
+            (
+                str(reg.shuffle), "reg-reg vs reg-dual",
+                "identical insertion and recording tableaux", "outputs differ",
+            )
+            for reg, dual in pairs
+            if reg.rows != dual.rows or reg.qrows != dual.qrows
+        ]
+
+    # every prefix of a kept word is kept, so no prefix with a repeated u is inserted
+    return _word_grid(
+        "dual-regular-agreement", alphabet, n, mode, lanes, judge, keep=distinct_us
+    )
 
 
 def _reverse_sources(
@@ -831,9 +827,7 @@ def _recovered(rows, cols, cells: list[Cell], lane: _Lane) -> tuple[int, ...]:
 
     P's rank rows and columns are copied, so they are left as they were.
     """
-    ranks = _reverse_ranks(
-        [row[:] for row in rows], [col[:] for col in cols], cells, lane.shuffle, lane.variant
-    )
+    ranks = _reverse_ranks([row[:] for row in rows], [col[:] for col in cols], cells, lane)
     return tuple(lane.letter[x] for x in ranks)
 
 
@@ -997,7 +991,7 @@ def check_hook_schur_invariance(
                         reference.render(), other.render(),
                     )
 
-    return _report("hook-schur-invariance", alphabet, n, cases())
+    return _report("hook-schur-invariance", alphabet, n, cases(), {"variant": variant.name})
 
 
 def check_counting_identity(alphabet: Alphabet, n: int) -> Report:
@@ -1022,51 +1016,24 @@ def check_round_trip_grid(
     alphabet: Alphabet, n: int, variant: Variant, mode: Mode = "exhaustive"
 ) -> Report:
     """reverse(insert(v)) recovers v for every word in the grid."""
+    lanes = _lanes(alphabet, variant)
 
-    def cases(words):
-        lanes = _lanes(alphabet, variant)
-        for word in _walk(words, lanes):
-            failed = []
-            for lane in lanes:
-                # reverse_word's guards, on ranks
-                cells = _check_recording(tuple(map(len, lane.rows)), lane.qrows)
-                if not _valid_ranks(lane.rows, lane.strict):
-                    raise ValueError(_INVALID_P)
-                back = _recovered(lane.rows, lane.cols, cells, lane)
-                if back != word:
-                    failed.append(CaseFailure(
-                        _word_text(alphabet, word), str(lane.shuffle), variant.name,
-                        _word_text(alphabet, word), _word_text(alphabet, back),
-                    ))
-            yield len(lanes) - len(failed)
-            yield from failed
+    def judge(word):
+        failed = []
+        for lane in lanes:
+            # reverse_word's guards, on ranks
+            cells = _check_recording(tuple(map(len, lane.rows)), lane.qrows)
+            if not _valid_ranks(lane.rows, lane.strict):
+                raise ValueError(_INVALID_P)
+            back = _recovered(lane.rows, lane.cols, cells, lane)
+            if back != word:
+                failed.append((
+                    str(lane.shuffle), variant.name,
+                    _word_text(alphabet, word), _word_text(alphabet, back),
+                ))
+        return len(lanes), failed
 
-    return _word_grid("round-trip", alphabet, n, mode, cases, {"variant": variant.name})
-
-
-def _relabel_u(word: tuple[int, ...], k: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The u-counts of an alphabet-index word and its ``standardize_u`` relabelling.
-
-    The relabelled word is written in alphabet indices of the derived
-    alphabet (k, sum of the counts): t's keep their index, and the
-    occurrences of u_j, rightmost first, take the next fresh u's of u_j's
-    block.
-    """
-    counts = [0] * l
-    for a in word:
-        if a >= k:
-            counts[a - k] += 1
-    # next_fresh[j]: the derived index of u_j's next occurrence, walking leftwards
-    next_fresh = [k] * l
-    for j in range(1, l):
-        next_fresh[j] = next_fresh[j - 1] + counts[j - 1]
-    relabelled = list(word)
-    for pos in range(len(word) - 1, -1, -1):
-        a = word[pos]
-        if a >= k:
-            relabelled[pos] = next_fresh[a - k]
-            next_fresh[a - k] += 1
-    return tuple(counts), tuple(relabelled)
+    return _word_grid("round-trip", alphabet, n, mode, lanes, judge, {"variant": variant.name})
 
 
 def check_standardization_mimicry_grid(
@@ -1081,32 +1048,30 @@ def check_standardization_mimicry_grid(
     depend on the shuffle and the word's u-counts alone, so they are built
     once per such pair, and the word is relabelled on alphabet indices."""
     letters = alphabet.letters()
+    lanes = _lanes(alphabet, REGULAR_DUAL)
+    # (lane index, u-counts) -> (derived lane, derived rank -> shuffle rank)
+    keyed: dict[tuple[int, tuple[int, ...]], tuple[_Lane, list[int]]] = {}
 
-    def cases(words):
-        lanes = _lanes(alphabet, REGULAR_DUAL)
-        # (lane index, u-counts) -> (derived lane, derived rank -> shuffle rank)
-        keyed: dict[tuple[int, tuple[int, ...]], tuple[_Lane, list[int]]] = {}
-        for word in _walk(words, lanes):
-            counts, relabelled = _relabel_u(word, alphabet.k, alphabet.l)
-            failed = []
-            for i, lane in enumerate(lanes):
-                s = lane.shuffle
-                entry = keyed.get((i, counts))
-                if entry is None:
-                    std = standardize_u(Word(tuple(letters[a] for a in word)), s)
-                    back = dict(std.source_map)
-                    to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
-                    derived = _Lane(std.shuffle, REGULAR_DUAL, logged=False)
-                    entry = keyed[(i, counts)] = (derived, to_rank)
-                rel, to_rank = entry
-                _insert_into(rel, relabelled)
-                unmapped = [[to_rank[x] for x in row] for row in rel.rows]
-                if rel.qrows != lane.qrows or unmapped != lane.rows:
-                    failed.append(CaseFailure(
-                        _word_text(alphabet, word), str(s), REGULAR_DUAL.name,
-                        "relabelled insertion matches cell for cell", "mimicry failed",
-                    ))
-            yield len(lanes) - len(failed)
-            yield from failed
+    def judge(word):
+        counts, relabelled = _relabel(word, alphabet.k, alphabet.l, "u")
+        failed = []
+        for i, lane in enumerate(lanes):
+            s = lane.shuffle
+            entry = keyed.get((i, counts))
+            if entry is None:
+                std = standardize_u(Word(tuple(letters[a] for a in word)), s)
+                back = dict(std.source_map)
+                to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
+                derived = _Lane(std.shuffle, REGULAR_DUAL, logged=False)
+                entry = keyed[(i, counts)] = (derived, to_rank)
+            rel, to_rank = entry
+            _insert_into(rel, relabelled)
+            unmapped = [[to_rank[x] for x in row] for row in rel.rows]
+            if rel.qrows != lane.qrows or unmapped != lane.rows:
+                failed.append((
+                    str(s), REGULAR_DUAL.name,
+                    "relabelled insertion matches cell for cell", "mimicry failed",
+                ))
+        return len(lanes), failed
 
-    return _word_grid("standardization-mimicry", alphabet, n, mode, cases)
+    return _word_grid("standardization-mimicry", alphabet, n, mode, lanes, judge)

@@ -26,6 +26,8 @@ from superrsk import (
     classify_regions,
     insert_word,
     standardize_u,
+    t,
+    u,
 )
 from superrsk.insertion import _ranks_of
 from superrsk.polynomial import Monomial
@@ -75,6 +77,39 @@ def weight_monomial(tab: Tableau, alphabet: Alphabet) -> Monomial:
 def is_subtableau(small: Tableau, big: Tableau) -> bool:
     """True when small's diagram fits inside big's and entries agree there."""
     return _is_prefix_grid(small.rows, big.rows)
+
+
+def standardize(v: Word, shuffle: Shuffle, kind: str) -> Standardization:
+    """``standardize_u`` (kind "u") or ``standardize_t`` (kind "t"), letter by letter.
+
+    Each letter of the kind is renamed, u's rightmost first and t's leftmost
+    first, to the next fresh letter of its block.  The blocks follow the
+    kind's letters in index order, each as long as its letter's count, and
+    the derived shuffle puts each block, ascending, where its letter stood.
+    """
+    alphabet = shuffle.alphabet
+    for letter in v:
+        if letter not in alphabet:
+            raise ValueError(f"letter {letter} outside alphabet {alphabet}")
+    fresh = u if kind == "u" else t
+    size = alphabet.l if kind == "u" else alphabet.k
+    counts = [sum(1 for x in v if x == fresh(j)) for j in range(1, size + 1)]
+    total = sum(counts)
+    if total == 0 and size == alphabet.size:
+        return Standardization(v, shuffle, ())
+    blocks = {
+        fresh(j + 1): [fresh(sum(counts[:j]) + i) for i in range(1, counts[j] + 1)]
+        for j in range(size)
+    }
+    unused = {letter: list(block) for letter, block in blocks.items()}
+    letters = list(v)
+    for pos in reversed(range(len(v))) if kind == "u" else range(len(v)):
+        if letters[pos] in unused:
+            letters[pos] = unused[letters[pos]].pop(0)
+    derived = Alphabet(alphabet.k, total) if kind == "u" else Alphabet(total, alphabet.l)
+    order = tuple(x for letter in shuffle.order for x in blocks.get(letter, [letter]))
+    source = tuple((x, letter) for letter, block in blocks.items() for x in block)
+    return Standardization(Word(tuple(letters)), Shuffle(derived, order), source)
 
 
 def unmap_tableau(std: Standardization, tab: Tableau) -> Tableau:

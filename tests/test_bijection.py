@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import rec, tab
-from oracles import check_standardization_mimicry, content_type, unmap_tableau
+from oracles import check_standardization_mimicry, content_type, standardize, unmap_tableau
 from superrsk import (
     REGULAR_DUAL,
     REGULAR_REGULAR,
@@ -123,17 +123,30 @@ class TestChangeShuffle:
             ("t1 t2 u2 / u1", "1 2 / 3 4", "t1<t2<u1<u2"),  # shapes differ
             ("t1 t2 u2 / u1", "1 3 2 / 4", "t1<t2<u1<u2"),  # q not standard
             ("t2 t1 u2 / u1", "1 2 3 / 4", "t1<t2<u1<u2"),  # p not valid
-            ("t1 t2 u2 / u1", "1 2 3 / 4", "t1<u1<u2"),  # t2 outside the target
         ],
     )
     def test_errors_match_reverse_then_insert(self, a22, order_ttuu, p, q, target):
         p, q = tab(p), rec(q)
-        target = parse_shuffle(target, Alphabet(1, 2) if target.count("<") == 2 else a22)
+        target = parse_shuffle(target, a22)
         with pytest.raises(ValueError) as composed:
             insert_word(reverse_word(p, q, order_ttuu, REGULAR_REGULAR), target, REGULAR_REGULAR)
         with pytest.raises(ValueError) as direct:
             change_shuffle(p, q, order_ttuu, target, REGULAR_REGULAR)
         assert str(direct.value) == str(composed.value)
+
+    @pytest.mark.parametrize(
+        "p,q,source,target",
+        [
+            # t2 is outside the target's alphabet
+            ("t1 t2 u2 / u1", "1 2 3 / 4", ("t1<t2<u1<u2", 2, 2), ("t1<u1<u2", 1, 2)),
+            # every letter is inside it, but the alphabets still differ
+            ("u1 t1", "1 2", ("u1<t1", 1, 1), ("t1<u1<t2<u2", 2, 2)),
+        ],
+    )
+    def test_refuses_a_target_over_another_alphabet(self, p, q, source, target):
+        source, target = (parse_shuffle(chain, Alphabet(k, l)) for chain, k, l in (source, target))
+        with pytest.raises(ValueError, match="^shuffles must share an alphabet$"):
+            change_shuffle(tab(p), rec(q), source, target, REGULAR_REGULAR)
 
 
 def bypass_checks(rows) -> RecordingTableau:
@@ -252,6 +265,36 @@ class TestStandardizeT:
                 assert [x for x in std.word if x.kind == "u"] == [
                     x for x in word if x.kind == "u"
                 ]
+
+
+class TestLetterLevelReference:
+    @pytest.mark.parametrize("k,l,n", [(2, 2, 4), (1, 3, 4), (3, 1, 4), (0, 2, 3), (2, 0, 3)])
+    def test_both_sides_match_the_reference(self, k, l, n):
+        # every word up to n letters, empty and one-kind words included
+        alphabet = Alphabet(k, l)
+        for s in all_shuffles(alphabet):
+            for m in range(n + 1):
+                for word in all_words(alphabet, m):
+                    assert standardize_u(word, s) == standardize(word, s, "u")
+                    assert standardize_t(word, s) == standardize(word, s, "t")
+
+    def test_reference_on_the_worked_examples(self, a22, order_ttuu):
+        alph = Alphabet(1, 1)
+        std = standardize(parse_word("t1,t1,u1", alph), parse_shuffle("t1<u1", alph), "t")
+        assert (str(std.word), str(std.shuffle)) == ("t1,t2,u1", "t1<t2<u1")
+        std = standardize(parse_word("u2,u1,u2,u1", a22), order_ttuu, "u")
+        assert (str(std.word), str(std.shuffle)) == ("u4,u2,u3,u1", "t1<t2<u1<u2<u3<u4")
+        assert std.source_map == ((u(1), u(1)), (u(2), u(1)), (u(3), u(2)), (u(4), u(2)))
+
+    @pytest.mark.parametrize("side", ["u", "t"])
+    def test_a_foreign_letter_is_refused_as_the_reference_refuses_it(self, a22, order_ttuu, side):
+        word = Word((u(1), t(3), u(5)))
+        library = standardize_u if side == "u" else standardize_t
+        with pytest.raises(ValueError) as expected:
+            standardize(word, order_ttuu, side)
+        with pytest.raises(ValueError) as refused:
+            library(word, order_ttuu)
+        assert str(refused.value) == str(expected.value) == "letter t3 outside alphabet (k=2, l=2)"
 
 
 class TestStandardizationMimicry:

@@ -61,6 +61,18 @@ class TestPolynomial:
         with pytest.raises(TypeError):
             Polynomial([(X1, 1)])
 
+    @pytest.mark.parametrize("key", [(1, 2), ((1, 0), (0, 0)), "x1"])
+    def test_keys_must_be_monomials(self, key):
+        # a plain tuple equal to a monomial is not one, and would not render
+        with pytest.raises(TypeError, match="^polynomial keys must be monomials"):
+            Polynomial({key: 3})
+
+    @pytest.mark.parametrize("coeff", [0.5, 2.0, "1", None])
+    def test_coefficients_must_be_integers(self, coeff):
+        # int() would truncate a float, 0.5 to the zero polynomial
+        with pytest.raises(ValueError, match="^coefficients must be integers"):
+            Polynomial({X1: coeff})
+
     def test_addition(self):
         p = Polynomial({X1: 1}) + Polynomial({X1: 2, Y1: 1})
         assert p.coefficient(X1) == 3 and p.coefficient(Y1) == 1

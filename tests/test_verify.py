@@ -33,6 +33,7 @@ from superrsk import (
     align_traces,
     all_shuffles,
     all_words,
+    change_shuffle,
     enumerate_ssyt,
     enumerate_syt,
     insert_word,
@@ -45,7 +46,7 @@ from superrsk import (
     u,
     variant_profile,
 )
-from superrsk.bijection import _DISPLACE_SEARCH
+from superrsk.insertion import _SEARCH
 from superrsk.verify import (
     _INCREMENTS,
     Alignment,
@@ -288,6 +289,13 @@ class TestReports:
         report = verify._report("runs", a22, 1, iter([0, 0, 0]))
         assert report.cases_run == 0 and report.failures == () and not report.passed
 
+    @pytest.mark.parametrize(
+        "count,seed", [(1.5, 0), (3, 0.0), (True, 0), (3, False), ("3", 0), (3, None)]
+    )
+    def test_sample_count_and_seed_must_be_integers(self, count, seed):
+        with pytest.raises(ValueError, match="^sample count and seed must be integers"):
+            Sample(count, seed)
+
     def test_negative_length_rejected(self, a22):
         with pytest.raises(ValueError, match="n must be non-negative"):
             check_shape_invariance(a22, -1, REGULAR_REGULAR, Sample(3, 0))
@@ -308,6 +316,7 @@ class TestReports:
         # the shapes of 4 cells x the shuffles after the first
         report = check_hook_schur_invariance(a22, 4, variant)
         assert report.passed and report.cases_run == 5 * 5
+        assert report.parameters == {"k": 2, "l": 2, "n": 4, "variant": variant.name}
         import superrsk.verify as verify
 
         walk = verify.hook_schur
@@ -906,17 +915,26 @@ class TestMimicryOnTheWalk:
         assert bool(expected) == faulty
 
     @pytest.mark.parametrize("k,l,n", [(2, 2, 4), (1, 3, 4), (0, 2, 3), (2, 0, 2)])
-    def test_relabelling_on_indices_matches_standardize_u(self, k, l, n):
+    def test_relabels_every_word_as_the_letter_level_reference(self, monkeypatch, k, l, n):
+        import oracles
         import superrsk.verify as verify
 
+        relabel = verify._relabel
+        seen = {}
+
+        def spy(word, k_, l_, kind):
+            seen[word] = relabel(word, k_, l_, kind)
+            return seen[word]
+
+        monkeypatch.setattr(verify, "_relabel", spy)
         alphabet = Alphabet(k, l)
-        shuffle = all_shuffles(alphabet)[-1]
-        letters = alphabet.letters()
-        for word in product(range(alphabet.size), repeat=n):
-            counts, relabelled = verify._relabel_u(word, k, l)
-            std = verify.standardize_u(Word(tuple(letters[a] for a in word)), shuffle)
-            derived = std.shuffle.alphabet.letters()
-            assert tuple(derived[a] for a in relabelled) == std.word.letters
+        assert verify.check_standardization_mimicry_grid(alphabet, n).passed
+        assert sorted(seen) == list(product(range(alphabet.size), repeat=n))
+        letters, shuffle = alphabet.letters(), all_shuffles(alphabet)[-1]
+        for word, (counts, relabelled) in seen.items():
+            ref = oracles.standardize(Word(tuple(letters[a] for a in word)), shuffle, "u")
+            derived = ref.shuffle.alphabet.letters()
+            assert tuple(derived[a] for a in relabelled) == ref.word.letters
             assert counts == tuple(sum(1 for a in word if a == k + j) for j in range(l))
 
 
@@ -1110,10 +1128,31 @@ class TestFailureRecordsUnderAFault:
     )
     def test_round_trip_failures_match_under_a_reversal_fault(self, a22, monkeypatch, mode, n):
         # the regular displacement search made weak: reg-reg reversals go wrong
-        monkeypatch.setitem(_DISPLACE_SEARCH, "regular", bisect_right)
+        monkeypatch.setitem(_SEARCH, "regular", (bisect_right, bisect_right))
         expected = reference_outcome("round-trip", a22, n, REGULAR_REGULAR, mode)
         assert grid_outcome("round-trip", a22, n, REGULAR_REGULAR, mode) == expected
         assert expected[1]
+
+    def test_one_displacement_fault_reaches_every_reversal(self, a22, monkeypatch):
+        # the same fault as above, in the one table that reverse_word,
+        # change_shuffle and the round-trip grid all read
+        shuffles = all_shuffles(a22)
+        cases = [
+            (word, s, insert_word(word, s, REGULAR_REGULAR))
+            for word in all_words(a22, 3) for s in shuffles
+        ]
+        healthy = [change_shuffle(r.p, r.q, s, shuffles[0], REGULAR_REGULAR) for _, s, r in cases]
+        monkeypatch.setitem(_SEARCH, "regular", (bisect_right, bisect_right))
+        backs = [reverse_word(r.p, r.q, s, REGULAR_REGULAR) for _, s, r in cases]
+        wrong = {(str(word), str(s)) for (word, s, _), back in zip(cases, backs) if back != word}
+        report = check_round_trip_grid(a22, 3, REGULAR_REGULAR)
+        assert wrong and {(f.word, f.shuffles) for f in report.failures} == wrong
+        moved = 0
+        for (word, s, r), back, image in zip(cases, backs, healthy):
+            faulty = change_shuffle(r.p, r.q, s, shuffles[0], REGULAR_REGULAR)
+            assert faulty == insert_word(back, shuffles[0], REGULAR_REGULAR).p
+            moved += faulty != image
+        assert moved
 
     @pytest.mark.parametrize("token", ["2", "5"])
     def test_shape_failures_match_with_many_lanes(self, monkeypatch, token):
