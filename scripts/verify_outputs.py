@@ -35,6 +35,12 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
 - ``--format json verify --theorem 2``, and ``--theorem 5`` under every
   variant, at (k, l) = (3, 3), n = 3 and at (3, 2), n = 4, where many
   shuffles give many pairs per word;
+- every ``lemma2.15`` row above once more, and the first ``trace`` row of
+  each alphabet whose word lies in it.  A checkout that keeps an alphabet's
+  step states for the process first runs each row on the states that
+  alphabet's earlier rows left (none at its first row), and then on those
+  the whole matrix left, or on none where other alphabets have evicted
+  them; either way the output must not change;
 - ``insert`` in both output formats on each of the three fixed words and the
   empty word under every shuffle and variant at (2, 2), and on three seeded
   60-letter words under seeded shuffles and every variant at (5, 5).  Each
@@ -219,7 +225,19 @@ def matrix(claims: dict) -> list[list[str]]:
                     "--k", str(k), "--l", str(l), "--variant", variant, "--format", "json",
                     "verify", "--theorem", token, "--n", str(n),
                 ])
-    return runs
+    # lemma2.15's step states are kept per alphabet for the process, so its
+    # rows and a trace row per alphabet run again after every other alphabet and n
+    again = [run for run in runs if "lemma2.15" in run]
+    firsts: dict[tuple[str, str], list[str]] = {}
+    for run in runs:
+        if "trace" in run and fits(run[run.index("--word") + 1], int(run[1]), int(run[3])):
+            firsts.setdefault((run[1], run[3]), run)
+    return runs + again + list(firsts.values())
+
+
+def fits(word: str, k: int, l: int) -> bool:
+    """Whether every letter of a comma-separated word lies in t1..tk, u1..ul."""
+    return all(int(x[1:]) <= (k if x[0] == "t" else l) for x in word.split(",") if x)
 
 
 def pq_runs(main, folder: Path):

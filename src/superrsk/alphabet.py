@@ -251,11 +251,14 @@ def order_adjacent_pairs(s: Shuffle) -> list[tuple[Letter, Letter]]:
     return pairs
 
 
-def _parse_letters(tokens, alphabet: Alphabet) -> tuple[Letter, ...]:
-    """The letters that the tokens name, each checked to be in the alphabet."""
+def _parse_letters(text: str, sep: str, alphabet: Alphabet) -> tuple[Letter, ...]:
+    """The letters that the stripped tokens of ``text`` between ``sep``s name,
+    each checked to be in the alphabet; none if the text is blank."""
+    if not text.strip():
+        return ()
     letters = []
-    for token in tokens:
-        letter = parse_letter(token)
+    for token in text.split(sep):
+        letter = parse_letter(token.strip())
         if letter not in alphabet:
             raise ValueError(f"letter {letter} outside alphabet {alphabet}")
         letters.append(letter)
@@ -264,10 +267,10 @@ def _parse_letters(tokens, alphabet: Alphabet) -> tuple[Letter, ...]:
 
 def parse_shuffle(text: str, alphabet: Alphabet) -> Shuffle:
     """Parse a chain like "t1<u1<t2<u2"; the Shuffle constructor validates it."""
-    tokens = [tok.strip() for tok in text.split("<")]
-    if tokens == [""]:
+    letters = _parse_letters(text, "<", alphabet)
+    if not letters:
         raise ValueError("empty shuffle text")
-    return Shuffle(alphabet, _parse_letters(tokens, alphabet))
+    return Shuffle(alphabet, letters)
 
 
 def shuffle_to_json(s: Shuffle) -> list[str]:

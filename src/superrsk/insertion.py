@@ -84,8 +84,7 @@ class Word:
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a comma-separated word like "u2,t1,t2,u1"; whitespace is ignored."""
-    text = text.strip()
-    return Word(_parse_letters(text.split(","), alphabet) if text else ())
+    return Word(_parse_letters(text, ",", alphabet))
 
 
 def all_words(alphabet: Alphabet, n: int) -> Iterator[Word]:

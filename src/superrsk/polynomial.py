@@ -21,16 +21,20 @@ class Monomial(_Exponents):
     """Exponent vectors over the x-variables and the y-variables.
 
     An immutable named tuple ``(x, y)``: hashing, equality and ordering are
-    the tuple's.  The constructor coerces exponents to ints and rejects
-    negative ones; ``Monomial._make((x, y))`` skips that, for callers whose
-    exponents are non-negative int tuples by construction.
+    the tuple's.  The constructor coerces exponents to ints, refusing one
+    that ``int()`` would change (such as 1.5), and rejects negative ones;
+    ``Monomial._make((x, y))`` skips that, for callers whose exponents are
+    non-negative int tuples by construction.
     """
 
     __slots__ = ()
 
     def __new__(cls, x, y) -> "Monomial":
+        given = (*x, *y)
         x = tuple(map(int, x))
         y = tuple(map(int, y))
+        if x + y != given:
+            raise ValueError(f"exponents must be integers, got {given}")
         if min(x + y, default=0) < 0:
             raise ValueError("exponents must be non-negative")
         return tuple.__new__(cls, (x, y))

@@ -9,10 +9,11 @@ failure names its word and shuffles, so the case can be replayed on its own.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -155,8 +156,13 @@ class Alignment:
 _INCREMENTS = ((1, 1), (1, 2), (2, 1))
 
 
+# taken by every miss of a _States table, which rechecks under it before it
+# numbers a new entry by the table's length; hits read the dicts without it
+_INTERNING = threading.Lock()
+
+
 class _States:
-    """Step states interned for the streams one grid or ``align_traces`` compares.
+    """Step states interned for the signature streams over one alphabet.
 
     A state is its filled cells in sorted order and each cell's rank with
     the swapped pair masked: -2 for t_i, -1 for u_j.
@@ -165,7 +171,9 @@ class _States:
     taken.  Each new state's class is computed once: its cells with the
     pair's two values merged and the t_i-count of each region-2 component,
     which is what two equivalent states share.  A signature is the int id of
-    (class, pending action).
+    (class, pending action).  Every entry depends only on these ints, so one
+    table serves every grid call and ``align_traces`` (``_step_states``);
+    an edge is published only after its state's ``cls`` entry exists.
     """
 
     __slots__ = ("edges", "known", "states", "cls", "classes", "components", "sigs")
@@ -182,21 +190,25 @@ class _States:
     def after(self, key: tuple[int, int, int, int]) -> int:
         """The state that a transition (state, row, column, value) not taken
         before leads to: writing the value in that cell of the state."""
-        state, r, c, value = key
-        cells, values = self.states[state]
-        cell = (r, c)
-        i = bisect_left(cells, cell)
-        if i < len(cells) and cells[i] == cell:
-            values = values[:i] + (value,) + values[i + 1:]
-        else:
-            cells = cells[:i] + (cell,) + cells[i:]
-            values = values[:i] + (value,) + values[i:]
-        new = self.known.get((cells, values))
-        if new is None:
-            new = self.known[cells, values] = len(self.states)
-            self.states.append((cells, values))
-            self.cls.append(self._classify(cells, values))
-        self.edges[key] = new
+        with _INTERNING:
+            new = self.edges.get(key)
+            if new is not None:  # another thread took it first
+                return new
+            state, r, c, value = key
+            cells, values = self.states[state]
+            cell = (r, c)
+            i = bisect_left(cells, cell)
+            if i < len(cells) and cells[i] == cell:
+                values = values[:i] + (value,) + values[i + 1:]
+            else:
+                cells = cells[:i] + (cell,) + cells[i:]
+                values = values[:i] + (value,) + values[i:]
+            new = self.known.get((cells, values))
+            if new is None:
+                new = self.known[cells, values] = len(self.states)
+                self.states.append((cells, values))
+                self.cls.append(self._classify(cells, values))
+            self.edges[key] = new
         return new
 
     def _classify(self, cells: tuple, values: tuple) -> int:
@@ -212,8 +224,22 @@ class _States:
         return self.classes.setdefault((cells, masked, counts), len(self.classes))
 
     def signature(self, state: int, pending: tuple[int, int] | None) -> int:
-        sigs = self.sigs
-        return sigs.setdefault((self.cls[state], pending), len(sigs))
+        key = (self.cls[state], pending)
+        sig = self.sigs.get(key)
+        if sig is None:
+            with _INTERNING:
+                sig = self.sigs.setdefault(key, len(self.sigs))
+        return sig
+
+
+_KEPT_ALPHABETS = 4
+
+
+@lru_cache(maxsize=_KEPT_ALPHABETS)
+def _step_states(alphabet: Alphabet) -> _States:
+    """The step states of ``alphabet``, kept for the process and shared by
+    every ``lemma2.15`` grid and ``align_traces`` call over it."""
+    return _States()
 
 
 class _Reading:
@@ -388,7 +414,7 @@ def align_traces(
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
         raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
-    states = _States()
+    states = _step_states(shuffle_a.alphabet)
     sigs_a = _Signatures(shuffle_a, pair, states, trace_a.order)
     sigs_b = _Signatures(shuffle_b, pair, states, trace_b.order)
     sigs_a.follow(trace_a.log)
@@ -729,15 +755,15 @@ def check_trace_alignment_grid(
     """Every adjacent-shuffle pair admits a step alignment on every word.
 
     Each (shuffle pair) keeps one signature stream per side and their witness
-    table beside the walk, all over one table of interned states.  A word
-    recomputes only the table's rows and columns from the first step whose
-    signature changed, and the case's witness count or ``AlignmentError``
-    text is read off the table, the same as ``align_traces`` gives on the
-    word's separate traces.
+    table beside the walk, all over the alphabet's step states, which stay
+    interned for later calls.  A word recomputes only the table's rows and
+    columns from the first step whose signature changed, and the case's
+    witness count or ``AlignmentError`` text is read off the table, the same
+    as ``align_traces`` gives on the word's separate traces.
     """
     witness_histogram: dict[int, int] = {}
     lanes = _lanes(alphabet, REGULAR_REGULAR)
-    states = _States()
+    states = _step_states(alphabet)
     readings = [_Reading(lane.shuffle) for lane in lanes]
     # per (lane, pair): a signature stream for each side and their witness table
     streams = [

@@ -48,6 +48,12 @@ class TestWordParsing:
         with pytest.raises(ValueError):
             parse_word("t2", Alphabet(1, 1))
 
+    def test_a_bad_token_is_quoted_stripped_as_in_a_shuffle(self, a22):
+        # both parsers strip each token before they parse it or quote it
+        for parse, text in ((parse_word, "t1, x"), (parse_shuffle, "t1< x")):
+            with pytest.raises(ValueError, match=r"^cannot parse letter 'x' "):
+                parse(text, a22)
+
     def test_all_words_count(self, a22):
         assert sum(1 for _ in all_words(a22, 3)) == 4**3
 

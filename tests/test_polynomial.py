@@ -35,6 +35,11 @@ class TestMonomial:
         assert all(type(e) is int for e in m.x + m.y)
         assert m == mono((1, 1), (0, 2)) and hash(m) == hash(mono((1, 1), (0, 2)))
 
+    @pytest.mark.parametrize("x,y", [((1.5,), ()), ((1,), (0.25,)), (("2",), ())])
+    def test_exponents_that_int_would_change_are_refused(self, x, y):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            Monomial(x, y)
+
     def test_frozen_without_instance_dict(self):
         m = mono((1,), (0,))
         with pytest.raises(AttributeError):

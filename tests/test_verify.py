@@ -823,6 +823,99 @@ class TestSignatureStreams:
         assert calls["_pending"] == new_steps + len(shuffles) * (4**4 - 4)
 
 
+def payload(report):
+    """A report's JSON payload without its timing."""
+    out = report.to_json_dict()
+    out.pop("elapsed_ms")
+    return out
+
+
+class TestSharedStepStates:
+    """One table of step states per alphabet serves every lemma2.15 call."""
+
+    def test_a_second_grid_call_interns_no_state(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        first = check_trace_alignment_grid(a22, 4)
+        calls = count_calls(monkeypatch, verify._States, "after")
+        second = check_trace_alignment_grid(a22, 4)
+        assert calls["after"] == 0
+        assert payload(second) == payload(first) and second.passed
+
+    def test_a_fault_run_on_a_warm_table_equals_one_on_a_cold_table(self, a22):
+        import superrsk.verify as verify
+
+        def faulty_run():
+            with pytest.MonkeyPatch.context() as patch:
+                install_fault(patch, a22)
+                return check_trace_alignment_grid(a22, 4)
+
+        verify._step_states.cache_clear()
+        cold = faulty_run()
+        verify._step_states.cache_clear()
+        assert check_trace_alignment_grid(a22, 4).passed
+        warm = faulty_run()
+        assert cold.failures and warm.failures == cold.failures
+        assert warm.stats["witness_counts"] == cold.stats["witness_counts"]
+
+    def test_align_traces_and_the_grid_share_one_table(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        held = []
+        init = verify._Signatures.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            held.append(self.states)
+
+        monkeypatch.setattr(verify._Signatures, "__init__", recording)
+        check_trace_alignment_grid(a22, 2)
+        a, b = all_shuffles(a22)[:2]
+        word = parse_word("u2,t1,t2,u1", a22)
+        traces = [insert_word(word, s, REGULAR_REGULAR).trace for s in (a, b)]
+        align_traces(traces[0], a, traces[1], b)
+        assert len(held) > 2 and all(states is held[0] for states in held)
+        assert held[0] is verify._step_states(a22)
+        assert verify._step_states(ALPH32) is not held[0]
+
+    def test_four_threads_on_a_cold_table_report_as_one_thread(self, a22):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        import superrsk.verify as verify
+
+        verify._step_states.cache_clear()
+        single = payload(check_trace_alignment_grid(a22, 3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so misses interleave
+        try:
+            for _ in range(3):
+                verify._step_states.cache_clear()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    reports = list(pool.map(
+                        lambda _: check_trace_alignment_grid(a22, 3), range(4)
+                    ))
+                assert [payload(report) for report in reports] == [single] * 4
+                # every state and every signature has an id of its own
+                states = verify._step_states(a22)
+                assert len(states.known) == len(states.cls) == len(states.states)
+                assert sorted(states.known.values()) == list(range(len(states.states)))
+                assert sorted(states.sigs.values()) == list(range(len(states.sigs)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_tables_kept_are_bounded_by_alphabets_not_calls(self):
+        import superrsk.verify as verify
+
+        verify._step_states.cache_clear()
+        # the fifth alphabet evicts the first, which then misses again
+        for k, l in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 1), (1, 1)):
+            assert check_trace_alignment_grid(Alphabet(k, l), 2).passed
+        info = verify._step_states.cache_info()
+        assert info.currsize == verify._KEPT_ALPHABETS == 4
+        assert (info.hits, info.misses) == (1, 6)
+
+
 def stacking_insert(rows, cols, x, is_t, find_t, find_u, log):
     """A faulty insertion: x settles in a new row while P has fewer than two
     rows, and at the end of the second row after that."""
