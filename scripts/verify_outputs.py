@@ -37,10 +37,11 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   shuffles give many pairs per word;
 - every ``lemma2.15`` row above once more, and the first ``trace`` row of
   each alphabet whose word lies in it.  A checkout that keeps an alphabet's
-  step states for the process first runs each row on the states that
-  alphabet's earlier rows left (none at its first row), and then on those
-  the whole matrix left, or on none where other alphabets have evicted
-  them; either way the output must not change;
+  ``lemma2.15`` step states for the process first runs each ``lemma2.15``
+  row on the states that alphabet's earlier rows left (none at its first
+  row), and then on those the whole matrix left, or on none where other
+  alphabets have evicted them; the repeated ``trace`` rows run after every
+  grid.  Either way the output must not change;
 - ``insert`` in both output formats on each of the three fixed words and the
   empty word under every shuffle and variant at (2, 2), and on three seeded
   60-letter words under seeded shuffles and every variant at (5, 5).  Each
@@ -226,7 +227,8 @@ def matrix(claims: dict) -> list[list[str]]:
                     "verify", "--theorem", token, "--n", str(n),
                 ])
     # lemma2.15's step states are kept per alphabet for the process, so its
-    # rows and a trace row per alphabet run again after every other alphabet and n
+    # rows run again after every other alphabet and n, and a trace row per
+    # alphabet after every grid
     again = [run for run in runs if "lemma2.15" in run]
     firsts: dict[tuple[str, str], list[str]] = {}
     for run in runs:

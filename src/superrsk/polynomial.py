@@ -30,7 +30,8 @@ class Monomial(_Exponents):
     __slots__ = ()
 
     def __new__(cls, x, y) -> "Monomial":
-        given = (*x, *y)
+        x, y = tuple(x), tuple(y)
+        given = x + y
         x = tuple(map(int, x))
         y = tuple(map(int, y))
         if x + y != given:
@@ -42,10 +43,11 @@ class Monomial(_Exponents):
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self.x) != len(other.x) or len(self.y) != len(other.y):
             raise ValueError("monomials range over different variable sets")
-        return Monomial(
+        # sums of non-negative int exponents need no check
+        return Monomial._make((
             tuple(a + b for a, b in zip(self.x, other.x)),
             tuple(a + b for a, b in zip(self.y, other.y)),
-        )
+        ))
 
     def render(self) -> str:
         parts = [f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(self.x, 1) if e]

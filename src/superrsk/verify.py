@@ -172,8 +172,9 @@ class _States:
     pair's two values merged and the t_i-count of each region-2 component,
     which is what two equivalent states share.  A signature is the int id of
     (class, pending action).  Every entry depends only on these ints, so one
-    table serves every grid call and ``align_traces`` (``_step_states``);
-    an edge is published only after its state's ``cls`` entry exists.
+    table serves every ``lemma2.15`` grid call over an alphabet
+    (``_step_states``); an edge is published only after its state's ``cls``
+    entry exists.
     """
 
     __slots__ = ("edges", "known", "states", "cls", "classes", "components", "sigs")
@@ -205,9 +206,11 @@ class _States:
                 values = values[:i] + (value,) + values[i:]
             new = self.known.get((cells, values))
             if new is None:
+                # classified first, so an error leaves no state without a class
+                cls = self._classify(cells, values)
                 new = self.known[cells, values] = len(self.states)
                 self.states.append((cells, values))
-                self.cls.append(self._classify(cells, values))
+                self.cls.append(cls)
             self.edges[key] = new
         return new
 
@@ -238,7 +241,9 @@ _KEPT_ALPHABETS = 4
 @lru_cache(maxsize=_KEPT_ALPHABETS)
 def _step_states(alphabet: Alphabet) -> _States:
     """The step states of ``alphabet``, kept for the process and shared by
-    every ``lemma2.15`` grid and ``align_traces`` call over it."""
+    every ``lemma2.15`` grid over it, whose states at each n are a fixed
+    finite set.  ``align_traces`` takes a table of its own per call, which
+    its caller's traces cannot grow past the call."""
     return _States()
 
 
@@ -414,7 +419,7 @@ def align_traces(
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
         raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
-    states = _step_states(shuffle_a.alphabet)
+    states = _States()
     sigs_a = _Signatures(shuffle_a, pair, states, trace_a.order)
     sigs_b = _Signatures(shuffle_b, pair, states, trace_b.order)
     sigs_a.follow(trace_a.log)

@@ -34,6 +34,8 @@ class TestMonomial:
         assert m.x == (1, 1) and m.y == (0, 2)
         assert all(type(e) is int for e in m.x + m.y)
         assert m == mono((1, 1), (0, 2)) and hash(m) == hash(mono((1, 1), (0, 2)))
+        # any iterable will do, a one-shot iterator too
+        assert Monomial(iter([1, True]), (e for e in (0.0, 2))) == m
 
     @pytest.mark.parametrize("x,y", [((1.5,), ()), ((1,), (0.25,)), (("2",), ())])
     def test_exponents_that_int_would_change_are_refused(self, x, y):

@@ -858,7 +858,7 @@ class TestSharedStepStates:
         assert cold.failures and warm.failures == cold.failures
         assert warm.stats["witness_counts"] == cold.stats["witness_counts"]
 
-    def test_align_traces_and_the_grid_share_one_table(self, a22, monkeypatch):
+    def test_align_traces_keeps_no_table_past_the_call(self, a22, monkeypatch):
         import superrsk.verify as verify
 
         held = []
@@ -870,13 +870,15 @@ class TestSharedStepStates:
 
         monkeypatch.setattr(verify._Signatures, "__init__", recording)
         check_trace_alignment_grid(a22, 2)
+        shared = verify._step_states(a22)
+        size = (len(shared.edges), len(shared.states), len(shared.sigs))
         a, b = all_shuffles(a22)[:2]
-        word = parse_word("u2,t1,t2,u1", a22)
+        word = parse_word("u2,t1,t2,u1", a22)  # longer than the grid's words
         traces = [insert_word(word, s, REGULAR_REGULAR).trace for s in (a, b)]
+        del held[:]
         align_traces(traces[0], a, traces[1], b)
-        assert len(held) > 2 and all(states is held[0] for states in held)
-        assert held[0] is verify._step_states(a22)
-        assert verify._step_states(ALPH32) is not held[0]
+        assert len(held) == 2 and held[0] is held[1] and held[0] is not shared
+        assert (len(shared.edges), len(shared.states), len(shared.sigs)) == size
 
     def test_four_threads_on_a_cold_table_report_as_one_thread(self, a22):
         import sys
