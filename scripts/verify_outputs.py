@@ -28,15 +28,16 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   shuffle and variant at (k, l) in {(2, 2), (2, 1)} (checkouts that count
   reg-reg fillings only refuse the other variants);
 - ``trace`` in both output formats for every ordered pair of adjacent
-  shuffles at (k, l) in {(2, 2), (2, 1), (1, 2)}, on each of the three fixed
-  words and the empty word (a word with a letter outside the alphabet exits 2);
+  shuffles at (k, l) in {(2, 2), (2, 1), (1, 2)}, on each of three fixed
+  words inside the alphabet (``TRACE_WORDS``) and the empty word, and at
+  (3, 2) on three seeded 12-letter words, whose witness tables are large;
 - ``--format json verify --theorem lemma2.15`` at (k, l) = (3, 2), n = 4, and
   at (2, 2), n = 7 with ``--mode sample --samples 300 --seed 7``;
 - ``--format json verify --theorem 2``, and ``--theorem 5`` under every
   variant, at (k, l) = (3, 3), n = 3 and at (3, 2), n = 4, where many
   shuffles give many pairs per word;
 - every ``lemma2.15`` row above once more, and the first ``trace`` row of
-  each alphabet whose word lies in it.  A checkout that keeps an alphabet's
+  each alphabet.  A checkout that keeps an alphabet's
   ``lemma2.15`` step states for the process first runs each ``lemma2.15``
   row on the states that alphabet's earlier rows left (none at its first
   row), and then on those the whole matrix left, or on none where other
@@ -82,6 +83,11 @@ ALWAYS_VARIED = ("cor4",)
 SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
 SHAPES = ("1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1")
 WORDS = ("t2,u2,u1,u1,t1", "u1,t1,u1,t2,t1,u2,u1", "t1,t1,t2,t1")
+TRACE_WORDS = {  # per (k, l): fixed words whose letters all lie in the alphabet
+    (2, 2): WORDS,
+    (2, 1): ("t2,u1,u1,t1", "u1,t1,u1,t2,t1,t2,u1", "t1,t1,t2,t1"),
+    (1, 2): ("t1,u2,u1,u1,t1", "u1,t1,u1,u2,t1,u2,u1", "u2,t1,u2,u1"),
+}
 BAD_PQ = (  # (P rows, Q rows) that reverse and phi refuse, with what is wrong
     ([["t1", "t2", "u2"], ["u1"]], [[1, 2, 2], [4]]),  # a duplicate label
     ([["t1", "t2", "u2"], ["u1"]], [[0, 1, 2], [3]]),  # label 0
@@ -200,12 +206,16 @@ def matrix(claims: dict) -> list[list[str]]:
                         "--k", str(k), "--l", str(l), "--shuffle", chain, "--variant", variant,
                         "--format", "json", "hook-schur", "--shape", shape,
                     ])
-    for k, l in ((2, 2), (2, 1), (1, 2)):
+    trace_words = {kl: (*words, "") for kl, words in TRACE_WORDS.items()}
+    rng = random.Random(20)
+    trace_words[3, 2] = [",".join(rng.choice(("t1", "t2", "t3", "u1", "u2")) for _ in range(12))
+                         for _ in range(3)]
+    for (k, l), words in trace_words.items():
         for a in chains(k, l):
             for b in chains(k, l):
                 if not adjacent(a, b):
                     continue
-                for word in (*WORDS, ""):
+                for word in words:
                     for fmt in ("json", "text"):
                         runs.append([
                             "--k", str(k), "--l", str(l), "--shuffle", a, "--format", fmt,
@@ -232,14 +242,9 @@ def matrix(claims: dict) -> list[list[str]]:
     again = [run for run in runs if "lemma2.15" in run]
     firsts: dict[tuple[str, str], list[str]] = {}
     for run in runs:
-        if "trace" in run and fits(run[run.index("--word") + 1], int(run[1]), int(run[3])):
+        if "trace" in run:
             firsts.setdefault((run[1], run[3]), run)
     return runs + again + list(firsts.values())
-
-
-def fits(word: str, k: int, l: int) -> bool:
-    """Whether every letter of a comma-separated word lies in t1..tk, u1..ul."""
-    return all(int(x[1:]) <= (k if x[0] == "t" else l) for x in word.split(",") if x)
 
 
 def pq_runs(main, folder: Path):

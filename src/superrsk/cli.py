@@ -122,10 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reg_reg_only(args, what: str) -> None:
-    """Refuse a ``--variant`` other than reg-reg where ``what`` honours none."""
-    if args.variant != REGULAR_REGULAR.name:
-        raise ValueError(f"{what} reg-reg only; drop --variant")
+def _refuse(given: bool, option: str, why: str) -> None:
+    """Refuse an option that was given where the command would drop it."""
+    if given:
+        raise ValueError(f"{why}; drop {option}")
 
 
 def _alphabet(args) -> Alphabet:
@@ -234,6 +234,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_standardize(args) -> int:
+    _refuse(args.variant != REGULAR_REGULAR.name, "--variant", "standardize takes no --variant")
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     word = parse_word(args.word, alphabet)
@@ -282,10 +283,11 @@ def _cmd_hook_schur(args) -> int:
 def _cmd_verify(args) -> int:
     alphabet = _alphabet(args)
     honours, run = _CLAIMS[args.theorem]
-    if args.mode != "exhaustive" and "mode" not in honours:
-        raise ValueError(f"--theorem {args.theorem} has no sampled grid; drop --mode sample")
-    if "variant" not in honours:
-        _reg_reg_only(args, f"--theorem {args.theorem} checks")
+    claim = f"--theorem {args.theorem}"
+    sampled, varied = args.mode != "exhaustive", args.variant != REGULAR_REGULAR.name
+    _refuse(sampled and "mode" not in honours, "--mode sample", f"{claim} has no sampled grid")
+    _refuse(varied and "variant" not in honours, "--variant", f"{claim} checks reg-reg only")
+    _refuse(args.shuffle is not None, "--shuffle", f"{claim} runs every shuffle")
     variant = parse_variant(args.variant)
     mode = "exhaustive" if args.mode == "exhaustive" else Sample(args.samples, args.seed)
     report = run(alphabet, args.n, variant, mode)
@@ -310,7 +312,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    _reg_reg_only(args, "trace aligns")
+    _refuse(args.variant != REGULAR_REGULAR.name, "--variant", "trace aligns reg-reg only")
     alphabet = _alphabet(args)
     shuffle_a = _shuffle(args, alphabet)
     shuffle_b = parse_shuffle(args.shuffle_b, alphabet)

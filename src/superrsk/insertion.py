@@ -381,19 +381,19 @@ class _Lane:
     strictness table.  ``find_t``/``find_u`` are the variant's bump searches
     and ``back_t``/``back_u`` the displacement searches that reverse them.
     ``push`` records each new cell in Q, and ``push_word`` does so for a
-    whole word in an emptied lane.  ``push`` and ``undo`` need a log, so a
-    lane without one fills only through ``push_word`` and can never take a
-    placement back.  A lane with a ``bound`` pushes only the ranks <= bound,
-    so it holds the insertion of the restricted word (its Q records their
-    positions in the whole word).
-    ``bad`` notes the first pushed settle, of those still held, that left a
-    row longer than the row above it, or is None: its log index, or its
-    letter number in a lane without a log.
+    whole word in an emptied lane; ``marks`` holds each letter's log length
+    before its steps, or is None with the log.  ``push`` and ``keep`` need a
+    log, so a lane without one fills only through ``push_word`` and can
+    never take a letter back.  A lane with a ``bound`` pushes only the ranks
+    <= bound, so it holds the insertion of the restricted word (its Q records
+    their positions in the whole word, and every letter has a mark).
+    ``bad`` is the number of the first letter still held whose settle left a
+    row longer than the row above it, or None.
     """
 
     __slots__ = (
         "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "back_t",
-        "back_u", "strict", "rows", "cols", "qrows", "log", "bad",
+        "back_u", "strict", "rows", "cols", "qrows", "log", "marks", "bad",
     )
 
     def __init__(
@@ -408,13 +408,13 @@ class _Lane:
         self.find_t, self.back_t = _SEARCH[variant.t_rule]
         self.find_u, self.back_u = _SEARCH[variant.u_rule]
         self.strict = _strict_in_rows(shuffle, variant_profile(variant))
-        self.log = [] if logged else None
+        self.log, self.marks = ([], []) if logged else (None, None)
         self.clear()
 
     def clear(self) -> None:
         self.rows, self.cols, self.qrows = [], [], []
         if self.log is not None:
-            self.log = []
+            self.log, self.marks = [], []
         self.bad = None
 
     def tableau(self) -> Tableau:
@@ -422,28 +422,29 @@ class _Lane:
         order = self.shuffle.order
         return Tableau(tuple(tuple(order[x] for x in row) for row in self.rows))
 
-    def push(self, x: int, m: int) -> int:
-        """Insert rank x as the m-th letter; returns the log length before it."""
-        log, qrows = self.log, self.qrows
-        start = len(log)
+    def push(self, x: int) -> None:
+        """Insert rank x as the next letter."""
+        log, marks, qrows = self.log, self.marks, self.qrows
+        marks.append(len(log))
         if x > self.bound:
-            return start
-        rows = self.rows
+            return
+        m, rows = len(marks), self.rows
         i = _insert_rank(rows, self.cols, x, self.is_t, self.find_t, self.find_u, log)
         if i == len(qrows):
             qrows.append([m])
         else:
             qrows[i].append(m)
             if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
-                self.bad = len(log) - 1
-        return start
+                self.bad = m
 
     def push_word(self, ranks: Iterable[int]) -> None:
         """Empty the lane and push ranks as letters 1, 2, ..."""
         self.clear()
-        rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
+        rows, cols, qrows, log, marks = self.rows, self.cols, self.qrows, self.log, self.marks
         is_t, find_t, find_u, bound = self.is_t, self.find_t, self.find_u, self.bound
         for m, x in enumerate(ranks, 1):
+            if log is not None:
+                marks.append(len(log))
             if x > bound:
                 continue
             i = _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
@@ -452,11 +453,13 @@ class _Lane:
             else:
                 qrows[i].append(m)
                 if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
-                    self.bad = m if log is None else len(log) - 1
+                    self.bad = m
 
-    def undo(self, start: int) -> None:
-        """Take back the placements logged after position ``start``, newest first."""
-        rows, cols, qrows, log = self.rows, self.cols, self.qrows, self.log
+    def keep(self, m: int) -> None:
+        """Take back every letter after the m-th, newest placement first."""
+        rows, cols, qrows, log, marks = self.rows, self.cols, self.qrows, self.log, self.marks
+        start = marks[m] if m < len(marks) else len(log)
+        del marks[m:]
         while len(log) > start:
             r, c, _, y = log.pop()
             r -= 1
@@ -472,7 +475,7 @@ class _Lane:
                     cols.pop()
             else:
                 rows[r][c] = cols[c][r] = y
-        if self.bad is not None and self.bad >= start:
+        if self.bad is not None and self.bad > m:
             self.bad = None
 
 

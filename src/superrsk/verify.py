@@ -23,6 +23,7 @@ from .alphabet import (
     Shuffle,
     adjacent_transposition,
     all_shuffles,
+    kl_shuffle,
 )
 from .bijection import _INVALID_P, _check_recording, _relabel, _reverse_ranks, standardize_u
 from .insertion import (
@@ -248,33 +249,37 @@ def _step_states(alphabet: Alphabet) -> _States:
 
 
 class _Reading:
-    """A copy of one lane's placement log, ranks into ``order`` (by default
-    the shuffle's), and each step's pending action as (alphabet index, row of
-    a t or column of a u), or None after the last step.  Neither depends on
-    the swapped pair, so every signature stream of the lane shares them.
+    """A copy of one lane's placement log, ranks into ``order``, and each
+    step's pending action as (alphabet index, row of a t or column of a u),
+    or None after the last step.  Neither depends on the swapped pair, so
+    every signature stream of the lane shares them.
     """
 
-    __slots__ = ("name", "is_t", "log", "pending")
+    __slots__ = ("order", "name", "is_t", "log", "pending")
 
-    def __init__(self, shuffle: Shuffle, order=None) -> None:
-        order = shuffle.order if order is None else order
-        index = {x: i for i, x in enumerate(shuffle.alphabet.letters())}
-        self.name = [index[x] for x in order]
+    def __init__(self, alphabet: Alphabet, order: tuple[Letter, ...]) -> None:
+        self.order = order
+        # alphabet indices are the ranks of kl_shuffle; _ranks_of refuses foreign letters
+        self.name = _ranks_of(order, kl_shuffle(alphabet))
         self.is_t = [x.kind == "t" for x in order]
         self.log, self.pending = [], []
 
     def follow(self, log) -> int:
         """Bring both lists to ``log``, truncating them to the prefix it shares
-        with the log read before, as a walk's lane does; returns its length."""
+        with the log read before, as a walk's lane does; returns the index of
+        the first step whose pending action changed."""
         old, pending = self.log, self.pending
-        kept = _common_prefix(old, log)
+        kept = changed = _common_prefix(old, log)
         del old[kept:], pending[kept:]
         old += log[kept:]
         if kept and log[kept - 1][3] is None:
             # a settle's pending action is the next letter's entry
-            pending[-1] = self._pending(log, kept - 1)
+            action = self._pending(log, kept - 1)
+            if action != pending[-1]:
+                pending[-1] = action
+                changed = kept - 1
         pending += [self._pending(log, s) for s in range(kept, len(log))]
-        return kept
+        return changed
 
     def _pending(self, log, s: int) -> tuple[int, int] | None:
         r, c, _, y = log[s]
@@ -288,7 +293,7 @@ class _Reading:
 
 class _Signatures:
     """Each step's state in the form the alignment compares, for the steps of
-    a ``_Reading`` of one lane's log (its own unless one is given).
+    a ``_Reading`` of one lane's log.
 
     A step's signature is one int from the shared ``states``: its state's
     class (the cells' ranks under ``shuffle`` with the pair's two ranks
@@ -301,99 +306,86 @@ class _Signatures:
     __slots__ = ("value", "reading", "states", "ids", "sigs")
 
     def __init__(
-        self, shuffle: Shuffle, pair: tuple[Letter, Letter], states: _States, order=None,
-        reading: _Reading | None = None,
+        self, shuffle: Shuffle, pair: tuple[Letter, Letter], states: _States, reading: _Reading
     ) -> None:
-        order = shuffle.order if order is None else order
         ti = shuffle.rank(pair[0])
         lo = min(ti, shuffle.rank(pair[1]))
         self.value = [
-            -2 if e == ti else -1 if lo <= e <= lo + 1 else e for e in _ranks_of(order, shuffle)
+            -2 if e == ti else -1 if lo <= e <= lo + 1 else e
+            for e in _ranks_of(reading.order, shuffle)
         ]
-        self.reading = _Reading(shuffle, order) if reading is None else reading
+        self.reading = reading
         self.states = states
         # per step: its state and its signature
         self.ids, self.sigs = [], []
 
-    def follow(self, log) -> int:
-        """Bring ``sigs`` to the signatures of every step of ``log``; returns
-        the index of the first step whose signature changed."""
-        return self.catch_up(self.reading.follow(log))
-
-    def catch_up(self, kept: int) -> int:
-        """Bring ``sigs`` to the steps of the reading, which kept its first
-        ``kept`` steps when it last followed a log; returns the index of the
-        first step whose signature changed."""
+    def catch_up(self, start: int) -> None:
+        """Bring ``sigs`` to the steps of the reading, whose steps before
+        ``start`` are unchanged since it was last caught up: each later step
+        places its element and appends its state and signature."""
         log, pending = self.reading.log, self.reading.pending
-        ids, sigs, states = self.ids, self.sigs, self.states
-        del ids[kept:], sigs[kept:]
-        changed = kept
-        if kept and log[kept - 1][3] is None:
-            sig = states.signature(ids[-1], pending[kept - 1])
-            if sig != sigs[-1]:
-                sigs[-1] = sig
-                changed = kept - 1
-        for s in range(kept, len(log)):
-            self._step(log[s], pending[s])
-        return changed
-
-    def _step(self, step, pending: tuple[int, int] | None) -> None:
-        """Place one step's element and append its state and signature."""
-        r, c, x, _ = step
-        ids, states = self.ids, self.states
-        key = (ids[-1] if ids else 0, r, c, self.value[x])
-        state = states.edges.get(key)
-        if state is None:
-            state = states.after(key)
-        ids.append(state)
-        self.sigs.append(states.signature(state, pending))
+        ids, sigs, states, value = self.ids, self.sigs, self.states, self.value
+        del ids[start:], sigs[start:]
+        state = ids[-1] if ids else 0
+        for s in range(start, len(log)):
+            r, c, x, _ = log[s]
+            key = (state, r, c, value[x])
+            state = states.edges.get(key)
+            if state is None:
+                state = states.after(key)
+            ids.append(state)
+            sigs.append(states.signature(state, pending[s]))
 
 
-def _extend_witnesses(table: dict, sigs_a: list, sigs_b: list, ca: int, cb: int) -> None:
+def _extend_witnesses(table: list, sigs_a: list, sigs_b: list, ca: int, cb: int) -> None:
     """Bring a witness table up to date with two signature streams.
 
-    ``table`` maps each step pair (p, q), 0-based, that some alignment from
-    the first steps reaches through equivalent matched pairs to the number
-    of such alignments; unreachable pairs are absent.  An entry depends only
-    on the signatures up to its own step pair, so when the streams changed
-    first at steps ``ca`` and ``cb`` only the pairs with p >= ca or q >= cb
-    are recomputed, by pushing counts forward from the kept entries next to
-    that region; ``ca = cb = 0`` builds the table afresh.
+    ``table[p][q]`` counts the alignments from the first steps that reach
+    the step pair (p, q), 0-based, through equivalent matched pairs (0 where
+    none does): W[p][q] = [sig_a[p] = sig_b[q]] * ([p = q = 0] + W[p-1][q-1]
+    + W[p-1][q-2] + W[p-2][q-1]).  An entry depends only on the signatures
+    up to its own step pair, so when the streams changed first at steps
+    ``ca`` and ``cb`` only the entries with p >= ca or q >= cb are
+    recomputed, rows in order, each at the q whose signature equals its
+    own; ``ca = cb = 0`` builds the table afresh.  Each increment adds 1 or
+    2 to p and to q, so an entry is 0 unless q <= 2p and p <= 2q: no row
+    before (cb + 1) // 2 and no q before min(cb, (ca + 1) // 2) can change.
     """
-    na, nb = len(sigs_a), len(sigs_b)
-    inbox: dict[tuple[int, int], int] = {}
-    if (not ca or not cb) and na and nb and sigs_a[0] == sigs_b[0]:
-        inbox[0, 0] = 1
-    for node, w in list(table.items()):
-        p, q = node
-        if p >= ca or q >= cb:
-            del table[node]
-        elif p + 2 >= ca or q + 2 >= cb:  # a successor may lie in the region
-            for dp, dq in _INCREMENTS:
-                np_, nq = p + dp, q + dq
-                if (np_ >= ca or nq >= cb) and np_ < na and nq < nb and sigs_a[np_] == sigs_b[nq]:
-                    inbox[np_, nq] = inbox.get((np_, nq), 0) + w
-    while inbox:  # every predecessor of the smallest pair has been pushed
-        node = min(inbox)
-        w = table[node] = inbox.pop(node)
-        p, q = node
-        for dp, dq in _INCREMENTS:
-            np_, nq = p + dp, q + dq
-            if np_ < na and nq < nb and sigs_a[np_] == sigs_b[nq]:
-                inbox[np_, nq] = inbox.get((np_, nq), 0) + w
+    nb = len(sigs_b)
+    at: dict[int, list[int]] = {}  # per signature: its steps that can change
+    for q in range(min(cb, (ca + 1) // 2), nb):
+        at.setdefault(sigs_b[q], []).append(q)
+    del table[ca:]
+    for row in table:
+        row[cb:] = [0] * (nb - cb)
+    none = [0] * nb
+    for p in range(min(ca, (cb + 1) // 2), len(sigs_a)):
+        qs = at.get(sigs_a[p], ())
+        if p < ca:  # a kept row: only its columns from cb on
+            qs = qs[bisect_left(qs, cb):]
+        else:
+            table.append([0] * nb)
+        row = table[p]
+        up = table[p - 1] if p else none
+        up2 = table[p - 2] if p > 1 else none
+        for q in qs:
+            if q:
+                row[q] = up[q - 1] + up2[q - 1] + (up[q - 2] if q > 1 else 0)
+            else:
+                row[0] = int(not p)
 
 
-def _witness_count(table: dict, sa: int, sb: int) -> int:
+def _witness_count(table: list, sa: int, sb: int) -> int:
     """The witness count of two traces of sa and sb steps from their table,
     or the AlignmentError that says why there is none."""
     if sa == 0 or sb == 0:
         if sa or sb:
             raise AlignmentError("traces have different emptiness")
         return 1
-    if (0, 0) not in table:
+    if not table[0][0]:
         raise AlignmentError("initial states are not equivalent")
-    count = table.get((sa - 1, sb - 1))
-    if count is None:
+    count = table[sa - 1][sb - 1]
+    if not count:
         raise AlignmentError(f"no alignment reaches ({sa}, {sb})")
     return count
 
@@ -411,22 +403,24 @@ def align_traces(
     distinct alignments through equivalent matched pairs: equal cells and
     entries outside the swapped pair, equal pair-region cells with equal
     t-counts per component, and equal pending actions.  It is read from the
-    witness table the ``lemma2.15`` grid keeps, built here from scratch; the
-    path returned is the first a breadth-first search over the table's
-    nonzero entries finds.  States are compared on signatures read from the
-    placement logs, so no ``Step`` is built.
+    witness table the ``lemma2.15`` grid keeps, built here from scratch on
+    the grid's streams; the path returned is the first a breadth-first
+    search over the table's nonzero entries finds.  States are compared on
+    signatures read from the placement logs, so no ``Step`` is built.
     """
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
         raise ValueError("shuffles must be adjacent (differ on exactly one mixed pair)")
     states = _States()
-    sigs_a = _Signatures(shuffle_a, pair, states, trace_a.order)
-    sigs_b = _Signatures(shuffle_b, pair, states, trace_b.order)
-    sigs_a.follow(trace_a.log)
-    sigs_b.follow(trace_b.log)
-    table: dict[tuple[int, int], int] = {}
-    _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, 0, 0)
-    sa, sb = len(sigs_a.sigs), len(sigs_b.sigs)
+    streams = []
+    for trace, shuffle in ((trace_a, shuffle_a), (trace_b, shuffle_b)):
+        reading = _Reading(shuffle.alphabet, trace.order)
+        stream = _Signatures(shuffle, pair, states, reading)
+        stream.catch_up(reading.follow(trace.log))
+        streams.append(stream.sigs)
+    table: list[list[int]] = []
+    _extend_witnesses(table, *streams, 0, 0)
+    sa, sb = map(len, streams)
     count = _witness_count(table, sa, sb)
     if sa == 0:
         return Alignment((), count)
@@ -436,7 +430,7 @@ def align_traces(
         p, q = node
         for dp, dq in _INCREMENTS:
             np_, nq = p + dp, q + dq
-            if (np_ - 1, nq - 1) in table and (np_, nq) not in parent:
+            if np_ <= sa and nq <= sb and table[np_ - 1][nq - 1] and (np_, nq) not in parent:
                 parent[np_, nq] = node
                 queue.append((np_, nq))
     path = []
@@ -510,16 +504,15 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
     (k+l) + (k+l)^2 + ... + (k+l)^n per lane, instead of n (k+l)^n.
     """
     held: tuple[int, ...] = ()
-    marks: list[list[int]] = []  # per held letter: each lane's log length before it
     pushes = [(lane.push, lane.rank) for lane in lanes]
     for word in words:
         shared = _common_prefix(held, word)
-        if len(marks) > shared:
-            for lane, start in zip(lanes, marks[shared]):
-                lane.undo(start)
-            del marks[shared:]
-        for m in range(shared, len(word)):
-            marks.append([push(rank[word[m]], m + 1) for push, rank in pushes])
+        if len(held) > shared:
+            for lane in lanes:
+                lane.keep(shared)
+        for a in word[shared:]:
+            for push, rank in pushes:
+                push(rank[a])
         _check_diagrams(lanes)
         held = word
         yield word
@@ -769,20 +762,21 @@ def check_trace_alignment_grid(
     witness_histogram: dict[int, int] = {}
     lanes = _lanes(alphabet, REGULAR_REGULAR)
     states = _step_states(alphabet)
-    readings = [_Reading(lane.shuffle) for lane in lanes]
+    readings = [_Reading(alphabet, lane.shuffle.order) for lane in lanes]
     # per (lane, pair): a signature stream for each side and their witness table
     streams = [
-        (i, j, _Signatures(lanes[i].shuffle, pair, states, reading=readings[i]),
-         _Signatures(lanes[j].shuffle, pair, states, reading=readings[j]), {})
+        (i, j, _Signatures(lanes[i].shuffle, pair, states, readings[i]),
+         _Signatures(lanes[j].shuffle, pair, states, readings[j]), [])
         for i, j, pair in _adjacent_pairs(lanes)
     ]
 
     def judge(word):
-        kept = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
+        changed = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
         failed = []
         for i, j, sigs_a, sigs_b, table in streams:
-            ca, cb = sigs_a.catch_up(kept[i]), sigs_b.catch_up(kept[j])
-            _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
+            sigs_a.catch_up(changed[i])
+            sigs_b.catch_up(changed[j])
+            _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, changed[i], changed[j])
             try:
                 count = _witness_count(table, len(sigs_a.sigs), len(sigs_b.sigs))
             except AlignmentError as exc:

@@ -344,6 +344,22 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--shuffle", "garbage", "verify", "--theorem", "2", "--n", "1"],
+             "--theorem 2 runs every shuffle; drop --shuffle"),
+            (["--variant", "dual-dual", "standardize", "--word", "t1,u1,u1"],
+             "standardize takes no --variant; drop --variant"),
+        ],
+        ids=["verify-shuffle", "standardize-variant"],
+    )
+    def test_dropped_options_are_refused_by_name(self, capsys, argv, message):
+        code = main(["--k", "2", "--l", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines()[0] == f"error: {message}"
+
+    @pytest.mark.parametrize(
         "token,variant",
         [
             (token, variant)
@@ -437,9 +453,10 @@ REG_REG_ONLY = (
     "converse",
 )
 
-# commands that work under reg-reg only and refuse any other --variant
+# commands that honour no --variant but reg-reg and refuse any other
 UNVARIED_COMMANDS = (
     ["trace", "--word", "t1,u1", "--shuffle-b", "u1<t1"],
+    ["standardize", "--word", "t1,u1,u1"],
 )
 OTHER_VARIANTS = ("reg-dual", "dual-reg", "dual-dual")
 
@@ -487,6 +504,8 @@ class TestBadInputExitCodes:
               for command in ("enumerate", "hook-schur") for shape in SHAPES_WITH_EMPTY_PARTS],
             *[(["--variant", variant, *command], None, False)
               for command in UNVARIED_COMMANDS for variant in OTHER_VARIANTS],
+            *[(["--shuffle", "garbage", "verify", "--theorem", token, "--n", "1"], None, False)
+              for token in _CLAIMS],
         ],
         ids=[
             "reverse-missing-file",
@@ -513,6 +532,7 @@ class TestBadInputExitCodes:
               for shape in SHAPES_WITH_EMPTY_PARTS],
             *[f"{command[0]}-{variant}" for command in UNVARIED_COMMANDS
               for variant in OTHER_VARIANTS],
+            *[f"verify-{token}-shuffle" for token in _CLAIMS],
         ],
     )
     def test_exits_2_with_one_error_line(
@@ -528,7 +548,10 @@ class TestBadInputExitCodes:
         if misalign:
             monkeypatch.setattr(cli, "align_traces", self._fail_alignment)
         argv = [arg.format(missing=tmp_path / "absent.json", file=path) for arg in argv]
-        code = main(["--k", "1", "--l", "1", "--shuffle", "t1<u1", *argv])
+        # verify runs every shuffle and refuses --shuffle, which would hide
+        # the error a verify row is about
+        shuffle = [] if "verify" in argv else ["--shuffle", "t1<u1"]
+        code = main(["--k", "1", "--l", "1", *shuffle, *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

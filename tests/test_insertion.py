@@ -298,8 +298,9 @@ def eager_trace(word, shuffle, variant):
     from superrsk.insertion import _Lane, _ranks_of
 
     lane = _Lane(shuffle, variant)
-    marks = [lane.push(x, m) for m, x in enumerate(_ranks_of(word, shuffle), 1)]
-    marks.append(len(lane.log))
+    for x in _ranks_of(word, shuffle):
+        lane.push(x)
+    marks = [*lane.marks, len(lane.log)]
     lengths = tuple(b - a for a, b in zip(marks, marks[1:]))
     return InsertionTrace(lengths, tuple(lane.log), shuffle.order)
 

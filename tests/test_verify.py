@@ -169,6 +169,16 @@ class TestAlignTraces:
         with pytest.raises(ValueError):
             align_traces(trace_a, order_ttuu, trace_b, order_uutt)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_a_letter_outside_the_alphabet_is_a_value_error(self, side):
+        A, B = all_shuffles(Alphabet(1, 1))
+        wide = all_shuffles(Alphabet(2, 1))[0]  # t1<t2<u1
+        foreign = InsertionTrace((1,), ((1, 1, 0, None),), wide.order)  # its order holds t2
+        traces = [insert_word(Word((t(1),)), s, REGULAR_REGULAR).trace for s in (A, B)]
+        traces["ab".index(side)] = foreign
+        with pytest.raises(ValueError, match=r"^letter t2 outside alphabet \(k=1, l=1\)$"):
+            align_traces(traces[0], A, traces[1], B)
+
     def test_empty_word(self):
         alph = Alphabet(1, 1)
         A, B = all_shuffles(alph)
@@ -581,11 +591,11 @@ class TestWalkInsertions:
     def test_one_take_back_per_lane_per_word_that_drops_letters(self, a22, monkeypatch):
         import superrsk.insertion as insertion
 
-        calls = count_calls(monkeypatch, insertion._Lane, "undo")
+        calls = count_calls(monkeypatch, insertion._Lane, "keep")
         assert run_token("2", a22, 4).passed
         # every word after the first drops held letters, and each of the six
         # lanes takes them back in one call
-        assert calls["undo"] == 6 * (4**4 - 1) == 1530
+        assert calls["keep"] == 6 * (4**4 - 1) == 1530
 
     def test_repeated_u_prefixes_are_pruned(self, a22, monkeypatch):
         import superrsk.insertion as insertion
@@ -675,14 +685,18 @@ def walked_streams(alphabet, words):
 
     lanes = verify._lanes(alphabet, REGULAR_REGULAR)
     states = verify._States()
+    readings = [verify._Reading(alphabet, lane.shuffle.order) for lane in lanes]
     streams = [
-        (lanes[i], lanes[j], verify._Signatures(lanes[i].shuffle, pair, states),
-         verify._Signatures(lanes[j].shuffle, pair, states), {}, pair)
+        (lanes[i], lanes[j], verify._Signatures(lanes[i].shuffle, pair, states, readings[i]),
+         verify._Signatures(lanes[j].shuffle, pair, states, readings[j]), [], pair)
         for i, j, pair in verify._adjacent_pairs(lanes)
     ]
     for _ in verify._walk(iter(words), lanes):
+        changed = {lane: reading.follow(lane.log) for lane, reading in zip(lanes, readings)}
         for a, b, sigs_a, sigs_b, table, _ in streams:
-            ca, cb = sigs_a.follow(a.log), sigs_b.follow(b.log)
+            ca, cb = changed[a], changed[b]
+            sigs_a.catch_up(ca)
+            sigs_b.catch_up(cb)
             verify._extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
         yield states, streams
 
@@ -718,12 +732,15 @@ class TestSignatureStreams:
         # a stream that follows the walk holds what a new stream builds from the log
         import superrsk.verify as verify
 
+        alphabet = Alphabet(k, l)
         words = [*WALK_WORDS, *product(range(k + l), repeat=3), (1,), (1, 0)]
-        for states, streams in walked_streams(Alphabet(k, l), words):
+        for states, streams in walked_streams(alphabet, words):
             for a, b, sigs_a, sigs_b, _, pair in streams:
                 for lane, stream in ((a, sigs_a), (b, sigs_b)):
-                    fresh = verify._Signatures(lane.shuffle, pair, states)
-                    assert fresh.follow(lane.log) == 0
+                    reading = verify._Reading(alphabet, lane.shuffle.order)
+                    fresh = verify._Signatures(lane.shuffle, pair, states, reading)
+                    assert reading.follow(lane.log) == 0
+                    fresh.catch_up(0)
                     assert stream.sigs == fresh.sigs and stream.ids == fresh.ids
 
     @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
@@ -735,7 +752,7 @@ class TestSignatureStreams:
         walked = 0
         for _, streams in walked_streams(Alphabet(k, l), words):
             for _, _, sigs_a, sigs_b, table, _ in streams:
-                fresh = {}
+                fresh = []
                 verify._extend_witnesses(fresh, sigs_a.sigs, sigs_b.sigs, 0, 0)
                 assert table == fresh
             walked += 1
@@ -743,7 +760,8 @@ class TestSignatureStreams:
 
     def test_witness_tables_count_every_alignment_of_synthetic_streams(self):
         # streams over two signatures match often, so many counts exceed 1; each
-        # table is then revised in place from a random change point on each side
+        # table is then revised in place from a random change point on each
+        # side, which may shrink or empty either stream
         import superrsk.verify as verify
 
         def brute(a, b):
@@ -757,51 +775,64 @@ class TestSignatureStreams:
                         counts[p, q] = w
             return counts
 
+        def counts(table, a, b):
+            # a row per step of a, an entry per step of b, and 0 where unreachable
+            assert len(table) == len(a) and all(len(row) == len(b) for row in table)
+            return {(p, q): w for p, row in enumerate(table) for q, w in enumerate(row) if w}
+
         rng = random.Random(11)
-        most = 0
+        most = shrunk = emptied = 0
         for _ in range(400):
             a = [rng.randrange(2) for _ in range(rng.randrange(9))]
             b = [rng.randrange(2) for _ in range(rng.randrange(9))]
-            table = {}
+            table = []
             verify._extend_witnesses(table, a, b, 0, 0)
-            assert table == brute(a, b)
+            assert counts(table, a, b) == brute(a, b)
             ca, cb = rng.randrange(len(a) + 1), rng.randrange(len(b) + 1)
-            a = a[:ca] + [rng.randrange(2) for _ in range(rng.randrange(4))]
-            b = b[:cb] + [rng.randrange(2) for _ in range(rng.randrange(4))]
+            new_a = a[:ca] + [rng.randrange(2) for _ in range(rng.randrange(4))]
+            new_b = b[:cb] + [rng.randrange(2) for _ in range(rng.randrange(4))]
+            shrunk += len(new_a) < len(a) or len(new_b) < len(b)
+            emptied += bool(a and b) and not (new_a and new_b)
+            a, b = new_a, new_b
             verify._extend_witnesses(table, a, b, ca, cb)
-            assert table == brute(a, b)
-            most = max(most, *table.values(), 0)
-        assert most > 4
+            final = counts(table, a, b)
+            assert final == brute(a, b)
+            most = max(most, *final.values(), 0)
+        assert most > 4 and shrunk > 50 and emptied > 5
 
     def test_a_settle_revised_by_the_next_letter_is_reported_changed(self, a22):
         import superrsk.verify as verify
 
         lane = verify._lanes(a22, REGULAR_REGULAR)[0]
-        pair = adjacent_transposition(*all_shuffles(a22)[:2])
-        stream = verify._Signatures(lane.shuffle, pair, verify._States())
-        lane.push(0, 1)  # t1 settles in (1, 1) with nothing pending
-        assert stream.follow(lane.log) == 0 and len(stream.sigs) == 1
-        assert stream.follow(lane.log) == 1  # nothing changed
-        lane.push(2, 2)  # the settle's pending action becomes u1's entry
-        assert stream.follow(lane.log) == 0 and len(stream.sigs) == 2
+        reading = verify._Reading(a22, lane.shuffle.order)
+        lane.push(0)  # t1 settles in (1, 1) with nothing pending
+        assert reading.follow(lane.log) == 0 and reading.pending == [None]
+        assert reading.follow(lane.log) == 1  # nothing changed
+        lane.push(2)  # the settle's pending action becomes u1's entry
+        assert reading.follow(lane.log) == 0 and reading.pending == [(2, 1), None]
 
     def test_each_step_signature_is_built_once_per_trie_node(self, a22, monkeypatch):
         import superrsk.verify as verify
 
-        calls = count_calls(monkeypatch, verify._Signatures, "_step")
+        calls = count_calls(monkeypatch, verify._States, "signature")
         assert check_trace_alignment_grid(a22, 4).passed
         # each prefix's last letter is placed once per stream: the steps of
-        # that letter, summed over the trie nodes and both lanes of each pair
+        # that letter, summed over the trie nodes and both lanes of each pair,
+        # and once more the settle before them, whose pending action that
+        # letter revised, on every word that keeps a prefix: all but the
+        # first of each first letter
         shuffles = all_shuffles(a22)
         pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
-        expected = sum(
+        new_steps = sum(
             insert_word(word, s, REGULAR_REGULAR).trace.path_lengths[-1]
             for m in range(1, 5)
             for word in all_words(a22, m)
             for pair in pairs
             for s in pair
         )
-        assert calls["_step"] == expected == 6216  # one per (word, pair, step) was 16,512
+        revised = 2 * len(pairs) * (4**4 - 4)
+        # one per (word, pair, step) was 16,512
+        assert (new_steps, calls["signature"]) == (6216, new_steps + revised) == (6216, 9240)
 
     def test_each_lane_log_is_read_once_per_word(self, a22, monkeypatch):
         # a lane's kept prefix and pending actions do not depend on the pair,
@@ -943,14 +974,15 @@ class TestDeferredDiagramCheck:
 
         monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
         lane = insertion._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
-        marks = [lane.push(x, m) for m, x in enumerate((0, 1, 2, 3), 1)]
-        assert lane.bad == marks[2]  # the third letter's settle left row 2 longer than row 1
+        for x in (0, 1, 2, 3):
+            lane.push(x)
+        assert lane.bad == 3  # the third letter's settle left row 2 longer than row 1
         with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 3\]$"):
             verify._check_diagrams([lane])
-        lane.undo(marks[3])
+        lane.keep(3)
         with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
             verify._check_diagrams([lane])
-        lane.undo(marks[2])  # takes back the bad settle
+        lane.keep(2)  # takes back the bad settle
         assert lane.bad is None and lane.rows == [[0], [1]]
         verify._check_diagrams([lane])
         # the grids see the same message as building a Tableau of the final rows:
@@ -966,12 +998,59 @@ class TestDeferredDiagramCheck:
 
         lane = insertion._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
         monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
-        for m, x in enumerate((0, 1, 2), 1):
-            lane.push(x, m)
+        for x in (0, 1, 2):
+            lane.push(x)
         monkeypatch.undo()
-        lane.push(0, 4)  # a true insertion of t1 settles at the end of row 1
+        lane.push(0)  # a true insertion of t1 settles at the end of row 1
         assert lane.bad is not None and lane.rows == [[0, 0], [1, 2]]
         verify._check_diagrams([lane])
+
+
+def lane_state(lane):
+    """Everything a lane holds that pushing letters changes."""
+    return lane.rows, lane.cols, lane.qrows, lane.log, lane.marks, lane.bad
+
+
+class TestLaneKeep:
+    @pytest.mark.parametrize("faulty", [False, True], ids=["true", "faulty"])
+    @pytest.mark.parametrize("bounded", [False, True], ids=["whole", "lemma2.6"])
+    def test_keep_then_pushing_the_same_letters_restores_a_fresh_lane(
+        self, monkeypatch, bounded, faulty
+    ):
+        # a lemma2.6 lane pushes only the letters up to its bound; the fault
+        # leaves rows that are no diagram, so ``bad`` is set and taken back
+        import superrsk.insertion as insertion
+
+        if faulty:
+            monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
+        alphabet = Alphabet(3, 2)
+        rng = random.Random(5)
+        bads = 0
+        for shuffle in all_shuffles(alphabet):
+            for variant in VARIANTS:
+                bound = shuffle.rank(t(2)) if bounded else None
+
+                def pushed(letters):
+                    lane = insertion._Lane(shuffle, variant, bound)
+                    for a in letters:
+                        lane.push(lane.rank[a])
+                    return lane
+
+                for _ in range(6):
+                    word = [rng.randrange(alphabet.size) for _ in range(rng.randrange(10))]
+                    lane = pushed(word)
+                    assert len(lane.marks) == len(word)
+                    filled = insertion._Lane(shuffle, variant, bound)
+                    filled.push_word(lane.rank[a] for a in word)
+                    assert lane_state(filled) == lane_state(lane)
+                    m = rng.randrange(len(word) + 1)
+                    bads += lane.bad is not None
+                    lane.keep(m)
+                    assert lane_state(lane) == lane_state(pushed(word[:m]))
+                    for a in word[m:]:
+                        lane.push(lane.rank[a])
+                    assert lane_state(lane) == lane_state(pushed(word))
+        assert (bads > 0) == faulty
 
 
 class TestMimicryOnTheWalk:
