@@ -44,10 +44,11 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   alphabets have evicted them; the repeated ``trace`` rows run after every
   grid.  Either way the output must not change;
 - ``insert`` in both output formats on each of the three fixed words and the
-  empty word under every shuffle and variant at (2, 2), and on three seeded
-  60-letter words under seeded shuffles and every variant at (5, 5).  Each
-  JSON output is written to a temporary file and fed through ``--in`` to
-  ``reverse`` and to ``phi`` (every other shuffle as ``--shuffle-b`` at
+  empty word under every shuffle and variant at (2, 2), on three seeded
+  60-letter words under seeded shuffles and every variant at (5, 5), and at
+  (5, 5) on one seeded 300-letter word per variant under a seeded shuffle.
+  Each JSON output is written to a temporary file and fed through ``--in``
+  to ``reverse`` and to ``phi`` (every other shuffle as ``--shuffle-b`` at
   (2, 2), one seeded shuffle at (5, 5)), both in both formats;
 - ``reverse`` and ``phi`` on each bad (P, Q) of ``BAD_PQ`` under every
   variant at (2, 2), each of which exits 2.
@@ -263,11 +264,17 @@ def pq_runs(main, folder: Path):
     letters = [f"t{i}" for i in range(1, 6)] + [f"u{j}" for j in range(1, 6)]
     long_words = [",".join(rng.choice(letters) for _ in range(60)) for _ in range(3)]
     five = chains(5, 5)
-    cases = [(2, chain, (*WORDS, ""), [b for b in chains(2, 2) if b != chain])
+    cases = [(2, chain, (*WORDS, ""), [b for b in chains(2, 2) if b != chain], VARIANTS)
              for chain in chains(2, 2)]
-    cases += [(5, rng.choice(five), (word,), [rng.choice(five)]) for word in long_words]
-    for k, chain, words, targets in cases:
-        for variant in VARIANTS:
+    cases += [(5, rng.choice(five), (word,), [rng.choice(five)], VARIANTS) for word in long_words]
+    # long enough that a dual rule's bumps meet runs of equal entries
+    cases += [
+        (5, rng.choice(five), (",".join(rng.choice(letters) for _ in range(300)),),
+         [rng.choice(five)], (variant,))
+        for variant in VARIANTS
+    ]
+    for k, chain, words, targets, variants in cases:
+        for variant in variants:
             head = ["--k", str(k), "--l", str(k), "--shuffle", chain, "--variant", variant]
             for word in words:
                 entry = record(main, head + ["--format", "json", "insert", "--word", word])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Letter, Shuffle, kl_shuffle, u as u_letter, t as t_letter
@@ -61,9 +62,9 @@ def _checked_reverse(p: Tableau, q: RecordingTableau, lane: _Lane) -> list[int]:
 
 def _reverse_ranks(rows, cols, cells: list[Cell], lane: _Lane) -> list[int]:
     """Reverse a checked (P, Q) under the lane's shuffle and variant, P held
-    as rank rows and columns, which it empties, and Q as its cells by label.
-
-    Returns the recovered word's ranks, first letter first.
+    as rank rows and columns, which it empties, and Q as its cells by label;
+    returns the recovered word's ranks, first letter first.  A run of entries
+    equal to the walking letter, which no displacement changes, is one bisection.
     """
     order, is_t, find_t, find_u = lane.shuffle.order, lane.is_t, lane.back_t, lane.back_u
     recovered: list[int] = []
@@ -102,8 +103,13 @@ def _reverse_ranks(rows, cols, cells: list[Cell], lane: _Lane) -> list[int]:
                     )
                 row = rows[i]
             y = row[j]
-            row[j] = col[i] = x
-            x = y
+            if y != x:
+                row[j] = col[i] = x
+                x = y
+            elif is_t[x]:  # to the top of the run of x up column j
+                i = bisect_left(col, x, 0, i)
+            else:
+                j = bisect_left(row, x, 0, j)
         recovered.append(x)
     recovered.reverse()
     return recovered

@@ -7,8 +7,8 @@ it left.  The bump condition is chosen per kind: the regular rule displaces
 the first entry strictly greater than the incomer, the dual rule the first
 entry greater than or equal to it.
 
-``insert_word`` computes P and Q eagerly, on shuffle ranks with one bisection
-per bump, and keeps no step log while it does.  Each letter crosses to its
+``insert_word`` computes P and Q eagerly on shuffle ranks, a bisection per
+bump or run of equal entries, keeping no step log.  Each letter crosses to its
 rank once, by a dict lookup that hashes the named-tuple ``Letter`` in C; a
 given P crosses, and is checked, in one pass.  The trace holds the word's
 ranks: the first read of its path lengths, step total, placement log or steps
@@ -305,8 +305,8 @@ def _insert_rank(
     """Insert rank x, logging each placement unless ``log`` is None; returns
     the new cell's row, 0-based.
 
-    A t searches row i and a u searches column j; a bumped t moves on to the
-    row below its cell and a bumped u to the column to its right.
+    A t searches row i and a u column j; a bumped t moves down a row and a
+    bumped u right a column.  Without a log, a run of x's is one bisection.
     """
     nrows, ncols = len(rows), len(cols)
     i = j = 0
@@ -324,9 +324,15 @@ def _insert_rank(
                 break
             row = rows[i]
         y = row[j]
-        row[j] = col[i] = x
         if log is not None:
             log.append((i + 1, j + 1, x, y))
+        elif y == x:  # a dual bump that changes no cell: pass the run of x
+            if is_t[x]:
+                i = bisect_right(col, x, i)
+            else:
+                j = bisect_right(row, x, j)
+            continue
+        row[j] = col[i] = x
         if is_t[y]:
             i += 1
         else:
@@ -375,11 +381,11 @@ class _Lane:
 
     ``rows`` and ``cols`` are P's rank rows and columns, ``qrows`` Q's rows
     and ``log`` the placements so far, or None in a lane built with
-    ``logged=False``, which keeps no log.  ``rank`` maps alphabet indices to
-    the shuffle's ranks, ``letter`` maps ranks back, ``is_t`` says which
-    ranks hold t-letters, and ``strict`` is ``is_valid``'s per-rank
-    strictness table.  ``find_t``/``find_u`` are the variant's bump searches
-    and ``back_t``/``back_u`` the displacement searches that reverse them.
+    ``logged=False``, which keeps no log and jumps runs of equal entries.
+    ``rank`` maps alphabet indices to the shuffle's ranks, ``letter`` maps
+    ranks back, ``is_t`` says which ranks hold t-letters, and ``strict`` is
+    ``is_valid``'s per-rank strictness table.  ``find_t``/``find_u`` are the
+    variant's bump searches, ``back_t``/``back_u`` the reverse searches.
     ``push`` records each new cell in Q, and ``push_word`` does so for a
     whole word in an emptied lane; ``marks`` holds each letter's log length
     before its steps, or is None with the log.  ``push`` and ``keep`` need a
@@ -392,14 +398,14 @@ class _Lane:
     """
 
     __slots__ = (
-        "shuffle", "variant", "bound", "rank", "letter", "is_t", "find_t", "find_u", "back_t",
+        "shuffle", "bound", "rank", "letter", "is_t", "find_t", "find_u", "back_t",
         "back_u", "strict", "rows", "cols", "qrows", "log", "marks", "bad",
     )
 
     def __init__(
         self, shuffle: Shuffle, variant: Variant, bound: int | None = None, logged: bool = True
     ) -> None:
-        self.shuffle, self.variant = shuffle, variant
+        self.shuffle = shuffle
         self.bound = shuffle.alphabet.size - 1 if bound is None else bound
         k = shuffle.alphabet.k
         self.letter = [x.index - 1 if x.kind == "t" else k + x.index - 1 for x in shuffle.order]

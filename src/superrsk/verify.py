@@ -264,10 +264,10 @@ class _Reading:
         self.is_t = [x.kind == "t" for x in order]
         self.log, self.pending = [], []
 
-    def follow(self, log) -> int:
+    def follow(self, log) -> tuple[int, int]:
         """Bring both lists to ``log``, truncating them to the prefix it shares
-        with the log read before, as a walk's lane does; returns the index of
-        the first step whose pending action changed."""
+        with the log read before, as a walk's lane does; returns that prefix's
+        length and the first step whose pending action changed."""
         old, pending = self.log, self.pending
         kept = changed = _common_prefix(old, log)
         del old[kept:], pending[kept:]
@@ -279,7 +279,7 @@ class _Reading:
                 pending[-1] = action
                 changed = kept - 1
         pending += [self._pending(log, s) for s in range(kept, len(log))]
-        return changed
+        return kept, changed
 
     def _pending(self, log, s: int) -> tuple[int, int] | None:
         r, c, _, y = log[s]
@@ -319,15 +319,17 @@ class _Signatures:
         # per step: its state and its signature
         self.ids, self.sigs = [], []
 
-    def catch_up(self, start: int) -> None:
-        """Bring ``sigs`` to the steps of the reading, whose steps before
-        ``start`` are unchanged since it was last caught up: each later step
-        places its element and appends its state and signature."""
+    def catch_up(self, kept: int, changed: int) -> None:
+        """Bring ``sigs`` to the reading, whose first ``kept`` steps, and pending
+        actions before step ``changed``, are as when last caught up: re-sign the
+        kept steps from ``changed`` on, then place each later step's element."""
         log, pending = self.reading.log, self.reading.pending
         ids, sigs, states, value = self.ids, self.sigs, self.states, self.value
-        del ids[start:], sigs[start:]
+        del ids[kept:], sigs[changed:]
+        for s in range(changed, kept):
+            sigs.append(states.signature(ids[s], pending[s]))
         state = ids[-1] if ids else 0
-        for s in range(start, len(log)):
+        for s in range(kept, len(log)):
             r, c, x, _ = log[s]
             key = (state, r, c, value[x])
             state = states.edges.get(key)
@@ -416,7 +418,7 @@ def align_traces(
     for trace, shuffle in ((trace_a, shuffle_a), (trace_b, shuffle_b)):
         reading = _Reading(shuffle.alphabet, trace.order)
         stream = _Signatures(shuffle, pair, states, reading)
-        stream.catch_up(reading.follow(trace.log))
+        stream.catch_up(*reading.follow(trace.log))
         streams.append(stream.sigs)
     table: list[list[int]] = []
     _extend_witnesses(table, *streams, 0, 0)
@@ -771,12 +773,13 @@ def check_trace_alignment_grid(
     ]
 
     def judge(word):
-        changed = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
+        follows = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
         failed = []
         for i, j, sigs_a, sigs_b, table in streams:
-            sigs_a.catch_up(changed[i])
-            sigs_b.catch_up(changed[j])
-            _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, changed[i], changed[j])
+            (ka, ca), (kb, cb) = follows[i], follows[j]
+            sigs_a.catch_up(ka, ca)
+            sigs_b.catch_up(kb, cb)
+            _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
             try:
                 count = _witness_count(table, len(sigs_a.sigs), len(sigs_b.sigs))
             except AlignmentError as exc:

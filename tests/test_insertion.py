@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,46 @@ class TestOneRankCore:
         calls[0] = 0
         change_shuffle(result.p, result.q, source, target, REGULAR_REGULAR)
         assert calls[0] == result.p.size == 7
+
+
+def longest_equal_run(log) -> int:
+    """The most consecutive placements in a log that each bump an equal entry."""
+    longest = run = 0
+    for _, _, x, y in log:
+        run = run + 1 if x == y else 0
+        longest = max(longest, run)
+    return longest
+
+
+class TestEqualRuns:
+    def test_unlogged_lanes_agree_with_the_stepping_walk(self):
+        # insert_word and reverse_word pass each run of equal entries in one
+        # bisection; _insert_traced logs, so it steps through every placement
+        from superrsk import reverse_word
+        from superrsk.insertion import _insert_traced
+
+        rng = random.Random(21)
+        longest = dict.fromkeys(VARIANTS, 0)
+        for k, l in ((1, 1), (2, 3), (3, 2), (5, 5)):
+            alphabet = Alphabet(k, l)
+            letters, shuffles = alphabet.letters(), all_shuffles(alphabet)
+            for n in (7, 60, 300):
+                for share in (0, 0.6):  # how often one letter repeats, skewing the word
+                    heavy = rng.choice(letters)
+                    word = Word(tuple(
+                        heavy if rng.random() < share else rng.choice(letters) for _ in range(n)
+                    ))
+                    shuffle = rng.choice(shuffles)
+                    for variant in VARIANTS:
+                        result = insert_word(word, shuffle, variant)
+                        traced = _insert_traced(word, shuffle, variant)
+                        assert (result.p, result.q) == (traced.p, traced.q)
+                        assert reverse_word(result.p, result.q, shuffle, variant) == word
+                        run = longest_equal_run(traced.trace.log)
+                        longest[variant] = max(longest[variant], run)
+        # only a dual rule bumps an equal entry, and every one met long runs
+        assert longest[REGULAR_REGULAR] == 0
+        assert all(longest[v] >= 3 for v in (REGULAR_DUAL, DUAL_REGULAR, DUAL_DUAL))
 
 
 def record_core_logs(monkeypatch) -> list:

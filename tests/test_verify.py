@@ -692,12 +692,11 @@ def walked_streams(alphabet, words):
         for i, j, pair in verify._adjacent_pairs(lanes)
     ]
     for _ in verify._walk(iter(words), lanes):
-        changed = {lane: reading.follow(lane.log) for lane, reading in zip(lanes, readings)}
+        follows = {lane: reading.follow(lane.log) for lane, reading in zip(lanes, readings)}
         for a, b, sigs_a, sigs_b, table, _ in streams:
-            ca, cb = changed[a], changed[b]
-            sigs_a.catch_up(ca)
-            sigs_b.catch_up(cb)
-            verify._extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
+            sigs_a.catch_up(*follows[a])
+            sigs_b.catch_up(*follows[b])
+            verify._extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, follows[a][1], follows[b][1])
         yield states, streams
 
 
@@ -739,8 +738,8 @@ class TestSignatureStreams:
                 for lane, stream in ((a, sigs_a), (b, sigs_b)):
                     reading = verify._Reading(alphabet, lane.shuffle.order)
                     fresh = verify._Signatures(lane.shuffle, pair, states, reading)
-                    assert reading.follow(lane.log) == 0
-                    fresh.catch_up(0)
+                    assert reading.follow(lane.log) == (0, 0)
+                    fresh.catch_up(0, 0)
                     assert stream.sigs == fresh.sigs and stream.ids == fresh.ids
 
     @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
@@ -806,21 +805,31 @@ class TestSignatureStreams:
         lane = verify._lanes(a22, REGULAR_REGULAR)[0]
         reading = verify._Reading(a22, lane.shuffle.order)
         lane.push(0)  # t1 settles in (1, 1) with nothing pending
-        assert reading.follow(lane.log) == 0 and reading.pending == [None]
-        assert reading.follow(lane.log) == 1  # nothing changed
+        assert reading.follow(lane.log) == (0, 0) and reading.pending == [None]
+        assert reading.follow(lane.log) == (1, 1)  # nothing changed
         lane.push(2)  # the settle's pending action becomes u1's entry
-        assert reading.follow(lane.log) == 0 and reading.pending == [(2, 1), None]
+        assert reading.follow(lane.log) == (1, 0) and reading.pending == [(2, 1), None]
 
     def test_each_step_signature_is_built_once_per_trie_node(self, a22, monkeypatch):
         import superrsk.verify as verify
 
-        calls = count_calls(monkeypatch, verify._States, "signature")
+        class CountedEdges(dict):
+            gets = 0
+
+            def get(self, key):
+                CountedEdges.gets += 1
+                return dict.get(self, key)
+
+        states = verify._States()
+        states.edges = CountedEdges()
+        monkeypatch.setattr(verify, "_step_states", lambda alphabet: states)
+        calls = count_calls(monkeypatch, verify._States, "signature", "after")
         assert check_trace_alignment_grid(a22, 4).passed
-        # each prefix's last letter is placed once per stream: the steps of
-        # that letter, summed over the trie nodes and both lanes of each pair,
-        # and once more the settle before them, whose pending action that
-        # letter revised, on every word that keeps a prefix: all but the
-        # first of each first letter
+        # each prefix's last letter is placed once per stream: one transition
+        # per step of that letter, summed over the trie nodes and both lanes
+        # of each pair; the settle before them, whose pending action that
+        # letter revised, is signed once more from its kept state on every
+        # word that keeps a prefix: all but the first of each first letter
         shuffles = all_shuffles(a22)
         pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
         new_steps = sum(
@@ -831,8 +840,11 @@ class TestSignatureStreams:
             for s in pair
         )
         revised = 2 * len(pairs) * (4**4 - 4)
+        # a miss looks its edge up again under the lock
+        transitions = CountedEdges.gets - calls["after"]
+        assert (new_steps, transitions) == (6216, 6216)
         # one per (word, pair, step) was 16,512
-        assert (new_steps, calls["signature"]) == (6216, new_steps + revised) == (6216, 9240)
+        assert (revised, calls["signature"]) == (3024, transitions + revised) == (3024, 9240)
 
     def test_each_lane_log_is_read_once_per_word(self, a22, monkeypatch):
         # a lane's kept prefix and pending actions do not depend on the pair,
