@@ -10,11 +10,9 @@ from .alphabet import (
     Alphabet,
     Letter,
     Shuffle,
-    adjacency_chain,
     adjacent_transposition,
     all_shuffles,
     kl_shuffle,
-    order_adjacent_pairs,
     parse_letter,
     parse_shuffle,
     t,
@@ -65,7 +63,6 @@ from .tableau import (
     is_standard,
     is_valid,
     region2_components,
-    region2_shape_ok,
 )
 from .verify import (
     Alignment,

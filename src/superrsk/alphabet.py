@@ -24,8 +24,6 @@ __all__ = [
     "all_shuffles",
     "kl_shuffle",
     "adjacent_transposition",
-    "adjacency_chain",
-    "order_adjacent_pairs",
     "parse_shuffle",
     "shuffle_to_json",
 ]
@@ -217,38 +215,6 @@ def adjacent_transposition(a: Shuffle, b: Shuffle) -> tuple[Letter, Letter] | No
     if i is None or x[i] != y[i + 1] or x[i + 1] != y[i] or x[i + 2 :] != y[i + 2 :]:
         return None
     return (x[i], x[i + 1]) if x[i].kind == "t" else (x[i + 1], x[i])
-
-
-def adjacency_chain(a: Shuffle, b: Shuffle) -> list[Shuffle]:
-    """A minimal chain a = A0, A1, ..., An = b with consecutive entries adjacent.
-
-    Its length is one more than the number of mixed pairs ordered oppositely in
-    a and b; each link swaps one neighbouring (t, u) pair.
-    """
-    if a.alphabet != b.alphabet:
-        raise ValueError("shuffles must share an alphabet")
-    chain = [a]
-    current = a
-    while current != b:
-        order = current.order
-        for i in range(len(order) - 1):
-            x, y = order[i], order[i + 1]
-            if x.kind != y.kind and b.less(y, x):
-                current = Shuffle(a.alphabet, order[:i] + (y, x) + order[i + 2 :])
-                chain.append(current)
-                break
-        else:  # pragma: no cover - impossible for valid shuffles
-            raise RuntimeError("no adjacent swap found")
-    return chain
-
-
-def order_adjacent_pairs(s: Shuffle) -> list[tuple[Letter, Letter]]:
-    """All (t_i, u_j) pairs occupying consecutive ranks of s, t-letter first."""
-    pairs = []
-    for x, y in zip(s.order, s.order[1:]):
-        if x.kind != y.kind:
-            pairs.append((x, y) if x.kind == "t" else (y, x))
-    return pairs
 
 
 def _parse_letters(text: str, sep: str, alphabet: Alphabet) -> tuple[Letter, ...]:

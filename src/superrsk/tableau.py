@@ -25,7 +25,6 @@ __all__ = [
     "is_standard",
     "classify_regions",
     "region2_components",
-    "region2_shape_ok",
     "tableau_to_json",
     "tableau_from_json",
     "recording_to_json",
@@ -247,37 +246,6 @@ def region2_components(regions: RegionMap) -> frozenset[Component]:
         seen |= comp
         components.add(frozenset(comp))
     return frozenset(components)
-
-
-def region2_shape_ok(tab: Tableau, shuffle: Shuffle, pair: tuple[Letter, Letter]) -> bool:
-    """Row/column profile of the pair region.
-
-    When t_i comes first in the shuffle: in each region-2 row everything but
-    possibly the rightmost cell holds t_i, and in each region-2 column
-    everything but possibly the topmost holds u_j.  When u_j comes first the
-    picture is mirrored (u_j leftmost in rows, t_i bottommost in columns).
-    """
-    ti, uj = _check_pair(pair)
-    regions = classify_regions(tab, shuffle, pair)
-    by_row: dict[int, list[tuple[int, Letter]]] = {}
-    by_col: dict[int, list[tuple[int, Letter]]] = {}
-    for (r, c), label in regions.items():
-        if label != 2:
-            continue
-        by_row.setdefault(r, []).append((c, tab.entry(r, c)))
-        by_col.setdefault(c, []).append((r, tab.entry(r, c)))
-    t_first = shuffle.less(ti, uj)
-    for cells in by_row.values():
-        cells.sort()
-        body = cells[:-1] if t_first else cells[1:]
-        if any(e != ti for _, e in body):
-            return False
-    for cells in by_col.values():
-        cells.sort()
-        body = cells[1:] if t_first else cells[:-1]
-        if any(e != uj for _, e in body):
-            return False
-    return True
 
 
 def _is_prefix_grid(small, big) -> bool:

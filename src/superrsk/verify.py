@@ -21,6 +21,7 @@ from .alphabet import (
     Alphabet,
     Letter,
     Shuffle,
+    _format,
     adjacent_transposition,
     all_shuffles,
     kl_shuffle,
@@ -148,7 +149,9 @@ class AlignmentError(Exception):
 
 @dataclass(frozen=True)
 class Alignment:
-    """Matched step indices into two traces; increments are (1,1), (1,2), (2,1)."""
+    """Matched step indices into two traces; increments are (1,1), (1,2), (2,1).
+    Of ``witness_count`` alignments, ``pairs`` is the one ``align_traces``
+    reads back from the final steps through first reached predecessors."""
 
     pairs: tuple[tuple[int, int], ...]
     witness_count: int
@@ -339,42 +342,24 @@ class _Signatures:
             sigs.append(states.signature(state, pending[s]))
 
 
-def _extend_witnesses(table: list, sigs_a: list, sigs_b: list, ca: int, cb: int) -> None:
-    """Bring a witness table up to date with two signature streams.
+def _witnesses(sigs_a: list, sigs_b: list) -> list[dict[int, int]]:
+    """Per step p of the first stream, 0-based, each step q of the second
+    that alignments through equivalent matched pairs reach, with their number.
 
-    ``table[p][q]`` counts the alignments from the first steps that reach
-    the step pair (p, q), 0-based, through equivalent matched pairs (0 where
-    none does): W[p][q] = [sig_a[p] = sig_b[q]] * ([p = q = 0] + W[p-1][q-1]
-    + W[p-1][q-2] + W[p-2][q-1]).  An entry depends only on the signatures
-    up to its own step pair, so when the streams changed first at steps
-    ``ca`` and ``cb`` only the entries with p >= ca or q >= cb are
-    recomputed, rows in order, each at the q whose signature equals its
-    own; ``ca = cb = 0`` builds the table afresh.  Each increment adds 1 or
-    2 to p and to q, so an entry is 0 unless q <= 2p and p <= 2q: no row
-    before (cb + 1) // 2 and no q before min(cb, (ca + 1) // 2) can change.
-    """
-    nb = len(sigs_b)
-    at: dict[int, list[int]] = {}  # per signature: its steps that can change
-    for q in range(min(cb, (ca + 1) // 2), nb):
-        at.setdefault(sigs_b[q], []).append(q)
-    del table[ca:]
-    for row in table:
-        row[cb:] = [0] * (nb - cb)
-    none = [0] * nb
-    for p in range(min(ca, (cb + 1) // 2), len(sigs_a)):
-        qs = at.get(sigs_a[p], ())
-        if p < ca:  # a kept row: only its columns from cb on
-            qs = qs[bisect_left(qs, cb):]
-        else:
-            table.append([0] * nb)
-        row = table[p]
-        up = table[p - 1] if p else none
-        up2 = table[p - 2] if p > 1 else none
-        for q in qs:
-            if q:
-                row[q] = up[q - 1] + up2[q - 1] + (up[q - 2] if q > 1 else 0)
-            else:
-                row[0] = int(not p)
+    One forward pass: each reached pair, row by row, pushes its count along
+    the increments to each successor whose signatures match."""
+    na, nb = len(sigs_a), len(sigs_b)
+    table: list[dict[int, int]] = [{} for _ in range(na)]
+    if na and nb and sigs_a[0] == sigs_b[0]:
+        table[0][0] = 1
+    for p, row in enumerate(table):
+        for q, count in row.items():
+            for dp, dq in _INCREMENTS:
+                np_, nq = p + dp, q + dq
+                if np_ < na and nq < nb and sigs_a[np_] == sigs_b[nq]:
+                    succ = table[np_]
+                    succ[nq] = succ.get(nq, 0) + count
+    return table
 
 
 def _witness_count(table: list, sa: int, sb: int) -> int:
@@ -384,9 +369,9 @@ def _witness_count(table: list, sa: int, sb: int) -> int:
         if sa or sb:
             raise AlignmentError("traces have different emptiness")
         return 1
-    if not table[0][0]:
+    if not table[0]:
         raise AlignmentError("initial states are not equivalent")
-    count = table[sa - 1][sb - 1]
+    count = table[sa - 1].get(sb - 1)
     if not count:
         raise AlignmentError(f"no alignment reaches ({sa}, {sb})")
     return count
@@ -404,11 +389,10 @@ def align_traces(
     end at the final step of both traces.  The witness count is the number of
     distinct alignments through equivalent matched pairs: equal cells and
     entries outside the swapped pair, equal pair-region cells with equal
-    t-counts per component, and equal pending actions.  It is read from the
-    witness table the ``lemma2.15`` grid keeps, built here from scratch on
-    the grid's streams; the path returned is the first a breadth-first
-    search over the table's nonzero entries finds.  States are compared on
-    signatures read from the placement logs, so no ``Step`` is built.
+    t-counts per component, and equal pending actions, compared on the
+    ``lemma2.15`` grid's signature streams through ``_witnesses``.  ``pairs``
+    steps back from the final steps to the first reached predecessor in
+    ``_INCREMENTS`` order.  Each trace's order must be its shuffle's.
     """
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
@@ -416,30 +400,20 @@ def align_traces(
     states = _States()
     streams = []
     for trace, shuffle in ((trace_a, shuffle_a), (trace_b, shuffle_b)):
-        reading = _Reading(shuffle.alphabet, trace.order)
+        reading = _Reading(shuffle.alphabet, trace.order)  # refuses foreign letters
+        if trace.order != shuffle.order:
+            raise ValueError(f"trace order {_format(trace.order)} is not shuffle {shuffle}")
         stream = _Signatures(shuffle, pair, states, reading)
         stream.catch_up(*reading.follow(trace.log))
         streams.append(stream.sigs)
-    table: list[list[int]] = []
-    _extend_witnesses(table, *streams, 0, 0)
+    table = _witnesses(*streams)
     sa, sb = map(len, streams)
     count = _witness_count(table, sa, sb)
-    if sa == 0:
-        return Alignment((), count)
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {(1, 1): None}
-    queue = [(1, 1)]
-    for node in queue:  # breadth first: the queue grows while it is read
-        p, q = node
-        for dp, dq in _INCREMENTS:
-            np_, nq = p + dp, q + dq
-            if np_ <= sa and nq <= sb and table[np_ - 1][nq - 1] and (np_, nq) not in parent:
-                parent[np_, nq] = node
-                queue.append((np_, nq))
-    path = []
-    step: tuple[int, int] | None = (sa, sb)
-    while step is not None:
-        path.append(step)
-        step = parent[step]
+    path, p, q = [], sa, sb  # 1-based; (1, 1) has no predecessor
+    while p:
+        path.append((p, q))
+        p, q = next(((p - dp, q - dq) for dp, dq in _INCREMENTS
+                     if p > dp and q - dq - 1 in table[p - dp - 1]), (0, 0))
     return Alignment(tuple(reversed(path)), count)
 
 
@@ -754,34 +728,33 @@ def check_trace_alignment_grid(
 ) -> Report:
     """Every adjacent-shuffle pair admits a step alignment on every word.
 
-    Each (shuffle pair) keeps one signature stream per side and their witness
-    table beside the walk, all over the alphabet's step states, which stay
-    interned for later calls.  A word recomputes only the table's rows and
-    columns from the first step whose signature changed, and the case's
-    witness count or ``AlignmentError`` text is read off the table, the same
-    as ``align_traces`` gives on the word's separate traces.
+    Each (shuffle pair) keeps one signature stream per side beside the walk,
+    over the alphabet's step states, which stay interned for later calls.
+    Each word counts its alignments afresh with ``_witnesses``: the exact
+    witness count, or ``AlignmentError`` text, that ``align_traces`` gives
+    on the word's separate traces, whose ``pairs`` hold one alignment of
+    several the way ``Alignment`` says.
     """
     witness_histogram: dict[int, int] = {}
     lanes = _lanes(alphabet, REGULAR_REGULAR)
     states = _step_states(alphabet)
     readings = [_Reading(alphabet, lane.shuffle.order) for lane in lanes]
-    # per (lane, pair): a signature stream for each side and their witness table
+    # per (lane, pair): a signature stream for each side
     streams = [
         (i, j, _Signatures(lanes[i].shuffle, pair, states, readings[i]),
-         _Signatures(lanes[j].shuffle, pair, states, readings[j]), [])
+         _Signatures(lanes[j].shuffle, pair, states, readings[j]))
         for i, j, pair in _adjacent_pairs(lanes)
     ]
 
     def judge(word):
         follows = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
         failed = []
-        for i, j, sigs_a, sigs_b, table in streams:
-            (ka, ca), (kb, cb) = follows[i], follows[j]
-            sigs_a.catch_up(ka, ca)
-            sigs_b.catch_up(kb, cb)
-            _extend_witnesses(table, sigs_a.sigs, sigs_b.sigs, ca, cb)
+        for i, j, sigs_a, sigs_b in streams:
+            sigs_a.catch_up(*follows[i])
+            sigs_b.catch_up(*follows[j])
+            a, b = sigs_a.sigs, sigs_b.sigs
             try:
-                count = _witness_count(table, len(sigs_a.sigs), len(sigs_b.sigs))
+                count = _witness_count(_witnesses(a, b), len(a), len(b))
             except AlignmentError as exc:
                 failed.append((
                     f"{lanes[i].shuffle} | {lanes[j].shuffle}", REGULAR_REGULAR.name,

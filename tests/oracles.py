@@ -31,7 +31,7 @@ from superrsk import (
 )
 from superrsk.insertion import _ranks_of
 from superrsk.polynomial import Monomial
-from superrsk.tableau import _is_prefix_grid
+from superrsk.tableau import _check_pair, _is_prefix_grid
 from superrsk.verify import _cells_ok, _paths_ok
 
 
@@ -116,6 +116,50 @@ def unmap_tableau(std: Standardization, tab: Tableau) -> Tableau:
     """``tab`` with each of the standardization's fresh letters sent back."""
     back = dict(std.source_map)
     return Tableau(tuple(tuple(back.get(e, e) for e in row) for row in tab.rows))
+
+
+# ---------------------------------------------------------------------------
+# pair regions
+
+
+def order_adjacent_pairs(s: Shuffle) -> list[tuple[Letter, Letter]]:
+    """All (t_i, u_j) pairs occupying consecutive ranks of s, t-letter first."""
+    pairs = []
+    for x, y in zip(s.order, s.order[1:]):
+        if x.kind != y.kind:
+            pairs.append((x, y) if x.kind == "t" else (y, x))
+    return pairs
+
+
+def region2_shape_ok(tab: Tableau, shuffle: Shuffle, pair: tuple[Letter, Letter]) -> bool:
+    """Row/column profile of the pair region.
+
+    When t_i comes first in the shuffle: in each region-2 row everything but
+    possibly the rightmost cell holds t_i, and in each region-2 column
+    everything but possibly the topmost holds u_j.  When u_j comes first the
+    picture is mirrored (u_j leftmost in rows, t_i bottommost in columns).
+    """
+    ti, uj = _check_pair(pair)
+    regions = classify_regions(tab, shuffle, pair)
+    by_row: dict[int, list[tuple[int, Letter]]] = {}
+    by_col: dict[int, list[tuple[int, Letter]]] = {}
+    for (r, c), label in regions.items():
+        if label != 2:
+            continue
+        by_row.setdefault(r, []).append((c, tab.entry(r, c)))
+        by_col.setdefault(c, []).append((r, tab.entry(r, c)))
+    t_first = shuffle.less(ti, uj)
+    for cells in by_row.values():
+        cells.sort()
+        body = cells[:-1] if t_first else cells[1:]
+        if any(e != ti for _, e in body):
+            return False
+    for cells in by_col.values():
+        cells.sort()
+        body = cells[1:] if t_first else cells[:-1]
+        if any(e != uj for _, e in body):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

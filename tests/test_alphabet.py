@@ -5,18 +5,17 @@ from math import comb
 
 import pytest
 
+from oracles import order_adjacent_pairs
 from superrsk import (
     REGULAR_REGULAR,
     Alphabet,
     Letter,
     Tableau,
     Word,
-    adjacency_chain,
     adjacent_transposition,
     all_shuffles,
     insert_word,
     kl_shuffle,
-    order_adjacent_pairs,
     parse_letter,
     parse_shuffle,
     t,
@@ -286,38 +285,6 @@ def flipped_pair(a, b):
         if a.less(t(i), u(j)) != b.less(t(i), u(j))
     ]
     return flipped[0] if len(flipped) == 1 else None
-
-
-def discordant_pairs(a, b):
-    return sum(
-        a.less(t(i), u(j)) != b.less(t(i), u(j))
-        for i in range(1, a.alphabet.k + 1)
-        for j in range(1, a.alphabet.l + 1)
-    )
-
-
-class TestAdjacencyChain:
-    def test_trivial(self, order_ttuu):
-        assert adjacency_chain(order_ttuu, order_ttuu) == [order_ttuu]
-
-    def test_single_swap(self):
-        alph = Alphabet(1, 1)
-        A, B = all_shuffles(alph)
-        assert adjacency_chain(A, B) == [A, B]
-
-    def test_full_reversal_length(self, order_ttuu, order_uutt):
-        chain = adjacency_chain(order_ttuu, order_uutt)
-        assert len(chain) == 1 + discordant_pairs(order_ttuu, order_uutt) == 5
-
-    def test_chain_structure_over_all_pairs(self):
-        for alph in small_alphabets(4):
-            shuffles = all_shuffles(alph)
-            for a, b in product(shuffles, repeat=2):
-                chain = adjacency_chain(a, b)
-                assert chain[0] == a and chain[-1] == b
-                assert len(chain) == 1 + discordant_pairs(a, b)
-                for x, y in zip(chain, chain[1:]):
-                    assert adjacent_transposition(x, y) is not None
 
 
 class TestParseFormat:

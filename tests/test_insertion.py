@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rec, tab
+from oracles import order_adjacent_pairs, region2_shape_ok
 from superrsk import (
     DUAL_DUAL,
     DUAL_REGULAR,
@@ -217,8 +218,6 @@ class TestStructuralInvariants:
     def test_regular_insertion_region_profiles(self, a22):
         # only the regular-regular class guarantees the pair-region picture;
         # the dual rules break it (repeated u's can share a row, etc.)
-        from superrsk import order_adjacent_pairs, region2_shape_ok
-
         shuffles = all_shuffles(a22)
         for n in range(0, 5):
             for word in all_words(a22, n):
@@ -229,8 +228,6 @@ class TestStructuralInvariants:
 
     def test_dual_rules_break_region_profile(self):
         # measured counterexample kept as a regression anchor
-        from superrsk import order_adjacent_pairs, region2_shape_ok
-
         alph = Alphabet(1, 1)
         order = parse_shuffle("t1<u1", alph)
         p = insert_word(parse_word("u1,u1", alph), order, DUAL_DUAL).p

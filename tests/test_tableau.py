@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rec, tab
-from oracles import content_type, is_subtableau, weight_monomial, word_type
+from oracles import content_type, is_subtableau, region2_shape_ok, weight_monomial, word_type
 from superrsk import (
     VARIANTS,
     Alphabet,
@@ -21,7 +21,6 @@ from superrsk import (
     is_valid,
     parse_shuffle,
     region2_components,
-    region2_shape_ok,
     t,
     u,
     variant_profile,
