@@ -336,6 +336,18 @@ class TestOrderAdjacentPairs:
     def test_pure_chain_has_none(self):
         assert order_adjacent_pairs(kl_shuffle(Alphabet(0, 3))) == []
 
+    def test_one_pair_per_adjacent_shuffle(self):
+        # each pair of neighbouring mixed letters is the one pair that
+        # exactly one adjacent shuffle inverts
+        for alph in small_alphabets(4):
+            shuffles = all_shuffles(alph)
+            for s in shuffles:
+                pairs = order_adjacent_pairs(s)
+                inverted = [adjacent_transposition(s, b) for b in shuffles]
+                inverted = [pair for pair in inverted if pair is not None]
+                assert len(set(pairs)) == len(pairs) == len(inverted)
+                assert set(pairs) == set(inverted)
+
 
 class TestJson:
     def test_round_trip(self, a22, order_ttuu):

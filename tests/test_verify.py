@@ -193,6 +193,29 @@ class TestAlignTraces:
         with pytest.raises(ValueError, match=rf"^trace order t1<u1<u2<t2 is not shuffle {own}$"):
             align_traces(traces[0], a, traces[1], b)
 
+    @pytest.mark.parametrize("word", ["t1", "u1,t3,t2", "u1,t3,t2,u2,t2,u1,t1"])
+    def test_equal_signatures_count_every_increment_path(self, word, monkeypatch):
+        # with every step state alike, each step pair is reached: the count is
+        # the number of increment paths from (1, 1) to the final steps, and the
+        # path steps back to the first reached predecessor in increment order
+        import superrsk.verify as verify
+
+        monkeypatch.setattr(verify._States, "signature", lambda self, state, pending: 0)
+        v = parse_word(word, ALPH32)
+        trace_a, trace_b = (insert_word(v, s, REGULAR_REGULAR).trace for s in (ORDER_A, ORDER_B))
+        sa, sb = trace_a.total, trace_b.total
+        paths = {(1, 1): 1}
+        for p, q in product(range(1, sa + 1), range(1, sb + 1)):
+            if (p, q) != (1, 1):
+                paths[p, q] = sum(paths.get((p - dp, q - dq), 0) for dp, dq in _INCREMENTS)
+        expected, p, q = [], sa, sb
+        while (p, q) != (1, 1):
+            expected.append((p, q))
+            p, q = next((p - dp, q - dq) for dp, dq in _INCREMENTS if paths.get((p - dp, q - dq)))
+        expected.append((1, 1))
+        alignment = align_traces(trace_a, ORDER_A, trace_b, ORDER_B)
+        assert alignment == Alignment(tuple(reversed(expected)), paths[sa, sb])
+
     def test_empty_word(self):
         alph = Alphabet(1, 1)
         A, B = all_shuffles(alph)
@@ -754,6 +777,32 @@ class TestSignatureStreams:
                     assert reading.follow(lane.log) == (0, 0)
                     fresh.catch_up(0, 0)
                     assert stream.sigs == fresh.sigs and stream.ids == fresh.ids
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
+    def test_witness_tables_of_walked_streams_equal_those_of_separate_traces(self, k, l):
+        # a grid case counts on the table that align_traces counts on, and
+        # every step pair of these words is reached by one alignment or none
+        import superrsk.verify as verify
+
+        alphabet = Alphabet(k, l)
+        letters = alphabet.letters()
+        words = [*WALK_WORDS, *product(range(k + l), repeat=3)]
+        walked = 0
+        for word, (states, streams) in zip(words, walked_streams(alphabet, words)):
+            v = Word(tuple(letters[i] for i in word))
+            for a, b, sigs_a, sigs_b, pair in streams:
+                separate = []
+                for lane in (a, b):
+                    trace = insert_word(v, lane.shuffle, REGULAR_REGULAR).trace
+                    reading = verify._Reading(alphabet, trace.order)
+                    stream = verify._Signatures(lane.shuffle, pair, states, reading)
+                    stream.catch_up(*reading.follow(trace.log))
+                    separate.append(stream.sigs)
+                table = verify._witnesses(sigs_a.sigs, sigs_b.sigs)
+                assert table == verify._witnesses(*separate)
+                assert all(count == 1 for row in table for count in row.values())
+            walked += 1
+        assert walked == len(words)
 
     def test_witness_tables_count_every_alignment_of_synthetic_streams(self):
         # streams over two signatures match often, so many counts exceed 1,
