@@ -111,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--theorem", required=True, choices=list(_CLAIMS))
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sample"])
-    p_verify.add_argument("--samples", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--samples", type=int, default=None, help="with --mode sample: 100")
+    p_verify.add_argument("--seed", type=int, default=None, help="with --mode sample: 0")
     p_verify.add_argument("--out", default=None)
 
     p_trace = sub.add_parser("trace", help="align the step traces of two adjacent orders")
@@ -286,10 +286,13 @@ def _cmd_verify(args) -> int:
     claim = f"--theorem {args.theorem}"
     sampled, varied = args.mode != "exhaustive", args.variant != REGULAR_REGULAR.name
     _refuse(sampled and "mode" not in honours, "--mode sample", f"{claim} has no sampled grid")
+    for option, value in (("--samples", args.samples), ("--seed", args.seed)):
+        _refuse(value is not None and not sampled, option, f"only --mode sample reads {option}")
     _refuse(varied and "variant" not in honours, "--variant", f"{claim} checks reg-reg only")
     _refuse(args.shuffle is not None, "--shuffle", f"{claim} runs every shuffle")
     variant = parse_variant(args.variant)
-    mode = "exhaustive" if args.mode == "exhaustive" else Sample(args.samples, args.seed)
+    samples = 100 if args.samples is None else args.samples  # 0 is refused by Sample
+    mode = Sample(samples, args.seed or 0) if sampled else "exhaustive"
     report = run(alphabet, args.n, variant, mode)
 
     payload = report.to_json_dict()

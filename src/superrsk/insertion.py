@@ -210,16 +210,16 @@ class InsertionTrace:
         if name not in ("path_lengths", "log"):
             raise AttributeError(name)
         ranks, shuffle, variant = self._recipe
-        lane = _Lane(shuffle, variant)
-        lane.push_word(ranks)
-        filled = InsertionTrace._of_lane(lane)
+        filled = InsertionTrace._of_lane(_Lane(shuffle, variant), ranks)
         object.__setattr__(self, "path_lengths", filled.path_lengths)
         object.__setattr__(self, "log", filled.log)
         return vars(self)[name]
 
     @classmethod
-    def _of_lane(cls, lane: _Lane) -> InsertionTrace:
-        """The trace of the insertion a logged lane holds."""
+    def _of_lane(cls, lane: _Lane, ranks: Iterable[int]) -> InsertionTrace:
+        """The trace of inserting ``ranks`` into a logged lane, emptied first,
+        which holds the insertion afterwards."""
+        lane.push_word(ranks)
         # each letter's path ends with its settle, the one placement that bumps nothing
         ends = [s for s, (_, _, _, y) in enumerate(lane.log, 1) if y is None]
         lengths = tuple(b - a for a, b in zip([0] + ends, ends))
@@ -428,6 +428,11 @@ class _Lane:
         order = self.shuffle.order
         return Tableau(tuple(tuple(order[x] for x in row) for row in self.rows))
 
+    def result(self, trace: InsertionTrace) -> InsertionResult:
+        """P and Q as the lane holds them, with ``trace``."""
+        q = RecordingTableau(tuple(map(tuple, self.qrows)))
+        return InsertionResult(self.tableau(), q, trace)
+
     def push(self, x: int) -> None:
         """Insert rank x as the next letter."""
         log, marks, qrows = self.log, self.marks, self.qrows
@@ -508,20 +513,11 @@ def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     ranks = _ranks_of(v, shuffle)
     lane = _Lane(shuffle, variant, logged=False)
     lane.push_word(ranks)
-    return InsertionResult(
-        p=lane.tableau(),
-        q=RecordingTableau(tuple(map(tuple, lane.qrows))),
-        trace=InsertionTrace._deferred(tuple(ranks), shuffle, variant),
-    )
+    return lane.result(InsertionTrace._deferred(tuple(ranks), shuffle, variant))
 
 
 def _insert_traced(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     """``insert_word`` for a caller that reads the trace: one insertion that
     keeps a log gives P, Q and the filled trace."""
     lane = _Lane(shuffle, variant)
-    lane.push_word(_ranks_of(v, shuffle))
-    return InsertionResult(
-        p=lane.tableau(),
-        q=RecordingTableau(tuple(map(tuple, lane.qrows))),
-        trace=InsertionTrace._of_lane(lane),
-    )
+    return lane.result(InsertionTrace._of_lane(lane, _ranks_of(v, shuffle)))

@@ -251,38 +251,67 @@ def _step_states(alphabet: Alphabet) -> _States:
     return _States()
 
 
-class _Reading:
-    """A copy of one lane's placement log, ranks into ``order``, and each
-    step's pending action as (alphabet index, row of a t or column of a u),
-    or None after the last step.  Neither depends on the swapped pair, so
-    every signature stream of the lane shares them.
+class _Stream:
+    """One lane's steps in the form the alignment compares, for each adjacent
+    pair the lane is in, brought to the lane's log in place by ``follow``.
+
+    ``pending`` holds each step's pending action as (alphabet index, row of a
+    t or column of a u), or None after the last step; it does not depend on
+    the pair.  Per pair, ``ids`` holds each step's state and ``sigs`` its
+    signature: one int from the shared ``states`` for its state's class (the
+    cells' ranks under the shuffle with the pair's two ranks masked, and the
+    t_i-count of each region-2 component) with its pending action.  An
+    adjacent transposition keeps every other letter's rank, so masked cells
+    are equal exactly when the region-1 entries, the region-3 entries and the
+    region-2 cells agree.
     """
 
-    __slots__ = ("order", "name", "is_t", "log", "pending")
+    __slots__ = ("name", "is_t", "states", "pending", "value", "ids", "sigs")
 
-    def __init__(self, alphabet: Alphabet, order: tuple[Letter, ...]) -> None:
-        self.order = order
-        # alphabet indices are the ranks of kl_shuffle; _ranks_of refuses foreign letters
-        self.name = _ranks_of(order, kl_shuffle(alphabet))
+    def __init__(self, shuffle: Shuffle, pairs: Iterable[tuple], states: _States) -> None:
+        order = shuffle.order
+        # alphabet indices are the ranks of kl_shuffle
+        self.name = _ranks_of(order, kl_shuffle(shuffle.alphabet))
         self.is_t = [x.kind == "t" for x in order]
-        self.log, self.pending = [], []
+        self.states = states
+        self.pending: list[tuple[int, int] | None] = []
+        self.value, self.ids, self.sigs = {}, {}, {}
+        for pair in pairs:
+            ti = shuffle.rank(pair[0])
+            lo = min(ti, shuffle.rank(pair[1]))
+            self.value[pair] = [
+                -2 if e == ti else -1 if lo <= e <= lo + 1 else e for e in range(len(order))
+            ]
+            self.ids[pair], self.sigs[pair] = [], []
 
-    def follow(self, log) -> tuple[int, int]:
-        """Bring both lists to ``log``, truncating them to the prefix it shares
-        with the log read before, as a walk's lane does; returns that prefix's
-        length and the first step whose pending action changed."""
-        old, pending = self.log, self.pending
-        kept = changed = _common_prefix(old, log)
-        del old[kept:], pending[kept:]
-        old += log[kept:]
-        if kept and log[kept - 1][3] is None:
-            # a settle's pending action is the next letter's entry
+    def follow(self, log, kept: int) -> None:
+        """Bring every list to ``log``, whose first ``kept`` steps, a whole
+        number of letters, are those of the log followed before: re-sign the
+        last kept step if its pending action changed, then place each later
+        step's element."""
+        pending, states = self.pending, self.states
+        del pending[kept:]
+        changed = kept
+        if kept:  # a settle, whose pending action is the next letter's entry
             action = self._pending(log, kept - 1)
             if action != pending[-1]:
                 pending[-1] = action
                 changed = kept - 1
         pending += [self._pending(log, s) for s in range(kept, len(log))]
-        return kept, changed
+        for pair, value in self.value.items():
+            ids, sigs = self.ids[pair], self.sigs[pair]
+            del ids[kept:], sigs[changed:]
+            for s in range(changed, kept):
+                sigs.append(states.signature(ids[s], pending[s]))
+            state = ids[-1] if ids else 0
+            for s in range(kept, len(log)):
+                r, c, x, _ = log[s]
+                key = (state, r, c, value[x])
+                state = states.edges.get(key)
+                if state is None:
+                    state = states.after(key)
+                ids.append(state)
+                sigs.append(states.signature(state, pending[s]))
 
     def _pending(self, log, s: int) -> tuple[int, int] | None:
         r, c, _, y = log[s]
@@ -292,54 +321,6 @@ class _Reading:
             r, c, x, _ = log[s + 1]
             return self.name[x], r if self.is_t[x] else c
         return None
-
-
-class _Signatures:
-    """Each step's state in the form the alignment compares, for the steps of
-    a ``_Reading`` of one lane's log.
-
-    A step's signature is one int from the shared ``states``: its state's
-    class (the cells' ranks under ``shuffle`` with the pair's two ranks
-    masked, and the t_i-count of each region-2 component) with the reading's
-    pending action.  An adjacent transposition keeps every other letter's
-    rank, so masked cells are equal exactly when the region-1 entries, the
-    region-3 entries and the region-2 cells agree.
-    """
-
-    __slots__ = ("value", "reading", "states", "ids", "sigs")
-
-    def __init__(
-        self, shuffle: Shuffle, pair: tuple[Letter, Letter], states: _States, reading: _Reading
-    ) -> None:
-        ti = shuffle.rank(pair[0])
-        lo = min(ti, shuffle.rank(pair[1]))
-        self.value = [
-            -2 if e == ti else -1 if lo <= e <= lo + 1 else e
-            for e in _ranks_of(reading.order, shuffle)
-        ]
-        self.reading = reading
-        self.states = states
-        # per step: its state and its signature
-        self.ids, self.sigs = [], []
-
-    def catch_up(self, kept: int, changed: int) -> None:
-        """Bring ``sigs`` to the reading, whose first ``kept`` steps, and pending
-        actions before step ``changed``, are as when last caught up: re-sign the
-        kept steps from ``changed`` on, then place each later step's element."""
-        log, pending = self.reading.log, self.reading.pending
-        ids, sigs, states, value = self.ids, self.sigs, self.states, self.value
-        del ids[kept:], sigs[changed:]
-        for s in range(changed, kept):
-            sigs.append(states.signature(ids[s], pending[s]))
-        state = ids[-1] if ids else 0
-        for s in range(kept, len(log)):
-            r, c, x, _ = log[s]
-            key = (state, r, c, value[x])
-            state = states.edges.get(key)
-            if state is None:
-                state = states.after(key)
-            ids.append(state)
-            sigs.append(states.signature(state, pending[s]))
 
 
 def _witnesses(sigs_a: list, sigs_b: list) -> list[dict[int, int]]:
@@ -389,10 +370,12 @@ def align_traces(
     end at the final step of both traces.  The witness count is the number of
     distinct alignments through equivalent matched pairs: equal cells and
     entries outside the swapped pair, equal pair-region cells with equal
-    t-counts per component, and equal pending actions, compared on the
-    ``lemma2.15`` grid's signature streams through ``_witnesses``.  ``pairs``
-    steps back from the final steps to the first reached predecessor in
-    ``_INCREMENTS`` order.  Each trace's order must be its shuffle's.
+    t-counts per component, and equal pending actions, compared through
+    ``_witnesses`` on one ``_Stream`` per trace for the swapped pair, as the
+    ``lemma2.15`` grid compares its lanes, over a step-state table of the
+    call's own.  ``pairs`` steps back from the final steps to the first
+    reached predecessor in ``_INCREMENTS`` order.  Each trace's letters must
+    be in the alphabet, and then its order must be its shuffle's.
     """
     pair = adjacent_transposition(shuffle_a, shuffle_b)
     if pair is None:
@@ -400,12 +383,12 @@ def align_traces(
     states = _States()
     streams = []
     for trace, shuffle in ((trace_a, shuffle_a), (trace_b, shuffle_b)):
-        reading = _Reading(shuffle.alphabet, trace.order)  # refuses foreign letters
+        _ranks_of(trace.order, shuffle)  # refuses foreign letters
         if trace.order != shuffle.order:
             raise ValueError(f"trace order {_format(trace.order)} is not shuffle {shuffle}")
-        stream = _Signatures(shuffle, pair, states, reading)
-        stream.catch_up(*reading.follow(trace.log))
-        streams.append(stream.sigs)
+        stream = _Stream(shuffle, (pair,), states)
+        stream.follow(trace.log, 0)
+        streams.append(stream.sigs[pair])
     table = _witnesses(*streams)
     sa, sb = map(len, streams)
     count = _witness_count(table, sa, sb)
@@ -728,31 +711,34 @@ def check_trace_alignment_grid(
 ) -> Report:
     """Every adjacent-shuffle pair admits a step alignment on every word.
 
-    Each (shuffle pair) keeps one signature stream per side beside the walk,
-    over the alphabet's step states, which stay interned for later calls.
-    Each word counts its alignments afresh with ``_witnesses``: the exact
-    witness count, or ``AlignmentError`` text, that ``align_traces`` gives
-    on the word's separate traces, whose ``pairs`` hold one alignment of
-    several the way ``Alignment`` says.
+    Each lane keeps one ``_Stream`` beside the walk, with signatures for
+    every adjacent pair it is in, over the alphabet's step states, which stay
+    interned for later calls.  Per word the stream follows the lane's log in
+    place from the steps of the prefix the walk kept.  Each pair then counts
+    its alignments afresh with ``_witnesses``: the exact witness count, or
+    ``AlignmentError`` text, that ``align_traces`` gives on the word's
+    separate traces, whose ``pairs`` hold one alignment of several the way
+    ``Alignment`` says.
     """
     witness_histogram: dict[int, int] = {}
     lanes = _lanes(alphabet, REGULAR_REGULAR)
+    pairs = _adjacent_pairs(lanes)
     states = _step_states(alphabet)
-    readings = [_Reading(alphabet, lane.shuffle.order) for lane in lanes]
-    # per (lane, pair): a signature stream for each side
     streams = [
-        (i, j, _Signatures(lanes[i].shuffle, pair, states, readings[i]),
-         _Signatures(lanes[j].shuffle, pair, states, readings[j]))
-        for i, j, pair in _adjacent_pairs(lanes)
+        _Stream(lane.shuffle, [pair for i, j, pair in pairs if m in (i, j)], states)
+        for m, lane in enumerate(lanes)
     ]
+    held: tuple[int, ...] = ()
 
     def judge(word):
-        follows = [reading.follow(lane.log) for reading, lane in zip(readings, lanes)]
+        nonlocal held
+        # the walk kept each lane's steps of the prefix shared with the word before
+        shared, held = _common_prefix(held, word), word
+        for stream, lane in zip(streams, lanes):
+            stream.follow(lane.log, lane.marks[shared] if shared < len(word) else len(lane.log))
         failed = []
-        for i, j, sigs_a, sigs_b in streams:
-            sigs_a.catch_up(*follows[i])
-            sigs_b.catch_up(*follows[j])
-            a, b = sigs_a.sigs, sigs_b.sigs
+        for i, j, pair in pairs:
+            a, b = streams[i].sigs[pair], streams[j].sigs[pair]
             try:
                 count = _witness_count(_witnesses(a, b), len(a), len(b))
             except AlignmentError as exc:
@@ -762,7 +748,7 @@ def check_trace_alignment_grid(
                 ))
                 continue
             witness_histogram[count] = witness_histogram.get(count, 0) + 1
-        return len(streams), failed
+        return len(pairs), failed
 
     report = _word_grid("trace-alignment", alphabet, n, mode, lanes, judge)
     report.stats["witness_counts"] = {

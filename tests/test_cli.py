@@ -248,6 +248,16 @@ class TestVerify:
         assert payload["params"]["seed"] == 3
         assert payload["failures"] == []
 
+    def test_sampled_mode_defaults(self, capsys):
+        code, out = run(
+            capsys,
+            "--k", "1", "--l", "1", "--format", "json",
+            "verify", "--theorem", "2", "--n", "2", "--mode", "sample",
+        )
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert (params["samples"], params["seed"]) == (100, 0)
+
     def test_failures_exit_nonzero(self, capsys, monkeypatch):
         import superrsk.cli as cli
         from superrsk.verify import CaseFailure, Report
@@ -350,8 +360,16 @@ class TestVerify:
              "--theorem 2 runs every shuffle; drop --shuffle"),
             (["--variant", "dual-dual", "standardize", "--word", "t1,u1,u1"],
              "standardize takes no --variant; drop --variant"),
+            (["verify", "--theorem", "2", "--n", "1", "--seed", "3"],
+             "only --mode sample reads --seed; drop --seed"),
+            (["verify", "--theorem", "lemma2.15", "--n", "1", "--mode", "exhaustive",
+              "--samples", "5"],
+             "only --mode sample reads --samples; drop --samples"),
+            (["verify", "--theorem", "theorem3", "--n", "1", "--samples", "5", "--seed", "0"],
+             "only --mode sample reads --samples; drop --samples"),
         ],
-        ids=["verify-shuffle", "standardize-variant"],
+        ids=["verify-shuffle", "standardize-variant", "verify-seed", "verify-samples",
+             "exhaustive-only-samples"],
     )
     def test_dropped_options_are_refused_by_name(self, capsys, argv, message):
         code = main(["--k", "2", "--l", "2", *argv])

@@ -700,11 +700,17 @@ def recorded_alignments(alphabet, n, mode, words=None):
     return report, seen
 
 
+def adjacent_pairs(alphabet):
+    """The adjacent shuffle pairs (a, b), a first in ``all_shuffles``."""
+    shuffles = all_shuffles(alphabet)
+    return [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
+
+
 def reference_alignments(alphabet, words):
     """``align_traces`` on separate ``insert_word`` traces, per word and
     adjacent pair: the witness count, or the AlignmentError's message."""
     shuffles = all_shuffles(alphabet)
-    pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
+    pairs = adjacent_pairs(alphabet)
     letters = alphabet.letters()
     out = []
     for word in words:
@@ -716,24 +722,18 @@ def reference_alignments(alphabet, words):
     return out
 
 
-def walked_streams(alphabet, words):
-    """Per word of the walk: each (lane, pair) stream kept along it."""
+def recorded_tables(run, words=None):
+    """Each table ``_witnesses`` builds while ``run()`` runs, in order, with
+    ``words`` as the grid's word list if given."""
     import superrsk.verify as verify
 
-    lanes = verify._lanes(alphabet, REGULAR_REGULAR)
-    states = verify._States()
-    readings = [verify._Reading(alphabet, lane.shuffle.order) for lane in lanes]
-    streams = [
-        (lanes[i], lanes[j], verify._Signatures(lanes[i].shuffle, pair, states, readings[i]),
-         verify._Signatures(lanes[j].shuffle, pair, states, readings[j]), pair)
-        for i, j, pair in verify._adjacent_pairs(lanes)
-    ]
-    for _ in verify._walk(iter(words), lanes):
-        follows = {lane: reading.follow(lane.log) for lane, reading in zip(lanes, readings)}
-        for a, b, sigs_a, sigs_b, _ in streams:
-            sigs_a.catch_up(*follows[a])
-            sigs_b.catch_up(*follows[b])
-        yield states, streams
+    tables, original = [], verify._witnesses
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_witnesses", lambda a, b: tables.append(original(a, b)) or tables[-1])
+        if words is not None:
+            patch.setattr(verify, "_words", lambda *args: iter(words))
+        run()
+    return tables
 
 
 class TestSignatureStreams:
@@ -763,46 +763,86 @@ class TestSignatureStreams:
         assert any(isinstance(outcome, str) for outcome in seen)
 
     @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
-    def test_streams_equal_signatures_built_afresh(self, k, l):
+    def test_streams_equal_signatures_built_afresh(self, k, l, monkeypatch):
         # a stream that follows the walk holds what a new stream builds from the log
         import superrsk.verify as verify
 
         alphabet = Alphabet(k, l)
         words = [*WALK_WORDS, *product(range(k + l), repeat=3), (1,), (1, 0)]
-        for states, streams in walked_streams(alphabet, words):
-            for a, b, sigs_a, sigs_b, pair in streams:
-                for lane, stream in ((a, sigs_a), (b, sigs_b)):
-                    reading = verify._Reading(alphabet, lane.shuffle.order)
-                    fresh = verify._Signatures(lane.shuffle, pair, states, reading)
-                    assert reading.follow(lane.log) == (0, 0)
-                    fresh.catch_up(0, 0)
-                    assert stream.sigs == fresh.sigs and stream.ids == fresh.ids
+        init, follow = verify._Stream.__init__, verify._Stream.follow
+        made, followed = {}, []
+
+        def recording(self, shuffle, pairs, states):
+            init(self, shuffle, pairs, states)
+            made[self] = (shuffle, list(self.sigs), states)
+
+        def checked(self, log, kept):
+            follow(self, log, kept)
+            fresh = verify._Stream(*made[self])
+            follow(fresh, log, 0)
+            assert (self.pending, self.ids, self.sigs) == (fresh.pending, fresh.ids, fresh.sigs)
+            followed.append((kept, len(log)))
+
+        monkeypatch.setattr(verify._Stream, "__init__", recording)
+        monkeypatch.setattr(verify._Stream, "follow", checked)
+        monkeypatch.setattr(verify, "_words", lambda *args: iter(words))
+        assert check_trace_alignment_grid(alphabet, 3).passed
+        assert len(followed) == len(words) * len(all_shuffles(alphabet))
+        # some words keep part of the log, and the repeated word all of it
+        assert any(0 < kept < size for kept, size in followed)
+        assert any(0 < kept == size for kept, size in followed)
 
     @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
     def test_witness_tables_of_walked_streams_equal_those_of_separate_traces(self, k, l):
         # a grid case counts on the table that align_traces counts on, and
         # every step pair of these words is reached by one alignment or none
-        import superrsk.verify as verify
-
         alphabet = Alphabet(k, l)
-        letters = alphabet.letters()
         words = [*WALK_WORDS, *product(range(k + l), repeat=3)]
-        walked = 0
-        for word, (states, streams) in zip(words, walked_streams(alphabet, words)):
-            v = Word(tuple(letters[i] for i in word))
-            for a, b, sigs_a, sigs_b, pair in streams:
-                separate = []
-                for lane in (a, b):
-                    trace = insert_word(v, lane.shuffle, REGULAR_REGULAR).trace
-                    reading = verify._Reading(alphabet, trace.order)
-                    stream = verify._Signatures(lane.shuffle, pair, states, reading)
-                    stream.catch_up(*reading.follow(trace.log))
-                    separate.append(stream.sigs)
-                table = verify._witnesses(sigs_a.sigs, sigs_b.sigs)
-                assert table == verify._witnesses(*separate)
-                assert all(count == 1 for row in table for count in row.values())
-            walked += 1
-        assert walked == len(words)
+        walked = recorded_tables(lambda: check_trace_alignment_grid(alphabet, 3), words)
+        separate = recorded_tables(lambda: reference_alignments(alphabet, words))
+        assert walked == separate and len(walked) == len(words) * len(adjacent_pairs(alphabet))
+        assert all(count == 1 for table in walked for row in table for count in row.values())
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["sound", "faulty"])
+    @pytest.mark.parametrize(
+        "k,l,n,mode,order",
+        [
+            (1, 1, 2, Sample(50, 0), "t1<u1"),
+            (1, 1, 4, Sample(50, 0), "t1<u1"),
+            (2, 2, 4, "exhaustive", "t1<u1<t2<u2"),
+            (3, 2, 3, "exhaustive", "t1<u1<t2<u2<t3"),
+        ],
+        ids=["A11-n2-sampled", "A11-n4-sampled", "A22-n4", "A32-n3"],
+    )
+    def test_grid_report_equals_align_traces_word_by_word(
+        self, k, l, n, mode, order, fault, monkeypatch
+    ):
+        # the kept step count stands in for comparing logs: the report must be
+        # what align_traces gives on each word's separate traces, also when a
+        # sample repeats a word back to back and the whole log is kept
+        alphabet = Alphabet(k, l)
+        if fault:
+            install_fault(monkeypatch, alphabet, order)
+        words = reference_words(alphabet, n, mode)
+        if mode != "exhaustive":
+            assert any(a == b for a, b in zip(words, words[1:]))
+        report = check_trace_alignment_grid(alphabet, n, mode)
+        counts, failures = {}, []
+        for word in words:
+            traces = {s: insert_word(word, s, REGULAR_REGULAR).trace for s in all_shuffles(alphabet)}
+            for a, b in adjacent_pairs(alphabet):
+                outcome = alignment_outcome(align_traces, traces[a], a, traces[b], b)
+                if isinstance(outcome, str):
+                    failures.append(CaseFailure(
+                        str(word), f"{a} | {b}", REGULAR_REGULAR.name,
+                        "an alignment with equivalent matched states", outcome,
+                    ))
+                else:
+                    counts[outcome.witness_count] = counts.get(outcome.witness_count, 0) + 1
+        assert report.cases_run == len(words) * len(adjacent_pairs(alphabet))
+        assert report.stats["witness_counts"] == {str(c): v for c, v in sorted(counts.items())}
+        assert report.failures == tuple(failures)
+        assert bool(failures) == (fault and n > 2)
 
     def test_witness_tables_count_every_alignment_of_synthetic_streams(self):
         # streams over two signatures match often, so many counts exceed 1,
@@ -841,16 +881,25 @@ class TestSignatureStreams:
             most = max(most, *reached.values(), 0)
         assert most > 4 and emptied > 5
 
-    def test_a_settle_revised_by_the_next_letter_is_reported_changed(self, a22):
+    def test_a_settle_revised_by_the_next_letter_is_signed_again(self, a22, monkeypatch):
         import superrsk.verify as verify
 
-        lane = verify._lanes(a22, REGULAR_REGULAR)[0]
-        reading = verify._Reading(a22, lane.shuffle.order)
+        lanes = verify._lanes(a22, REGULAR_REGULAR)
+        lane, pairs = lanes[0], [pair for i, _, pair in verify._adjacent_pairs(lanes) if i == 0]
+        stream = verify._Stream(lane.shuffle, pairs, verify._States())
+        calls = count_calls(monkeypatch, verify._States, "signature")
         lane.push(0)  # t1 settles in (1, 1) with nothing pending
-        assert reading.follow(lane.log) == (0, 0) and reading.pending == [None]
-        assert reading.follow(lane.log) == (1, 1)  # nothing changed
+        stream.follow(lane.log, 0)
+        assert stream.pending == [None] and calls["signature"] == len(pairs) == 1
+        first = {pair: sigs[:] for pair, sigs in stream.sigs.items()}
+        stream.follow(lane.log, 1)  # nothing changed, so nothing is signed
+        assert calls["signature"] == 1 and stream.sigs == first
         lane.push(2)  # the settle's pending action becomes u1's entry
-        assert reading.follow(lane.log) == (1, 0) and reading.pending == [(2, 1), None]
+        stream.follow(lane.log, 1)
+        assert stream.pending == [(2, 1), None]
+        # the kept settle and the new step, per pair
+        assert calls["signature"] == 1 + 2 * len(pairs)
+        assert all(stream.sigs[pair][0] != first[pair][0] for pair in pairs)
 
     def test_each_step_signature_is_built_once_per_trie_node(self, a22, monkeypatch):
         import superrsk.verify as verify
@@ -890,10 +939,10 @@ class TestSignatureStreams:
 
     def test_each_lane_log_is_read_once_per_word(self, a22, monkeypatch):
         # a lane's kept prefix and pending actions do not depend on the pair,
-        # so the streams of every pair the lane is in share one reading of it
+        # so one stream follows the lane for every pair it is in
         import superrsk.verify as verify
 
-        calls = count_calls(monkeypatch, verify._Reading, "follow", "_pending")
+        calls = count_calls(monkeypatch, verify._Stream, "follow", "_pending")
         assert check_trace_alignment_grid(a22, 4).passed
         shuffles = all_shuffles(a22)
         new_steps = sum(
@@ -947,13 +996,13 @@ class TestSharedStepStates:
         import superrsk.verify as verify
 
         held = []
-        init = verify._Signatures.__init__
+        init = verify._Stream.__init__
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
             held.append(self.states)
 
-        monkeypatch.setattr(verify._Signatures, "__init__", recording)
+        monkeypatch.setattr(verify._Stream, "__init__", recording)
         check_trace_alignment_grid(a22, 2)
         shared = verify._step_states(a22)
         size = (len(shared.edges), len(shared.states), len(shared.sigs))
