@@ -23,7 +23,8 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   a shuffle holding a letter outside the alphabet;
 - ``--format json hook-schur`` for every shape of 6 and 7 cells under every
   shuffle at (k, l) = (3, 3), the benchmark's hook-schur grid and one size
-  below it;
+  below it, first with no ``--variant`` (reg-reg) and then under each other
+  variant;
 - ``--format json hook-schur`` for every shape of 1 to 4 cells under every
   shuffle and variant at (k, l) in {(2, 2), (2, 1)} (checkouts that count
   reg-reg fillings only refuse the other variants);
@@ -192,13 +193,15 @@ def matrix(claims: dict) -> list[list[str]]:
     runs.append([
         "--k", "2", "--l", "2", "--shuffle", "t1<u1<t2<u3", "hook-schur", "--shape", "2,1",
     ])
-    for n in (6, 7):
-        for shape in partitions(n, n):
-            for chain in chains(3, 3):
-                runs.append([
-                    "--k", "3", "--l", "3", "--shuffle", chain, "--format", "json",
-                    "hook-schur", "--shape", ",".join(map(str, shape)),
-                ])
+    for variant in VARIANTS:  # reg-reg rows carry no --variant
+        varied = [] if variant == "reg-reg" else ["--variant", variant]
+        for n in (6, 7):
+            for shape in partitions(n, n):
+                for chain in chains(3, 3):
+                    runs.append([
+                        "--k", "3", "--l", "3", "--shuffle", chain, *varied, "--format", "json",
+                        "hook-schur", "--shape", ",".join(map(str, shape)),
+                    ])
     for k, l in ((2, 2), (2, 1)):
         for chain in chains(k, l):
             for variant in VARIANTS:

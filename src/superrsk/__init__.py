@@ -37,7 +37,6 @@ from .insertion import (
     Step,
     Variant,
     Word,
-    all_words,
     insert_letter,
     insert_word,
     parse_variant,

@@ -138,6 +138,7 @@ class Shuffle:
     def __post_init__(self) -> None:
         order = tuple(self.order)
         object.__setattr__(self, "order", order)
+        _check_letters((order,), "shuffle")
         expected = self.alphabet.letters()
         if len(order) != len(expected) or set(order) != set(expected):
             raise ValueError(

@@ -24,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .alphabet import Alphabet, Letter, Shuffle, _check_letters, _parse_letters
@@ -51,7 +50,6 @@ __all__ = [
     "VARIANTS",
     "parse_word",
     "parse_variant",
-    "all_words",
     "variant_profile",
     "insert_letter",
     "insert_word",
@@ -85,12 +83,6 @@ class Word:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a comma-separated word like "u2,t1,t2,u1"; whitespace is ignored."""
     return Word(_parse_letters(text, ",", alphabet))
-
-
-def all_words(alphabet: Alphabet, n: int) -> Iterator[Word]:
-    """All (k+l)^n words of length n, in product order over the alphabet."""
-    for combo in product(alphabet.letters(), repeat=n):
-        yield Word(combo)
 
 
 _RULES = ("regular", "dual")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import factorial
 
 from .alphabet import Alphabet, Shuffle
@@ -29,6 +29,8 @@ __all__ = [
 
 def partitions(n: int) -> list[Shape]:
     """All partitions of n in reverse lexicographic order; n=0 gives the empty shape."""
+    if type(n) is not int:  # a bool is an int to isinstance
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
     result: list[Shape] = []
@@ -206,7 +208,8 @@ def _strip_table(shape: Shape) -> dict[tuple[str, Shape, bool], list]:
     """The strip lists inside one shape, keyed by (kind, sub-shape, outward).
 
     They depend on nothing else, so the walks of every shuffle and variant
-    share them; ``hook_schur`` fills the table as its walks ask for entries.
+    share them; ``hook_schur``'s backward walk fills the inward entries and
+    its forward walk the outward ones, as they ask for them.
     """
     return {}
 
@@ -235,15 +238,13 @@ def hook_schur(
     The walk meets in the middle.  The second half of the shuffle is walked
     backward from ``{shape}``, removing one strip per letter from the last,
     which gives for each sub-shape mu the exponent vectors, with counts, of
-    the chains from mu up to ``shape``.  The sub-shapes from which the first
-    half can still reach one of those mu are found the same way, without
-    terms.  The first half is then walked forward from the empty shape over
-    those live sub-shapes only, and the two halves are joined at each mu.
-    Each walk costs one step per (sub-shape, strip, term) rather than
-    one per filling.  The strip lists, both ways, depend only on (shape,
-    sub-shape, strip kind), so one table per shape, kept for a bounded
-    number of shapes, serves the calls of every shuffle and variant; no
-    polynomial, chain or live set outlives a call.
+    the chains from mu up to ``shape``.  The first half is walked forward
+    from the empty shape the same way, and the two halves are joined at each
+    mu that both reach.  Each walk costs one step per (sub-shape, strip,
+    term) rather than one per filling.  The strip lists, both ways, depend
+    only on (shape, sub-shape, strip kind), so one table per shape, kept for
+    a bounded number of shapes, serves the calls of every shuffle and
+    variant; no polynomial or chain outlives a call.
 
     The result does not depend on the shuffle (Corollary 4); the walk follows
     the given order, so the harness's invariance check compares genuinely
@@ -284,15 +285,12 @@ def hook_schur(
     ]
     half = len(steps) // 2
 
-    def walk(chains, steps, outward, keep):
-        """Add (outward) or remove one strip per step, keeping at step p only
-        the sub-shapes in keep[p] (all of them where it is None)."""
-        for (kind, offset), targets in zip(steps, keep):
+    def walk(chains, steps, outward):
+        """Add (outward) or remove one strip per step."""
+        for kind, offset in steps:
             extended: dict[Shape, dict[int, int]] = {}
             for mu, terms in chains.items():
                 for nu, size in strips(kind, mu, outward):
-                    if targets is not None and nu not in targets:
-                        continue
                     target = extended.setdefault(nu, {})
                     shift = size << offset
                     for key, count in terms.items():
@@ -302,16 +300,9 @@ def hook_schur(
         return chains
 
     # back[mu]: the chains from mu after the first half up to shape
-    back = walk({shape: {0: 1}}, steps[half:][::-1], False, repeat(None))
-    # live[p]: the sub-shapes after letter p of the first half from which
-    # its later letters can still reach some mu of back
-    live: list[set[Shape]] = []
-    reach = set(back)
-    for kind, _ in reversed(steps[:half]):
-        live.append(reach)
-        reach = {mu for nu in reach for mu, _ in strips(kind, nu, False)}
-    live.reverse()
-    front = walk({(0,) * len(shape): {0: 1}}, steps[:half], True, live)
+    back = walk({shape: {0: 1}}, steps[half:][::-1], False)
+    # front[mu]: the chains from the empty shape up to mu, joined where back has mu
+    front = walk({(0,) * len(shape): {0: 1}}, steps[:half], True)
 
     terms: dict[int, int] = {}
     for mu, heads in front.items():

@@ -92,11 +92,6 @@ class Tableau(_Diagram):
         object.__setattr__(self, "rows", rows)
         _check_diagram(rows)
 
-    def cells(self) -> Iterator[Cell]:
-        for r, row in enumerate(self.rows, 1):
-            for c in range(1, len(row) + 1):
-                yield (r, c)
-
     def items(self) -> Iterator[tuple[Cell, Letter]]:
         for r, row in enumerate(self.rows, 1):
             for c, letter in enumerate(row, 1):

@@ -459,8 +459,9 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
     Yields each word once every lane holds its insertion and has passed the
     diagram check.  Each lane is taken back to the shared prefix in one step
     when the next word is drawn, so a reader copies whatever it keeps.  In
-    ``all_words`` order this makes one insertion per node of the word trie,
-    (k+l) + (k+l)^2 + ... + (k+l)^n per lane, instead of n (k+l)^n.
+    product order over alphabet indices this makes one insertion per node of
+    the word trie, (k+l) + (k+l)^2 + ... + (k+l)^n per lane, instead of
+    n (k+l)^n.
     """
     held: tuple[int, ...] = ()
     pushes = [(lane.push, lane.rank) for lane in lanes]
@@ -502,6 +503,8 @@ def _report(
     ``CaseFailure`` for one failed case, and a ``_GridFailure`` for a finding
     recorded without counting a case.  ``stats`` may be filled meanwhile.
     """
+    if type(n) is not int:  # a bool is an int to isinstance
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
     start = time.perf_counter()
@@ -538,8 +541,9 @@ def _word_grid(
     """Walk every word of length n, or a seeded sample, through the lanes and
     judge each one.
 
-    Words are alphabet-index tuples, in ``all_words`` order when exhaustive;
-    where ``keep`` is given, only the words it accepts are walked.
+    Words are alphabet-index tuples, in product order over alphabet indices
+    when exhaustive; where ``keep`` is given, only the words it accepts are
+    walked.
     ``judge(word)``, called once every lane holds the word, returns the
     word's case count and its failed cases as (shuffles, variant, expected,
     actual) records.

@@ -1,4 +1,5 @@
-"""Per-word references for the claims the verify grids check, and tableau weights.
+"""Per-word references for the claims the verify grids check, the word list
+they walk, and tableau weights.
 
 The library checks each claim on the rank-level walk shared by the word
 grids.  These helpers check one word at a time, the literal way: they insert
@@ -9,7 +10,8 @@ the grids (and ``hook_schur``) against the definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator
 
 from superrsk import (
     REGULAR_DUAL,
@@ -33,6 +35,16 @@ from superrsk.insertion import _ranks_of
 from superrsk.polynomial import Monomial
 from superrsk.tableau import _check_pair, _is_prefix_grid
 from superrsk.verify import _cells_ok, _paths_ok
+
+
+# ---------------------------------------------------------------------------
+# words
+
+
+def all_words(alphabet: Alphabet, n: int) -> Iterator[Word]:
+    """All (k+l)^n words of length n, in product order over the alphabet."""
+    for combo in product(alphabet.letters(), repeat=n):
+        yield Word(combo)
 
 
 # ---------------------------------------------------------------------------

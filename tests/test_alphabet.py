@@ -92,11 +92,14 @@ class TestLetter:
         assert Letter._make(("u", 2)) == u(2) and type(Letter._make(("u", 2))) is Letter
 
     @pytest.mark.parametrize("entry", [("t", 1), ["t", 1], "t1", None, 1], ids=repr)
-    def test_words_and_tableaux_refuse_what_is_not_a_letter(self, entry):
+    def test_words_tableaux_and_shuffles_refuse_what_is_not_a_letter(self, entry):
         with pytest.raises(ValueError, match=r"^word entries must be letters, got "):
             Word((t(1), entry))
         with pytest.raises(ValueError, match=r"^tableau entries must be letters, got "):
             Tableau(((t(1), u(1)), (entry,)))
+        # a plain tuple hashes as its letter, so the set of letters alone passes it
+        with pytest.raises(ValueError, match=r"^shuffle entries must be letters, got "):
+            Shuffle(Alphabet(1, 1), (entry, u(1)))
 
     def test_a_plain_tuple_word_is_not_inserted(self):
         shuffle = all_shuffles(Alphabet(2, 2))[0]

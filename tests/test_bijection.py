@@ -1,7 +1,13 @@
 import pytest
 
 from conftest import rec, tab
-from oracles import check_standardization_mimicry, content_type, standardize, unmap_tableau
+from oracles import (
+    all_words,
+    check_standardization_mimicry,
+    content_type,
+    standardize,
+    unmap_tableau,
+)
 from superrsk import (
     REGULAR_DUAL,
     REGULAR_REGULAR,
@@ -11,7 +17,6 @@ from superrsk import (
     Tableau,
     Word,
     all_shuffles,
-    all_words,
     change_shuffle,
     enumerate_ssyt,
     enumerate_syt,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rec, tab
-from oracles import order_adjacent_pairs, region2_shape_ok
+from oracles import all_words, order_adjacent_pairs, region2_shape_ok
 from superrsk import (
     DUAL_DUAL,
     DUAL_REGULAR,
@@ -20,7 +20,6 @@ from superrsk import (
     Tableau,
     Word,
     all_shuffles,
-    all_words,
     insert_letter,
     insert_word,
     is_standard,

@@ -8,6 +8,9 @@ import pytest
 from conftest import tab
 from oracles import weight_monomial
 from superrsk import (
+    DUAL_DUAL,
+    DUAL_REGULAR,
+    REGULAR_DUAL,
     REGULAR_REGULAR,
     VARIANTS,
     Alphabet,
@@ -60,8 +63,13 @@ class TestPartitions:
                 assert all(a >= b for a, b in zip(shape, shape[1:]))
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
             partitions(-1)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "3", None], ids=repr)
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            partitions(n)
 
 
 def brute_force_fillings(shape, alphabet):
@@ -364,6 +372,32 @@ class TestHookSchurAgainstEnumeration:
                     for shape in partitions(n)
                 )
                 assert total == (k + l) ** n
+
+
+def transpose(shape):
+    """The conjugate shape: its rows are the columns of ``shape``."""
+    return tuple(sum(1 for length in shape if length > c) for c in range(shape[0] if shape else 0))
+
+
+class TestTransposeDuality:
+    """Each variant's walk held against another variant's on the transposed shape."""
+
+    @pytest.mark.parametrize("k,l,max_n", [(2, 2, 6), (3, 1, 6), (1, 3, 6), (3, 3, 6), (2, 3, 6)])
+    def test_swapping_both_rules_transposes_the_shape(self, k, l, max_n):
+        # transposing a chain of shapes turns every horizontal strip into a
+        # vertical one and back, as swapping the rule of both kinds does
+        alph = Alphabet(k, l)
+        filled = 0
+        for n in range(max_n + 1):
+            for shape in partitions(n):
+                flipped = transpose(shape)
+                for shuffle in all_shuffles(alph):
+                    dual = hook_schur(shape, alph, shuffle, DUAL_DUAL)
+                    assert dual == hook_schur(flipped, alph, shuffle, REGULAR_REGULAR)
+                    mixed = hook_schur(shape, alph, shuffle, DUAL_REGULAR)
+                    assert mixed == hook_schur(flipped, alph, shuffle, REGULAR_DUAL)
+                    filled += bool(dual.sorted_terms()) + bool(mixed.sorted_terms())
+        assert filled
 
 
 class TestMeetInTheMiddle:

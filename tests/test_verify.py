@@ -10,6 +10,7 @@ import pytest
 from conftest import tab
 from oracles import (
     _restricted_p,
+    all_words,
     check_cell_monotonicity,
     check_dual_regular_agreement,
     check_path_monotonicity,
@@ -32,7 +33,6 @@ from superrsk import (
     adjacent_transposition,
     align_traces,
     all_shuffles,
-    all_words,
     change_shuffle,
     enumerate_ssyt,
     enumerate_syt,
@@ -348,6 +348,15 @@ class TestReports:
             check_shape_invariance(a22, -1, REGULAR_REGULAR, Sample(3, 0))
         with pytest.raises(ValueError, match="n must be non-negative"):
             check_hook_schur_invariance(a22, -1)
+
+    @pytest.mark.parametrize("n", [True, 2.0], ids=repr)
+    def test_non_integer_length_rejected_by_every_claim(self, n):
+        # a bool would otherwise run as n=1 and be reported as "n": true
+        from superrsk.cli import _CLAIMS
+
+        for token in _CLAIMS:
+            with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+                run_token(token, Alphabet(1, 1), n)
 
     def test_other_grids_small(self, a22):
         assert check_path_monotonicity_grid(a22, 3).passed
