@@ -25,6 +25,10 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   shuffle at (k, l) = (3, 3), the benchmark's hook-schur grid and one size
   below it, first with no ``--variant`` (reg-reg) and then under each other
   variant;
+- ``hook-schur`` for every shape of 1 to 8 cells under every shuffle at
+  (k, l) in {(3, 0), (0, 3), (3, 1)}, in both output formats, where one
+  alphabet side is empty or short and the exponent fields are 1 to 4 bits
+  wide;
 - ``--format json hook-schur`` for every shape of 1 to 4 cells under every
   shuffle and variant at (k, l) in {(2, 2), (2, 1)} (checkouts that count
   reg-reg fillings only refuse the other variants);
@@ -202,6 +206,15 @@ def matrix(claims: dict) -> list[list[str]]:
                         "--k", "3", "--l", "3", "--shuffle", chain, *varied, "--format", "json",
                         "hook-schur", "--shape", ",".join(map(str, shape)),
                     ])
+    for k, l in ((3, 0), (0, 3), (3, 1)):
+        for chain in chains(k, l):
+            for n in range(1, 9):
+                for shape in partitions(n, n):
+                    for fmt in ("json", "text"):
+                        runs.append([
+                            "--k", str(k), "--l", str(l), "--shuffle", chain, "--format", fmt,
+                            "hook-schur", "--shape", ",".join(map(str, shape)),
+                        ])
     for k, l in ((2, 2), (2, 1)):
         for chain in chains(k, l):
             for variant in VARIANTS:

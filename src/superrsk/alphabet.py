@@ -129,14 +129,20 @@ class Shuffle:
     """A total order on an alphabet's letters, smallest first.
 
     The order must contain every letter exactly once and keep both the t-chain
-    and the u-chain increasing.
+    and the u-chain increasing.  Any malformed argument, a non-``Alphabet``
+    alphabet or a non-iterable order included, raises ``ValueError``.
     """
 
     alphabet: Alphabet
     order: tuple[Letter, ...]
 
     def __post_init__(self) -> None:
-        order = tuple(self.order)
+        if not isinstance(self.alphabet, Alphabet):
+            raise ValueError(f"shuffle alphabet must be an Alphabet, got {self.alphabet!r}")
+        try:
+            order = tuple(self.order)
+        except TypeError:
+            raise ValueError(f"shuffle order must be iterable, got {self.order!r}") from None
         object.__setattr__(self, "order", order)
         _check_letters((order,), "shuffle")
         expected = self.alphabet.letters()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -198,29 +199,37 @@ def _build_strips(shape: Shape, kind: str, mu: Shape, outward: bool) -> list:
 # Shapes whose strip tables outlive a call.  A Corollary 4 check walks every
 # partition of n under every shuffle (15 shapes at n = 7, 42 at n = 10).
 _KEPT_SHAPES = 64
-# Decoded monomials that outlive a call.  Six letters with exponents summing
-# to 7 give 792 of them.
+# (k, l, field width) triples whose decoded monomials outlive a call, and
+# the monomials kept per triple before the next call empties them.  Six
+# letters with exponents summing to 7 give 792 of them.
+_KEPT_WIDTHS = 8
 _KEPT_TERMS = 4096
+# taken by every miss of a strip table, which rechecks under it, then numbers
+# the new sub-shapes and grows the lists before it stores the strips; walks
+# read the lists without it
+_NUMBERING = threading.Lock()
 
 
 @lru_cache(maxsize=_KEPT_SHAPES)
-def _strip_table(shape: Shape) -> dict[tuple[str, Shape, bool], list]:
-    """The strip lists inside one shape, keyed by (kind, sub-shape, outward).
-
+def _strip_table(shape: Shape) -> tuple[dict[Shape, int], list[Shape], dict]:
+    """``(ids, subs, lists)``: the sub-shapes of one shape met so far, numbered
+    (zero-padded sub-shape -> int id, and id -> sub-shape) from ``shape``
+    (id 0) and the empty shape, and per (kind, outward) a list, indexed by
+    id, of each sub-shape's ``(nu_id, size)`` strips, None until built.
     They depend on nothing else, so the walks of every shuffle and variant
-    share them; ``hook_schur``'s backward walk fills the inward entries and
-    its forward walk the outward ones, as they ask for them.
+    share them, building the lists they ask for under ``_NUMBERING``.
     """
+    subs = list(dict.fromkeys((shape, (0,) * len(shape))))
+    lists = {(kind, outward): [None] * len(subs) for kind in "tu" for outward in (False, True)}
+    return {mu: i for i, mu in enumerate(subs)}, subs, lists
+
+
+@lru_cache(maxsize=_KEPT_WIDTHS)
+def _monomials(k: int, l: int, bits: int) -> dict[int, Monomial]:
+    """Packed keys at one (k, l, bits) and their monomials, as ``hook_schur``
+    decodes them; it empties the dict once it holds over ``_KEPT_TERMS``, so
+    one holds at most that many and one result's terms."""
     return {}
-
-
-@lru_cache(maxsize=_KEPT_TERMS)
-def _monomial(key: int, k: int, l: int, bits: int) -> Monomial:
-    """The monomial of a packed exponent vector: k x-fields, then l y-fields,
-    each ``bits`` wide, lowest first."""
-    mask = (1 << bits) - 1
-    exponents = [key >> i * bits & mask for i in range(k + l)]
-    return tuple.__new__(Monomial, (tuple(exponents[:k]), tuple(exponents[k:])))
 
 
 def hook_schur(
@@ -244,7 +253,8 @@ def hook_schur(
     term) rather than one per filling.  The strip lists, both ways, depend
     only on (shape, sub-shape, strip kind), so one table per shape, kept for
     a bounded number of shapes, serves the calls of every shuffle and
-    variant; no polynomial or chain outlives a call.
+    variant; it numbers the sub-shapes it meets, and the walks key their
+    chains by those int ids.  No polynomial or chain outlives a call.
 
     The result does not depend on the shuffle (Corollary 4); the walk follows
     the given order, so the harness's invariance check compares genuinely
@@ -253,73 +263,115 @@ def hook_schur(
     tests hold this against.  A letter of the shuffle outside ``alphabet``
     raises ``ValueError`` when some filling of the shape uses it.
 
-    Exponent vectors are packed ints with one bit field per letter, placed
-    in alphabet order (t1..tk, then u1..ul), so a key's low k fields are its
-    x-part and the rest its y-part.  Each letter's field lies in one half, so
-    adding a first-half key to a second-half key multiplies the monomials.
-    Each distinct key is decoded into a ``Monomial`` once per process, for a
-    bounded number of keys, and the results share those monomials.
+    Exponent vectors are packed ints with one bit field per letter, t1 in
+    the top field and on down in alphabet order (t1..tk, then u1..ul), so a
+    larger key is a larger ``Monomial``, and the terms are emitted in
+    ``sorted_terms`` order.  Each letter's field lies in one half, so adding
+    a first-half key to a second-half key multiplies the monomials.  A key
+    is decoded by one lookup in a dict of monomials per (k, l, field width),
+    kept for a bounded number of keys; the results share those monomials.
     """
     shape = check_shape(shape)
-    table = _strip_table(shape)
+    ids, subs, lists = _strip_table(shape)
 
-    def strips(kind: str, mu: Shape, outward: bool) -> list:
-        key = (kind, mu, outward)
-        found = table.get(key)
-        if found is None:
-            found = table[key] = _build_strips(shape, kind, mu, outward)
+    def fill(table: list, kind: str, mu: int, outward: bool) -> list:
+        """Sub-shape mu's strips, built once, numbering what they reach."""
+        with _NUMBERING:
+            found = table[mu]
+            if found is None:  # no other thread took it first
+                found = []
+                for nu, size in _build_strips(shape, kind, subs[mu], outward):
+                    if nu not in ids:
+                        subs.append(nu)
+                        for other in lists.values():
+                            other.append(None)
+                        ids[nu] = len(subs) - 1
+                    found.append((ids[nu], size))
+                table[mu] = found
         return found
 
-    # letter p of the alphabet owns the bit field at p * bits, wide enough
-    # for a count up to |shape|; a shuffle letter outside the alphabet gets
-    # a field past the alphabet's, in shuffle order
+    # alphabet letter p (t1 = 0, ..., then u1, ...) owns the bit field at
+    # (k + l - 1 - p) * bits, wide enough for a count up to |shape|; a shuffle
+    # letter outside the alphabet gets one above those, in shuffle order
+    k, l = alphabet.k, alphabet.l
     bits = sum(shape).bit_length()
-    outside = [letter for letter in shuffle.order if letter not in alphabet]
-    field = {letter: p for p, letter in enumerate(alphabet.letters() + tuple(outside))}
+    outside, fields = [], []
+    for letter in shuffle.order:
+        kind, index = letter
+        if kind == "t" and index <= k:
+            fields.append(k + l - index)
+        elif kind == "u" and index <= l:
+            fields.append(l - index)
+        else:
+            fields.append(k + l + len(outside))
+            outside.append(letter)
     # from is_valid's per-rank table: a letter strict in rows adds a vertical
     # strip (kind "u"), any other a horizontal one (kind "t")
     strict_in_rows = _strict_in_rows(shuffle, variant_profile(variant))
     steps = [
-        ("u" if strict else "t", field[letter] * bits)
-        for letter, strict in zip(shuffle.order, strict_in_rows)
+        ("u" if strict else "t", field * bits) for field, strict in zip(fields, strict_in_rows)
     ]
     half = len(steps) // 2
 
     def walk(chains, steps, outward):
         """Add (outward) or remove one strip per step."""
         for kind, offset in steps:
-            extended: dict[Shape, dict[int, int]] = {}
+            table = lists[kind, outward]
+            extended: dict[int, dict[int, int]] = {}
             for mu, terms in chains.items():
-                for nu, size in strips(kind, mu, outward):
-                    target = extended.setdefault(nu, {})
+                found = table[mu]
+                if found is None:
+                    found = fill(table, kind, mu, outward)
+                pairs = terms.items()
+                for nu, size in found:
+                    target = extended.get(nu)
+                    if target is None:
+                        target = extended[nu] = {}
+                    get = target.get
                     shift = size << offset
-                    for key, count in terms.items():
+                    for key, count in pairs:
                         key += shift
-                        target[key] = target.get(key, 0) + count
+                        target[key] = get(key, 0) + count
             chains = extended
         return chains
 
     # back[mu]: the chains from mu after the first half up to shape
-    back = walk({shape: {0: 1}}, steps[half:][::-1], False)
+    back = walk({0: {0: 1}}, steps[half:][::-1], False)
     # front[mu]: the chains from the empty shape up to mu, joined where back has mu
-    front = walk({(0,) * len(shape): {0: 1}}, steps[:half], True)
+    front = walk({ids[(0,) * len(shape)]: {0: 1}}, steps[:half], True)
 
     terms: dict[int, int] = {}
+    get = terms.get
+    tails_of = back.get
     for mu, heads in front.items():
-        tails = back.get(mu, {})
+        tails = tails_of(mu)
+        if tails is None:
+            continue
+        tails = tails.items()
         for head, count in heads.items():
-            for tail, other in tails.items():
+            for tail, other in tails:
                 key = head + tail
-                terms[key] = terms.get(key, 0) + count * other
+                terms[key] = get(key, 0) + count * other
 
     mask = (1 << bits) - 1
-    for letter in outside:
-        offset = field[letter] * bits
-        if any(key >> offset & mask for key in terms):
+    for field, letter in enumerate(outside, k + l):
+        if any(key >> field * bits & mask for key in terms):
             raise ValueError(f"letter {letter} outside alphabet {alphabet}")
-    # no key uses an outside field now: a key is k x-fields, then l y-fields
-    k, l = alphabet.k, alphabet.l
-    return Polynomial._of({_monomial(key, k, l, bits): count for key, count in terms.items()})
+    # no key uses an outside field now: a key is k x-fields, then l y-fields,
+    # x1 highest, so descending keys are descending monomials
+    decoded = _monomials(k, l, bits)
+    if len(decoded) > _KEPT_TERMS:
+        decoded.clear()
+    known = decoded.get
+    shifts = [field * bits for field in range(k + l - 1, -1, -1)]
+    result = {}
+    for key in sorted(terms, reverse=True):
+        mono = known(key)
+        if mono is None:
+            exponents = [key >> shift & mask for shift in shifts]
+            mono = decoded[key] = Monomial._make((tuple(exponents[:k]), tuple(exponents[k:])))
+        result[mono] = terms[key]
+    return Polynomial._of(result)
 
 
 def rsk_counting_identity(

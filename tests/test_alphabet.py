@@ -324,6 +324,15 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             Shuffle(Alphabet(2, 0), (t(2), t(1)))
 
+    @pytest.mark.parametrize("order", [5, None], ids=repr)
+    def test_non_iterable_order_refused(self, order):
+        with pytest.raises(ValueError, match=r"^shuffle order must be iterable, got "):
+            Shuffle(Alphabet(1, 1), order)
+
+    def test_non_alphabet_refused(self):
+        with pytest.raises(ValueError, match=r"^shuffle alphabet must be an Alphabet, got \(1, 1\)$"):
+            Shuffle((1, 1), (t(1), u(1)))
+
 
 class TestOrderAdjacentPairs:
     def test_interleaved(self):

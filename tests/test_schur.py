@@ -258,7 +258,11 @@ class TestHookSchurAgainstEnumeration:
                         expected = weight_sum(shape, alph, shuffle, variant)
                         assert hook_schur(shape, alph, shuffle, variant) == expected
 
-    @pytest.mark.parametrize("k,l", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 0), (2, 2)])
+    @pytest.mark.parametrize(
+        "k,l",
+        [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 0), (2, 2), (0, 3), (3, 1), (1, 3), (2, 3),
+         (3, 3)],
+    )
     def test_hook_vanishing_criterion(self, k, l):
         # a regular t or a dual u adds a horizontal strip, the other two a
         # vertical one.  So under reg-reg a shape has fillings iff it fits in
@@ -266,7 +270,7 @@ class TestHookSchurAgainstEnumeration:
         # (3, 3, 3) is the first miss at (2, 2).  dual-dual swaps k and l,
         # reg-dual allows k + l rows and dual-reg k + l columns.
         alph = Alphabet(k, l)
-        for n in range(10):
+        for n in range(10 if k + l <= 4 else 8):
             for shape in partitions(n):
                 in_hook = {
                     "reg-reg": len(shape) <= k or shape[k] <= l,
@@ -457,7 +461,7 @@ class TestDecodedMonomials:
                 for shuffle in all_shuffles(alph):
                     for variant in VARIANTS:
                         warm = hook_schur(shape, alph, shuffle, variant)
-                        schur._monomial.cache_clear()
+                        schur._monomials.cache_clear()
                         cold = hook_schur(shape, alph, shuffle, variant)
                         assert cold == warm and cold.sorted_terms() == warm.sorted_terms()
 
@@ -470,9 +474,23 @@ class TestDecodedMonomials:
         shared = {id(m) for m in a} & {id(m) for m in b}
         assert len(shared) == len(a)
 
-    def test_cache_is_bounded(self):
-        maxsize = schur._monomial.cache_info().maxsize
+    def test_cache_is_bounded(self, monkeypatch):
+        # a bounded number of (k, l, field width) dicts, each emptied once it
+        # holds more than the bound, so it never keeps more than the bound
+        # and one result's terms
+        maxsize = schur._monomials.cache_info().maxsize
         assert type(maxsize) is int and maxsize > 0
+        monkeypatch.setattr(schur, "_KEPT_TERMS", 50)
+        schur._monomials.cache_clear()
+        alph = Alphabet(3, 3)
+        sizes = []
+        for shape in partitions(6):
+            for shuffle in all_shuffles(alph)[:3]:
+                poly = hook_schur(shape, alph, shuffle)
+                sizes.append(len(schur._monomials(3, 3, 3)))
+                assert sizes[-1] <= 50 + len(poly)
+        assert max(sizes) > 50 and any(b < a for a, b in zip(sizes, sizes[1:]))
+        schur._monomials.cache_clear()
 
 
 class TestStripTables:
@@ -503,7 +521,8 @@ class TestStripTables:
         assert len(shuffles) == 20
         for shape in ((4, 2, 1), (3, 3, 1)):
             for shuffle in shuffles:
-                hook_schur(shape, alph, shuffle)
+                for variant in VARIANTS:
+                    hook_schur(shape, alph, shuffle, variant)
         assert built and max(built.values()) == 1
         assert {kind for _, kind, _, _ in built} == {"t", "u"}
         assert {outward for _, _, _, outward in built} == {True, False}
@@ -511,6 +530,54 @@ class TestStripTables:
     def test_cache_is_bounded(self):
         maxsize = schur._strip_table.cache_info().maxsize
         assert type(maxsize) is int and maxsize > 0
+
+    def test_four_threads_on_cold_tables_give_one_thread_s_results(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        alph = Alphabet(3, 3)
+        grid = [(shape, shuffle) for shape in partitions(7) for shuffle in all_shuffles(alph)]
+
+        def run(_):
+            return [hook_schur(shape, alph, shuffle).sorted_terms() for shape, shuffle in grid]
+
+        schur._strip_table.cache_clear()
+        single = run(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so misses interleave
+        try:
+            for _ in range(3):
+                schur._strip_table.cache_clear()
+                schur._monomials.cache_clear()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    assert list(pool.map(run, range(4))) == [single] * 4
+                # every sub-shape met has one id, and every list covers them all
+                for shape in partitions(7):
+                    ids, subs, lists = schur._strip_table(shape)
+                    assert [ids[mu] for mu in subs] == list(range(len(subs)))
+                    assert {len(found) for found in lists.values()} == {len(subs)}
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestCanonicalOrder:
+    """``hook_schur`` builds its terms in ``sorted_terms`` order."""
+
+    @pytest.mark.parametrize(
+        "k,l,shuffle_k,shuffle_l,max_n",
+        [(3, 3, 3, 3, 8), (2, 1, 2, 1, 8), (3, 0, 3, 0, 8), (0, 3, 0, 3, 8),
+         (3, 3, 2, 1, 6), (3, 3, 1, 2, 6), (3, 3, 0, 2, 6), (3, 3, 3, 0, 6)],
+    )
+    def test_terms_come_sorted(self, k, l, shuffle_k, shuffle_l, max_n):
+        # n = 0..8 crosses field widths of 0 to 4 bits; the last four take
+        # shuffles that lack some of the alphabet's letters
+        alph = Alphabet(k, l)
+        for n in range(max_n + 1):
+            for shape in partitions(n):
+                for shuffle in all_shuffles(Alphabet(shuffle_k, shuffle_l)):
+                    for variant in VARIANTS:
+                        p = hook_schur(shape, alph, shuffle, variant)
+                        assert list(p._terms) == [m for m, _ in p.sorted_terms()]
 
 
 class TestCountingIdentity:
