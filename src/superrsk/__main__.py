@@ -1,0 +1,8 @@
+"""``python -m superrsk``: the command-line tool, as the ``superrsk`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

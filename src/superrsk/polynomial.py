@@ -58,83 +58,90 @@ class Monomial(_Exponents):
 class Polynomial:
     """A finite map monomial -> integer coefficient; zeros are never stored.
 
-    Coefficients are plain Python ints, so counts can grow without overflow.
-    The constructor refuses a key that is not a ``Monomial`` and a
-    coefficient that is not an int; a bool is taken as 0 or 1.
+    Held as two tuples of equal length: the monomials in descending order
+    (the ``sorted_terms`` order), each once, and their coefficients, nonzero
+    Python ints, so counts can grow without overflow.  Equal polynomials
+    hold equal tuples, so equality is tuple equality, and a coefficient is
+    found by bisection.  The constructor refuses a key that is not a
+    ``Monomial`` and a coefficient that is not an int; a bool is taken as 0
+    or 1.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_monos", "_coeffs")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None) -> None:
         if terms is None:
             terms = {}
         elif not isinstance(terms, Mapping):
             raise TypeError("terms must be a mapping of monomials to coefficients")
-        self._terms = {}  # distinct keys: nothing to merge
+        checked = {}  # distinct keys: nothing to merge
         for mono, coeff in terms.items():
             if not isinstance(mono, Monomial):
                 raise TypeError(f"polynomial keys must be monomials, got {mono!r}")
             if not isinstance(coeff, int):
                 raise ValueError(f"coefficients must be integers, got {coeff!r}")
-            if coeff:
-                self._terms[mono] = int(coeff)  # a bool becomes 0 or 1
+            checked[mono] = int(coeff)  # a bool becomes 0 or 1
+        self._monos, self._coeffs = _canonical(checked)
 
     @classmethod
-    def _of(cls, terms: dict[Monomial, int]) -> "Polynomial":
-        """The polynomial of ``terms``, taken as it is: its keys are ``Monomial``s
-        and its coefficients nonzero ints by construction, and no one else holds it."""
+    def _of(cls, monos: tuple[Monomial, ...], coeffs: tuple[int, ...]) -> "Polynomial":
+        """The polynomial of ``monos`` and ``coeffs``, taken as they are: the
+        monomials strictly descending and the coefficients nonzero ints."""
         poly = object.__new__(cls)
-        poly._terms = terms
+        poly._monos = monos
+        poly._coeffs = coeffs
         return poly
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+        monos = self._monos
+        lo, hi = 0, len(monos)
+        while lo < hi:  # monos[:lo] > mono >= monos[hi:]
+            mid = (lo + hi) // 2
+            if monos[mid] > mono:
+                lo = mid + 1
+            else:
+                hi = mid
+        return self._coeffs[lo] if lo < len(monos) and monos[lo] == mono else 0
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         # descending exponent tuples: x-dominant terms print first
-        return sorted(self._terms.items(), key=itemgetter(0), reverse=True)
+        return list(zip(self._monos, self._coeffs))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._monos)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._monos)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._monos == other._monos and self._coeffs == other._coeffs
 
-    __hash__ = None  # mutable-dict backed; compare by value only
+    __hash__ = None  # compared by value only; not hashable
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = merged.get(mono, 0) + coeff
-            if c:
-                merged[mono] = c
-            elif mono in merged:
-                del merged[mono]
-        return Polynomial._of(merged)
+        merged = dict(zip(self._monos, self._coeffs))
+        get = merged.get
+        for mono, coeff in zip(other._monos, other._coeffs):
+            merged[mono] = get(mono, 0) + coeff
+        return Polynomial._of(*_canonical(merged))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         prod: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        get = prod.get
+        for m1, c1 in zip(self._monos, self._coeffs):
+            for m2, c2 in zip(other._monos, other._coeffs):
                 m = m1 * m2
-                c = prod.get(m, 0) + c1 * c2
-                if c:
-                    prod[m] = c
-                elif m in prod:
-                    del prod[m]
-        return Polynomial._of(prod)
+                prod[m] = get(m, 0) + c1 * c2
+        return Polynomial._of(*_canonical(prod))
 
     def render(self) -> str:
-        if not self._terms:
+        if not self._monos:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
@@ -151,6 +158,13 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def _canonical(terms: dict[Monomial, int]) -> tuple[tuple[Monomial, ...], tuple[int, ...]]:
+    """The nonzero terms of a dict of distinct monomials, as descending
+    monomials and their coefficients."""
+    kept = sorted(((m, c) for m, c in terms.items() if c), key=itemgetter(0), reverse=True)
+    return tuple(map(itemgetter(0), kept)), tuple(map(itemgetter(1), kept))
 
 
 def polynomial_to_json(p: Polynomial) -> list[dict]:

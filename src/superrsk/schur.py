@@ -265,11 +265,13 @@ def hook_schur(
 
     Exponent vectors are packed ints with one bit field per letter, t1 in
     the top field and on down in alphabet order (t1..tk, then u1..ul), so a
-    larger key is a larger ``Monomial``, and the terms are emitted in
-    ``sorted_terms`` order.  Each letter's field lies in one half, so adding
-    a first-half key to a second-half key multiplies the monomials.  A key
-    is decoded by one lookup in a dict of monomials per (k, l, field width),
-    kept for a bounded number of keys; the results share those monomials.
+    larger key is a larger ``Monomial``.  Each letter's field lies in one
+    half, so adding a first-half key to a second-half key multiplies the
+    monomials.  The keys, sorted descending, are decoded by one lookup each
+    in a dict of monomials per (k, l, field width), kept for a bounded
+    number of keys, and only the misses are unpacked; the results share
+    those monomials.  The decoded monomials and the keys' counts, in that
+    order, are the result's canonical tuples, so no result dict is built.
     """
     shape = check_shape(shape)
     ids, subs, lists = _strip_table(shape)
@@ -362,16 +364,17 @@ def hook_schur(
     decoded = _monomials(k, l, bits)
     if len(decoded) > _KEPT_TERMS:
         decoded.clear()
-    known = decoded.get
-    shifts = [field * bits for field in range(k + l - 1, -1, -1)]
-    result = {}
-    for key in sorted(terms, reverse=True):
-        mono = known(key)
-        if mono is None:
-            exponents = [key >> shift & mask for shift in shifts]
-            mono = decoded[key] = Monomial._make((tuple(exponents[:k]), tuple(exponents[k:])))
-        result[mono] = terms[key]
-    return Polynomial._of(result)
+    keys = sorted(terms, reverse=True)
+    monos = list(map(decoded.get, keys))
+    if not all(monos):  # a miss is None; a Monomial is a 2-tuple, so true
+        shifts = [field * bits for field in range(k + l - 1, -1, -1)]
+        for i, key in enumerate(keys):
+            if monos[i] is None:
+                exponents = [key >> shift & mask for shift in shifts]
+                monos[i] = decoded[key] = Monomial._make(
+                    (tuple(exponents[:k]), tuple(exponents[k:]))
+                )
+    return Polynomial._of(tuple(monos), tuple(map(terms.__getitem__, keys)))
 
 
 def rsk_counting_identity(

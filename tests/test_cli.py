@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
 import pytest
 
+import superrsk
 from superrsk import VARIANTS
 from superrsk.cli import _CLAIMS, main
 
@@ -462,6 +466,34 @@ class TestErrors:
     def test_bad_shuffle_chain_exits_2(self, capsys):
         code = main(["--k", "2", "--l", "0", "--shuffle", "t2<t1", "insert", "--word", "t1"])
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m superrsk`` runs the CLI in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        package_root = str(Path(superrsk.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, "-m", "superrsk", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_help_exits_0(self):
+        done = self.run_module("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: superrsk")
+        assert done.stderr == ""
+
+    def test_bad_k_exits_2_with_one_error_line(self):
+        done = self.run_module("--k", "-1", "--l", "1", "insert", "--word", "t1")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: alphabet sizes must be non-negative"]
+        assert "Traceback" not in done.stderr
 
 
 # verify tokens that would otherwise drop --mode sample / a non-default --variant

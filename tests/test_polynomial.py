@@ -1,12 +1,18 @@
+import gc
+import tracemalloc
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superrsk import VARIANTS, Alphabet, all_shuffles, hook_schur
 from superrsk.polynomial import (
     Monomial,
     Polynomial,
     polynomial_to_json,
 )
+from superrsk.schur import partitions
 
 
 def mono(x, y):
@@ -133,3 +139,78 @@ def test_addition_commutes(p, q):
 def test_multiplication_associates_and_distributes(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@given(small_polynomials, small_polynomials)
+def test_multiplication_commutes(p, q):
+    assert p * q == q * p
+
+
+@given(small_polynomials)
+def test_a_sum_that_cancels_is_zero(p):
+    negated = Polynomial({m: -c for m, c in p.sorted_terms()})
+    total = p + negated
+    assert total == Polynomial() and len(total) == 0 and not total
+    assert total.sorted_terms() == [] and total.render() == "0"
+
+
+def monomials_of_degree(n, k, l):
+    """Every monomial of total degree n in x1..xk, y1..yl."""
+    found = []
+    for letters in combinations_with_replacement(range(k + l), n):
+        exponents = [letters.count(i) for i in range(k + l)]
+        found.append(Monomial(exponents[:k], exponents[k:]))
+    return found
+
+
+class TestCanonicalForm:
+    """A polynomial is held one way, whatever the order it was built in."""
+
+    def test_every_insertion_order_gives_one_polynomial(self):
+        terms = [(X1, 1), (Y1, -2), (X1 * Y1, 3), (X1 * X1, 4), (mono((0, 0), (0, 0)), 5)]
+        first = Polynomial(dict(terms))
+        for order in permutations(terms):
+            p = Polynomial(dict(order))
+            assert p == first
+            assert p.sorted_terms() == first.sorted_terms()
+            assert p.render() == first.render()
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_hook_schur_coefficients(self, n):
+        # every monomial of degree n, present or absent, and one of degree n + 1
+        alph = Alphabet(3, 3)
+        candidates = monomials_of_degree(n, 3, 3)
+        beyond = Monomial((n + 1, 0, 0), (0, 0, 0))
+        for shape in partitions(n):
+            for shuffle in all_shuffles(alph):
+                for variant in VARIANTS:
+                    p = hook_schur(shape, alph, shuffle, variant)
+                    terms = dict(p.sorted_terms())
+                    assert [p.coefficient(m) for m in candidates] == [
+                        terms.get(m, 0) for m in candidates
+                    ]
+                    assert p.coefficient(beyond) == 0
+                    assert p == Polynomial(dict(reversed(p.sorted_terms())))
+
+
+def test_hook_schur_results_hold_under_24_bytes_a_term():
+    # the 300 results of every shape of 7 under every shuffle at k = l = 3,
+    # after one pass has filled the strip tables and the decoded monomials
+    # that the results share: two tuple slots and the odd large coefficient
+    # per term, where a dict per result would hold about 39 bytes a term
+    alph = Alphabet(3, 3)
+    ops = [(shape, shuffle) for shape in partitions(7) for shuffle in all_shuffles(alph)]
+    assert len(ops) == 300
+    for shape, shuffle in ops:
+        hook_schur(shape, alph, shuffle)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [hook_schur(shape, alph, shuffle) for shape, shuffle in ops]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    terms = sum(map(len, results))
+    assert terms == 120960
+    assert retained < 24 * terms

@@ -447,7 +447,8 @@ class TestMeetInTheMiddle:
         first = hook_schur((3, 1), a22, order_ttuu)
         second = hook_schur((3, 1), a22, order_ttuu)
         assert first == second and first is not second
-        assert first._terms is not second._terms
+        assert first._monos is not second._monos
+        assert first._coeffs is not second._coeffs
 
 
 class TestDecodedMonomials:
@@ -561,7 +562,7 @@ class TestStripTables:
 
 
 class TestCanonicalOrder:
-    """``hook_schur`` builds its terms in ``sorted_terms`` order."""
+    """``hook_schur`` hands its terms to ``Polynomial`` in canonical order."""
 
     @pytest.mark.parametrize(
         "k,l,shuffle_k,shuffle_l,max_n",
@@ -577,7 +578,10 @@ class TestCanonicalOrder:
                 for shuffle in all_shuffles(Alphabet(shuffle_k, shuffle_l)):
                     for variant in VARIANTS:
                         p = hook_schur(shape, alph, shuffle, variant)
-                        assert list(p._terms) == [m for m, _ in p.sorted_terms()]
+                        monos, coeffs = p._monos, p._coeffs
+                        assert len(monos) == len(coeffs)
+                        assert all(a > b for a, b in zip(monos, monos[1:]))
+                        assert all(type(c) is int and c for c in coeffs)
 
 
 class TestCountingIdentity:
