@@ -61,8 +61,10 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
 Each line of the output is one run: its argv, exit code and JSON payload with
 ``elapsed_ms`` removed, its text output, or its error line when it exits 2.
 An ``--in`` file is shown in the argv as ``IN``.  Two checkouts whose output
-agrees give identical files, so comparing them takes one ``diff``.  Tokens
-added later are left out so that older checkouts can run the same matrix.
+agrees give identical files, so comparing them takes one ``diff``.  A
+checkout whose claim registry holds a token that ``TOKENS`` lacks is refused
+with exit 2, so a new claim cannot skip the matrix unnoticed; once its token
+is added here, older checkouts that lack it can no longer run the matrix.
 """
 
 from __future__ import annotations
@@ -336,6 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     from superrsk.cli import _CLAIMS, main as cli_main
 
+    unlisted = [token for token in _CLAIMS if token not in TOKENS]
+    if unlisted:
+        print(f"error: claim tokens {', '.join(unlisted)} are not in TOKENS; add them to "
+              f"the matrix", file=sys.stderr)
+        return 2
     codes: dict[int, int] = {}
     with tempfile.TemporaryDirectory() as folder, args.out.open("w", encoding="utf-8") as handle:
 

@@ -12,6 +12,7 @@ from .alphabet import Alphabet, kl_shuffle, parse_shuffle, shuffle_to_json
 from .bijection import change_shuffle, reverse_word, standardize_t, standardize_u
 from .insertion import (
     REGULAR_REGULAR,
+    VARIANTS,
     _insert_traced,
     parse_variant,
     parse_word,
@@ -47,25 +48,24 @@ from .verify import (
 )
 
 # verifiable claims exposed via --theorem: token -> (the options it honours
-# besides --n, report over (alphabet, n, variant, mode)).  "mode" covers
-# --mode/--samples/--seed, "variant" covers --variant; an option a token does
-# not honour is refused rather than dropped.  Each lambda looks its checker up
-# in this module when called.
+# besides --n, its checker's name in this module, looked up when it runs).
+# "mode" covers --mode/--samples/--seed, "variant" covers --variant; an option
+# a token honours reaches its checker by keyword, one it does not is refused.
 _CLAIMS = {
-    "2": (("mode",), lambda a, n, v, m: check_shape_invariance(a, n, REGULAR_REGULAR, m)),
-    "5": (("mode", "variant"), lambda a, n, v, m: check_shape_invariance(a, n, v, m)),
-    "cor4": (("variant",), lambda a, n, v, m: check_hook_schur_invariance(a, n, v)),
-    "lemma2.6": (("mode",), lambda a, n, v, m: check_restriction_subtableau_grid(a, n, m)),
-    "lemma2.15": (("mode",), lambda a, n, v, m: check_trace_alignment_grid(a, n, m)),
-    "lemma3.2": (("mode",), lambda a, n, v, m: check_dual_regular_agreement_grid(a, n, m)),
-    "theorem3": ((), lambda a, n, v, m: check_weight_preserving_bijection_grid(a, n)),
-    "identity": ((), lambda a, n, v, m: check_counting_identity(a, n)),
-    "paths": (("mode", "variant"), lambda a, n, v, m: check_path_monotonicity_grid(a, n, v, m)),
-    "cells": (("mode", "variant"), lambda a, n, v, m: check_cell_monotonicity_grid(a, n, v, m)),
-    "region1": (("mode",), lambda a, n, v, m: check_region1_agreement_grid(a, n, m)),
-    "round-trip": (("mode", "variant"), lambda a, n, v, m: check_round_trip_grid(a, n, v, m)),
-    "mimicry": (("mode",), lambda a, n, v, m: check_standardization_mimicry_grid(a, n, m)),
-    "converse": ((), lambda a, n, v, m: check_converse_round_trip_grid(a, n)),
+    "2": (("mode",), "check_shape_invariance"),
+    "5": (("mode", "variant"), "check_shape_invariance"),
+    "cor4": (("variant",), "check_hook_schur_invariance"),
+    "lemma2.6": (("mode",), "check_restriction_subtableau_grid"),
+    "lemma2.15": (("mode",), "check_trace_alignment_grid"),
+    "lemma3.2": (("mode",), "check_dual_regular_agreement_grid"),
+    "theorem3": ((), "check_weight_preserving_bijection_grid"),
+    "identity": ((), "check_counting_identity"),
+    "paths": (("mode", "variant"), "check_path_monotonicity_grid"),
+    "cells": (("mode", "variant"), "check_cell_monotonicity_grid"),
+    "region1": (("mode",), "check_region1_agreement_grid"),
+    "round-trip": (("mode", "variant"), "check_round_trip_grid"),
+    "mimicry": (("mode",), "check_standardization_mimicry_grid"),
+    "converse": ((), "check_converse_round_trip_grid"),
 }
 
 
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--variant",
         default="reg-reg",
-        choices=["reg-reg", "reg-dual", "dual-reg", "dual-dual"],
+        choices=[v.name for v in VARIANTS],
     )
     parser.add_argument("--format", default="text", choices=["text", "json"])
 
@@ -282,7 +282,7 @@ def _cmd_hook_schur(args) -> int:
 
 def _cmd_verify(args) -> int:
     alphabet = _alphabet(args)
-    honours, run = _CLAIMS[args.theorem]
+    honours, checker = _CLAIMS[args.theorem]
     claim = f"--theorem {args.theorem}"
     sampled, varied = args.mode != "exhaustive", args.variant != REGULAR_REGULAR.name
     _refuse(sampled and "mode" not in honours, "--mode sample", f"{claim} has no sampled grid")
@@ -290,10 +290,10 @@ def _cmd_verify(args) -> int:
         _refuse(value is not None and not sampled, option, f"only --mode sample reads {option}")
     _refuse(varied and "variant" not in honours, "--variant", f"{claim} checks reg-reg only")
     _refuse(args.shuffle is not None, "--shuffle", f"{claim} runs every shuffle")
-    variant = parse_variant(args.variant)
     samples = 100 if args.samples is None else args.samples  # 0 is refused by Sample
     mode = Sample(samples, args.seed or 0) if sampled else "exhaustive"
-    report = run(alphabet, args.n, variant, mode)
+    options = {"mode": mode, "variant": parse_variant(args.variant)}
+    report = globals()[checker](alphabet, args.n, **{o: options[o] for o in honours})
 
     payload = report.to_json_dict()
     rendered = json.dumps(payload, indent=2, sort_keys=True)

@@ -174,14 +174,14 @@ class _States:
     column, value), so a step costs one lookup once that transition has been
     taken.  Each new state's class is computed once: its cells with the
     pair's two values merged and the t_i-count of each region-2 component,
-    which is what two equivalent states share.  A signature is the int id of
-    (class, pending action).  Every entry depends only on these ints, so one
-    table serves every ``lemma2.15`` grid call over an alphabet
-    (``_step_states``); an edge is published only after its state's ``cls``
-    entry exists.
+    which is what two equivalent states share, and what a stream pairs with
+    its pending action as a step's signature.  Every entry depends only on
+    these ints, so one table serves every ``lemma2.15`` grid call over an
+    alphabet (``_step_states``); an edge is published only after its state's
+    ``cls`` entry exists.
     """
 
-    __slots__ = ("edges", "known", "states", "cls", "classes", "components", "sigs")
+    __slots__ = ("edges", "known", "states", "cls", "classes", "components")
 
     def __init__(self) -> None:
         self.edges: dict[tuple[int, int, int, int], int] = {}
@@ -190,7 +190,6 @@ class _States:
         self.cls = [0]  # per state: its class
         self.classes: dict[tuple, int] = {((), (), ()): 0}
         self.components: dict[tuple, tuple] = {}  # region-2 cells -> their components
-        self.sigs: dict[tuple, int] = {}
 
     def after(self, key: tuple[int, int, int, int]) -> int:
         """The state that a transition (state, row, column, value) not taken
@@ -230,14 +229,6 @@ class _States:
         masked = tuple(-1 if v < 0 else v for v in values)
         return self.classes.setdefault((cells, masked, counts), len(self.classes))
 
-    def signature(self, state: int, pending: tuple[int, int] | None) -> int:
-        key = (self.cls[state], pending)
-        sig = self.sigs.get(key)
-        if sig is None:
-            with _INTERNING:
-                sig = self.sigs.setdefault(key, len(self.sigs))
-        return sig
-
 
 _KEPT_ALPHABETS = 4
 
@@ -258,9 +249,9 @@ class _Stream:
     ``pending`` holds each step's pending action as (alphabet index, row of a
     t or column of a u), or None after the last step; it does not depend on
     the pair.  Per pair, ``ids`` holds each step's state and ``sigs`` its
-    signature: one int from the shared ``states`` for its state's class (the
+    signature: the tuple of its state's class in the shared ``states`` (the
     cells' ranks under the shuffle with the pair's two ranks masked, and the
-    t_i-count of each region-2 component) with its pending action.  An
+    t_i-count of each region-2 component) and its pending action.  An
     adjacent transposition keeps every other letter's rank, so masked cells
     are equal exactly when the region-1 entries, the region-3 entries and the
     region-2 cells agree.
@@ -289,7 +280,7 @@ class _Stream:
         number of letters, are those of the log followed before: re-sign the
         last kept step if its pending action changed, then place each later
         step's element."""
-        pending, states = self.pending, self.states
+        pending, states, cls = self.pending, self.states, self.states.cls
         del pending[kept:]
         changed = kept
         if kept:  # a settle, whose pending action is the next letter's entry
@@ -302,7 +293,7 @@ class _Stream:
             ids, sigs = self.ids[pair], self.sigs[pair]
             del ids[kept:], sigs[changed:]
             for s in range(changed, kept):
-                sigs.append(states.signature(ids[s], pending[s]))
+                sigs.append((cls[ids[s]], pending[s]))
             state = ids[-1] if ids else 0
             for s in range(kept, len(log)):
                 r, c, x, _ = log[s]
@@ -311,7 +302,7 @@ class _Stream:
                 if state is None:
                     state = states.after(key)
                 ids.append(state)
-                sigs.append(states.signature(state, pending[s]))
+                sigs.append((cls[state], pending[s]))
 
     def _pending(self, log, s: int) -> tuple[int, int] | None:
         r, c, _, y = log[s]

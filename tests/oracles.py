@@ -1,5 +1,5 @@
 """Per-word references for the claims the verify grids check, the word list
-they walk, and tableau weights.
+they walk, each claim's exhaustive case count, and tableau weights.
 
 The library checks each claim on the rank-level walk shared by the word
 grids.  These helpers check one word at a time, the literal way: they insert
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb, perm
 from typing import Iterable, Iterator
 
 from superrsk import (
@@ -45,6 +46,42 @@ def all_words(alphabet: Alphabet, n: int) -> Iterator[Word]:
     """All (k+l)^n words of length n, in product order over the alphabet."""
     for combo in product(alphabet.letters(), repeat=n):
         yield Word(combo)
+
+
+# ---------------------------------------------------------------------------
+# case counts
+
+
+def claim_cases(token: str, k: int, l: int, n: int) -> int:
+    """The ``cases`` of an exhaustive ``verify --theorem <token>`` report at
+    alphabet (k, l) and length n, in closed form."""
+    shuffles, words = comb(k + l, k), (k + l) ** n
+    # unordered shuffle pairs one adjacent t/u swap apart: a shuffle has on
+    # average 2kl/(k+l) t/u neighbours, so C(k+l, k) * kl/(k+l) pairs
+    adjacent = comb(k + l - 1, k - 1) * l if k and l else 0
+    if token in ("2", "5"):  # words x unordered shuffle pairs
+        return words * comb(shuffles, 2)
+    if token == "lemma2.6":  # words x shuffles x restriction letters
+        return words * shuffles * (k + l)
+    if token in ("lemma2.15", "region1"):  # words x adjacent pairs
+        return words * adjacent
+    if token == "lemma3.2":  # words with pairwise distinct u's x shuffles
+        return shuffles * sum(comb(n, j) * perm(l, j) * k ** (n - j) for j in range(n + 1))
+    if token == "theorem3":
+        # ordered pairs of distinct shuffles x (P, Q) pairs of n cells, which
+        # the words of length n count
+        return shuffles * (shuffles - 1) * words
+    if token in ("paths", "cells", "round-trip", "mimicry", "converse"):
+        return words * shuffles  # for converse, (P, Q) pairs of n cells x shuffles
+    if token == "identity":  # shuffles x variants
+        return 4 * shuffles
+    if token == "cor4":  # shapes of n cells x the shuffles after the first
+        shapes = [1] + [0] * n
+        for part in range(1, n + 1):
+            for m in range(part, n + 1):
+                shapes[m] += shapes[m - part]
+        return shapes[n] * (shuffles - 1)
+    raise ValueError(f"no closed form for claim token {token!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import combinations, product
 from math import comb, perm
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from oracles import (
     check_path_monotonicity,
     check_region1_agreement,
     check_restriction_subtableau,
+    claim_cases,
     is_subtableau,
 )
 from snapshot_reference import _sim, _states, region2_stats, states_equivalent
@@ -200,7 +204,8 @@ class TestAlignTraces:
         # path steps back to the first reached predecessor in increment order
         import superrsk.verify as verify
 
-        monkeypatch.setattr(verify._States, "signature", lambda self, state, pending: 0)
+        monkeypatch.setattr(verify._States, "_classify", lambda self, cells, values: 0)
+        monkeypatch.setattr(verify._Stream, "_pending", lambda self, log, s: None)
         v = parse_word(word, ALPH32)
         trace_a, trace_b = (insert_word(v, s, REGULAR_REGULAR).trace for s in (ORDER_A, ORDER_B))
         sa, sb = trace_a.total, trace_b.total
@@ -611,9 +616,49 @@ WALK_TOKENS = ("2", "5", "lemma2.6", "lemma2.15", "lemma3.2", "paths", "cells", 
 
 
 def run_token(token, alphabet, n, variant=REGULAR_REGULAR, mode="exhaustive"):
-    from superrsk.cli import _CLAIMS
+    """The token's report, dispatched as the CLI does: its checker gets the
+    options its row honours, by keyword."""
+    import superrsk.cli as cli
 
-    return _CLAIMS[token][1](alphabet, n, variant, mode)
+    honours, checker = cli._CLAIMS[token]
+    options = {"mode": mode, "variant": variant}
+    return getattr(cli, checker)(alphabet, n, **{o: options[o] for o in honours})
+
+
+# (k, l) with both sides, one side of a single letter, and one side empty
+CASE_ALPHABETS = ((2, 2), (2, 1), (1, 2), (3, 2), (3, 1), (1, 1), (2, 0), (0, 2))
+# the tokens whose counts the benchmark's verify workload checks
+BENCHMARKED_TOKENS = ("2", "5", "lemma2.6", "lemma2.15", "lemma3.2", "theorem3")
+
+
+def benchmark_closed_form(monkeypatch):
+    """``closed_form_cases`` of perfbench/workloads.py, loaded by file path
+    (its dataclasses look their module up in ``sys.modules`` while built)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.closed_form_cases
+
+
+class TestClaimCases:
+    def test_every_exhaustive_report_counts_its_closed_form(self, monkeypatch):
+        from superrsk.cli import _CLAIMS
+
+        closed_form = benchmark_closed_form(monkeypatch)
+        checked = 0
+        for token in _CLAIMS:
+            for k, l in CASE_ALPHABETS:
+                for n in range(4):
+                    expected = claim_cases(token, k, l, n)
+                    assert run_token(token, Alphabet(k, l), n).cases_run == expected, (
+                        token, k, l, n)
+                    # its comb(k + l - 1, k - 1) is undefined at k = 0
+                    if token in BENCHMARKED_TOKENS and (k or token != "lemma2.15"):
+                        assert closed_form(token, k, l, n) == expected, (token, k, l, n)
+                        checked += 1
+        assert checked == (len(BENCHMARKED_TOKENS) * len(CASE_ALPHABETS) - 1) * 4
 
 
 class TestWalkInsertions:
@@ -896,19 +941,23 @@ class TestSignatureStreams:
         lanes = verify._lanes(a22, REGULAR_REGULAR)
         lane, pairs = lanes[0], [pair for i, _, pair in verify._adjacent_pairs(lanes) if i == 0]
         stream = verify._Stream(lane.shuffle, pairs, verify._States())
-        calls = count_calls(monkeypatch, verify._States, "signature")
+        cls = stream.states.cls
         lane.push(0)  # t1 settles in (1, 1) with nothing pending
         stream.follow(lane.log, 0)
-        assert stream.pending == [None] and calls["signature"] == len(pairs) == 1
+        assert stream.pending == [None] and len(pairs) == 1
         first = {pair: sigs[:] for pair, sigs in stream.sigs.items()}
+        assert first == {pair: [(cls[ids[0]], None)] for pair, ids in stream.ids.items()}
         stream.follow(lane.log, 1)  # nothing changed, so nothing is signed
-        assert calls["signature"] == 1 and stream.sigs == first
+        assert all(stream.sigs[pair][0] is first[pair][0] for pair in pairs)
+        assert stream.sigs == first
         lane.push(2)  # the settle's pending action becomes u1's entry
         stream.follow(lane.log, 1)
         assert stream.pending == [(2, 1), None]
-        # the kept settle and the new step, per pair
-        assert calls["signature"] == 1 + 2 * len(pairs)
-        assert all(stream.sigs[pair][0] != first[pair][0] for pair in pairs)
+        # the kept settle is signed again and the new step signed, per pair
+        for pair in pairs:
+            ids, sigs = stream.ids[pair], stream.sigs[pair]
+            assert sigs == [(cls[ids[0]], (2, 1)), (cls[ids[1]], None)]
+            assert sigs[0] is not first[pair][0]
 
     def test_each_step_signature_is_built_once_per_trie_node(self, a22, monkeypatch):
         import superrsk.verify as verify
@@ -923,13 +972,11 @@ class TestSignatureStreams:
         states = verify._States()
         states.edges = CountedEdges()
         monkeypatch.setattr(verify, "_step_states", lambda alphabet: states)
-        calls = count_calls(monkeypatch, verify._States, "signature", "after")
+        calls = count_calls(monkeypatch, verify._States, "after")
         assert check_trace_alignment_grid(a22, 4).passed
         # each prefix's last letter is placed once per stream: one transition
         # per step of that letter, summed over the trie nodes and both lanes
-        # of each pair; the settle before them, whose pending action that
-        # letter revised, is signed once more from its kept state on every
-        # word that keeps a prefix: all but the first of each first letter
+        # of each pair
         shuffles = all_shuffles(a22)
         pairs = [(a, b) for a, b in combinations(shuffles, 2) if adjacent_transposition(a, b)]
         new_steps = sum(
@@ -939,12 +986,9 @@ class TestSignatureStreams:
             for pair in pairs
             for s in pair
         )
-        revised = 2 * len(pairs) * (4**4 - 4)
         # a miss looks its edge up again under the lock
         transitions = CountedEdges.gets - calls["after"]
         assert (new_steps, transitions) == (6216, 6216)
-        # one per (word, pair, step) was 16,512
-        assert (revised, calls["signature"]) == (3024, transitions + revised) == (3024, 9240)
 
     def test_each_lane_log_is_read_once_per_word(self, a22, monkeypatch):
         # a lane's kept prefix and pending actions do not depend on the pair,
@@ -1014,14 +1058,14 @@ class TestSharedStepStates:
         monkeypatch.setattr(verify._Stream, "__init__", recording)
         check_trace_alignment_grid(a22, 2)
         shared = verify._step_states(a22)
-        size = (len(shared.edges), len(shared.states), len(shared.sigs))
+        size = (len(shared.edges), len(shared.states))
         a, b = all_shuffles(a22)[:2]
         word = parse_word("u2,t1,t2,u1", a22)  # longer than the grid's words
         traces = [insert_word(word, s, REGULAR_REGULAR).trace for s in (a, b)]
         del held[:]
         align_traces(traces[0], a, traces[1], b)
         assert len(held) == 2 and held[0] is held[1] and held[0] is not shared
-        assert (len(shared.edges), len(shared.states), len(shared.sigs)) == size
+        assert (len(shared.edges), len(shared.states)) == size
 
     def test_four_threads_on_a_cold_table_report_as_one_thread(self, a22):
         import sys
@@ -1041,11 +1085,10 @@ class TestSharedStepStates:
                         lambda _: check_trace_alignment_grid(a22, 3), range(4)
                     ))
                 assert [payload(report) for report in reports] == [single] * 4
-                # every state and every signature has an id of its own
+                # every state has an id of its own
                 states = verify._step_states(a22)
                 assert len(states.known) == len(states.cls) == len(states.states)
                 assert sorted(states.known.values()) == list(range(len(states.states)))
-                assert sorted(states.sigs.values()) == list(range(len(states.sigs)))
         finally:
             sys.setswitchinterval(interval)
 
