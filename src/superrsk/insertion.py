@@ -276,6 +276,12 @@ def _valid_grid(p: Tableau, shuffle: Shuffle, strict: list[bool], invalid: str):
     except KeyError as exc:
         where = "outside" if p.size == 1 else "is not in"
         raise ValueError(f"letter {exc.args[0]} {where} alphabet {shuffle.alphabet}") from None
+    return _rank_grid(rows, strict, invalid)
+
+
+def _rank_grid(rows: list[list[int]], strict: list[bool], invalid: str):
+    """``rows`` and the columns they make, once the rank rows pass
+    ``_valid_ranks`` under ``strict``; else raises ``invalid``."""
     if not _valid_ranks(rows, strict):
         raise ValueError(invalid)
     cols: list[list[int]] = [[] for _ in rows[0]] if rows else []

@@ -52,24 +52,35 @@ def enumerate_ssyt(
 ) -> list[Tableau]:
     """All fillings of the shape that are valid for (shuffle, variant).
 
+    The fillings of ``_fill_ranks``, in its order, with each rank mapped to
+    its letter.  Shapes the alphabet cannot fill yield an empty list.
+    """
+    order = shuffle.order
+    return [
+        Tableau(tuple(tuple(map(order.__getitem__, row)) for row in rows))
+        for rows in _fill_ranks(check_shape(shape), shuffle, variant)
+    ]
+
+
+def _fill_ranks(shape: Shape, shuffle: Shuffle, variant: Variant) -> list[list[list[int]]]:
+    """The fillings of a checked shape valid for (shuffle, variant), each as
+    its rows of shuffle ranks; the empty shape has one filling, with no rows.
+
     Backtracking fill in row-major order on shuffle ranks, candidates tried
     in rank order, so the output order is deterministic.  A candidate is held
     against its left and upper neighbours by the per-rank strictness table
     that ``is_valid`` reads.  The fill is a loop over a per-cell next-candidate
-    array, not a recursion, so a long shape cannot exhaust the stack.  Shapes
-    the alphabet cannot fill yield an empty list.
+    array, not a recursion, so a long shape cannot exhaust the stack.
     """
-    shape = check_shape(shape)
     if not shape:
-        return [Tableau()]
+        return [[]]
     strict_in_rows = _strict_in_rows(shuffle, variant_profile(variant))
-    order = shuffle.order
-    size = len(order)
+    size = len(shuffle.order)
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
     last = len(cells) - 1
     grid = [[-1] * length for length in shape]
     nxt = [0] * len(cells)  # per cell: the next rank to try there
-    found: list[Tableau] = []
+    found: list[list[list[int]]] = []
     i = 0
     while i >= 0:
         x = nxt[i]
@@ -80,7 +91,7 @@ def enumerate_ssyt(
         r, c = cells[i]
         grid[r][c] = x
         if i == last:
-            found.append(Tableau(tuple(tuple(order[x] for x in row) for row in grid)))
+            found.append([row[:] for row in grid])
             continue
         i += 1
         r, c = cells[i]

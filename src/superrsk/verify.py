@@ -35,15 +35,14 @@ from .insertion import (
     Variant,
     Word,
     _Lane,
+    _rank_grid,
     _ranks_of,
-    _valid_grid,
 )
-from .schur import enumerate_ssyt, enumerate_syt, hook_schur, partitions, rsk_counting_identity
+from .schur import _fill_ranks, enumerate_syt, hook_schur, partitions, rsk_counting_identity
 from .tableau import (
     Cell,
     RecordingTableau,
     Shape,
-    Tableau,
     _check_diagram,
     _is_prefix_grid,
     _valid_ranks,
@@ -781,26 +780,16 @@ def check_dual_regular_agreement_grid(
     )
 
 
-def _reverse_sources(
-    shape: Shape, fillings: list[Tableau], recorders: list[list[Cell]], lane: _Lane
-):
+def _reverse_sources(fillings: list[list[list[int]]], recorders: list[list[Cell]], lane: _Lane):
     """Check each filling once and reverse every (q, P) once under the lane's order.
 
-    ``recorders`` holds each recorder's cells by label, as ``_recorders``
-    gives them.  Returns each filling's rank rows, its sorted content as
-    alphabet indices, and the recovered words, ``words[q][P]``, as alphabet
-    indices.
+    ``fillings`` holds rank rows under the lane's shuffle, as ``_fill_ranks``
+    gives them, and ``recorders`` each recorder's cells by label, as
+    ``_recorders`` gives them.  Returns the recovered words, ``words[q][P]``,
+    as alphabet indices.
     """
-    grids = []
-    for p in fillings:
-        if p.shape != shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {shape}")
-        grids.append(_valid_grid(p, lane.shuffle, lane.strict, _INVALID_P))
-    contents = [sorted(lane.letter[x] for row in rows for x in row) for rows, _ in grids]
-    words = [
-        [_recovered(rows, cols, cells, lane) for rows, cols in grids] for cells in recorders
-    ]
-    return [rows for rows, _ in grids], contents, words
+    grids = [_rank_grid(rows, lane.strict, _INVALID_P) for rows in fillings]
+    return [[_recovered(rows, cols, cells, lane) for rows, cols in grids] for cells in recorders]
 
 
 def _recovered(rows, cols, cells: list[Cell], lane: _Lane) -> tuple[int, ...]:
@@ -810,7 +799,7 @@ def _recovered(rows, cols, cells: list[Cell], lane: _Lane) -> tuple[int, ...]:
     P's rank rows and columns are copied, so they are left as they were.
     """
     ranks = _reverse_ranks([row[:] for row in rows], [col[:] for col in cols], cells, lane)
-    return tuple(lane.letter[x] for x in ranks)
+    return tuple(map(lane.letter.__getitem__, ranks))
 
 
 def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
@@ -822,44 +811,45 @@ def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
     _check_diagrams((lane,))
 
 
-def _image(target: _Lane, word: tuple[int, ...], memo: dict):
-    """The target's image of a recovered word: rank rows, shape, validity under
-    the target and sorted content (alphabet indices).  It depends on the target
-    and the word alone, so it is kept in the target's ``memo`` for every source,
-    which looks it up there before calling this."""
-    _insert_into(target, word)
-    rows = target.rows
-    image = memo[word] = (
-        tuple(map(tuple, rows)),
-        tuple(map(len, rows)),
-        _valid_ranks(rows, target.strict),
-        sorted(target.letter[x] for row in rows for x in row),
-    )
-    return image
+def _content(rows: list[list[int]], lane: _Lane) -> tuple[int, ...]:
+    """The sorted content of rank rows under the lane, as alphabet indices."""
+    letter = lane.letter
+    return tuple(sorted(letter[x] for row in rows for x in row))
 
 
-def _transport_cases(
-    words: list[tuple[int, ...]],
-    contents: list[list[int]],
-    shape: Shape,
-    target: _Lane,
-    memo: dict,
-    target_count: int,
-    failure,
-):
-    """Map one recorder's recovered words to their images under the target lane.
+def _images(alphabet: Alphabet, n: int, lanes: list[_Lane]) -> list[tuple[dict, list]]:
+    """Per lane, the image of every word of length n: ``(ids, props)``, where
+    ``ids[word]`` numbers the word's P among the distinct Ps of the lane, and
+    ``props[id]`` is that P's (shape, validity under the lane, sorted content
+    as alphabet indices), computed once per distinct P.
 
-    Checks one case per source filling against that filling's shape and
-    content, and yields the passes as one run, then the failures, then the
-    findings about the whole map; returns the images (rank rows under the
-    target) in source order.
+    One walk of the word trie fills every lane, so each lane makes one
+    insertion per trie node and runs the walk's diagram check on each word.
     """
-    images, failed = [], []
-    for word, content in zip(words, contents):
-        image, image_shape, valid, image_content = memo.get(word) or _image(target, word, memo)
-        images.append(image)
-        if image_shape == shape and valid and image_content == content:
+    tables = [(lane, {}, {}) for lane in lanes]  # per lane: word -> id, P -> id
+    for word in _walk(product(range(alphabet.size), repeat=n), lanes):
+        for lane, ids, known in tables:
+            ids[word] = known.setdefault(tuple(map(tuple, lane.rows)), len(known))
+    return [
+        (ids, [(tuple(map(len, p)), _valid_ranks(p, lane.strict), _content(p, lane)) for p in known])
+        for lane, ids, known in tables
+    ]
+
+
+def _transport_cases(images: list[int], props: list, expected: list, target_count: int, failure):
+    """Check one recorder's map from the source fillings to the target.
+
+    ``images`` holds each source filling's image as an id into the target's
+    ``props``, and ``expected`` the (shape, True, content) each image must
+    have.  Checks one case per source filling, and yields the passes as one
+    run, then the failures, then the findings about the whole map.
+    """
+    failed = []
+    for pid, want in zip(images, expected):
+        image = props[pid]
+        if image == want:
             continue
+        (image_shape, valid, image_content), (shape, _, content) = image, want
         problems = []
         if image_shape != shape:
             problems.append(f"shape changed to {image_shape}")
@@ -868,14 +858,13 @@ def _transport_cases(
         if image_content != content:
             problems.append("content changed")
         failed.append(failure("valid, content-preserving image", "; ".join(problems)))
-    yield len(words) - len(failed)
+    yield len(images) - len(failed)
     yield from failed
     if len(set(images)) != len(images):
         yield _GridFailure(failure("injective map", "two fillings share an image"))
-    if len(words) != target_count:
-        counts = f"{len(words)} vs {target_count}"
+    if len(images) != target_count:
+        counts = f"{len(images)} vs {target_count}"
         yield _GridFailure(failure("equal counts on both sides", counts))
-    return images
 
 
 def _recorders(shape: Shape) -> tuple[list[RecordingTableau], list[list[Cell]]]:
@@ -890,33 +879,41 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
     a content-preserving bijection onto the fillings valid under b, for every
     shape of n cells, standard recorder Q and ordered shuffle pair (reg-reg).
 
-    Each (source, recorder, filling) is reversed once.  Every source recovers
-    the same words for a shape, so each word is inserted once per target and
-    its image checked against each source's filling.
+    Each (source, recorder, filling) is reversed once, from the filling's
+    rank rows.  The image of every word of length n under every target is
+    read off one walk of the word trie (``_images``), so a recovered word's
+    image is one lookup, and a case compares ids and their stored shape,
+    validity and content.  An alphabet with one shuffle has no pair and
+    walks nothing.
     """
     shuffles = all_shuffles(alphabet)
     distinct_maps: dict[str, int] = {}
 
     def cases():
+        if len(shuffles) < 2:
+            return
+        lanes = [_Lane(s, REGULAR_REGULAR) for s in shuffles]
+        images = _images(alphabet, n, lanes)
         for shape in partitions(n):
             _, recorders = _recorders(shape)
-            fillings = {s: enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR) for s in shuffles}
-            lanes = {s: _Lane(s, REGULAR_REGULAR, logged=False) for s in shuffles}
-            memos: dict[Shuffle, dict] = {s: {} for s in shuffles}
-            for a in shuffles:
-                _, contents, words = _reverse_sources(shape, fillings[a], recorders, lanes[a])
-                for b in shuffles:
+            fillings = [_fill_ranks(shape, s, REGULAR_REGULAR) for s in shuffles]
+            for a, lane in enumerate(lanes):
+                words = _reverse_sources(fillings[a], recorders, lane)
+                expected = [(shape, True, _content(rows, lane)) for rows in fillings[a]]
+                for b, (ids, props) in enumerate(images):
                     if a == b:
                         continue
-                    failure = partial(CaseFailure, "", f"{a} -> {b}", REGULAR_REGULAR.name)
-                    # the source list is fixed, so its image tuple names the map
+                    failure = partial(
+                        CaseFailure, "", f"{shuffles[a]} -> {shuffles[b]}", REGULAR_REGULAR.name
+                    )
+                    # the source list is fixed, so its image ids name the map
                     maps = set()
                     for q_words in words:
-                        images = yield from _transport_cases(
-                            q_words, contents, shape, lanes[b], memos[b], len(fillings[b]),
-                            failure,
+                        q_images = list(map(ids.__getitem__, q_words))
+                        yield from _transport_cases(
+                            q_images, props, expected, len(fillings[b]), failure
                         )
-                        maps.add(tuple(images))
+                        maps.add(tuple(q_images))
                     key = f"{shape}"
                     distinct_maps[key] = max(distinct_maps.get(key, 0), len(maps))
 
@@ -933,12 +930,12 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
             recorders, cells = _recorders(shape)
             for s in all_shuffles(alphabet):
                 lane = _Lane(s, REGULAR_REGULAR, logged=False)
-                fillings = enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR)
-                grids, _, words = _reverse_sources(shape, fillings, cells, lane)
+                fillings = _fill_ranks(shape, s, REGULAR_REGULAR)
+                words = _reverse_sources(fillings, cells, lane)
                 for q, q_words in zip(recorders, words):
                     q_rows = [list(row) for row in q.rows]
                     failed = []
-                    for rows, word in zip(grids, q_words):
+                    for rows, word in zip(fillings, q_words):
                         _insert_into(lane, word)
                         p_same, q_same = lane.rows == rows, lane.qrows == q_rows
                         if not (p_same and q_same):
@@ -948,7 +945,7 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
                                 "P differs" if q_same else "Q differs" if p_same
                                 else "P and Q differ",
                             ))
-                    yield len(grids) - len(failed)
+                    yield len(fillings) - len(failed)
                     yield from failed
 
     return _report("converse-round-trip", alphabet, n, cases())

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -415,6 +416,29 @@ class TestVerify:
             assert cells[1] == json.loads(out)["check"]
             assert cells[3] == ("yes" if "variant" in honours else "")
             assert cells[4] == ("yes" if "mode" in honours else "")
+
+    @pytest.mark.parametrize("token", list(_CLAIMS))
+    def test_report_params_follow_the_readme_rule(self, capsys, token):
+        # k, l and n always; mode (and samples, seed when sampled) where the
+        # token honours --mode sample; variant where its checker takes one
+        import superrsk.cli as cli
+
+        honours, checker = _CLAIMS[token]
+        takes_variant = "variant" in inspect.signature(getattr(cli, checker)).parameters
+        assert takes_variant == ("variant" in honours or token == "2")
+        runs = [([], {"mode"})]
+        if "mode" in honours:
+            runs.append((["--mode", "sample", "--samples", "2", "--seed", "0"],
+                         {"mode", "samples", "seed"}))
+        for extra, mode_keys in runs:
+            _, out = run(capsys, "--k", "1", "--l", "1", "--format", "json",
+                         "verify", "--theorem", token, "--n", "1", *extra)
+            expected = {"k", "l", "n"}
+            if "mode" in honours:
+                expected |= mode_keys
+            if takes_variant:
+                expected.add("variant")
+            assert set(json.loads(out)["params"]) == expected
 
     def test_readme_table_lists_every_token(self):
         text = README.read_text(encoding="utf-8")

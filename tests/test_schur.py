@@ -147,6 +147,29 @@ class TestEnumerateSsyt:
                         # the validity table is read on ranks: no letter is compared
                         assert calls["rank"] == before
 
+    @pytest.mark.parametrize("k,l", [(2, 2), (2, 1), (1, 2), (3, 2), (3, 0), (0, 3)])
+    def test_rank_fill_maps_to_enumerate_ssyt(self, k, l):
+        # the rank-level fill that theorem3 and converse read: mapped to
+        # letters it is enumerate_ssyt filling by filling, in the same order,
+        # and its reading words rise strictly in rank order
+        alphabet = Alphabet(k, l)
+        shapes = [shape for n in range(6) for shape in partitions(n)]
+        assert shapes[0] == ()
+        for shuffle in all_shuffles(alphabet):
+            order = shuffle.order
+            for variant in VARIANTS:
+                for shape in shapes:
+                    fillings = schur._fill_ranks(shape, shuffle, variant)
+                    tableaux = enumerate_ssyt(shape, alphabet, shuffle, variant)
+                    assert len(fillings) == len(tableaux)
+                    for rows, p in zip(fillings, tableaux):
+                        assert tuple(map(len, rows)) == shape
+                        assert tuple(tuple(order[x] for x in row) for row in rows) == p.rows
+                    reading = [[x for row in rows for x in row] for rows in fillings]
+                    assert all(a < b for a, b in zip(reading, reading[1:]))
+                    if not shape:
+                        assert fillings == [[]] and tableaux == [Tableau()]
+
     def test_deterministic_order(self, a22, order_ttuu):
         first = enumerate_ssyt((2, 1), a22, order_ttuu, REGULAR_REGULAR)
         second = enumerate_ssyt((2, 1), a22, order_ttuu, REGULAR_REGULAR)

@@ -33,6 +33,7 @@ from superrsk import (
     InsertionTrace,
     PendingAction,
     Sample,
+    Tableau,
     Word,
     adjacent_transposition,
     align_traces,
@@ -402,31 +403,63 @@ class TestWeightPreservingBijection:
         assert report.passed
         assert "distinct_maps_by_shape" in report.stats
 
+    @pytest.mark.parametrize(
+        "k,l,n",
+        [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 1, 4), (1, 3, 3), (2, 1, 0), (1, 3, 0)],
+    )
+    def test_healthy_grid_matches_per_case_reference(self, k, l, n):
+        alphabet = Alphabet(k, l)
+        report = check_weight_preserving_bijection_grid(alphabet, n)
+        cases, failures, distinct = theorem3_reference(alphabet, n)
+        assert (report.cases_run, list(report.failures)) == (cases, failures) == (cases, [])
+        assert report.stats["distinct_maps_by_shape"] == distinct
+        assert cases == claim_cases("theorem3", k, l, n)
+
+    def test_one_shuffle_walks_nothing(self, capsys, monkeypatch):
+        import superrsk.insertion as insertion
+        from superrsk.cli import main
+
+        inserts = count_calls(monkeypatch, insertion, "_insert_rank")
+        code = main(["--k", "0", "--l", "2", "--format", "json",
+                     "verify", "--theorem", "theorem3", "--n", "3"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["cases"] == 0 and payload["failures"] == []
+        assert inserts["_insert_rank"] == 0
+
     def test_grid_reverses_once_per_source(self, a22, monkeypatch):
         import superrsk.insertion as insertion
         import superrsk.verify as verify
 
         calls = count_calls(
-            monkeypatch, verify, "enumerate_ssyt", "_reverse_ranks", "_valid_grid", "_check_recording"
+            monkeypatch, verify, "_fill_ranks", "_reverse_ranks", "_rank_grid", "_valid_ranks",
+            "_check_recording", "_insert_into",
         )
         inserts = count_calls(monkeypatch, insertion, "_insert_rank")
         monkeypatch.setattr(insertion, "insert_word", refuse_insert_word)
+        built = []
+        check = Tableau.__post_init__
+        monkeypatch.setattr(Tableau, "__post_init__", lambda p: built.append(p) or check(p))
         report = check_weight_preserving_bijection_grid(a22, 3)
         assert report.passed
+        assert built == []  # fillings stay rank rows from the fill to the reversal
         shuffles = all_shuffles(a22)
         shapes = [(3,), (2, 1), (1, 1, 1)]
-        # each shape enumerated once per shuffle, each recorder checked once per shape
-        assert calls["enumerate_ssyt"] == 3 * len(shuffles)
+        # each shape filled once per shuffle, each recorder checked once per shape
+        assert calls["_fill_ranks"] == 3 * len(shuffles)
         assert calls["_check_recording"] == sum(len(enumerate_syt(shape)) for shape in shapes)
         # each filling checked once per source, each (source, recorder, filling) reversed once
         fillings = sum(
             len(enumerate_ssyt(shape, a22, s, REGULAR_REGULAR)) for shape in shapes for s in shuffles
         )
-        assert calls["_valid_grid"] == fillings
+        assert calls["_rank_grid"] == fillings
         assert calls["_reverse_ranks"] == report.cases_run // (len(shuffles) - 1) == 4**3 * 6
-        # every source recovers the same words, so each word of 3 letters is
-        # inserted once per target: n (k+l)^n C(k+l, k) letter insertions
-        assert inserts["_insert_rank"] == 3 * 4**3 * comb(4, 2) == 1152
+        # each distinct P of the walk is checked once per target; the Ps of the
+        # words of 3 letters under a shuffle are its fillings of the shapes of 3
+        assert calls["_valid_ranks"] == fillings
+        # one walk of the word trie inserts once per node under each shuffle,
+        # C(4, 2) (4 + 16 + 64) letter insertions, and no word is inserted alone
+        assert inserts["_insert_rank"] == comb(4, 2) * (4 + 4**2 + 4**3) == 504
+        assert calls["_insert_into"] == 0
 
 
 def snapshot_alignment(trace_a, a, trace_b, b):
@@ -1512,7 +1545,13 @@ class TestFailureRecordsUnderAFault:
                 fillings = enumerate_ssyt(shape, alphabet, shuffle, variant)
                 return fillings[:-1] if shuffle == faulty else fillings
 
-            monkeypatch.setattr(verify, "enumerate_ssyt", fillings_of)
+            fill = verify._fill_ranks
+
+            def lossy_fill(shape, shuffle, variant):
+                fillings = fill(shape, shuffle, variant)
+                return fillings[:-1] if shuffle == faulty else fillings
+
+            monkeypatch.setattr(verify, "_fill_ranks", lossy_fill)
         report = check_weight_preserving_bijection_grid(a22, 3)
         cases, failures, distinct = theorem3_reference(a22, 3, fillings_of)
         assert (report.cases_run, len(report.failures)) == (cases, len(failures))
