@@ -30,11 +30,12 @@ def reverse_word(
     column j-1 by displacing the bottommost such entry.  A t-letter leaving
     row 1, or a u-letter leaving column 1, is the recovered v_m.  Q is checked
     and its cells found in one pass, and P is checked on ranks, each letter
-    mapped once; the walk itself runs on ranks only.
+    mapped once; the walk itself runs on ranks only.  The recovered letters
+    come from the shuffle's order, so the ``Word`` is built without its
+    constructor's check.
     """
-    order = shuffle.order
     ranks = _checked_reverse(p, q, _Lane(shuffle, variant, logged=False))
-    return Word(tuple(order[x] for x in ranks))
+    return Word._of(tuple(map(shuffle.order.__getitem__, ranks)))
 
 
 _INVALID_P = "insertion tableau is not valid for this shuffle and variant"
@@ -62,21 +63,24 @@ def _checked_reverse(p: Tableau, q: RecordingTableau, lane: _Lane) -> list[int]:
 
 def _reverse_ranks(rows, cols, cells: list[Cell], lane: _Lane) -> list[int]:
     """Reverse a checked (P, Q) under the lane's shuffle and variant, P held
-    as rank rows and columns, which it empties, and Q as its cells by label;
-    returns the recovered word's ranks, first letter first.  A run of entries
-    equal to the walking letter, which no displacement changes, is one bisection.
+    as rank rows and columns, which it consumes, and Q as its cells by label;
+    returns the recovered word's ranks, first letter first.
+
+    Each ejection pops the last entry of its row and column.  A line that
+    empties stays in the lists: every later corner, and every walk, lies
+    inside the shrinking diagram.  A walking t searches its row and a
+    walking u its column; the crossing line is read only to write the
+    displaced cell or to pass a run of entries equal to the walking letter,
+    which no displacement changes, in one bisection.
     """
     order, is_t, find_t, find_u = lane.shuffle.order, lane.is_t, lane.back_t, lane.back_u
     recovered: list[int] = []
     for i, j in reversed(cells):
         # the current maximum of a standard tableau sits at a corner
-        assert j == len(rows[i]) - 1 and len(cols[j]) == i + 1
-        x = rows[i].pop()
+        row = rows[i]
+        assert j == len(row) - 1 and len(cols[j]) == i + 1
+        x = row.pop()
         cols[j].pop()
-        if not rows[i]:
-            rows.pop()
-        if not cols[j]:
-            cols.pop()
         while True:
             if is_t[x]:
                 if i == 0:
@@ -89,7 +93,12 @@ def _reverse_ranks(rows, cols, cells: list[Cell], lane: _Lane) -> list[int]:
                         f"irreducible configuration: nothing in row {i + 1} "
                         f"admits {order[x]}"
                     )
-                col = cols[j]
+                y = row[j]
+                if y != x:
+                    row[j] = cols[j][i] = x
+                    x = y
+                else:  # to the top of the run of x up column j
+                    i = bisect_left(cols[j], x, 0, i)
             else:
                 if j == 0:
                     break
@@ -101,15 +110,12 @@ def _reverse_ranks(rows, cols, cells: list[Cell], lane: _Lane) -> list[int]:
                         f"irreducible configuration: nothing in column {j + 1} "
                         f"admits {order[x]}"
                     )
-                row = rows[i]
-            y = row[j]
-            if y != x:
-                row[j] = col[i] = x
-                x = y
-            elif is_t[x]:  # to the top of the run of x up column j
-                i = bisect_left(col, x, 0, i)
-            else:
-                j = bisect_left(row, x, 0, j)
+                y = col[i]
+                if y != x:
+                    col[i] = rows[i][j] = x
+                    x = y
+                else:  # to the left end of the run of x along row i
+                    j = bisect_left(rows[i], x, 0, j)
         recovered.append(x)
     recovered.reverse()
     return recovered

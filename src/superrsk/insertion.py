@@ -10,10 +10,15 @@ entry greater than or equal to it.
 ``insert_word`` computes P and Q eagerly on shuffle ranks, a bisection per
 bump or run of equal entries, keeping no step log.  Each letter crosses to its
 rank once, by a dict lookup that hashes the named-tuple ``Letter`` in C; a
-given P crosses, and is checked, in one pass.  The trace holds the word's
-ranks: the first read of its path lengths, step total, placement log or steps
-re-inserts them once with a log, and the intermediate ``Tableau`` snapshots
-are built from that log only when ``steps`` or ``state_after`` is read.
+given P crosses, and is checked, in one pass.  P and Q cross back once, built
+by the private ``_of`` constructors without the public ones' checks: their
+letters come from the shuffle's order and Q's labels from counting, so only
+the diagram rule can fail, and the lane checks it whenever a settle may have
+broken it.  ``reverse_word`` builds its ``Word`` the same way.  The trace
+holds the word's ranks: the first read of its path lengths, step total,
+placement log or steps re-inserts them once with a log, and the intermediate
+``Tableau`` snapshots are built from that log only when ``steps`` or
+``state_after`` is read.
 ``reverse_word``, ``change_shuffle`` and the verification grids work on ranks
 and never build snapshots.  Every insertion, those grids' included, runs
 through one rank-level state, ``_Lane``, with a log or without one.
@@ -32,6 +37,7 @@ from .tableau import (
     RecordingTableau,
     StrictnessProfile,
     Tableau,
+    _check_diagram,
     _strict_in_rows,
     _valid_ranks,
 )
@@ -66,6 +72,13 @@ class Word:
         letters = tuple(self.letters)
         _check_letters((letters,), "word")
         object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _of(cls, letters: tuple[Letter, ...]) -> Word:
+        """The word of ``letters``, taken as they are: a tuple of letters."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -422,14 +435,19 @@ class _Lane:
         self.bad = None
 
     def tableau(self) -> Tableau:
-        """P as a ``Tableau`` of letters."""
-        order = self.shuffle.order
-        return Tableau(tuple(tuple(order[x] for x in row) for row in self.rows))
+        """P as a ``Tableau`` of letters, built unchecked once it passes
+        ``_check_diagrams``: its letters come from the shuffle's order, so the
+        diagram rule is the one check ``Tableau`` makes that P can fail."""
+        _check_diagrams((self,))
+        get = self.shuffle.order.__getitem__
+        return Tableau._of(tuple(tuple(map(get, row)) for row in self.rows))
 
     def result(self, trace: InsertionTrace) -> InsertionResult:
-        """P and Q as the lane holds them, with ``trace``."""
-        q = RecordingTableau(tuple(map(tuple, self.qrows)))
-        return InsertionResult(self.tableau(), q, trace)
+        """P and Q as the lane holds them, with ``trace``; Q, whose labels
+        are positive ints and whose rows are as long as P's, is built
+        unchecked once P passes."""
+        p = self.tableau()
+        return InsertionResult(p, RecordingTableau._of(tuple(map(tuple, self.qrows))), trace)
 
     def push(self, x: int) -> None:
         """Insert rank x as the next letter."""
@@ -486,6 +504,17 @@ class _Lane:
                 rows[r][c] = cols[c][r] = y
         if self.bad is not None and self.bad > m:
             self.bad = None
+
+
+def _check_diagrams(lanes: Iterable[_Lane]) -> None:
+    """The diagram check that building each lane's P as a Tableau makes.
+
+    A settle grows one row of a diagram, which can only break the rule
+    against the row above; a lane none of whose held settles did is skipped.
+    """
+    for lane in lanes:
+        if lane.bad is not None:
+            _check_diagram(lane.rows)
 
 
 def insert_letter(

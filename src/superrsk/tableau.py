@@ -65,6 +65,14 @@ class _Diagram:
 
     rows: tuple[tuple, ...]
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple, ...]):
+        """The tableau of ``rows``, taken as they are: a tuple of non-empty
+        tuples of entries of the right type, weakly shortening."""
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "rows", rows)
+        return tab
+
     @property
     def shape(self) -> Shape:
         return tuple(len(row) for row in self.rows)

@@ -35,6 +35,7 @@ from .insertion import (
     Variant,
     Word,
     _Lane,
+    _check_diagrams,
     _rank_grid,
     _ranks_of,
 )
@@ -43,7 +44,6 @@ from .tableau import (
     Cell,
     RecordingTableau,
     Shape,
-    _check_diagram,
     _is_prefix_grid,
     _valid_ranks,
     region2_components,
@@ -429,17 +429,6 @@ def _cells_ok(placements) -> bool:
 
 # ---------------------------------------------------------------------------
 # the rank-level walk shared by the word grids
-
-
-def _check_diagrams(lanes: Iterable[_Lane]) -> None:
-    """The diagram check that building each lane's P as a Tableau makes.
-
-    A settle grows one row of a diagram, which can only break the rule
-    against the row above; a lane none of whose held settles did is skipped.
-    """
-    for lane in lanes:
-        if lane.bad is not None:
-            _check_diagram(lane.rows)
 
 
 def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):

@@ -85,6 +85,47 @@ def claim_cases(token: str, k: int, l: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# textbook insertion
+
+
+def hook_insert(v: Word, shuffle: Shuffle, variant: Variant):
+    """P's and Q's rows after inserting v by the textbook rule, cell by cell.
+
+    P and Q are dicts of 1-based cells.  A t scans its row from the left and
+    a u its column from the top, for the first entry above it in the shuffle
+    (regular rule) or not below it (dual rule).  It settles in the first
+    empty cell, or swaps with that entry: a displaced t goes on into the
+    next row, a displaced u into the next column.  Q records where each
+    letter's new cell appeared.
+    """
+    rank = shuffle.rank
+    p: dict[tuple[int, int], Letter] = {}
+    q: dict[tuple[int, int], int] = {}
+    for m, x in enumerate(v, 1):
+        r, c = 1, 1
+        while True:
+            is_t = x.kind == "t"
+            dual = (variant.t_rule if is_t else variant.u_rule) == "dual"
+            while (r, c) in p and not (rank(p[r, c]) > rank(x) or dual and p[r, c] == x):
+                r, c = (r, c + 1) if is_t else (r + 1, c)
+            if (r, c) not in p:
+                p[r, c], q[r, c] = x, m
+                break
+            x, p[r, c] = p[r, c], x
+            r, c = (r + 1, 1) if x.kind == "t" else (1, c + 1)
+
+    def rows(cells: dict) -> tuple[tuple, ...]:
+        grid: list[list] = []
+        for r, c in sorted(cells):
+            while len(grid) < r:  # a skipped row stays empty, which no tableau has
+                grid.append([])
+            grid[r - 1].append(cells[r, c])
+        return tuple(map(tuple, grid))
+
+    return rows(p), rows(q)
+
+
+# ---------------------------------------------------------------------------
 # content and weight
 
 

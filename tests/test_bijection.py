@@ -154,14 +154,6 @@ class TestChangeShuffle:
             change_shuffle(tab(p), rec(q), source, target, REGULAR_REGULAR)
 
 
-def bypass_checks(rows) -> RecordingTableau:
-    """A recording tableau holding ``rows`` as given, which the constructor
-    would refuse (a label below 1, say)."""
-    q = object.__new__(RecordingTableau)
-    object.__setattr__(q, "rows", rows)
-    return q
-
-
 A22_TEXT = "(k=2, l=2)"
 GUARD_CASES = [
     # (P, Q, the ValueError text) for a bad input to the reversal
@@ -181,7 +173,8 @@ GUARD_CASES = [
 @pytest.mark.parametrize("p,q,text", GUARD_CASES)
 class TestReversalGuardErrors:
     def pair(self, p, q):
-        return tab(p), rec(q) if isinstance(q, str) else bypass_checks(q)
+        # a Q that the constructor would refuse (a label below 1, say) is built unchecked
+        return tab(p), rec(q) if isinstance(q, str) else RecordingTableau._of(q)
 
     def test_reverse_word(self, order_ttuu, variant, p, q, text):
         p, q = self.pair(p, q)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rec, tab
-from oracles import all_words, order_adjacent_pairs, region2_shape_ok
+from oracles import all_words, hook_insert, order_adjacent_pairs, region2_shape_ok
 from superrsk import (
     DUAL_DUAL,
     DUAL_REGULAR,
@@ -17,6 +18,7 @@ from superrsk import (
     Alphabet,
     InsertionTrace,
     PendingAction,
+    RecordingTableau,
     Tableau,
     Word,
     all_shuffles,
@@ -27,6 +29,7 @@ from superrsk import (
     parse_shuffle,
     parse_variant,
     parse_word,
+    reverse_word,
     t,
     u,
     variant_profile,
@@ -170,6 +173,37 @@ class TestInsertWord:
             insert_word(Word((t(3),)), order_ttuu, REGULAR_REGULAR)
 
 
+class TestUncheckedConstructors:
+    """P, Q and the recovered word are built by ``_of``, without the checks."""
+
+    @pytest.mark.parametrize("n", [300, 0])
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+    def test_built_values_match_checked_ones(self, variant, n):
+        alph = Alphabet(5, 5)
+        rng = random.Random(n)
+        shuffle = rng.choice(all_shuffles(alph))
+        word = Word(tuple(rng.choice(alph.letters()) for _ in range(n)))
+        result = insert_word(word, shuffle, variant)
+        back = reverse_word(result.p, result.q, shuffle, variant)
+        pairs = [
+            (result.p, Tableau(result.p.rows)),
+            (result.q, RecordingTableau(result.q.rows)),
+            (back, Word(back.letters)),
+        ]
+        for built, checked in pairs:
+            assert type(built) is type(checked)
+            assert built == checked and hash(built) == hash(checked)
+            assert repr(built) == repr(checked)
+        assert back == word
+
+    def test_built_values_stay_frozen(self, order_ttuu, a22):
+        result = insert_word(parse_word("u2,t1,t2,u1", a22), order_ttuu, REGULAR_REGULAR)
+        back = reverse_word(result.p, result.q, order_ttuu, REGULAR_REGULAR)
+        for built, name in ((result.p, "rows"), (result.q, "rows"), (back, "letters")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, name, ())
+
+
 class TestPathLengthsAndStates:
     def test_seven_letter_path_lengths(self):
         word = parse_word("u1,t3,t2,u2,t2,u1,t1", Alphabet(3, 2))
@@ -287,7 +321,6 @@ class TestEqualRuns:
     def test_unlogged_lanes_agree_with_the_stepping_walk(self):
         # insert_word and reverse_word pass each run of equal entries in one
         # bisection; _insert_traced logs, so it steps through every placement
-        from superrsk import reverse_word
         from superrsk.insertion import _insert_traced
 
         rng = random.Random(21)
@@ -463,8 +496,8 @@ def test_insertion_validity_random(case):
 
 @st.composite
 def long_word_and_order(draw):
-    k = draw(st.integers(min_value=0, max_value=4))
-    l = draw(st.integers(min_value=1 if k == 0 else 0, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=5))
+    l = draw(st.integers(min_value=1 if k == 0 else 0, max_value=5))
     alph = Alphabet(k, l)
     shuffles = all_shuffles(alph)
     shuffle = shuffles[draw(st.integers(0, len(shuffles) - 1))]
@@ -478,10 +511,11 @@ def long_word_and_order(draw):
 @given(long_word_and_order())
 @settings(max_examples=200, deadline=None)
 def test_rank_core_properties(case):
-    from superrsk import reverse_word
-
     word, shuffle, variant = case
     result = insert_word(word, shuffle, variant)
+    # P and Q are built without the constructors' checks; the cell-by-cell
+    # rule of ``hook_insert`` shares no code with the rank core
+    assert (result.p.rows, result.q.rows) == hook_insert(word, shuffle, variant)
     trace = result.trace
     # total and path lengths come from the step log without building snapshots
     assert trace.total == sum(trace.path_lengths)
@@ -494,3 +528,4 @@ def test_rank_core_properties(case):
         assert [s.index for s in trace.steps] == list(range(1, trace.total + 1))
     # equality ignores whether the snapshots have been built
     assert insert_word(word, shuffle, variant) == result
+

@@ -1160,8 +1160,11 @@ class TestDeferredDiagramCheck:
         import superrsk.insertion as insertion
         import superrsk.verify as verify
 
+        source, target = all_shuffles(a22)[:2]
+        word = Word((t(1), u(2), t(2), u(1)))
+        held = insert_word(word, source, REGULAR_REGULAR)
         monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
-        lane = insertion._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
+        lane = insertion._Lane(source, REGULAR_REGULAR)
         for x in (0, 1, 2, 3):
             lane.push(x)
         assert lane.bad == 3  # the third letter's settle left row 2 longer than row 1
@@ -1179,6 +1182,14 @@ class TestDeferredDiagramCheck:
         for token in ("2", "theorem3", "converse"):
             with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
                 run_token(token, a22, 3)
+        # insert_word, and change_shuffle's re-insertion, build P unchecked
+        # once the rows pass that same check
+        for n, lengths in ((3, "1, 2"), (4, "1, 3")):
+            text = rf"^row lengths must be weakly decreasing: \[{lengths}\]$"
+            with pytest.raises(ValueError, match=text):
+                insert_word(Word(word.letters[:n]), source, REGULAR_REGULAR)
+        with pytest.raises(ValueError, match=text):
+            change_shuffle(held.p, held.q, source, target, REGULAR_REGULAR)
 
     def test_a_note_whose_rows_became_a_diagram_again_passes(self, a22, monkeypatch):
         import superrsk.insertion as insertion
