@@ -21,7 +21,9 @@ placement log or steps re-inserts them once with a log, and the intermediate
 ``state_after`` is read.
 ``reverse_word``, ``change_shuffle`` and the verification grids work on ranks
 and never build snapshots.  Every insertion, those grids' included, runs
-through one rank-level state, ``_Lane``, with a log or without one.
+through one rank-level state, ``_Lane``: with a log it is filled by
+``_walk``, which the grids use to step from word to word, and without one by
+``_Lane.push_word``.
 """
 
 from __future__ import annotations
@@ -222,9 +224,12 @@ class InsertionTrace:
 
     @classmethod
     def _of_lane(cls, lane: _Lane, ranks: Iterable[int]) -> InsertionTrace:
-        """The trace of inserting ``ranks`` into a logged lane, emptied first,
-        which holds the insertion afterwards."""
-        lane.push_word(ranks)
+        """The trace of inserting ``ranks`` into a logged lane, emptied first
+        and filled by ``_walk``, which checks the diagram; the lane holds the
+        insertion afterwards."""
+        lane.clear()
+        for _ in _walk((tuple(map(lane.letter.__getitem__, ranks)),), [lane]):
+            pass
         # each letter's path ends with its settle, the one placement that bumps nothing
         ends = [s for s, (_, _, _, y) in enumerate(lane.log, 1) if y is None]
         lengths = tuple(b - a for a, b in zip([0] + ends, ends))
@@ -382,7 +387,9 @@ def _replay(
         else:
             rows[r - 1][c - 1] = letter
         bumped = None if y is None else _pending_action(order[y], r + 1, c + 1)
-        state = Tableau(tuple(tuple(row) for row in rows))
+        # unchecked: the letters come from the order, and each state is a
+        # diagram, since a bump keeps the shape and a settle fills a corner
+        state = Tableau._of(tuple(tuple(row) for row in rows))
         steps.append(Step(index, state, (r, c), bumped, m))
     return tuple(steps)
 
@@ -397,15 +404,16 @@ class _Lane:
     ranks back, ``is_t`` says which ranks hold t-letters, and ``strict`` is
     ``is_valid``'s per-rank strictness table.  ``find_t``/``find_u`` are the
     variant's bump searches, ``back_t``/``back_u`` the reverse searches.
-    ``push`` records each new cell in Q, and ``push_word`` does so for a
-    whole word in an emptied lane; ``marks`` holds each letter's log length
-    before its steps, or is None with the log.  ``push`` and ``keep`` need a
-    log, so a lane without one fills only through ``push_word`` and can
-    never take a letter back.  A lane with a ``bound`` pushes only the ranks
-    <= bound, so it holds the insertion of the restricted word (its Q records
-    their positions in the whole word, and every letter has a mark).
-    ``bad`` is the number of the first letter still held whose settle left a
-    row longer than the row above it, or None.
+    A logged lane is filled only by ``_walk``, which steps it from word to
+    word, taking letters back off the log; an unlogged lane is filled only by
+    ``push_word``, a whole word at a time.  Both record each new cell in Q.
+    ``marks`` holds each letter's log length before its steps, or is None
+    with the log, so an unlogged lane can never take a letter back.  A lane
+    with a ``bound`` pushes only the ranks <= bound, so it holds the
+    insertion of the restricted word (its Q records their positions in the
+    whole word, and every letter has a mark).  ``bad`` is the number of the
+    first letter still held whose settle left a row longer than the row
+    above it, or None.
     """
 
     __slots__ = (
@@ -449,61 +457,25 @@ class _Lane:
         p = self.tableau()
         return InsertionResult(p, RecordingTableau._of(tuple(map(tuple, self.qrows))), trace)
 
-    def push(self, x: int) -> None:
-        """Insert rank x as the next letter."""
-        log, marks, qrows = self.log, self.marks, self.qrows
-        marks.append(len(log))
-        if x > self.bound:
-            return
-        m, rows = len(marks), self.rows
-        i = _insert_rank(rows, self.cols, x, self.is_t, self.find_t, self.find_u, log)
-        if i == len(qrows):
-            qrows.append([m])
-        else:
-            qrows[i].append(m)
-            if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
-                self.bad = m
-
     def push_word(self, ranks: Iterable[int]) -> None:
-        """Empty the lane and push ranks as letters 1, 2, ..."""
+        """Empty the unlogged lane and push ranks as letters 1, 2, ...
+
+        A logged lane fills through ``_walk``, which also keeps its marks;
+        this loop is the walk's push without them."""
+        assert self.log is None, "a logged lane fills through _walk"
         self.clear()
-        rows, cols, qrows, log, marks = self.rows, self.cols, self.qrows, self.log, self.marks
+        rows, cols, qrows = self.rows, self.cols, self.qrows
         is_t, find_t, find_u, bound = self.is_t, self.find_t, self.find_u, self.bound
         for m, x in enumerate(ranks, 1):
-            if log is not None:
-                marks.append(len(log))
             if x > bound:
                 continue
-            i = _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
+            i = _insert_rank(rows, cols, x, is_t, find_t, find_u, None)
             if i == len(qrows):
                 qrows.append([m])
             else:
                 qrows[i].append(m)
                 if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
                     self.bad = m
-
-    def keep(self, m: int) -> None:
-        """Take back every letter after the m-th, newest placement first."""
-        rows, cols, qrows, log, marks = self.rows, self.cols, self.qrows, self.log, self.marks
-        start = marks[m] if m < len(marks) else len(log)
-        del marks[m:]
-        while len(log) > start:
-            r, c, _, y = log.pop()
-            r -= 1
-            c -= 1
-            if y is None:  # the letter's new cell: the last of its row and column
-                rows[r].pop()
-                cols[c].pop()
-                qrows[r].pop()
-                if not rows[r]:
-                    rows.pop()
-                    qrows.pop()
-                if not cols[c]:
-                    cols.pop()
-            else:
-                rows[r][c] = cols[c][r] = y
-        if self.bad is not None and self.bad > m:
-            self.bad = None
 
 
 def _check_diagrams(lanes: Iterable[_Lane]) -> None:
@@ -515,6 +487,80 @@ def _check_diagrams(lanes: Iterable[_Lane]) -> None:
     for lane in lanes:
         if lane.bad is not None:
             _check_diagram(lane.rows)
+
+
+def _common_prefix(a, b) -> int:
+    """The length of the longest common prefix of two sequences."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
+    """Insert each alphabet-index word under every lane, starting from the
+    prefix it shares with the word before.
+
+    The lanes are logged and start empty.  Yields each word once every lane
+    holds its insertion and has passed the diagram check.  Per word, each
+    lane takes back the letters after the shared prefix, newest placement
+    first, then inserts the new ones, recording each new cell in Q, so a
+    reader copies whatever it keeps.  In product order over alphabet indices
+    this makes one insertion per node of the word trie, (k+l) + (k+l)^2 +
+    ... + (k+l)^n per lane, instead of n (k+l)^n.  This is the one place
+    that steps a logged lane, for a single word too; each lane's lists and
+    tables are bound once per call.
+    """
+    held: tuple[int, ...] = ()
+    parts = [
+        (lane, lane.rows, lane.cols, lane.qrows, lane.log, lane.marks, lane.rank, lane.is_t,
+         lane.find_t, lane.find_u, lane.bound)
+        for lane in lanes
+    ]
+    for word in words:
+        shared = _common_prefix(held, word)
+        dropped = len(held) > shared
+        fresh = word[shared:]
+        for lane, rows, cols, qrows, log, marks, rank, is_t, find_t, find_u, top in parts:
+            if dropped:
+                start = marks[shared]
+                del marks[shared:]
+                while len(log) > start:
+                    r, c, _, y = log.pop()
+                    r -= 1
+                    c -= 1
+                    if y is None:  # the letter's new cell: the last of its row and column
+                        rows[r].pop()
+                        cols[c].pop()
+                        qrows[r].pop()
+                        if not rows[r]:
+                            rows.pop()
+                            qrows.pop()
+                        if not cols[c]:
+                            cols.pop()
+                    else:
+                        rows[r][c] = cols[c][r] = y
+                if lane.bad is not None and lane.bad > shared:
+                    lane.bad = None
+            m = shared
+            for a in fresh:
+                m += 1
+                marks.append(len(log))
+                x = rank[a]
+                if x > top:
+                    continue
+                i = _insert_rank(rows, cols, x, is_t, find_t, find_u, log)
+                if i == len(qrows):
+                    qrows.append([m])
+                else:
+                    qrows[i].append(m)
+                    if i and len(rows[i]) > len(rows[i - 1]) and lane.bad is None:
+                        lane.bad = m
+        _check_diagrams(lanes)
+        held = word
+        yield word
 
 
 def insert_letter(

@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, product
+from operator import ne
 from typing import Iterable, Iterator, NamedTuple
 
 from .alphabet import (
@@ -36,8 +37,10 @@ from .insertion import (
     Word,
     _Lane,
     _check_diagrams,
+    _common_prefix,
     _rank_grid,
     _ranks_of,
+    _walk,
 )
 from .schur import _fill_ranks, enumerate_syt, hook_schur, partitions, rsk_counting_identity
 from .tableau import (
@@ -130,16 +133,6 @@ Mode = str | Sample  # "exhaustive" or a Sample
 
 # ---------------------------------------------------------------------------
 # trace alignment
-
-
-def _common_prefix(a, b) -> int:
-    """The length of the longest common prefix of two sequences."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 class AlignmentError(Exception):
@@ -348,6 +341,19 @@ def _witness_count(table: list, sa: int, sb: int) -> int:
     return count
 
 
+def _stream_count(sigs_a: list, sigs_b: list) -> int:
+    """The witness count of two signature streams, or the AlignmentError that
+    says why there is none: what ``_witness_count`` reads off their table.
+
+    Equal streams with no two neighbouring signatures equal need no table:
+    their one witness is the diagonal.  A path that left it would first
+    reach a step pair (p, p+1) or (p+1, p), and there the signatures match
+    only if two neighbouring ones are equal."""
+    if sigs_a == sigs_b and all(map(ne, sigs_a, sigs_a[1:])):
+        return 1
+    return _witness_count(_witnesses(sigs_a, sigs_b), len(sigs_a), len(sigs_b))
+
+
 def align_traces(
     trace_a: InsertionTrace,
     shuffle_a: Shuffle,
@@ -425,36 +431,6 @@ def _cells_ok(placements) -> bool:
             return False
         cells[(r, c)] = x
     return True
-
-
-# ---------------------------------------------------------------------------
-# the rank-level walk shared by the word grids
-
-
-def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
-    """Insert each alphabet-index word under every lane, starting from the
-    prefix it shares with the word before.
-
-    Yields each word once every lane holds its insertion and has passed the
-    diagram check.  Each lane is taken back to the shared prefix in one step
-    when the next word is drawn, so a reader copies whatever it keeps.  In
-    product order over alphabet indices this makes one insertion per node of
-    the word trie, (k+l) + (k+l)^2 + ... + (k+l)^n per lane, instead of
-    n (k+l)^n.
-    """
-    held: tuple[int, ...] = ()
-    pushes = [(lane.push, lane.rank) for lane in lanes]
-    for word in words:
-        shared = _common_prefix(held, word)
-        if len(held) > shared:
-            for lane in lanes:
-                lane.keep(shared)
-        for a in word[shared:]:
-            for push, rank in pushes:
-                push(rank[a])
-        _check_diagrams(lanes)
-        held = word
-        yield word
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +612,7 @@ def check_restriction_subtableau_grid(
     wholes = [max(group, key=lambda lane: lane.bound) for group in groups]
 
     def judge(word):
+        # the whole word's lane is its own prefix: counted, never compared
         return len(groups) * len(letters), [
             (
                 str(full.shuffle), REGULAR_REGULAR.name,
@@ -643,7 +620,7 @@ def check_restriction_subtableau_grid(
             )
             for restricted, full in zip(groups, wholes)
             for x, lane in zip(letters, restricted)
-            if not _is_prefix_grid(lane.rows, full.rows)
+            if lane is not full and not _is_prefix_grid(lane.rows, full.rows)
         ]
 
     lanes = [lane for group in groups for lane in group]
@@ -698,10 +675,11 @@ def check_trace_alignment_grid(
     every adjacent pair it is in, over the alphabet's step states, which stay
     interned for later calls.  Per word the stream follows the lane's log in
     place from the steps of the prefix the walk kept.  Each pair then counts
-    its alignments afresh with ``_witnesses``: the exact witness count, or
+    its alignments afresh with ``_stream_count``: the exact witness count, or
     ``AlignmentError`` text, that ``align_traces`` gives on the word's
     separate traces, whose ``pairs`` hold one alignment of several the way
-    ``Alignment`` says.
+    ``Alignment`` says.  A pair of equal streams without repeated
+    neighbouring signatures, the common case, is counted without a table.
     """
     witness_histogram: dict[int, int] = {}
     lanes = _lanes(alphabet, REGULAR_REGULAR)
@@ -721,9 +699,8 @@ def check_trace_alignment_grid(
             stream.follow(lane.log, lane.marks[shared] if shared < len(word) else len(lane.log))
         failed = []
         for i, j, pair in pairs:
-            a, b = streams[i].sigs[pair], streams[j].sigs[pair]
             try:
-                count = _witness_count(_witnesses(a, b), len(a), len(b))
+                count = _stream_count(streams[i].sigs[pair], streams[j].sigs[pair])
             except AlignmentError as exc:
                 failed.append((
                     f"{lanes[i].shuffle} | {lanes[j].shuffle}", REGULAR_REGULAR.name,

@@ -196,6 +196,24 @@ class TestUncheckedConstructors:
             assert repr(built) == repr(checked)
         assert back == word
 
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+    def test_step_snapshots_match_checked_ones(self, variant):
+        # a trace's snapshots and insert_letter's are built unchecked too;
+        # insert_letter still refuses an invalid start (test_guard_error_texts)
+        alph = Alphabet(5, 5)
+        rng = random.Random(29)
+        shuffle = rng.choice(all_shuffles(alph))
+        word = Word(tuple(rng.choice(alph.letters()) for _ in range(300)))
+        result = insert_word(word, shuffle, variant)
+        _, more = insert_letter(result.p, rng.choice(alph.letters()), shuffle, variant)
+        steps = (*result.trace.steps, *more)
+        assert len(steps) > 300
+        for step in steps:
+            checked = Tableau(step.state.rows)
+            assert type(step.state) is Tableau
+            assert step.state == checked and hash(step.state) == hash(checked)
+        assert repr(steps[-1].state) == repr(checked)
+
     def test_built_values_stay_frozen(self, order_ttuu, a22):
         result = insert_word(parse_word("u2,t1,t2,u1", a22), order_ttuu, REGULAR_REGULAR)
         back = reverse_word(result.p, result.q, order_ttuu, REGULAR_REGULAR)
@@ -363,16 +381,50 @@ def record_core_logs(monkeypatch) -> list:
 
 
 def eager_trace(word, shuffle, variant):
-    """The trace of a logged lane, filled one push per letter, built through
-    the constructor."""
-    from superrsk.insertion import _Lane, _ranks_of
+    """The trace of a logged lane that the walk filled letter by letter,
+    built through the constructor."""
+    from superrsk.insertion import _Lane, _ranks_of, _walk
 
     lane = _Lane(shuffle, variant)
-    for x in _ranks_of(word, shuffle):
-        lane.push(x)
+    list(_walk([tuple(lane.letter[x] for x in _ranks_of(word, shuffle))], [lane]))
     marks = [*lane.marks, len(lane.log)]
     lengths = tuple(b - a for a, b in zip(marks, marks[1:]))
     return InsertionTrace(lengths, tuple(lane.log), shuffle.order)
+
+
+class TestWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3)]), st.data())
+    def test_each_walked_lane_holds_what_a_fresh_lane_fills(self, kl, data):
+        # after every word of a random sequence, whatever prefix it shares
+        # with the word before, each walked lane, bounded or not, holds what
+        # the walk of that word alone gives a fresh lane, and P, Q and the
+        # diagram note that push_word gives a fresh unlogged lane
+        from superrsk.insertion import _Lane, _walk
+
+        alphabet = Alphabet(*kl)
+        letters = st.integers(0, alphabet.size - 1)
+        words = data.draw(st.lists(st.lists(letters, max_size=8).map(tuple), max_size=8))
+        shuffle = data.draw(st.sampled_from(all_shuffles(alphabet)))
+        made = [(v, b) for v in VARIANTS for b in (None, *range(alphabet.size))]
+        lanes = [_Lane(shuffle, v, b) for v, b in made]
+        walked = 0
+        for word in _walk(iter(words), lanes):
+            for (variant, bound), lane in zip(made, lanes):
+                fresh = _Lane(shuffle, variant, bound)
+                next(_walk(iter([word]), [fresh]))
+                assert lane_state(lane) == lane_state(fresh)
+                unlogged = _Lane(shuffle, variant, bound, logged=False)
+                unlogged.push_word(lane.rank[a] for a in word)
+                assert lane_state(lane)[:3] == lane_state(unlogged)[:3]
+                assert lane.bad == unlogged.bad
+            walked += 1
+        assert walked == len(words)
+
+
+def lane_state(lane):
+    """Everything a lane holds that inserting letters changes."""
+    return lane.rows, lane.cols, lane.qrows, lane.log, lane.marks, lane.bad
 
 
 class TestDeferredTrace:
@@ -399,7 +451,7 @@ class TestDeferredTrace:
 
         first = reading()
         assert len(logs) == len(word) and all(isinstance(log, list) for log in logs)
-        assert len({id(log) for log in logs}) == 1  # one logged push_word
+        assert len({id(log) for log in logs}) == 1  # one logged walk
         del logs[:]
         assert reading() == first
         _ = trace.path_lengths, trace.log, trace.total, trace.steps

@@ -715,11 +715,45 @@ class TestWalkInsertions:
     def test_one_take_back_per_lane_per_word_that_drops_letters(self, a22, monkeypatch):
         import superrsk.insertion as insertion
 
-        calls = count_calls(monkeypatch, insertion._Lane, "keep")
+        class Counted(list):
+            """A list that counts its slice deletions and its pops."""
+
+            def __delitem__(self, key):
+                self.deletions += 1
+                super().__delitem__(key)
+
+            def pop(self, *args):
+                self.pops += 1
+                return super().pop(*args)
+
+        lanes = []
+        init = insertion._Lane.__init__
+
+        def counted(lane, *args, **kwargs):
+            init(lane, *args, **kwargs)
+            lane.log, lane.marks = Counted(), Counted()
+            for held in (lane.log, lane.marks):
+                held.deletions = held.pops = 0
+            lanes.append(lane)
+
+        monkeypatch.setattr(insertion._Lane, "__init__", counted)
         assert run_token("2", a22, 4).passed
+        monkeypatch.undo()
         # every word after the first drops held letters, and each of the six
-        # lanes takes them back in one call
-        assert calls["keep"] == 6 * (4**4 - 1) == 1530
+        # lanes takes them back in one deletion of their marks
+        assert len(lanes) == 6
+        assert sum(lane.marks.deletions for lane in lanes) == 6 * (4**4 - 1) == 1530
+        # each placement the walk logged is popped once, when its letter is
+        # dropped, except those of the last word, which the lane still holds
+        letters = a22.letters()
+        for lane in lanes:
+            logged = sum(
+                insert_word(Word(tuple(letters[i] for i in word)), lane.shuffle, REGULAR_REGULAR)
+                .trace.path_lengths[-1]
+                for m in range(1, 5)
+                for word in product(range(4), repeat=m)
+            )
+            assert lane.log.pops == logged - len(lane.log) > 0
 
     def test_repeated_u_prefixes_are_pruned(self, a22, monkeypatch):
         import superrsk.insertion as insertion
@@ -767,20 +801,20 @@ WALK_WORDS = [(0, 1, 2), (0, 1, 3), (0, 1, 3), (3,), (), (2, 2, 2, 1)]
 
 
 def recorded_alignments(alphabet, n, mode, words=None):
-    """Each (word, adjacent pair) outcome the lemma2.15 grid reads off its
-    witness tables, in order: the witness count, or the AlignmentError's
+    """Each (word, adjacent pair) outcome the lemma2.15 grid counts off its
+    signature streams, in order: the witness count, or the AlignmentError's
     message.  ``words`` replaces the grid's word list."""
     import superrsk.verify as verify
 
     seen = []
-    original = verify._witness_count
+    original = verify._stream_count
 
-    def recording(table, sa, sb):
-        seen.append(alignment_outcome(original, table, sa, sb))
-        return original(table, sa, sb)
+    def recording(a, b):
+        seen.append(alignment_outcome(original, a, b))
+        return original(a, b)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_witness_count", recording)
+        patch.setattr(verify, "_stream_count", recording)
         if words is not None:
             patch.setattr(verify, "_words", lambda *args: iter(words))
         report = check_trace_alignment_grid(alphabet, n, mode)
@@ -811,12 +845,26 @@ def reference_alignments(alphabet, words):
 
 def recorded_tables(run, words=None):
     """Each table ``_witnesses`` builds while ``run()`` runs, in order, with
-    ``words`` as the grid's word list if given."""
+    ``words`` as the grid's word list if given.  Where the grid counts a
+    stream pair without a table, its entry is None."""
     import superrsk.verify as verify
 
-    tables, original = [], verify._witnesses
+    tables, witnesses, count = [], verify._witnesses, verify._stream_count
+
+    def built(a, b):
+        if tables and tables[-1] is None:  # the table of the count just begun
+            tables[-1] = witnesses(a, b)
+        else:
+            tables.append(witnesses(a, b))
+        return tables[-1]
+
+    def counted(a, b):
+        tables.append(None)
+        return count(a, b)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_witnesses", lambda a, b: tables.append(original(a, b)) or tables[-1])
+        patch.setattr(verify, "_witnesses", built)
+        patch.setattr(verify, "_stream_count", counted)
         if words is not None:
             patch.setattr(verify, "_words", lambda *args: iter(words))
         run()
@@ -887,8 +935,53 @@ class TestSignatureStreams:
         words = [*WALK_WORDS, *product(range(k + l), repeat=3)]
         walked = recorded_tables(lambda: check_trace_alignment_grid(alphabet, 3), words)
         separate = recorded_tables(lambda: reference_alignments(alphabet, words))
-        assert walked == separate and len(walked) == len(words) * len(adjacent_pairs(alphabet))
-        assert all(count == 1 for table in walked for row in table for count in row.values())
+        assert len(walked) == len(separate) == len(words) * len(adjacent_pairs(alphabet))
+        for table, reference in zip(walked, separate):
+            if table is None:  # counted without a table: the diagonal is the one witness
+                assert reference == [{p: 1} for p in range(len(reference))]
+            else:
+                assert table == reference
+        assert None in walked and any(table is not None for table in walked)
+        assert all(count == 1 for table in separate for row in table for count in row.values())
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["sound", "faulty"])
+    @pytest.mark.parametrize(
+        "k,l,n_max,order", [(2, 2, 4, "t1<u1<t2<u2"), (3, 2, 3, "t1<u1<t2<u2<t3")],
+        ids=["A22", "A32"],
+    )
+    def test_a_count_without_a_table_equals_the_count_off_the_table(
+        self, k, l, n_max, order, fault, monkeypatch
+    ):
+        import superrsk.verify as verify
+
+        alphabet = Alphabet(k, l)
+        if fault:
+            install_fault(monkeypatch, alphabet, order)
+        count, witnesses = verify._stream_count, verify._witnesses
+        built = [0]
+        paths = {"untabled": 0, "tabled": 0}
+
+        def counting(a, b):
+            before = built[0]
+            outcome = alignment_outcome(count, a, b)
+            table = witnesses(a, b)
+            assert outcome == alignment_outcome(verify._witness_count, table, len(a), len(b))
+            paths["untabled" if built[0] == before else "tabled"] += 1
+            return count(a, b)
+
+        def building(a, b):
+            built[0] += 1
+            return witnesses(a, b)
+
+        monkeypatch.setattr(verify, "_stream_count", counting)
+        monkeypatch.setattr(verify, "_witnesses", building)
+        failed = False
+        for n in range(n_max + 1):
+            report = check_trace_alignment_grid(alphabet, n)
+            assert report.cases_run == alphabet.size**n * len(adjacent_pairs(alphabet))
+            failed |= bool(report.failures)
+        assert failed == fault
+        assert paths["untabled"] > 0 and paths["tabled"] > 0
 
     @pytest.mark.parametrize("fault", [False, True], ids=["sound", "faulty"])
     @pytest.mark.parametrize(
@@ -948,7 +1041,7 @@ class TestSignatureStreams:
             return counts
 
         rng = random.Random(11)
-        most = emptied = 0
+        most = emptied = self_counts = 0
         for _ in range(800):
             a = [rng.randrange(2) for _ in range(rng.randrange(12))]
             b = [rng.randrange(2) for _ in range(rng.randrange(12))]
@@ -966,7 +1059,14 @@ class TestSignatureStreams:
             assert outcome == expected or (isinstance(outcome, str) and not expected)
             emptied += not (a and b)
             most = max(most, *reached.values(), 0)
-        assert most > 4 and emptied > 5
+            # the grid's count step, which skips the table for some equal streams
+            for x, y in ((a, b), (a, a)):
+                counted = alignment_outcome(verify._stream_count, x, y)
+                assert counted == alignment_outcome(
+                    verify._witness_count, verify._witnesses(x, y), len(x), len(y)
+                )
+                self_counts += x is y and counted != 1
+        assert most > 4 and emptied > 5 and self_counts > 100
 
     def test_a_settle_revised_by_the_next_letter_is_signed_again(self, a22, monkeypatch):
         import superrsk.verify as verify
@@ -975,7 +1075,9 @@ class TestSignatureStreams:
         lane, pairs = lanes[0], [pair for i, _, pair in verify._adjacent_pairs(lanes) if i == 0]
         stream = verify._Stream(lane.shuffle, pairs, verify._States())
         cls = stream.states.cls
-        lane.push(0)  # t1 settles in (1, 1) with nothing pending
+        first, second = lane.letter[0], lane.letter[2]
+        walk = verify._walk(iter([(first,), (first, second)]), [lane])
+        next(walk)  # t1 settles in (1, 1) with nothing pending
         stream.follow(lane.log, 0)
         assert stream.pending == [None] and len(pairs) == 1
         first = {pair: sigs[:] for pair, sigs in stream.sigs.items()}
@@ -983,7 +1085,7 @@ class TestSignatureStreams:
         stream.follow(lane.log, 1)  # nothing changed, so nothing is signed
         assert all(stream.sigs[pair][0] is first[pair][0] for pair in pairs)
         assert stream.sigs == first
-        lane.push(2)  # the settle's pending action becomes u1's entry
+        next(walk)  # the settle's pending action becomes u1's entry
         stream.follow(lane.log, 1)
         assert stream.pending == [(2, 1), None]
         # the kept settle is signed again and the new step signed, per pair
@@ -1165,19 +1267,26 @@ class TestDeferredDiagramCheck:
         held = insert_word(word, source, REGULAR_REGULAR)
         monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
         lane = insertion._Lane(source, REGULAR_REGULAR)
-        for x in (0, 1, 2, 3):
-            lane.push(x)
+        check = insertion._check_diagrams
+        # the walk checks each word itself; here the test checks each one
+        monkeypatch.setattr(insertion, "_check_diagrams", lambda lanes: None)
+        first4 = tuple(lane.letter[x] for x in (0, 1, 2, 3))
+        walk = insertion._walk(iter([first4, first4[:3], first4[:2]]), [lane])
+        next(walk)
         assert lane.bad == 3  # the third letter's settle left row 2 longer than row 1
         with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 3\]$"):
-            verify._check_diagrams([lane])
-        lane.keep(3)
+            check([lane])
+        next(walk)
         with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
-            verify._check_diagrams([lane])
-        lane.keep(2)  # takes back the bad settle
+            check([lane])
+        next(walk)  # takes back the bad settle
         assert lane.bad is None and lane.rows == [[0], [1]]
-        verify._check_diagrams([lane])
+        check([lane])
+        monkeypatch.setattr(insertion, "_check_diagrams", check)
+        with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 3\]$"):
+            list(insertion._walk(iter([first4]), [insertion._Lane(source, REGULAR_REGULAR)]))
         # the grids see the same message as building a Tableau of the final rows:
-        # the walk checks each word, and theorem3 and converse each inserted word
+        # the walk checks each word (theorem3's too), and converse each inserted word
         # (at n = 2 the fault only stacks a column, which is still a diagram)
         for token in ("2", "theorem3", "converse"):
             with pytest.raises(ValueError, match=r"^row lengths must be weakly decreasing: \[1, 2\]$"):
@@ -1197,10 +1306,13 @@ class TestDeferredDiagramCheck:
 
         lane = insertion._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
         monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
-        for x in (0, 1, 2):
-            lane.push(x)
+        # the walk's own check would refuse the first word's rows
+        monkeypatch.setattr(insertion, "_check_diagrams", lambda lanes: None)
+        first3 = tuple(lane.letter[x] for x in (0, 1, 2))
+        walk = insertion._walk(iter([first3, (*first3, lane.letter[0])]), [lane])
+        next(walk)
         monkeypatch.undo()
-        lane.push(0)  # a true insertion of t1 settles at the end of row 1
+        next(walk)  # a true insertion of t1 settles at the end of row 1; the walk checks it
         assert lane.bad is not None and lane.rows == [[0, 0], [1, 2]]
         verify._check_diagrams([lane])
 
@@ -1210,18 +1322,20 @@ def lane_state(lane):
     return lane.rows, lane.cols, lane.qrows, lane.log, lane.marks, lane.bad
 
 
-class TestLaneKeep:
+class TestLaneTakeBack:
     @pytest.mark.parametrize("faulty", [False, True], ids=["true", "faulty"])
     @pytest.mark.parametrize("bounded", [False, True], ids=["whole", "lemma2.6"])
-    def test_keep_then_pushing_the_same_letters_restores_a_fresh_lane(
+    def test_taking_back_then_pushing_the_same_letters_restores_a_fresh_lane(
         self, monkeypatch, bounded, faulty
     ):
         # a lemma2.6 lane pushes only the letters up to its bound; the fault
-        # leaves rows that are no diagram, so ``bad`` is set and taken back
+        # leaves rows that are no diagram, so ``bad`` is set and taken back,
+        # and the walk's diagram check, which would refuse them, is skipped
         import superrsk.insertion as insertion
 
         if faulty:
             monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
+            monkeypatch.setattr(insertion, "_check_diagrams", lambda lanes: None)
         alphabet = Alphabet(3, 2)
         rng = random.Random(5)
         bads = 0
@@ -1229,26 +1343,24 @@ class TestLaneKeep:
             for variant in VARIANTS:
                 bound = shuffle.rank(t(2)) if bounded else None
 
-                def pushed(letters):
+                def filled(letters):
                     lane = insertion._Lane(shuffle, variant, bound)
-                    for a in letters:
-                        lane.push(lane.rank[a])
+                    next(insertion._walk(iter([letters]), [lane]))
                     return lane
 
                 for _ in range(6):
-                    word = [rng.randrange(alphabet.size) for _ in range(rng.randrange(10))]
-                    lane = pushed(word)
-                    assert len(lane.marks) == len(word)
-                    filled = insertion._Lane(shuffle, variant, bound)
-                    filled.push_word(lane.rank[a] for a in word)
-                    assert lane_state(filled) == lane_state(lane)
+                    word = tuple(rng.randrange(alphabet.size) for _ in range(rng.randrange(10)))
                     m = rng.randrange(len(word) + 1)
+                    lane = insertion._Lane(shuffle, variant, bound)
+                    walk = insertion._walk(iter([word, word[:m], word]), [lane])
+                    next(walk)
+                    assert len(lane.marks) == len(word)
+                    assert lane_state(lane) == lane_state(filled(word))
                     bads += lane.bad is not None
-                    lane.keep(m)
-                    assert lane_state(lane) == lane_state(pushed(word[:m]))
-                    for a in word[m:]:
-                        lane.push(lane.rank[a])
-                    assert lane_state(lane) == lane_state(pushed(word))
+                    next(walk)  # takes back every letter after the m-th
+                    assert lane_state(lane) == lane_state(filled(word[:m]))
+                    next(walk)
+                    assert lane_state(lane) == lane_state(filled(word))
         assert (bads > 0) == faulty
 
 
@@ -1582,6 +1694,29 @@ class TestFailureRecordsUnderAFault:
         assert {f.shuffles for f in report.failures} == {FAULTY_ORDER}
 
 
+def converse_reference(alphabet, n):
+    """converse case by case from public functions: the case count and the
+    failures in the grid's order, each (P, Q) reversed and its word inserted
+    on its own."""
+    cases, failures = 0, []
+    for shape in partitions(n):
+        for s in all_shuffles(alphabet):
+            fillings = enumerate_ssyt(shape, alphabet, s, REGULAR_REGULAR)
+            for q in enumerate_syt(shape):
+                for p in fillings:
+                    cases += 1
+                    word = reverse_word(p, q, s, REGULAR_REGULAR)
+                    back = insert_word(word, s, REGULAR_REGULAR)
+                    p_same, q_same = back.p == p, back.q == q
+                    if not (p_same and q_same):
+                        failures.append(CaseFailure(
+                            str(word), str(s), REGULAR_REGULAR.name,
+                            "insertion gives back the reversed (P, Q)",
+                            "P differs" if q_same else "Q differs" if p_same else "P and Q differ",
+                        ))
+    return cases, failures
+
+
 class TestConverseRoundTrip:
     @pytest.mark.parametrize("k,l,n", [(2, 2, 3), (2, 1, 4), (1, 2, 4), (2, 0, 3), (0, 2, 3)])
     def test_every_pair_comes_back(self, k, l, n):
@@ -1589,3 +1724,27 @@ class TestConverseRoundTrip:
         assert report.passed
         # RSK: the (P, Q) pairs of n cells are counted by the words of length n
         assert report.cases_run == (k + l) ** n * comb(k + l, k)
+
+    def test_each_case_reverses_once_and_inserts_its_word_once(self, a22, monkeypatch):
+        import superrsk.insertion as insertion
+        import superrsk.verify as verify
+
+        inserts = count_calls(monkeypatch, insertion, "_insert_rank")
+        calls = count_calls(monkeypatch, verify, "_insert_into", "_reverse_ranks")
+        report = check_converse_round_trip_grid(a22, 4)
+        assert report.passed and report.cases_run == 4**4 * 6
+        # one reversal and one unlogged insertion of its 4 letters per case
+        assert calls["_reverse_ranks"] == calls["_insert_into"] == report.cases_run
+        assert inserts["_insert_rank"] == 4 * report.cases_run == 6144
+
+    @pytest.mark.parametrize("k,l,n,order", [
+        (2, 2, 3, FAULTY_ORDER), (2, 2, 4, FAULTY_ORDER), (3, 2, 3, "t1<u1<t2<u2<t3"),
+        (2, 1, 4, "t1<u1<t2"),
+    ])
+    def test_failures_match_per_case_reference_under_a_fault(self, monkeypatch, k, l, n, order):
+        alphabet = Alphabet(k, l)
+        install_fault(monkeypatch, alphabet, order)
+        report = check_converse_round_trip_grid(alphabet, n)
+        cases, failures = converse_reference(alphabet, n)
+        assert (report.cases_run, list(report.failures)) == (cases, failures)
+        assert failures and {f.shuffles for f in failures} == {order}
