@@ -11,12 +11,19 @@ Each later round runs every op once in the grid's order, so the ops
 interleave and a slow spell of the machine reaches them alike.  An op's time
 is its best over the rounds.
 
+Each round also runs ``converse`` and ``mimicry`` at k=l=2, n=4 under
+reg-reg, two claims that no benchmark workload runs.
+
 Prints one line per op (claim token, variant, n, case count, best time in ms),
-then the unit: the sum of the ops' bests and the best round's total, and
-last the process's peak resident set size after every round, a figure for a
-fixed number of units (``--repeats`` + 1 rounds of the grid).  Exits 1
-if an op exits non-zero, reports failures or counts other than the
-workload's closed form.
+then the unit: the sum of the ops' bests and the best round's total; then
+one line per extra claim, timed as the ops are but not summed into the unit;
+and last the process's peak resident set size after every round, a figure
+for a fixed number of units (``--repeats`` + 1 rounds of the grid and the
+extra claims).  Exits 1 if an op or extra claim exits non-zero, reports
+failures or counts other than its closed form: the workload's for an op,
+and (k+l)^n C(k+l, k) for an extra claim, the (P, Q) pairs of n cells
+under each shuffle for ``converse`` and the words under each shuffle for
+``mimicry``.
 """
 
 from __future__ import annotations
@@ -29,9 +36,12 @@ import resource
 import sys
 import time
 from contextlib import redirect_stdout
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# claims no benchmark workload runs, timed beside the unit: (token, variant, k, l, n)
+EXTRA = (("converse", "reg-reg", 2, 2, 4), ("mimicry", "reg-reg", 2, 2, 4))
 
 
 def load_workloads():
@@ -58,13 +68,19 @@ def main(argv: list[str] | None = None) -> int:
 
     size = workloads.VerifyExhaustive.sizes["full"]
     k, l = size["k"], size["l"]
-    ops = []
-    for token, variant, n in size["grid"]:
+
+    def op(token, variant, k, l, n, expected):
         argv_ = [
             "--k", str(k), "--l", str(l), "--variant", variant, "--format", "json",
             "verify", "--theorem", token, "--n", str(n), "--mode", "exhaustive",
         ]
-        ops.append((f"{token} {variant} n={n}", argv_, workloads.closed_form_cases(token, k, l, n)))
+        return f"{token} {variant} n={n}", argv_, expected
+
+    ops = [op(token, variant, k, l, n, workloads.closed_form_cases(token, k, l, n))
+           for token, variant, n in size["grid"]]
+    unit = len(ops)
+    ops += [op(token, variant, k_, l_, n, (k_ + l_) ** n * comb(k_ + l_, k_))
+            for token, variant, k_, l_, n in EXTRA]
 
     def run(argv_) -> tuple[float, int, dict]:
         captured = io.StringIO()
@@ -84,16 +100,19 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {name}: exit {code}, {len(report['failures'])} failures, "
                       f"{report['cases']} cases (expected {expected})", file=sys.stderr)
                 return 1
-            total += elapsed
+            total += elapsed if m < unit else 0.0
             if round_:  # the first round warms up
                 best[m] = min(best[m], elapsed)
         if round_:
             best_round = min(best_round, total)
     print(f"k={k} l={l}, best of {args.repeats} interleaved rounds, in process")
-    for (name, _, expected), seconds in zip(ops, best):
+    for (name, _, expected), seconds in zip(ops[:unit], best):
         print(f"{name:<22} {expected:>7} cases {seconds * 1000:8.2f} ms")
-    print(f"{'unit (sum of bests)':<36} {sum(best) * 1000:8.2f} ms")
+    print(f"{'unit (sum of bests)':<36} {sum(best[:unit]) * 1000:8.2f} ms")
     print(f"{'unit (best round)':<36} {best_round * 1000:8.2f} ms")
+    for (name, _, expected), (_, _, k_, l_, _), seconds in zip(ops[unit:], EXTRA, best[unit:]):
+        print(f"{name:<22} {expected:>7} cases {seconds * 1000:8.2f} ms  (k={k_} l={l_}, "
+              "not in the unit)")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{f'peak RSS, {args.repeats + 1} rounds':<36} {peak_mb:8.2f} MB")
     return 0

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Letter, Shuffle, kl_shuffle, u as u_letter, t as t_letter
-from .insertion import _Lane, Variant, Word, _ranks_of, _valid_grid
+from .insertion import _Lane, Variant, Word, _ranks_of, _valid_grid, _walk
 from .tableau import Cell, RecordingTableau, Shape, Tableau, _standard_cells
 
 __all__ = [
@@ -138,9 +138,10 @@ def change_shuffle(
     """
     if source.alphabet != target.alphabet:
         raise ValueError("shuffles must share an alphabet")
-    ranks = _checked_reverse(p, q, _Lane(source, variant, logged=False))
+    back = _Lane(source, variant, logged=False)
+    word = tuple(map(back.letter.__getitem__, _checked_reverse(p, q, back)))
     lane = _Lane(target, variant, logged=False)
-    lane.push_word(_ranks_of((source.order[x] for x in ranks), target))
+    next(_walk((word,), [lane]))
     return lane.tableau()
 
 

@@ -21,9 +21,8 @@ placement log or steps re-inserts them once with a log, and the intermediate
 ``state_after`` is read.
 ``reverse_word``, ``change_shuffle`` and the verification grids work on ranks
 and never build snapshots.  Every insertion, those grids' included, runs
-through one rank-level state, ``_Lane``: with a log it is filled by
-``_walk``, which the grids use to step from word to word, and without one by
-``_Lane.push_word``.
+through one rank-level state, ``_Lane``, filled, with a log or without, by
+``_walk``, which the grids also use to step from word to word.
 """
 
 from __future__ import annotations
@@ -224,12 +223,10 @@ class InsertionTrace:
 
     @classmethod
     def _of_lane(cls, lane: _Lane, ranks: Iterable[int]) -> InsertionTrace:
-        """The trace of inserting ``ranks`` into a logged lane, emptied first
-        and filled by ``_walk``, which checks the diagram; the lane holds the
+        """The trace of inserting ``ranks`` into a logged lane, emptied and
+        filled by ``_walk``, which checks the diagram; the lane holds the
         insertion afterwards."""
-        lane.clear()
-        for _ in _walk((tuple(map(lane.letter.__getitem__, ranks)),), [lane]):
-            pass
+        next(_walk((tuple(map(lane.letter.__getitem__, ranks)),), [lane]))
         # each letter's path ends with its settle, the one placement that bumps nothing
         ends = [s for s, (_, _, _, y) in enumerate(lane.log, 1) if y is None]
         lengths = tuple(b - a for a, b in zip([0] + ends, ends))
@@ -404,12 +401,12 @@ class _Lane:
     ranks back, ``is_t`` says which ranks hold t-letters, and ``strict`` is
     ``is_valid``'s per-rank strictness table.  ``find_t``/``find_u`` are the
     variant's bump searches, ``back_t``/``back_u`` the reverse searches.
-    A logged lane is filled only by ``_walk``, which steps it from word to
-    word, taking letters back off the log; an unlogged lane is filled only by
-    ``push_word``, a whole word at a time.  Both record each new cell in Q.
-    ``marks`` holds each letter's log length before its steps, or is None
-    with the log, so an unlogged lane can never take a letter back.  A lane
-    with a ``bound`` pushes only the ranks <= bound, so it holds the
+    Every lane is filled from empty only by ``_walk``, which records each
+    new cell in Q and steps a logged lane from word to word, taking letters
+    back off the log.  ``marks`` holds each letter's log length before its
+    steps, or is None with the log, so an unlogged lane can never take a
+    letter back: the walk starts it afresh on a word that drops letters.  A
+    lane with a ``bound`` pushes only the ranks <= bound, so it holds the
     insertion of the restricted word (its Q records their positions in the
     whole word, and every letter has a mark).  ``bad`` is the number of the
     first letter still held whose settle left a row longer than the row
@@ -433,13 +430,18 @@ class _Lane:
         self.find_t, self.back_t = _SEARCH[variant.t_rule]
         self.find_u, self.back_u = _SEARCH[variant.u_rule]
         self.strict = _strict_in_rows(shuffle, variant_profile(variant))
+        self.rows, self.cols, self.qrows = [], [], []
         self.log, self.marks = ([], []) if logged else (None, None)
-        self.clear()
+        self.bad = None
 
     def clear(self) -> None:
-        self.rows, self.cols, self.qrows = [], [], []
+        """Empty the lane in place, so lists a walk has bound stay the lane's."""
+        self.rows.clear()
+        self.cols.clear()
+        self.qrows.clear()
         if self.log is not None:
-            self.log, self.marks = [], []
+            self.log.clear()
+            self.marks.clear()
         self.bad = None
 
     def tableau(self) -> Tableau:
@@ -456,26 +458,6 @@ class _Lane:
         unchecked once P passes."""
         p = self.tableau()
         return InsertionResult(p, RecordingTableau._of(tuple(map(tuple, self.qrows))), trace)
-
-    def push_word(self, ranks: Iterable[int]) -> None:
-        """Empty the unlogged lane and push ranks as letters 1, 2, ...
-
-        A logged lane fills through ``_walk``, which also keeps its marks;
-        this loop is the walk's push without them."""
-        assert self.log is None, "a logged lane fills through _walk"
-        self.clear()
-        rows, cols, qrows = self.rows, self.cols, self.qrows
-        is_t, find_t, find_u, bound = self.is_t, self.find_t, self.find_u, self.bound
-        for m, x in enumerate(ranks, 1):
-            if x > bound:
-                continue
-            i = _insert_rank(rows, cols, x, is_t, find_t, find_u, None)
-            if i == len(qrows):
-                qrows.append([m])
-            else:
-                qrows[i].append(m)
-                if i and len(rows[i]) > len(rows[i - 1]) and self.bad is None:
-                    self.bad = m
 
 
 def _check_diagrams(lanes: Iterable[_Lane]) -> None:
@@ -503,17 +485,21 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
     """Insert each alphabet-index word under every lane, starting from the
     prefix it shares with the word before.
 
-    The lanes are logged and start empty.  Yields each word once every lane
-    holds its insertion and has passed the diagram check.  Per word, each
-    lane takes back the letters after the shared prefix, newest placement
-    first, then inserts the new ones, recording each new cell in Q, so a
-    reader copies whatever it keeps.  In product order over alphabet indices
-    this makes one insertion per node of the word trie, (k+l) + (k+l)^2 +
-    ... + (k+l)^n per lane, instead of n (k+l)^n.  This is the one place
-    that steps a logged lane, for a single word too; each lane's lists and
-    tables are bound once per call.
+    Empties the lanes first.  Yields each word once every lane holds its
+    insertion and has passed the diagram check.  Per word, a logged lane
+    takes back the letters after the shared prefix, newest placement first;
+    an unlogged lane has no log to take them back by, so a word that drops
+    letters starts it afresh, and a word that only extends the one before
+    continues it.  Each lane then inserts the new letters, recording each
+    new cell in Q, so a reader copies whatever it keeps.  In product order
+    over alphabet indices this makes one insertion per node of the word
+    trie, (k+l) + (k+l)^2 + ... + (k+l)^n per logged lane, instead of
+    n (k+l)^n.  This is the one place that fills a lane from empty, for a
+    single word too; each lane's lists and tables are bound once per call.
     """
     held: tuple[int, ...] = ()
+    for lane in lanes:
+        lane.clear()
     parts = [
         (lane, lane.rows, lane.cols, lane.qrows, lane.log, lane.marks, lane.rank, lane.is_t,
          lane.find_t, lane.find_u, lane.bound)
@@ -524,30 +510,35 @@ def _walk(words: Iterable[tuple[int, ...]], lanes: list[_Lane]):
         dropped = len(held) > shared
         fresh = word[shared:]
         for lane, rows, cols, qrows, log, marks, rank, is_t, find_t, find_u, top in parts:
+            m, letters = shared, fresh
             if dropped:
-                start = marks[shared]
-                del marks[shared:]
-                while len(log) > start:
-                    r, c, _, y = log.pop()
-                    r -= 1
-                    c -= 1
-                    if y is None:  # the letter's new cell: the last of its row and column
-                        rows[r].pop()
-                        cols[c].pop()
-                        qrows[r].pop()
-                        if not rows[r]:
-                            rows.pop()
-                            qrows.pop()
-                        if not cols[c]:
-                            cols.pop()
-                    else:
-                        rows[r][c] = cols[c][r] = y
-                if lane.bad is not None and lane.bad > shared:
-                    lane.bad = None
-            m = shared
-            for a in fresh:
+                if log is None:  # no log to take letters back by
+                    lane.clear()
+                    m, letters = 0, word
+                else:
+                    start = marks[shared]
+                    del marks[shared:]
+                    while len(log) > start:
+                        r, c, _, y = log.pop()
+                        r -= 1
+                        c -= 1
+                        if y is None:  # the letter's new cell: the last of its row and column
+                            rows[r].pop()
+                            cols[c].pop()
+                            qrows[r].pop()
+                            if not rows[r]:
+                                rows.pop()
+                                qrows.pop()
+                            if not cols[c]:
+                                cols.pop()
+                        else:
+                            rows[r][c] = cols[c][r] = y
+                    if lane.bad is not None and lane.bad > shared:
+                        lane.bad = None
+            for a in letters:
                 m += 1
-                marks.append(len(log))
+                if log is not None:
+                    marks.append(len(log))
                 x = rank[a]
                 if x > top:
                     continue
@@ -585,7 +576,7 @@ def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     """
     ranks = _ranks_of(v, shuffle)
     lane = _Lane(shuffle, variant, logged=False)
-    lane.push_word(ranks)
+    next(_walk((tuple(map(lane.letter.__getitem__, ranks)),), [lane]))
     return lane.result(InsertionTrace._deferred(tuple(ranks), shuffle, variant))
 
 

@@ -36,7 +36,6 @@ from .insertion import (
     Variant,
     Word,
     _Lane,
-    _check_diagrams,
     _common_prefix,
     _rank_grid,
     _ranks_of,
@@ -768,15 +767,6 @@ def _recovered(rows, cols, cells: list[Cell], lane: _Lane) -> tuple[int, ...]:
     return tuple(map(lane.letter.__getitem__, ranks))
 
 
-def _insert_into(lane: _Lane, word: tuple[int, ...]) -> None:
-    """Insert an alphabet-index word into the emptied lane and check its diagram.
-
-    Only P's and Q's rows are read afterwards, so the grids hand in lanes
-    built without a log."""
-    lane.push_word(map(lane.rank.__getitem__, word))
-    _check_diagrams((lane,))
-
-
 def _content(rows: list[list[int]], lane: _Lane) -> tuple[int, ...]:
     """The sorted content of rank rows under the lane, as alphabet indices."""
     letter = lane.letter
@@ -889,7 +879,10 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
 
 def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
     """insert(reverse(P, Q)) == (P, Q) for every shape of n cells, every
-    shuffle, every valid P and every standard Q (reg-reg)."""
+    shuffle, every valid P and every standard Q (reg-reg).
+
+    Per (shape, shuffle, recorder), one walk of an unlogged lane inserts the
+    recovered words in turn, each from empty."""
 
     def cases():
         for shape in partitions(n):
@@ -901,8 +894,7 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
                 for q, q_words in zip(recorders, words):
                     q_rows = [list(row) for row in q.rows]
                     failed = []
-                    for rows, word in zip(fillings, q_words):
-                        _insert_into(lane, word)
+                    for rows, word in zip(fillings, _walk(q_words, [lane])):
                         p_same, q_same = lane.rows == rows, lane.qrows == q_rows
                         if not (p_same and q_same):
                             failed.append(CaseFailure(
@@ -991,30 +983,32 @@ def check_standardization_mimicry_grid(
 
     The derived shuffle and the map from its ranks back to the shuffle's
     depend on the shuffle and the word's u-counts alone, so they are built
-    once per such pair, and the word is relabelled on alphabet indices."""
+    once per such pair, and the word is relabelled on alphabet indices.  The
+    derived shuffles of one word order one alphabet, so one walk inserts the
+    relabelled word into all of their lanes."""
     letters = alphabet.letters()
     lanes = _lanes(alphabet, REGULAR_DUAL)
-    # (lane index, u-counts) -> (derived lane, derived rank -> shuffle rank)
-    keyed: dict[tuple[int, tuple[int, ...]], tuple[_Lane, list[int]]] = {}
+    # u-counts -> per lane, the derived lane and its map, derived rank -> shuffle rank
+    keyed: dict[tuple[int, ...], tuple[list[_Lane], list[list[int]]]] = {}
 
     def judge(word):
         counts, relabelled = _relabel(word, alphabet.k, alphabet.l, "u")
-        failed = []
-        for i, lane in enumerate(lanes):
-            s = lane.shuffle
-            entry = keyed.get((i, counts))
-            if entry is None:
+        if counts not in keyed:
+            derived, to_ranks = keyed[counts] = [], []
+            for lane in lanes:
+                s = lane.shuffle
                 std = standardize_u(Word(tuple(letters[a] for a in word)), s)
                 back = dict(std.source_map)
-                to_rank = [s.ranks[back.get(x, x)] for x in std.shuffle.order]
-                derived = _Lane(std.shuffle, REGULAR_DUAL, logged=False)
-                entry = keyed[(i, counts)] = (derived, to_rank)
-            rel, to_rank = entry
-            _insert_into(rel, relabelled)
+                derived.append(_Lane(std.shuffle, REGULAR_DUAL, logged=False))
+                to_ranks.append([s.ranks[back.get(x, x)] for x in std.shuffle.order])
+        derived, to_ranks = keyed[counts]
+        next(_walk((relabelled,), derived))
+        failed = []
+        for lane, rel, to_rank in zip(lanes, derived, to_ranks):
             unmapped = [[to_rank[x] for x in row] for row in rel.rows]
             if rel.qrows != lane.qrows or unmapped != lane.rows:
                 failed.append((
-                    str(s), REGULAR_DUAL.name,
+                    str(lane.shuffle), REGULAR_DUAL.name,
                     "relabelled insertion matches cell for cell", "mimicry failed",
                 ))
         return len(lanes), failed

@@ -396,28 +396,38 @@ class TestWalk:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3)]), st.data())
     def test_each_walked_lane_holds_what_a_fresh_lane_fills(self, kl, data):
-        # after every word of a random sequence, whatever prefix it shares
-        # with the word before, each walked lane, bounded or not, holds what
-        # the walk of that word alone gives a fresh lane, and P, Q and the
-        # diagram note that push_word gives a fresh unlogged lane
+        # after every word of a random sequence, each walked lane, bounded or
+        # not, holds what the walk of that word alone gives a fresh lane; the
+        # unlogged lanes, walked alongside, hold the logged lanes' P, Q and
+        # diagram note.  Every other word extends the one before, which an
+        # unlogged lane continues, and the rest drop letters, which starts it
+        # afresh
         from superrsk.insertion import _Lane, _walk
 
         alphabet = Alphabet(*kl)
         letters = st.integers(0, alphabet.size - 1)
-        words = data.draw(st.lists(st.lists(letters, max_size=8).map(tuple), max_size=8))
+        tails = data.draw(st.lists(
+            st.tuples(st.lists(letters, max_size=4).map(tuple), st.integers(0, 7)),
+            min_size=2, max_size=8,
+        ))
+        words, word = [], ()
+        for m, (tail, cut) in enumerate(tails):
+            if m % 2 == 0 and word:  # drops at least its last letter
+                word = word[:cut % len(word)]
+            word += tail
+            words.append(word)
         shuffle = data.draw(st.sampled_from(all_shuffles(alphabet)))
         made = [(v, b) for v in VARIANTS for b in (None, *range(alphabet.size))]
         lanes = [_Lane(shuffle, v, b) for v, b in made]
+        unlogged = [_Lane(shuffle, v, b, logged=False) for v, b in made]
         walked = 0
-        for word in _walk(iter(words), lanes):
-            for (variant, bound), lane in zip(made, lanes):
+        for word in _walk(iter(words), lanes + unlogged):
+            for (variant, bound), lane, bare in zip(made, lanes, unlogged):
                 fresh = _Lane(shuffle, variant, bound)
                 next(_walk(iter([word]), [fresh]))
                 assert lane_state(lane) == lane_state(fresh)
-                unlogged = _Lane(shuffle, variant, bound, logged=False)
-                unlogged.push_word(lane.rank[a] for a in word)
-                assert lane_state(lane)[:3] == lane_state(unlogged)[:3]
-                assert lane.bad == unlogged.bad
+                assert lane_state(bare)[:3] == lane_state(lane)[:3]
+                assert bare.bad == lane.bad
             walked += 1
         assert walked == len(words)
 

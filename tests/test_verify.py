@@ -432,7 +432,7 @@ class TestWeightPreservingBijection:
 
         calls = count_calls(
             monkeypatch, verify, "_fill_ranks", "_reverse_ranks", "_rank_grid", "_valid_ranks",
-            "_check_recording", "_insert_into",
+            "_check_recording", "_walk",
         )
         inserts = count_calls(monkeypatch, insertion, "_insert_rank")
         monkeypatch.setattr(insertion, "insert_word", refuse_insert_word)
@@ -459,7 +459,7 @@ class TestWeightPreservingBijection:
         # one walk of the word trie inserts once per node under each shuffle,
         # C(4, 2) (4 + 16 + 64) letter insertions, and no word is inserted alone
         assert inserts["_insert_rank"] == comb(4, 2) * (4 + 4**2 + 4**3) == 504
-        assert calls["_insert_into"] == 0
+        assert calls["_walk"] == 1
 
 
 def snapshot_alignment(trace_a, a, trace_b, b):
@@ -1260,7 +1260,6 @@ def stacking_insert(rows, cols, x, is_t, find_t, find_u, log):
 class TestDeferredDiagramCheck:
     def test_a_corner_fault_raises_on_the_final_rows(self, a22, monkeypatch):
         import superrsk.insertion as insertion
-        import superrsk.verify as verify
 
         source, target = all_shuffles(a22)[:2]
         word = Word((t(1), u(2), t(2), u(1)))
@@ -1302,7 +1301,6 @@ class TestDeferredDiagramCheck:
 
     def test_a_note_whose_rows_became_a_diagram_again_passes(self, a22, monkeypatch):
         import superrsk.insertion as insertion
-        import superrsk.verify as verify
 
         lane = insertion._Lane(all_shuffles(a22)[0], REGULAR_REGULAR)
         monkeypatch.setattr(insertion, "_insert_rank", stacking_insert)
@@ -1314,7 +1312,7 @@ class TestDeferredDiagramCheck:
         monkeypatch.undo()
         next(walk)  # a true insertion of t1 settles at the end of row 1; the walk checks it
         assert lane.bad is not None and lane.rows == [[0, 0], [1, 2]]
-        verify._check_diagrams([lane])
+        insertion._check_diagrams([lane])
 
 
 def lane_state(lane):
@@ -1730,12 +1728,30 @@ class TestConverseRoundTrip:
         import superrsk.verify as verify
 
         inserts = count_calls(monkeypatch, insertion, "_insert_rank")
-        calls = count_calls(monkeypatch, verify, "_insert_into", "_reverse_ranks")
+        calls = count_calls(monkeypatch, verify, "_walk", "_reverse_ranks")
         report = check_converse_round_trip_grid(a22, 4)
         assert report.passed and report.cases_run == 4**4 * 6
-        # one reversal and one unlogged insertion of its 4 letters per case
-        assert calls["_reverse_ranks"] == calls["_insert_into"] == report.cases_run
+        # one reversal and one unlogged insertion of its 4 letters per case,
+        # from one walk per (shape, shuffle, recorder): the shapes of 4 have
+        # 1 + 3 + 2 + 3 + 1 standard recorders
+        assert calls["_reverse_ranks"] == report.cases_run
+        assert calls["_walk"] == 10 * len(all_shuffles(a22)) == 60
         assert inserts["_insert_rank"] == 4 * report.cases_run == 6144
+
+    def test_mimicry_inserts_on_the_walk_and_once_per_word_and_shuffle(self, a22, monkeypatch):
+        import superrsk.insertion as insertion
+        import superrsk.verify as verify
+
+        inserts = count_calls(monkeypatch, insertion, "_insert_rank")
+        calls = count_calls(monkeypatch, verify, "_walk")
+        report = verify.check_standardization_mimicry_grid(a22, 4)
+        assert report.passed and report.cases_run == 4**4 * 6
+        # the walk of the word trie inserts once per node under each shuffle,
+        # and each word's relabelling is inserted, all 4 letters, under each
+        # derived shuffle by one walk per word
+        assert calls["_walk"] == 1 + 4**4
+        walked = 6 * (4 + 4**2 + 4**3 + 4**4)
+        assert inserts["_insert_rank"] == walked + 4 * report.cases_run == 2040 + 6144 == 8184
 
     @pytest.mark.parametrize("k,l,n,order", [
         (2, 2, 3, FAULTY_ORDER), (2, 2, 4, FAULTY_ORDER), (3, 2, 3, "t1<u1<t2<u2<t3"),
