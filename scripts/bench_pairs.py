@@ -3,6 +3,9 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
         [--pairs 10] [--seconds 30] [--first-seed 1]
 
+``--pairs`` below 2 is refused before any run: each side's quartiles need
+two runs.
+
 Each checkout must hold ``perfbench/`` and ``src/``.  Pair i runs every
 workload of ``BENCHMARK.json`` with seed ``first-seed + i`` once per checkout,
 the parent first in even pairs and the change first in odd ones, using
@@ -64,6 +67,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]

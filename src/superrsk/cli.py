@@ -87,27 +87,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_insert = sub.add_parser("insert", help="insert a word; print P, Q, path lengths")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(run=run)
+        return subparser
+
+    p_insert = command("insert", _cmd_insert, "insert a word; print P, Q, path lengths")
     p_insert.add_argument("--word", required=True)
 
-    p_reverse = sub.add_parser("reverse", help="recover the word from P,Q JSON")
+    p_reverse = command("reverse", _cmd_reverse, "recover the word from P,Q JSON")
     p_reverse.add_argument("--in", dest="infile", default=None, help="JSON file (default stdin)")
 
-    p_phi = sub.add_parser("phi", help="transport P across a shuffle change, Q fixed")
+    p_phi = command("phi", _cmd_phi, "transport P across a shuffle change, Q fixed")
     p_phi.add_argument("--in", dest="infile", default=None, help="JSON file (default stdin)")
     p_phi.add_argument("--shuffle-b", required=True, help="target order chain")
 
-    p_std = sub.add_parser("standardize", help="relabel repeated letters distinctly")
+    p_std = command("standardize", _cmd_standardize, "relabel repeated letters distinctly")
     p_std.add_argument("--word", required=True)
     p_std.add_argument("--side", default="u", choices=["u", "t"])
 
-    p_enum = sub.add_parser("enumerate", help="list all valid fillings of a shape")
+    p_enum = command("enumerate", _cmd_enumerate, "list all valid fillings of a shape")
     p_enum.add_argument("--shape", required=True, help='row lengths, e.g. "3,1"')
 
-    p_hs = sub.add_parser("hook-schur", help="weight generating polynomial of a shape")
+    p_hs = command("hook-schur", _cmd_hook_schur, "weight generating polynomial of a shape")
     p_hs.add_argument("--shape", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a claim checker; nonzero exit on failure")
+    p_verify = command("verify", _cmd_verify, "run a claim checker; nonzero exit on failure")
     p_verify.add_argument("--theorem", required=True, choices=list(_CLAIMS))
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sample"])
@@ -115,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None, help="with --mode sample: 0")
     p_verify.add_argument("--out", default=None)
 
-    p_trace = sub.add_parser("trace", help="align the step traces of two adjacent orders")
+    p_trace = command("trace", _cmd_trace, "align the step traces of two adjacent orders")
     p_trace.add_argument("--word", required=True)
     p_trace.add_argument("--shuffle-b", required=True)
 
@@ -174,113 +179,99 @@ def _read_pq(args):
         ) from None
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if text and not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _render(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit_json(payload) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _cmd_insert(args) -> int:
+# Each command returns (exit code, JSON payload, text), the payload and the
+# text as zero-argument callables, so that only the one --format chooses is
+# built; ``main`` alone writes it.
+def _cmd_insert(args):
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     variant = parse_variant(args.variant)
     word = parse_word(args.word, alphabet)
     result = _insert_traced(word, shuffle, variant)
-    if args.format == "json":
-        _emit_json(
-            {
-                "p": tableau_to_json(result.p),
-                "q": recording_to_json(result.q),
-                "path_lengths": list(result.trace.path_lengths),
-            }
-        )
-    else:
+
+    def payload():
+        return {
+            "p": tableau_to_json(result.p),
+            "q": recording_to_json(result.q),
+            "path_lengths": list(result.trace.path_lengths),
+        }
+
+    def text():
         lengths = " ".join(str(x) for x in result.trace.path_lengths)
         parts = ["P:", render_tableau(result.p), "Q:", render_recording(result.q),
                  f"path lengths: {lengths}"]
-        _emit("\n".join(part for part in parts if part != ""))
-    return 0
+        return "\n".join(part for part in parts if part != "")
+
+    return 0, payload, text
 
 
-def _cmd_reverse(args) -> int:
+def _cmd_reverse(args):
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     variant = parse_variant(args.variant)
     p, q = _read_pq(args)
     word = reverse_word(p, q, shuffle, variant)
-    if args.format == "json":
-        _emit_json({"word": [letter.name for letter in word]})
-    else:
-        _emit(str(word))
-    return 0
+    return 0, lambda: {"word": [letter.name for letter in word]}, lambda: str(word)
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args):
     alphabet = _alphabet(args)
     source = _shuffle(args, alphabet)
     target = parse_shuffle(args.shuffle_b, alphabet)
     variant = parse_variant(args.variant)
     p, q = _read_pq(args)
     image = change_shuffle(p, q, source, target, variant)
-    if args.format == "json":
-        _emit_json({"p": tableau_to_json(image)})
-    else:
-        _emit(render_tableau(image))
-    return 0
+    return 0, lambda: {"p": tableau_to_json(image)}, lambda: render_tableau(image)
 
 
-def _cmd_standardize(args) -> int:
+def _cmd_standardize(args):
     _refuse(args.variant != REGULAR_REGULAR.name, "--variant", "standardize takes no --variant")
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     word = parse_word(args.word, alphabet)
     std = standardize_u(word, shuffle) if args.side == "u" else standardize_t(word, shuffle)
-    if args.format == "json":
-        _emit_json(
-            {
-                "word": [letter.name for letter in std.word],
-                "shuffle": shuffle_to_json(std.shuffle),
-                "letter_map": {str(i): x.name for i, x in enumerate(std.word, 1)},
-            }
-        )
-    else:
+
+    def payload():
+        return {
+            "word": [letter.name for letter in std.word],
+            "shuffle": shuffle_to_json(std.shuffle),
+            "letter_map": {str(i): x.name for i, x in enumerate(std.word, 1)},
+        }
+
+    def text():
         mapping = " ".join(f"{i}:{x.name}" for i, x in enumerate(std.word, 1))
-        _emit(f"w: {std.word}\nshuffle: {std.shuffle}\nmap: {mapping}")
-    return 0
+        return f"w: {std.word}\nshuffle: {std.shuffle}\nmap: {mapping}"
+
+    return 0, payload, text
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     variant = parse_variant(args.variant)
     shape = _parse_shape(args.shape)
     tableaux = enumerate_ssyt(shape, alphabet, shuffle, variant)
-    if args.format == "json":
-        _emit_json({"count": len(tableaux), "tableaux": [tableau_to_json(t) for t in tableaux]})
-    else:
-        blocks = [f"count: {len(tableaux)}"] + [render_tableau(t) for t in tableaux]
-        _emit("\n\n".join(blocks))
-    return 0
+    return (
+        0,
+        lambda: {"count": len(tableaux), "tableaux": [tableau_to_json(t) for t in tableaux]},
+        lambda: "\n\n".join([f"count: {len(tableaux)}", *map(render_tableau, tableaux)]),
+    )
 
 
-def _cmd_hook_schur(args) -> int:
+def _cmd_hook_schur(args):
     alphabet = _alphabet(args)
     shuffle = _shuffle(args, alphabet)
     variant = parse_variant(args.variant)
     shape = _parse_shape(args.shape)
     poly = hook_schur(shape, alphabet, shuffle, variant)
-    if args.format == "json":
-        _emit_json(polynomial_to_json(poly))
-    else:
-        _emit(poly.render())
-    return 0
+    return 0, lambda: polynomial_to_json(poly), poly.render
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     alphabet = _alphabet(args)
     honours, checker = _CLAIMS[args.theorem]
     claim = f"--theorem {args.theorem}"
@@ -296,25 +287,22 @@ def _cmd_verify(args) -> int:
     report = globals()[checker](alphabet, args.n, **{o: options[o] for o in honours})
 
     payload = report.to_json_dict()
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
+                handle.write(_render(payload) + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    if args.format == "json":
-        _emit(rendered)
-    else:
+
+    def text():
         status = "ok" if report.passed else "FAILED" if report.failures else "no cases"
-        _emit(
-            f"check: {report.check_name}\ncases: {report.cases_run}\n"
-            f"failures: {len(report.failures)}\nstatus: {status}"
-        )
-    return 0 if report.passed else 1
+        return (f"check: {report.check_name}\ncases: {report.cases_run}\n"
+                f"failures: {len(report.failures)}\nstatus: {status}")
+
+    return (0 if report.passed else 1), lambda: payload, text
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args):
     _refuse(args.variant != REGULAR_REGULAR.name, "--variant", "trace aligns reg-reg only")
     alphabet = _alphabet(args)
     shuffle_a = _shuffle(args, alphabet)
@@ -323,17 +311,17 @@ def _cmd_trace(args) -> int:
     trace_a = _insert_traced(word, shuffle_a, REGULAR_REGULAR).trace
     trace_b = _insert_traced(word, shuffle_b, REGULAR_REGULAR).trace
     alignment = align_traces(trace_a, shuffle_a, trace_b, shuffle_b)
-    if args.format == "json":
-        _emit_json(
-            {
-                "s_a": trace_a.total,
-                "s_b": trace_b.total,
-                "alignment": [list(pq) for pq in alignment.pairs],
-                "equivalent": [True] * len(alignment.pairs),
-                "witnesses": alignment.witness_count,
-            }
-        )
-    else:
+
+    def payload():
+        return {
+            "s_a": trace_a.total,
+            "s_b": trace_b.total,
+            "alignment": [list(pq) for pq in alignment.pairs],
+            "equivalent": [True] * len(alignment.pairs),
+            "witnesses": alignment.witness_count,
+        }
+
+    def text():  # state_after replays step snapshots, which JSON output never reads
         lines = [f"s_a: {trace_a.total}", f"s_b: {trace_b.total}"]
         lines.append("alignment: " + " -> ".join(f"({p},{q})" for p, q in alignment.pairs))
         for p, q in alignment.pairs:
@@ -343,31 +331,24 @@ def _cmd_trace(args) -> int:
             lines.append("b:")
             lines.append(render_tableau(trace_b.state_after(q)))
         lines.append(f"witnesses: {alignment.witness_count}")
-        _emit("\n".join(lines))
-    return 0
+        return "\n".join(lines)
 
-
-_HANDLERS = {
-    "insert": _cmd_insert,
-    "reverse": _cmd_reverse,
-    "phi": _cmd_phi,
-    "standardize": _cmd_standardize,
-    "enumerate": _cmd_enumerate,
-    "hook-schur": _cmd_hook_schur,
-    "verify": _cmd_verify,
-    "trace": _cmd_trace,
-}
+    return 0, payload, text
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its output, JSON or text, is written here and only here."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code, payload, text = args.run(args)
+        out = _render(payload()) if args.format == "json" else text()
     except (ValueError, AlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'superrsk {args.command} --help' for usage", file=sys.stderr)
         return 2
+    sys.stdout.write(out + "\n" if out and not out.endswith("\n") else out)
+    return code
 
 
 if __name__ == "__main__":

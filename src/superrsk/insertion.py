@@ -445,10 +445,10 @@ class _Lane:
         self.bad = None
 
     def tableau(self) -> Tableau:
-        """P as a ``Tableau`` of letters, built unchecked once it passes
-        ``_check_diagrams``: its letters come from the shuffle's order, so the
-        diagram rule is the one check ``Tableau`` makes that P can fail."""
-        _check_diagrams((self,))
+        """P as a ``Tableau`` of letters, built unchecked: its letters come
+        from the shuffle's order, so the diagram rule is the one check
+        ``Tableau`` makes that P can fail, and ``_walk``, which filled the
+        lane, has already checked the rows against it."""
         get = self.shuffle.order.__getitem__
         return Tableau._of(tuple(tuple(map(get, row)) for row in self.rows))
 

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import io
 import json
@@ -15,6 +16,15 @@ from superrsk import VARIANTS
 from superrsk.cli import _CLAIMS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def load_script(name: str):
+    """A module of ``scripts/``, loaded by path; its ``main`` is not run."""
+    path = README.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run(capsys, *argv):
@@ -240,6 +250,16 @@ class TestVerify:
         assert payload["check"] == "dual-regular-agreement"
         assert payload["failures"] == []
 
+    def test_out_file_holds_the_printed_json(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out = run(
+            capsys,
+            "--k", "2", "--l", "1", "--format", "json",
+            "verify", "--theorem", "round-trip", "--n", "3", "--out", str(path),
+        )
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
     def test_sampled_mode(self, capsys):
         code, out = run(
             capsys,
@@ -446,6 +466,12 @@ class TestVerify:
         tokens = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
         assert tokens == list(_CLAIMS)
 
+    def test_output_matrix_lists_every_token(self):
+        # loaded by path and never run: its TOKENS must cover every claim
+        module = load_script("verify_outputs")
+        assert len(set(module.TOKENS)) == len(module.TOKENS)
+        assert set(module.TOKENS) == set(_CLAIMS)
+
 
 class TestTrace:
     def test_two_letter_word(self, capsys):
@@ -469,6 +495,30 @@ class TestTrace:
         assert code == 0
         assert "step 1 ~ step 1: equivalent" in out
         assert "step 2 ~ step 3: equivalent" in out
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["insert", "--word", "u2,t1,t2,u1,t1"],
+            ["--shuffle", "t1<t2<u1<u2", "trace", "--word", "u2,t1,t2,u1,t1",
+             "--shuffle-b", "t1<u1<t2<u2"],
+        ],
+        ids=["insert", "trace"],
+    )
+    def test_json_builds_no_step_snapshots(self, capsys, monkeypatch, argv):
+        # the text is rendered only for --format text; trace text reads
+        # state_after, which would call _replay and fail here
+        def refuse(*args):
+            raise AssertionError("a Step snapshot was built")
+
+        monkeypatch.setattr("superrsk.insertion._replay", refuse)
+        code, out = run(capsys, "--k", "2", "--l", "2", "--format", "json", *argv)
+        assert code == 0 and json.loads(out)
+        if argv[-2] == "--shuffle-b":  # the patch is where trace text would reach
+            with pytest.raises(AssertionError, match="a Step snapshot was built"):
+                main(["--k", "2", "--l", "2", *argv])
 
 
 class TestErrors:
@@ -634,3 +684,21 @@ class TestBadInputExitCodes:
         error_lines = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(error_lines) == 1
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_bench_pairs_refuses_fewer_than_two_pairs(capsys, monkeypatch, tmp_path, pairs):
+    # refused before any benchmark process starts
+    module = load_script("bench_pairs")
+
+    def start(*args, **kwargs):
+        raise AssertionError("a benchmark process was started")
+
+    monkeypatch.setattr(module.subprocess, "run", start)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        module.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                     "--out", str(out), "--pairs", pairs])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("--pairs must be at least 2")
+    assert not out.exists()
