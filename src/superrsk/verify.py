@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, product
 from operator import ne
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .alphabet import (
     Alphabet,
@@ -436,42 +436,27 @@ def _cells_ok(placements) -> bool:
 # reports
 
 
-class _GridFailure(NamedTuple):
-    """A finding about a grid as a whole; a failure, but not a case."""
-
-    failure: CaseFailure
-
-
 def _report(
     name: str,
     alphabet: Alphabet,
     n: int,
-    cases: Iterable,
+    run,
     params: dict | None = None,
     stats: dict | None = None,
 ) -> Report:
     """Run the cases and return their Report, whose parameters are k, l, n and
     then ``params``.
 
-    ``cases`` yields an ``int`` for a run of that many passed cases, a
-    ``CaseFailure`` for one failed case, and a ``_GridFailure`` for a finding
-    recorded without counting a case.  ``stats`` may be filled meanwhile.
+    ``run()`` returns the case count and the failures: each failed case,
+    which is one of the cases, and each finding about the grid as a whole,
+    which counts no case.  ``stats`` may be filled meanwhile.
     """
     if type(n) is not int:  # a bool is an int to isinstance
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
     start = time.perf_counter()
-    failures: list[CaseFailure] = []
-    count = 0
-    for outcome in cases:
-        if type(outcome) is int:
-            count += outcome
-        elif isinstance(outcome, _GridFailure):
-            failures.append(outcome.failure)
-        else:
-            count += 1
-            failures.append(outcome)
+    count, failures = run()
     elapsed = time.perf_counter() - start
     params = {"k": alphabet.k, "l": alphabet.l, "n": n, **(params or {})}
     return Report(name, params, count, tuple(failures), elapsed, stats or {})
@@ -510,16 +495,18 @@ def _word_grid(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def cases(words):
+    def run():
+        count, failures = 0, []
+        words = _words(alphabet, n, mode)
         for word in _walk(words if keep is None else filter(keep, words), lanes):
-            count, failed = judge(word)
-            yield count - len(failed)
+            cases, failed = judge(word)
+            count += cases
             if failed:
                 text = _word_text(alphabet, word)
-                for record in failed:
-                    yield CaseFailure(text, *record)
+                failures += [CaseFailure(text, *record) for record in failed]
+        return count, failures
 
-    return _report(name, alphabet, n, cases(_words(alphabet, n, mode)), params)
+    return _report(name, alphabet, n, run, params)
 
 
 def _lanes(alphabet: Alphabet, *variants: Variant) -> list[_Lane]:
@@ -792,13 +779,15 @@ def _images(alphabet: Alphabet, n: int, lanes: list[_Lane]) -> list[tuple[dict, 
     ]
 
 
-def _transport_cases(images: list[int], props: list, expected: list, target_count: int, failure):
+def _transport_failures(
+    images: list[int], props: list, expected: list, target_count: int, failure
+) -> list[CaseFailure]:
     """Check one recorder's map from the source fillings to the target.
 
     ``images`` holds each source filling's image as an id into the target's
     ``props``, and ``expected`` the (shape, True, content) each image must
-    have.  Checks one case per source filling, and yields the passes as one
-    run, then the failures, then the findings about the whole map.
+    have.  Checks one case per source filling, and returns the failed cases,
+    then the findings about the whole map.
     """
     failed = []
     for pid, want in zip(images, expected):
@@ -814,13 +803,11 @@ def _transport_cases(images: list[int], props: list, expected: list, target_coun
         if image_content != content:
             problems.append("content changed")
         failed.append(failure("valid, content-preserving image", "; ".join(problems)))
-    yield len(images) - len(failed)
-    yield from failed
     if len(set(images)) != len(images):
-        yield _GridFailure(failure("injective map", "two fillings share an image"))
+        failed.append(failure("injective map", "two fillings share an image"))
     if len(images) != target_count:
-        counts = f"{len(images)} vs {target_count}"
-        yield _GridFailure(failure("equal counts on both sides", counts))
+        failed.append(failure("equal counts on both sides", f"{len(images)} vs {target_count}"))
+    return failed
 
 
 def _recorders(shape: Shape) -> tuple[list[RecordingTableau], list[list[Cell]]]:
@@ -845,9 +832,10 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
     shuffles = all_shuffles(alphabet)
     distinct_maps: dict[str, int] = {}
 
-    def cases():
+    def run():
         if len(shuffles) < 2:
-            return
+            return 0, []
+        count, failures = 0, []
         lanes = [_Lane(s, REGULAR_REGULAR) for s in shuffles]
         images = _images(alphabet, n, lanes)
         for shape in partitions(n):
@@ -866,15 +854,17 @@ def check_weight_preserving_bijection_grid(alphabet: Alphabet, n: int) -> Report
                     maps = set()
                     for q_words in words:
                         q_images = list(map(ids.__getitem__, q_words))
-                        yield from _transport_cases(
+                        count += len(q_images)
+                        failures += _transport_failures(
                             q_images, props, expected, len(fillings[b]), failure
                         )
                         maps.add(tuple(q_images))
                     key = f"{shape}"
                     distinct_maps[key] = max(distinct_maps.get(key, 0), len(maps))
+        return count, failures
 
     stats = {"distinct_maps_by_shape": distinct_maps}
-    return _report("weight-preserving-bijection", alphabet, n, cases(), stats=stats)
+    return _report("weight-preserving-bijection", alphabet, n, run, stats=stats)
 
 
 def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
@@ -884,7 +874,8 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
     Per (shape, shuffle, recorder), one walk of an unlogged lane inserts the
     recovered words in turn, each from empty."""
 
-    def cases():
+    def run():
+        count, failures = 0, []
         for shape in partitions(n):
             recorders, cells = _recorders(shape)
             for s in all_shuffles(alphabet):
@@ -893,20 +884,19 @@ def check_converse_round_trip_grid(alphabet: Alphabet, n: int) -> Report:
                 words = _reverse_sources(fillings, cells, lane)
                 for q, q_words in zip(recorders, words):
                     q_rows = [list(row) for row in q.rows]
-                    failed = []
+                    count += len(fillings)
                     for rows, word in zip(fillings, _walk(q_words, [lane])):
                         p_same, q_same = lane.rows == rows, lane.qrows == q_rows
                         if not (p_same and q_same):
-                            failed.append(CaseFailure(
+                            failures.append(CaseFailure(
                                 _word_text(alphabet, word), str(s), REGULAR_REGULAR.name,
                                 "insertion gives back the reversed (P, Q)",
                                 "P differs" if q_same else "Q differs" if p_same
                                 else "P and Q differ",
                             ))
-                    yield len(fillings) - len(failed)
-                    yield from failed
+        return count, failures
 
-    return _report("converse-round-trip", alphabet, n, cases())
+    return _report("converse-round-trip", alphabet, n, run)
 
 
 def check_hook_schur_invariance(
@@ -915,38 +905,40 @@ def check_hook_schur_invariance(
     """The weight generating polynomial of each shape, under the variant, ignores the shuffle."""
     shuffles = all_shuffles(alphabet)
 
-    def cases():
+    def run():
+        count, failures = 0, []
         for shape in partitions(n):
             reference = hook_schur(shape, alphabet, shuffles[0], variant)
+            count += len(shuffles) - 1
             for s in shuffles[1:]:
                 other = hook_schur(shape, alphabet, s, variant)
-                if other == reference:
-                    yield 1
-                else:
-                    yield CaseFailure(
+                if other != reference:
+                    failures.append(CaseFailure(
                         f"shape {shape}", f"{shuffles[0]} | {s}", variant.name,
                         reference.render(), other.render(),
-                    )
+                    ))
+        return count, failures
 
-    return _report("hook-schur-invariance", alphabet, n, cases(), {"variant": variant.name})
+    return _report("hook-schur-invariance", alphabet, n, run, {"variant": variant.name})
 
 
 def check_counting_identity(alphabet: Alphabet, n: int) -> Report:
     """Sum over shapes of #fillings x #standard fillings equals (k+l)^n,
     for every shuffle and every variant."""
 
-    def cases():
+    def run():
+        count, failures = 0, []
         for s in all_shuffles(alphabet):
+            count += len(VARIANTS)
             for variant in VARIANTS:
                 outcome = rsk_counting_identity(alphabet, n, s, variant)
-                if outcome["equal"]:
-                    yield 1
-                else:
-                    yield CaseFailure(
+                if not outcome["equal"]:
+                    failures.append(CaseFailure(
                         f"n={n}", str(s), variant.name, str(outcome["rhs"]), str(outcome["lhs"])
-                    )
+                    ))
+        return count, failures
 
-    return _report("counting-identity", alphabet, n, cases())
+    return _report("counting-identity", alphabet, n, run)
 
 
 def check_round_trip_grid(

@@ -9,6 +9,7 @@ from oracles import (
     unmap_tableau,
 )
 from superrsk import (
+    DUAL_REGULAR,
     REGULAR_DUAL,
     REGULAR_REGULAR,
     VARIANTS,
@@ -21,6 +22,7 @@ from superrsk import (
     enumerate_ssyt,
     enumerate_syt,
     insert_word,
+    kl_shuffle,
     partitions,
     parse_shuffle,
     parse_word,
@@ -78,6 +80,41 @@ class TestReverseWord:
     def test_invalid_tableau(self, order_ttuu):
         with pytest.raises(ValueError):
             reverse_word(tab("u1 u1"), rec("1 2"), order_ttuu, REGULAR_REGULAR)
+
+
+class TestReversalRunJumps:
+    """Under a dual rule, a walking letter that meets a run of its equals
+    passes the whole run in one bisection.  Stepping one line at a time
+    recovers the same word, so only the number of searches tells them apart."""
+
+    @pytest.mark.parametrize(
+        "letter,variant,shape",
+        [(t(1), DUAL_REGULAR, (1,) * 40), (u(1), REGULAR_DUAL, (40,))],
+        ids=["t1-column", "u1-row"],
+    )
+    def test_one_search_a_letter(self, monkeypatch, letter, variant, shape):
+        import superrsk.insertion as insertion
+
+        word = Word((letter,) * 40)
+        shuffle = kl_shuffle(Alphabet(1, 1))
+        result = insert_word(word, shuffle, variant)
+        assert result.p.shape == shape
+        searches = 0
+
+        def counted(search):
+            def wrapper(*args):
+                nonlocal searches
+                searches += 1
+                return search(*args)
+
+            return wrapper
+
+        # the reversal's lane binds its searches from the table when it is built
+        dual = tuple(map(counted, insertion._SEARCH["dual"]))
+        monkeypatch.setitem(insertion._SEARCH, "dual", dual)
+        assert reverse_word(result.p, result.q, shuffle, variant) == word
+        # the letter already in the first line searches nothing, each other one once
+        assert searches <= len(word)
 
 
 class TestChangeShuffle:

@@ -284,14 +284,14 @@ class TestVerify:
         assert (params["samples"], params["seed"]) == (100, 0)
 
     def test_failures_exit_nonzero(self, capsys, monkeypatch):
-        import superrsk.cli as cli
+        import superrsk.verify as verify
         from superrsk.verify import CaseFailure, Report
 
         def fake_checker(alphabet, n, variant=None, mode="exhaustive"):
             failure = CaseFailure("w", "s", "v", "x", "y")
             return Report("shape-invariance", {}, 1, (failure,), 0.0)
 
-        monkeypatch.setattr(cli, "check_shape_invariance", fake_checker)
+        monkeypatch.setattr(verify, "check_shape_invariance", fake_checker)
         code, out = run(
             capsys, "--k", "1", "--l", "1", "verify", "--theorem", "2", "--n", "1"
         )
@@ -441,10 +441,10 @@ class TestVerify:
     def test_report_params_follow_the_readme_rule(self, capsys, token):
         # k, l and n always; mode (and samples, seed when sampled) where the
         # token honours --mode sample; variant where its checker takes one
-        import superrsk.cli as cli
+        import superrsk.verify as verify
 
         honours, checker = _CLAIMS[token]
-        takes_variant = "variant" in inspect.signature(getattr(cli, checker)).parameters
+        takes_variant = "variant" in inspect.signature(getattr(verify, checker)).parameters
         assert takes_variant == ("variant" in honours or token == "2")
         runs = [([], {"mode"})]
         if "mode" in honours:
@@ -471,6 +471,16 @@ class TestVerify:
         module = load_script("verify_outputs")
         assert len(set(module.TOKENS)) == len(module.TOKENS)
         assert set(module.TOKENS) == set(_CLAIMS)
+
+    def test_the_cli_mirrors_no_checker(self):
+        # a claim's checker is looked up on verify by name, never copied into
+        # cli; cli's one check_ name is tableau's shape check
+        import superrsk.cli as cli
+        import superrsk.verify as verify
+
+        assert [name for name in vars(cli) if name.startswith("check_")] == ["check_shape"]
+        assert not hasattr(verify, "check_shape")
+        assert {checker for _, checker in _CLAIMS.values()} <= set(verify.__all__)
 
 
 class TestTrace:

@@ -329,18 +329,28 @@ class TestReports:
         import superrsk.verify as verify
 
         failure = CaseFailure("t1", "t1<t2<u1<u2", "reg-reg", "a pass", "a failure")
-        finding = verify._GridFailure(failure)
-        report = verify._report("runs", a22, 1, iter([3, 0, failure, finding, 4]))
-        # a run adds its passes, a failure is one case, a grid finding none
-        assert report.cases_run == 3 + 0 + 1 + 4
-        assert report.failures == (failure, failure) and not report.passed
-        assert verify._report("runs", a22, 1, iter([0, 5, 0])).passed
+        finding = CaseFailure("", "t1<t2<u1<u2", "reg-reg", "injective map", "a finding")
+        report = verify._report("runs", a22, 1, lambda: (8, [failure, finding]))
+        # the count is the run's own: a grid finding is a failure but no case
+        assert report.cases_run == 8
+        assert report.failures == (failure, finding) and not report.passed
+        assert verify._report("runs", a22, 1, lambda: (5, [])).passed
 
     def test_a_grid_of_empty_runs_has_no_cases(self, a22):
         import superrsk.verify as verify
 
-        report = verify._report("runs", a22, 1, iter([0, 0, 0]))
+        report = verify._report("runs", a22, 1, lambda: (0, []))
         assert report.cases_run == 0 and report.failures == () and not report.passed
+
+    @pytest.mark.parametrize("n", [-1, True], ids=repr)
+    def test_an_invalid_length_is_refused_before_the_run(self, a22, n):
+        import superrsk.verify as verify
+
+        def run():
+            raise AssertionError("a case ran")
+
+        with pytest.raises(ValueError, match="^n must be"):
+            verify._report("runs", a22, n, run)
 
     @pytest.mark.parametrize(
         "count,seed", [(1.5, 0), (3, 0.0), (True, 0), (3, False), ("3", 0), (3, None)]
@@ -652,10 +662,11 @@ def run_token(token, alphabet, n, variant=REGULAR_REGULAR, mode="exhaustive"):
     """The token's report, dispatched as the CLI does: its checker gets the
     options its row honours, by keyword."""
     import superrsk.cli as cli
+    import superrsk.verify as verify
 
     honours, checker = cli._CLAIMS[token]
     options = {"mode": mode, "variant": variant}
-    return getattr(cli, checker)(alphabet, n, **{o: options[o] for o in honours})
+    return getattr(verify, checker)(alphabet, n, **{o: options[o] for o in honours})
 
 
 # (k, l) with both sides, one side of a single letter, and one side empty
