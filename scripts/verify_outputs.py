@@ -6,9 +6,8 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
 (default: this checkout's ``src/``), over a fixed matrix:
 
 - ``--format json verify`` for the 14 claim tokens below, each with every
-  variant it honours (and ``cor4`` with every variant, which checkouts that
-  check it under reg-reg only refuse), at (k, l) in {(2, 2), (2, 1), (1, 2)}
-  and n in {0, 3, 4}, exhaustive and, where the token honours it,
+  variant it honours, at (k, l) in {(2, 2), (2, 1), (1, 2)} and n in
+  {0, 3, 4}, exhaustive and, where the token honours it,
   ``--mode sample --samples 7 --seed 5``;
 - every token once more at (k, l) in {(2, 0), (0, 2)} and n in {0, 3};
 - ``--format json enumerate`` for every shape of 1 to 4 cells under every
@@ -30,8 +29,7 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   alphabet side is empty or short and the exponent fields are 1 to 4 bits
   wide;
 - ``--format json hook-schur`` for every shape of 1 to 4 cells under every
-  shuffle and variant at (k, l) in {(2, 2), (2, 1)} (checkouts that count
-  reg-reg fillings only refuse the other variants);
+  shuffle and variant at (k, l) in {(2, 2), (2, 1)};
 - ``trace`` in both output formats for every ordered pair of adjacent
   shuffles at (k, l) in {(2, 2), (2, 1), (1, 2)}, on each of three fixed
   words inside the alphabet (``TRACE_WORDS``) and the empty word, and at
@@ -84,10 +82,6 @@ TOKENS = (
     "paths", "cells", "region1", "round-trip", "mimicry", "converse",
 )
 VARIANTS = ("reg-reg", "reg-dual", "dual-reg", "dual-dual")
-# tokens run under every variant even where a checkout does not honour
-# --variant for them (it exits 2 there), so that checkouts from before and
-# after they honoured it run one matrix
-ALWAYS_VARIED = ("cor4",)
 SAMPLE = ("--mode", "sample", "--samples", "7", "--seed", "5")
 SHAPES = ("1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1")
 WORDS = ("t2,u2,u1,u1,t1", "u1,t1,u1,t2,t1,u2,u1", "t1,t1,t2,t1")
@@ -143,8 +137,7 @@ def matrix(claims: dict) -> list[list[str]]:
         for n in (0, 3, 4):
             for token in TOKENS:
                 honours, _ = claims[token]
-                varied = "variant" in honours or token in ALWAYS_VARIED
-                variants = VARIANTS if varied else ("reg-reg",)
+                variants = VARIANTS if "variant" in honours else ("reg-reg",)
                 modes = ((), SAMPLE) if "mode" in honours else ((),)
                 for variant in variants:
                     for mode in modes:

@@ -114,11 +114,14 @@ class Alphabet:
             u(j) for j in range(1, self.l + 1)
         )
 
+    @cached_property
+    def indices(self) -> dict[Letter, int]:
+        """Each letter's alphabet index, its position in ``letters()``: t_i has i-1."""
+        return {letter: p for p, letter in enumerate(self.letters())}
+
     def __contains__(self, letter: object) -> bool:
-        if not isinstance(letter, Letter):  # a plain tuple equal to a letter is not one
-            return False
-        bound = self.k if letter.kind == "t" else self.l
-        return 1 <= letter.index <= bound
+        # a plain tuple equal to a letter is not one
+        return isinstance(letter, Letter) and letter in self.indices
 
     def __str__(self) -> str:
         return f"(k={self.k}, l={self.l})"

@@ -5,8 +5,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .alphabet import Alphabet, Letter, Shuffle, kl_shuffle, u as u_letter, t as t_letter
-from .insertion import _Lane, Variant, Word, _ranks_of, _valid_grid, _walk
+from .alphabet import Alphabet, Letter, Shuffle, u as u_letter, t as t_letter
+from .insertion import _Lane, Variant, Word, _indices_of, _valid_grid, _walk
 from .tableau import Cell, RecordingTableau, Shape, Tableau, _standard_cells
 
 __all__ = [
@@ -191,8 +191,7 @@ def _standardize(v: Word, shuffle: Shuffle, kind: str) -> Standardization:
     """Relabel the letters of one kind; see standardize_u and standardize_t."""
     alphabet = shuffle.alphabet
     k, l = alphabet.k, alphabet.l
-    # alphabet indices are the ranks of the t's-then-u's order
-    counts, relabelled = _relabel(tuple(_ranks_of(v, kl_shuffle(alphabet))), k, l, kind)
+    counts, relabelled = _relabel(_indices_of(v, alphabet), k, l, kind)
     total, other = sum(counts), (k if kind == "u" else l)
     if total == 0 and other == 0:
         # empty word over a one-kind alphabet: nothing to relabel

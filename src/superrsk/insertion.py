@@ -8,17 +8,17 @@ the first entry strictly greater than the incomer, the dual rule the first
 entry greater than or equal to it.
 
 ``insert_word`` computes P and Q eagerly on shuffle ranks, a bisection per
-bump or run of equal entries, keeping no step log.  Each letter crosses to its
-rank once, by a dict lookup that hashes the named-tuple ``Letter`` in C; a
-given P crosses, and is checked, in one pass.  P and Q cross back once, built
-by the private ``_of`` constructors without the public ones' checks: their
-letters come from the shuffle's order and Q's labels from counting, so only
-the diagram rule can fail, and the lane checks it whenever a settle may have
-broken it.  ``reverse_word`` builds its ``Word`` the same way.  The trace
-holds the word's ranks: the first read of its path lengths, step total,
-placement log or steps re-inserts them once with a log, and the intermediate
-``Tableau`` snapshots are built from that log only when ``steps`` or
-``state_after`` is read.
+bump or run of equal entries, keeping no step log.  A word crosses once to
+alphabet indices through ``Alphabet.indices``, and only ``_walk`` takes them
+to ranks; a given P crosses to ranks, and is checked, in one pass.  P and Q
+cross back once, built by the private ``_of`` constructors without the public
+ones' checks: their letters come from the shuffle's order and Q's labels from
+counting, so only the diagram rule can fail, and the lane checks it whenever
+a settle may have broken it.  ``reverse_word`` builds its ``Word`` the same
+way.  The trace holds the word's alphabet indices: the first read of its path
+lengths, step total, placement log or steps re-inserts them once with a log,
+and the intermediate ``Tableau`` snapshots are built from that log only when
+``steps`` or ``state_after`` is read.
 ``reverse_word``, ``change_shuffle`` and the verification grids work on ranks
 and never build snapshots.  Every insertion, those grids' included, runs
 through one rank-level state, ``_Lane``, filled, with a log or without, by
@@ -188,10 +188,10 @@ class InsertionTrace:
     ``path_lengths`` never build them.  Traces compare equal when they hold
     the same log under the same order.
 
-    A trace from ``insert_word`` holds its word's ranks, shuffle and variant
-    instead: the first read of ``path_lengths`` or ``log`` (and so of
-    ``total``, ``steps``, equality, hash or repr) re-inserts the ranks once
-    with a log and keeps the result.  Filling keeps those ranks and always
+    A trace from ``insert_word`` holds its word's alphabet indices, shuffle
+    and variant instead: the first read of ``path_lengths`` or ``log`` (and
+    so of ``total``, ``steps``, equality, hash or repr) re-inserts the word
+    once with a log and keeps the result.  Filling keeps that word and always
     gives the same values, so two readers that fill one trace at once agree.
     """
 
@@ -204,29 +204,29 @@ class InsertionTrace:
             raise ValueError("path lengths must sum to the step count")
 
     @classmethod
-    def _deferred(cls, ranks: tuple[int, ...], shuffle: Shuffle, variant: Variant):
-        """A trace of the insertion of ``ranks`` that is filled on first read."""
+    def _deferred(cls, word: tuple[int, ...], shuffle: Shuffle, variant: Variant):
+        """A trace of inserting the alphabet-index ``word``, filled on first read."""
         trace = object.__new__(cls)
         object.__setattr__(trace, "order", shuffle.order)
-        object.__setattr__(trace, "_recipe", (ranks, shuffle, variant))
+        object.__setattr__(trace, "_recipe", (word, shuffle, variant))
         return trace
 
     def __getattr__(self, name: str):
         # reached only while a deferred trace lacks path_lengths and log
         if name not in ("path_lengths", "log"):
             raise AttributeError(name)
-        ranks, shuffle, variant = self._recipe
-        filled = InsertionTrace._of_lane(_Lane(shuffle, variant), ranks)
+        word, shuffle, variant = self._recipe
+        filled = InsertionTrace._of_lane(_Lane(shuffle, variant), word)
         object.__setattr__(self, "path_lengths", filled.path_lengths)
         object.__setattr__(self, "log", filled.log)
         return vars(self)[name]
 
     @classmethod
-    def _of_lane(cls, lane: _Lane, ranks: Iterable[int]) -> InsertionTrace:
-        """The trace of inserting ``ranks`` into a logged lane, emptied and
-        filled by ``_walk``, which checks the diagram; the lane holds the
-        insertion afterwards."""
-        next(_walk((tuple(map(lane.letter.__getitem__, ranks)),), [lane]))
+    def _of_lane(cls, lane: _Lane, word: tuple[int, ...]) -> InsertionTrace:
+        """The trace of inserting the alphabet-index ``word`` into a logged
+        lane, emptied and filled by ``_walk``, which checks the diagram; the
+        lane holds the insertion afterwards."""
+        next(_walk((word,), [lane]))
         # each letter's path ends with its settle, the one placement that bumps nothing
         ends = [s for s, (_, _, _, y) in enumerate(lane.log, 1) if y is None]
         lengths = tuple(b - a for a, b in zip([0] + ends, ends))
@@ -273,11 +273,12 @@ _SEARCH = {"regular": (bisect_right, bisect_left), "dual": (bisect_left, bisect_
 Log = list[tuple[int, int, int, int | None]]
 
 
-def _ranks_of(letters: Iterable[Letter], shuffle: Shuffle) -> list[int]:
+def _indices_of(letters: Iterable[Letter], alphabet: Alphabet) -> tuple[int, ...]:
+    """The letters' alphabet indices; a letter outside the alphabet raises."""
     try:
-        return list(map(shuffle.ranks.__getitem__, letters))
+        return tuple(map(alphabet.indices.__getitem__, letters))
     except KeyError as exc:
-        raise ValueError(f"letter {exc.args[0]} outside alphabet {shuffle.alphabet}") from None
+        raise ValueError(f"letter {exc.args[0]} outside alphabet {alphabet}") from None
 
 
 def _valid_grid(p: Tableau, shuffle: Shuffle, strict: list[bool], invalid: str):
@@ -423,8 +424,7 @@ class _Lane:
     ) -> None:
         self.shuffle = shuffle
         self.bound = shuffle.alphabet.size - 1 if bound is None else bound
-        k = shuffle.alphabet.k
-        self.letter = [x.index - 1 if x.kind == "t" else k + x.index - 1 for x in shuffle.order]
+        self.letter = list(map(shuffle.alphabet.indices.__getitem__, shuffle.order))
         self.rank = sorted(range(len(self.letter)), key=self.letter.__getitem__)
         self.is_t = [x.kind == "t" for x in shuffle.order]
         self.find_t, self.back_t = _SEARCH[variant.t_rule]
@@ -558,12 +558,12 @@ def insert_letter(
     p: Tableau, x: Letter, shuffle: Shuffle, variant: Variant
 ) -> tuple[Tableau, tuple[Step, ...]]:
     """Insert a single letter into a valid tableau; returns the result and steps."""
-    (rank,) = _ranks_of((x,), shuffle)
+    (a,) = _indices_of((x,), shuffle.alphabet)
     lane = _Lane(shuffle, variant)
     lane.rows, lane.cols = _valid_grid(
         p, shuffle, lane.strict, "tableau is not valid for this shuffle and variant"
     )
-    _insert_rank(lane.rows, lane.cols, rank, lane.is_t, lane.find_t, lane.find_u, lane.log)
+    _insert_rank(lane.rows, lane.cols, lane.rank[a], lane.is_t, lane.find_t, lane.find_u, lane.log)
     steps = _replay(p, lane.log, (len(lane.log),), shuffle.order)
     return steps[-1].state, steps
 
@@ -572,16 +572,16 @@ def insert_word(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     """Insert a word letter by letter, recording where each new cell appears.
 
     P and Q are computed here, without a step log; the trace keeps the word's
-    ranks and logs their insertion only when it is first read.
+    alphabet indices and logs their insertion only when it is first read.
     """
-    ranks = _ranks_of(v, shuffle)
+    word = _indices_of(v, shuffle.alphabet)
     lane = _Lane(shuffle, variant, logged=False)
-    next(_walk((tuple(map(lane.letter.__getitem__, ranks)),), [lane]))
-    return lane.result(InsertionTrace._deferred(tuple(ranks), shuffle, variant))
+    next(_walk((word,), [lane]))
+    return lane.result(InsertionTrace._deferred(word, shuffle, variant))
 
 
 def _insert_traced(v: Word, shuffle: Shuffle, variant: Variant) -> InsertionResult:
     """``insert_word`` for a caller that reads the trace: one insertion that
     keeps a log gives P, Q and the filled trace."""
     lane = _Lane(shuffle, variant)
-    return lane.result(InsertionTrace._of_lane(lane, _ranks_of(v, shuffle)))
+    return lane.result(InsertionTrace._of_lane(lane, _indices_of(v, shuffle.alphabet)))

@@ -308,16 +308,15 @@ def hook_schur(
     # letter outside the alphabet gets one above those, in shuffle order
     k, l = alphabet.k, alphabet.l
     bits = sum(shape).bit_length()
+    index = alphabet.indices.get
     outside, fields = [], []
     for letter in shuffle.order:
-        kind, index = letter
-        if kind == "t" and index <= k:
-            fields.append(k + l - index)
-        elif kind == "u" and index <= l:
-            fields.append(l - index)
-        else:
+        p = index(letter)
+        if p is None:
             fields.append(k + l + len(outside))
             outside.append(letter)
+        else:
+            fields.append(k + l - 1 - p)
     # from is_valid's per-rank table: a letter strict in rows adds a vertical
     # strip (kind "u"), any other a horizontal one (kind "t")
     strict_in_rows = _strict_in_rows(shuffle, variant_profile(variant))

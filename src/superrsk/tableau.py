@@ -257,8 +257,7 @@ def _is_prefix_grid(small, big) -> bool:
     if len(small) > len(big):
         return False
     for r, row in enumerate(small):
-        if len(row) > len(big[r]):
-            return False
+        # a row longer than big's differs from the slice of big it is held to
         if row != big[r][: len(row)]:
             return False
     return True

@@ -25,7 +25,6 @@ from .alphabet import (
     _format,
     adjacent_transposition,
     all_shuffles,
-    kl_shuffle,
 )
 from .bijection import _INVALID_P, _check_recording, _relabel, _reverse_ranks, standardize_u
 from .insertion import (
@@ -37,8 +36,8 @@ from .insertion import (
     Word,
     _Lane,
     _common_prefix,
+    _indices_of,
     _rank_grid,
-    _ranks_of,
     _walk,
 )
 from .schur import _fill_ranks, enumerate_syt, hook_schur, partitions, rsk_counting_identity
@@ -237,32 +236,29 @@ class _Stream:
     """One lane's steps in the form the alignment compares, for each adjacent
     pair the lane is in, brought to the lane's log in place by ``follow``.
 
-    ``pending`` holds each step's pending action as (alphabet index, row of a
-    t or column of a u), or None after the last step; it does not depend on
-    the pair.  Per pair, ``ids`` holds each step's state and ``sigs`` its
-    signature: the tuple of its state's class in the shared ``states`` (the
-    cells' ranks under the shuffle with the pair's two ranks masked, and the
-    t_i-count of each region-2 component) and its pending action.  An
-    adjacent transposition keeps every other letter's rank, so masked cells
-    are equal exactly when the region-1 entries, the region-3 entries and the
-    region-2 cells agree.
+    ``letter`` and ``is_t`` are the lane's tables.  ``pending`` holds each
+    step's pending action as (alphabet index, row of a t or column of a u),
+    or None after the last step; it does not depend on the pair.  Per pair,
+    ``ids`` holds each step's state and ``sigs`` its signature: the tuple of
+    its state's class in the shared ``states`` (the cells' ranks under the
+    shuffle with the pair's two ranks masked, and the t_i-count of each
+    region-2 component) and its pending action.  An adjacent transposition
+    keeps every other letter's rank, so masked cells are equal exactly when
+    the region-1 entries, the region-3 entries and the region-2 cells agree.
     """
 
-    __slots__ = ("name", "is_t", "states", "pending", "value", "ids", "sigs")
+    __slots__ = ("letter", "is_t", "states", "pending", "value", "ids", "sigs")
 
-    def __init__(self, shuffle: Shuffle, pairs: Iterable[tuple], states: _States) -> None:
-        order = shuffle.order
-        # alphabet indices are the ranks of kl_shuffle
-        self.name = _ranks_of(order, kl_shuffle(shuffle.alphabet))
-        self.is_t = [x.kind == "t" for x in order]
-        self.states = states
+    def __init__(self, lane: _Lane, pairs: Iterable[tuple], states: _States) -> None:
+        self.letter, self.is_t, self.states = lane.letter, lane.is_t, states
         self.pending: list[tuple[int, int] | None] = []
         self.value, self.ids, self.sigs = {}, {}, {}
+        rank = lane.shuffle.rank
         for pair in pairs:
-            ti = shuffle.rank(pair[0])
-            lo = min(ti, shuffle.rank(pair[1]))
+            ti = rank(pair[0])
+            lo = min(ti, rank(pair[1]))
             self.value[pair] = [
-                -2 if e == ti else -1 if lo <= e <= lo + 1 else e for e in range(len(order))
+                -2 if e == ti else -1 if lo <= e <= lo + 1 else e for e in range(len(self.is_t))
             ]
             self.ids[pair], self.sigs[pair] = [], []
 
@@ -298,10 +294,10 @@ class _Stream:
     def _pending(self, log, s: int) -> tuple[int, int] | None:
         r, c, _, y = log[s]
         if y is not None:  # the bumped element enters the next row or column
-            return self.name[y], r + 1 if self.is_t[y] else c + 1
+            return self.letter[y], r + 1 if self.is_t[y] else c + 1
         if s + 1 < len(log):
             r, c, x, _ = log[s + 1]
-            return self.name[x], r if self.is_t[x] else c
+            return self.letter[x], r if self.is_t[x] else c
         return None
 
 
@@ -378,10 +374,11 @@ def align_traces(
     states = _States()
     streams = []
     for trace, shuffle in ((trace_a, shuffle_a), (trace_b, shuffle_b)):
-        _ranks_of(trace.order, shuffle)  # refuses foreign letters
+        _indices_of(trace.order, shuffle.alphabet)  # refuses foreign letters
         if trace.order != shuffle.order:
             raise ValueError(f"trace order {_format(trace.order)} is not shuffle {shuffle}")
-        stream = _Stream(shuffle, (pair,), states)
+        # a stream reads only its lane's shuffle tables, which no variant changes
+        stream = _Stream(_Lane(shuffle, REGULAR_REGULAR), (pair,), states)
         stream.follow(trace.log, 0)
         streams.append(stream.sigs[pair])
     table = _witnesses(*streams)
@@ -672,7 +669,7 @@ def check_trace_alignment_grid(
     pairs = _adjacent_pairs(lanes)
     states = _step_states(alphabet)
     streams = [
-        _Stream(lane.shuffle, [pair for i, j, pair in pairs if m in (i, j)], states)
+        _Stream(lane, [pair for i, j, pair in pairs if m in (i, j)], states)
         for m, lane in enumerate(lanes)
     ]
     held: tuple[int, ...] = ()

@@ -32,7 +32,6 @@ from superrsk import (
     t,
     u,
 )
-from superrsk.insertion import _ranks_of
 from superrsk.polynomial import Monomial
 from superrsk.tableau import _check_pair, _is_prefix_grid
 from superrsk.verify import _cells_ok, _paths_ok
@@ -267,7 +266,7 @@ def check_path_monotonicity(result: InsertionResult) -> bool:
 
 def check_cell_monotonicity(result: InsertionResult, shuffle: Shuffle) -> bool:
     """Across consecutive states, occupied cells persist and entries only shrink."""
-    rank = _ranks_of(result.trace.order, shuffle)
+    rank = list(map(shuffle.rank, result.trace.order))
     return _cells_ok((r, c, rank[x]) for r, c, x, _ in result.trace.log)
 
 

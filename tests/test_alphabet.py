@@ -145,6 +145,20 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(0, 0)
 
+    @pytest.mark.parametrize("k,l", [(-1, 2), (2, -1)])
+    def test_rejects_negative_sizes(self, k, l):
+        with pytest.raises(ValueError, match="^alphabet sizes must be non-negative$"):
+            Alphabet(k, l)
+
+    @pytest.mark.parametrize("k,l", [(2, 3), (0, 2), (3, 0)])
+    def test_indices_are_positions_in_letters(self, k, l):
+        alph = Alphabet(k, l)
+        assert alph.indices == {x: p for p, x in enumerate(alph.letters())}
+        assert alph.indices == kl_shuffle(alph).ranks
+        assert all(alph.indices[t(i)] == i - 1 for i in range(1, k + 1))
+        assert all(alph.indices[u(j)] == k + j - 1 for j in range(1, l + 1))
+        assert alph.indices is alph.indices  # built once per alphabet
+
     @pytest.mark.parametrize(
         "k,l", [(2.0, 1), (1, 2.5), (True, 1), (1, False), ("2", 1), (None, 1)]
     )
@@ -307,6 +321,11 @@ class TestParseFormat:
     def test_chain_violation(self):
         with pytest.raises(ValueError):
             parse_shuffle("t2<t1", Alphabet(2, 0))
+
+    @pytest.mark.parametrize("text", ["", "  "], ids=["empty", "blank"])
+    def test_blank_text(self, text):
+        with pytest.raises(ValueError, match="^empty shuffle text$"):
+            parse_shuffle(text, Alphabet(1, 1))
 
     def test_unknown_letter(self):
         with pytest.raises(ValueError):

@@ -226,6 +226,27 @@ class TestReversalGuardErrors:
         assert str(error.value) == text
 
 
+class TestIrreducibleConfigurations:
+    # rank rows under t1<u1 that reverse_word's validity guard would refuse,
+    # handed to the walk itself: the ejected letter finds nothing to displace
+    @pytest.mark.parametrize(
+        "rows,cols,cells,text",
+        [
+            ([[1], [0]], [[1, 0]], [(0, 0), (1, 0)], "nothing in row 1 admits t1"),
+            ([[1, 1]], [[1], [1]], [(0, 0), (0, 1)], "nothing in column 1 admits u1"),
+        ],
+        ids=["t", "u"],
+    )
+    def test_a_walk_with_nothing_to_displace_is_refused(self, rows, cols, cells, text):
+        from superrsk.bijection import _reverse_ranks
+        from superrsk.insertion import _Lane
+
+        lane = _Lane(kl_shuffle(Alphabet(1, 1)), REGULAR_REGULAR, logged=False)
+        with pytest.raises(ValueError) as error:
+            _reverse_ranks(rows, cols, cells, lane)
+        assert str(error.value) == f"irreducible configuration: {text}"
+
+
 class TestStandardizeU:
     def test_five_letter_example(self, a22, order_ttuu):
         word = parse_word("t2,u2,u1,u1,t1", a22)

@@ -20,6 +20,7 @@ from superrsk import (
     PendingAction,
     RecordingTableau,
     Tableau,
+    Variant,
     Word,
     all_shuffles,
     insert_letter,
@@ -68,6 +69,25 @@ class TestVariant:
         assert parse_variant("dual-dual") == DUAL_DUAL
         with pytest.raises(ValueError):
             parse_variant("regular")
+
+    @pytest.mark.parametrize("rules", [("x", "regular"), ("dual", "x")], ids=["t", "u"])
+    def test_rejects_unknown_rules(self, rules):
+        with pytest.raises(ValueError, match="^rules must be 'regular' or 'dual'$"):
+            Variant(*rules)
+
+
+class TestPendingAction:
+    @pytest.mark.parametrize(
+        "axis,index,message",
+        [
+            ("diagonal", 1, "^axis must be 'row' or 'column': 'diagonal'$"),
+            ("row", 0, "^target index must be positive$"),
+        ],
+        ids=["axis", "index"],
+    )
+    def test_rejects_bad_targets(self, axis, index, message):
+        with pytest.raises(ValueError, match=message):
+            PendingAction(t(1), axis, index)
 
     @pytest.mark.parametrize(
         "variant,t_axis,u_axis",
@@ -118,7 +138,7 @@ class TestInsertLetter:
         assert steps[0].settled_cell == (1, 2) and steps[1].settled_cell == (1, 3)
 
     def test_rejects_foreign_letter(self, order_ttuu):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^letter t3 outside alphabet \(k=2, l=2\)$"):
             insert_letter(Tableau(), t(3), order_ttuu, REGULAR_REGULAR)
 
     def test_rejects_invalid_tableau(self, order_ttuu):
@@ -169,7 +189,7 @@ class TestInsertWord:
         assert result.trace.steps == () and result.trace.path_lengths == ()
 
     def test_rejects_foreign_letters(self, order_ttuu):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^letter t3 outside alphabet \(k=2, l=2\)$"):
             insert_word(Word((t(3),)), order_ttuu, REGULAR_REGULAR)
 
 
@@ -383,10 +403,10 @@ def record_core_logs(monkeypatch) -> list:
 def eager_trace(word, shuffle, variant):
     """The trace of a logged lane that the walk filled letter by letter,
     built through the constructor."""
-    from superrsk.insertion import _Lane, _ranks_of, _walk
+    from superrsk.insertion import _Lane, _indices_of, _walk
 
     lane = _Lane(shuffle, variant)
-    list(_walk([tuple(lane.letter[x] for x in _ranks_of(word, shuffle))], [lane]))
+    list(_walk([_indices_of(word, shuffle.alphabet)], [lane]))
     marks = [*lane.marks, len(lane.log)]
     lengths = tuple(b - a for a, b in zip(marks, marks[1:]))
     return InsertionTrace(lengths, tuple(lane.log), shuffle.order)

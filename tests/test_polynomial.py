@@ -97,6 +97,15 @@ class TestPolynomial:
         assert square.coefficient(X1 * Y1) == 2
         assert square.coefficient(Y1 * Y1) == 1
 
+    @pytest.mark.parametrize("other", [3, "x1", None, X1], ids=repr)
+    def test_a_non_polynomial_is_unequal_and_cannot_be_combined(self, other):
+        p = Polynomial({X1: 1})
+        assert (p == other) is False and p != other
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            p * other
+
     def test_equality_is_exact(self):
         assert Polynomial({X1: 1}) != Polynomial({X1: 2})
         assert Polynomial() == Polynomial({})

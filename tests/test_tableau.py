@@ -63,6 +63,10 @@ class TestShape:
         with pytest.raises(ValueError):
             check_shape((2, 0))
 
+    def test_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="^tableau rows must be non-empty$"):
+            Tableau(((),))
+
 
 class TestRecordingTableau:
     @pytest.mark.parametrize(
@@ -86,6 +90,12 @@ class TestIsValid:
     def test_same_tableau_under_opposite_order(self, order_uutt):
         # row 1 = t1, t2, u2 is not weakly increasing when all u's come first
         assert not is_valid(tab("t1 t2 u2 / u1"), order_uutt, REGULAR)
+
+    @pytest.mark.parametrize("axes", [("diagonal", "rows"), ("rows", "diagonal")], ids=["t", "u"])
+    def test_profile_rejects_unknown_axis(self, axes):
+        message = "^strictness axis must be 'rows' or 'columns': 'diagonal'$"
+        with pytest.raises(ValueError, match=message):
+            StrictnessProfile(*axes)
 
     def test_empty(self, order_ttuu):
         assert is_valid(Tableau(), order_ttuu, REGULAR)

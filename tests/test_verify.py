@@ -359,6 +359,11 @@ class TestReports:
         with pytest.raises(ValueError, match="^sample count and seed must be integers"):
             Sample(count, seed)
 
+    @pytest.mark.parametrize("mode", ["random", None, ("sample", 3, 0)], ids=repr)
+    def test_an_unknown_mode_is_refused(self, a22, mode):
+        with pytest.raises(ValueError, match="^unknown mode "):
+            check_shape_invariance(a22, 2, REGULAR_REGULAR, mode)
+
     def test_negative_length_rejected(self, a22):
         with pytest.raises(ValueError, match="n must be non-negative"):
             check_shape_invariance(a22, -1, REGULAR_REGULAR, Sample(3, 0))
@@ -1084,7 +1089,7 @@ class TestSignatureStreams:
 
         lanes = verify._lanes(a22, REGULAR_REGULAR)
         lane, pairs = lanes[0], [pair for i, _, pair in verify._adjacent_pairs(lanes) if i == 0]
-        stream = verify._Stream(lane.shuffle, pairs, verify._States())
+        stream = verify._Stream(lane, pairs, verify._States())
         cls = stream.states.cls
         first, second = lane.letter[0], lane.letter[2]
         walk = verify._walk(iter([(first,), (first, second)]), [lane])
@@ -1695,6 +1700,65 @@ class TestFailureRecordsUnderAFault:
             assert findings == 10 * sum(len(enumerate_syt(shape)) for shape in partitions(3))
         else:
             assert (cases, len(failures), findings) == (1920, 20, 0)
+
+    def test_theorem3_records_a_content_change(self, a22, monkeypatch):
+        # every image under the second shuffle is read with an empty content
+        import superrsk.verify as verify
+
+        images, shuffles = verify._images, all_shuffles(a22)
+
+        def emptied(alphabet, n, lanes):
+            tables = images(alphabet, n, lanes)
+            ids, props = tables[1]
+            tables[1] = (ids, [(shape, valid, ()) for shape, valid, _ in props])
+            return tables
+
+        monkeypatch.setattr(verify, "_images", emptied)
+        report = check_weight_preserving_bijection_grid(a22, 3)
+        # every source order has as many fillings, so a sixth of the cases target it
+        assert report.cases_run == 1920 and len(report.failures) == 1920 // len(shuffles)
+        assert {(f.shuffles.split(" -> ")[1], f.expected, f.actual) for f in report.failures} == {
+            (str(shuffles[1]), "valid, content-preserving image", "content changed")
+        }
+
+    def test_theorem3_records_a_map_that_is_not_injective(self, a22, monkeypatch):
+        # words whose Ps under the first shuffle have equal shape, validity
+        # and content are all read as the first such P
+        import superrsk.verify as verify
+
+        images, shuffles = verify._images, all_shuffles(a22)
+
+        def merged(alphabet, n, lanes):
+            tables = images(alphabet, n, lanes)
+            ids, props = tables[0]
+            first = {}
+            alias = [first.setdefault(prop, pid) for pid, prop in enumerate(props)]
+            tables[0] = ({word: alias[pid] for word, pid in ids.items()}, props)
+            return tables
+
+        monkeypatch.setattr(verify, "_images", merged)
+        report = check_weight_preserving_bijection_grid(a22, 3)
+        # a finding counts no case, and every case still passes
+        assert report.cases_run == 1920 and report.failures
+        assert {(f.shuffles.split(" -> ")[1], f.expected, f.actual) for f in report.failures} == {
+            (str(shuffles[0]), "injective map", "two fillings share an image")
+        }
+
+    def test_counting_identity_records_an_unequal_count(self, a22, monkeypatch):
+        import superrsk.verify as verify
+
+        identity, skewed = verify.rsk_counting_identity, all_shuffles(a22)[2]
+
+        def counted(alphabet, n, shuffle, variant):
+            outcome = identity(alphabet, n, shuffle, variant)
+            if (shuffle, variant) == (skewed, REGULAR_DUAL):
+                outcome = {**outcome, "lhs": outcome["lhs"] + 1, "equal": False}
+            return outcome
+
+        monkeypatch.setattr(verify, "rsk_counting_identity", counted)
+        report = check_counting_identity(a22, 2)
+        assert report.cases_run == 6 * 4 and not report.passed
+        assert list(report.failures) == [CaseFailure("n=2", str(skewed), "reg-dual", "16", "17")]
 
     def test_converse_sees_the_fault(self, a22, monkeypatch):
         install_fault(monkeypatch, a22)
