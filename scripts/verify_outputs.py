@@ -10,8 +10,11 @@ Runs the `superrsk` CLI in process, against the package under ``DIR``
   {0, 3, 4}, exhaustive and, where the token honours it,
   ``--mode sample --samples 7 --seed 5``;
 - every token once more at (k, l) in {(2, 0), (0, 2)} and n in {0, 3};
+- ``verify`` in text format for every token once at (k, l) = (2, 1), n = 3;
 - ``--format json enumerate`` for every shape of 1 to 4 cells under every
   shuffle and variant at (k, l) in {(2, 2), (2, 1)};
+- ``enumerate`` in text format for every shape of 1 to 4 cells under every
+  shuffle at (k, l) = (2, 1);
 - ``standardize --side u|t`` on three fixed words under every shuffle at
   (2, 2), in both output formats;
 - ``standardize --side u|t`` in both output formats on three seeded
@@ -153,6 +156,8 @@ def matrix(claims: dict) -> list[list[str]]:
                     "--k", str(k), "--l", str(l), "--format", "json",
                     "verify", "--theorem", token, "--n", str(n),
                 ])
+    for token in TOKENS:
+        runs.append(["--k", "2", "--l", "1", "verify", "--theorem", token, "--n", "3"])
     for k, l in ((2, 2), (2, 1)):
         for chain in chains(k, l):
             for variant in VARIANTS:
@@ -161,6 +166,9 @@ def matrix(claims: dict) -> list[list[str]]:
                         "--k", str(k), "--l", str(l), "--shuffle", chain, "--variant", variant,
                         "--format", "json", "enumerate", "--shape", shape,
                     ])
+    for chain in chains(2, 1):
+        for shape in SHAPES:
+            runs.append(["--k", "2", "--l", "1", "--shuffle", chain, "enumerate", "--shape", shape])
     for chain in chains(2, 2):
         for word in WORDS:
             for side in ("u", "t"):

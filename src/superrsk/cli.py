@@ -8,11 +8,12 @@ import json
 import sys
 from functools import cache
 
-from .alphabet import Alphabet, kl_shuffle, parse_shuffle, shuffle_to_json
+from .alphabet import Alphabet, Shuffle, kl_shuffle, parse_shuffle, shuffle_to_json
 from .bijection import change_shuffle, reverse_word, standardize_t, standardize_u
 from .insertion import (
     REGULAR_REGULAR,
     VARIANTS,
+    Variant,
     _insert_traced,
     parse_variant,
     parse_word,
@@ -123,10 +124,13 @@ def _alphabet(args) -> Alphabet:
     return Alphabet(args.k, args.l)
 
 
-def _shuffle(args, alphabet: Alphabet):
-    if args.shuffle is None:
-        return kl_shuffle(alphabet)
-    return parse_shuffle(args.shuffle, alphabet)
+def _options(args) -> tuple[Alphabet, Shuffle, Variant]:
+    """--k and --l, --shuffle (by default every t below every u) and --variant,
+    read in that order, so the first bad one is the one reported."""
+    alphabet = _alphabet(args)
+    chain = args.shuffle
+    shuffle = kl_shuffle(alphabet) if chain is None else parse_shuffle(chain, alphabet)
+    return alphabet, shuffle, parse_variant(args.variant)
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -171,9 +175,7 @@ def _render(payload) -> str:
 # text as zero-argument callables, so that only the one --format chooses is
 # built; ``main`` alone writes it.
 def _cmd_insert(args):
-    alphabet = _alphabet(args)
-    shuffle = _shuffle(args, alphabet)
-    variant = parse_variant(args.variant)
+    alphabet, shuffle, variant = _options(args)
     word = parse_word(args.word, alphabet)
     result = _insert_traced(word, shuffle, variant)
 
@@ -194,19 +196,15 @@ def _cmd_insert(args):
 
 
 def _cmd_reverse(args):
-    alphabet = _alphabet(args)
-    shuffle = _shuffle(args, alphabet)
-    variant = parse_variant(args.variant)
+    _, shuffle, variant = _options(args)
     p, q = _read_pq(args)
     word = reverse_word(p, q, shuffle, variant)
     return 0, lambda: {"word": [letter.name for letter in word]}, lambda: str(word)
 
 
 def _cmd_phi(args):
-    alphabet = _alphabet(args)
-    source = _shuffle(args, alphabet)
+    alphabet, source, variant = _options(args)
     target = parse_shuffle(args.shuffle_b, alphabet)
-    variant = parse_variant(args.variant)
     p, q = _read_pq(args)
     image = change_shuffle(p, q, source, target, variant)
     return 0, lambda: {"p": tableau_to_json(image)}, lambda: render_tableau(image)
@@ -214,8 +212,7 @@ def _cmd_phi(args):
 
 def _cmd_standardize(args):
     _refuse(args.variant != REGULAR_REGULAR.name, "--variant", "standardize takes no --variant")
-    alphabet = _alphabet(args)
-    shuffle = _shuffle(args, alphabet)
+    alphabet, shuffle, _ = _options(args)
     word = parse_word(args.word, alphabet)
     std = standardize_u(word, shuffle) if args.side == "u" else standardize_t(word, shuffle)
 
@@ -234,9 +231,7 @@ def _cmd_standardize(args):
 
 
 def _cmd_enumerate(args):
-    alphabet = _alphabet(args)
-    shuffle = _shuffle(args, alphabet)
-    variant = parse_variant(args.variant)
+    alphabet, shuffle, variant = _options(args)
     shape = _parse_shape(args.shape)
     tableaux = enumerate_ssyt(shape, alphabet, shuffle, variant)
     return (
@@ -247,9 +242,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_hook_schur(args):
-    alphabet = _alphabet(args)
-    shuffle = _shuffle(args, alphabet)
-    variant = parse_variant(args.variant)
+    alphabet, shuffle, variant = _options(args)
     shape = _parse_shape(args.shape)
     poly = hook_schur(shape, alphabet, shuffle, variant)
     return 0, lambda: polynomial_to_json(poly), poly.render
@@ -288,8 +281,7 @@ def _cmd_verify(args):
 
 def _cmd_trace(args):
     _refuse(args.variant != REGULAR_REGULAR.name, "--variant", "trace aligns reg-reg only")
-    alphabet = _alphabet(args)
-    shuffle_a = _shuffle(args, alphabet)
+    alphabet, shuffle_a, _ = _options(args)
     shuffle_b = parse_shuffle(args.shuffle_b, alphabet)
     word = parse_word(args.word, alphabet)
     trace_a = _insert_traced(word, shuffle_a, REGULAR_REGULAR).trace

@@ -39,6 +39,8 @@ from .tableau import (
     StrictnessProfile,
     Tableau,
     _check_diagram,
+    _from_ranks,
+    _rank_rows,
     _strict_in_rows,
     _valid_ranks,
 )
@@ -286,12 +288,12 @@ def _valid_grid(p: Tableau, shuffle: Shuffle, strict: list[bool], invalid: str):
     once p passes ``is_valid`` under the per-rank table ``strict``; else
     raises ``invalid``.  A foreign letter is "not in" the alphabet, or
     "outside" it for a lone cell, which ``is_valid`` accepts."""
-    get = shuffle.ranks.__getitem__
     try:
-        rows = [list(map(get, row)) for row in p.rows]
-    except KeyError as exc:
-        where = "outside" if p.size == 1 else "is not in"
-        raise ValueError(f"letter {exc.args[0]} {where} alphabet {shuffle.alphabet}") from None
+        rows = _rank_rows(p, shuffle)
+    except ValueError:
+        if p.size != 1:
+            raise
+        raise ValueError(f"letter {p.rows[0][0]} outside alphabet {shuffle.alphabet}") from None
     return _rank_grid(rows, strict, invalid)
 
 
@@ -445,12 +447,9 @@ class _Lane:
         self.bad = None
 
     def tableau(self) -> Tableau:
-        """P as a ``Tableau`` of letters, built unchecked: its letters come
-        from the shuffle's order, so the diagram rule is the one check
-        ``Tableau`` makes that P can fail, and ``_walk``, which filled the
-        lane, has already checked the rows against it."""
-        get = self.shuffle.order.__getitem__
-        return Tableau._of(tuple(tuple(map(get, row)) for row in self.rows))
+        """P as a ``Tableau`` of letters, built unchecked: ``_walk``, which
+        filled the lane, has already checked its rows against the diagram rule."""
+        return _from_ranks(self.rows, self.shuffle)
 
     def result(self, trace: InsertionTrace) -> InsertionResult:
         """P and Q as the lane holds them, with ``trace``; Q, whose labels

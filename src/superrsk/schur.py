@@ -14,6 +14,7 @@ from .tableau import (
     RecordingTableau,
     Shape,
     Tableau,
+    _from_ranks,
     _strict_in_rows,
     check_shape,
 )
@@ -28,12 +29,17 @@ __all__ = [
 ]
 
 
-def partitions(n: int) -> list[Shape]:
-    """All partitions of n in reverse lexicographic order; n=0 gives the empty shape."""
+def _check_length(n: int) -> None:
+    """Refuse a word length or size n that is not a non-negative integer."""
     if type(n) is not int:  # a bool is an int to isinstance
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
+
+
+def partitions(n: int) -> list[Shape]:
+    """All partitions of n in reverse lexicographic order; n=0 gives the empty shape."""
+    _check_length(n)
     result: list[Shape] = []
 
     def extend(prefix: tuple[int, ...], remaining: int, cap: int) -> None:
@@ -53,13 +59,13 @@ def enumerate_ssyt(
     """All fillings of the shape that are valid for (shuffle, variant).
 
     The fillings of ``_fill_ranks``, in its order, with each rank mapped to
-    its letter.  Shapes the alphabet cannot fill yield an empty list.
+    its letter.  ``alphabet`` is not read: the fillings use the shuffle's
+    letters, which may be fewer than the alphabet's, and a shape those
+    letters cannot fill yields an empty list.  Each filling fills the
+    checked shape, so it is built unchecked.
     """
-    order = shuffle.order
-    return [
-        Tableau(tuple(tuple(map(order.__getitem__, row)) for row in rows))
-        for rows in _fill_ranks(check_shape(shape), shuffle, variant)
-    ]
+    fillings = _fill_ranks(check_shape(shape), shuffle, variant)
+    return [_from_ranks(rows, shuffle) for rows in fillings]
 
 
 def _fill_ranks(shape: Shape, shuffle: Shuffle, variant: Variant) -> list[list[list[int]]]:
@@ -165,27 +171,23 @@ def count_syt(shape: Shape) -> int:
     return factorial(n) // hooks
 
 
-def _horizontal_strips(mu: Shape, bound: Shape) -> list[tuple[Shape, int]]:
-    """Every nu inside bound with nu/mu a horizontal strip, paired with |nu/mu|.
+def _strips(mu: Shape, bound: Shape, outward: bool) -> list[tuple[Shape, int]]:
+    """Every nu inside bound that differs from mu by a horizontal strip, added
+    (outward: nu/mu) or removed (inward: mu/nu), paired with the strip's size.
 
-    mu and bound have equal length (zero-padded).  A horizontal strip puts at
-    most one cell in each column, i.e. mu_i <= nu_i <= mu_{i-1}, so each row
-    ranges independently of the others.
+    mu and bound have equal length (zero-padded), with mu inside bound.  A
+    horizontal strip puts at most one cell in each column: the outer shape's
+    rows interlace the inner one's, inner_i <= outer_i <= inner_{i-1}, so
+    each row ranges independently of the others, outward over
+    mu_i <= nu_i <= mu_{i-1} and inward over mu_{i+1} <= nu_i <= mu_i.
     """
-    caps = bound[:1] + mu[:-1]
-    ranges = [range(m, min(b, cap) + 1) for m, b, cap in zip(mu, bound, caps)]
+    if outward:
+        lows, highs = mu, bound[:1] + mu[:-1]
+    else:
+        lows, highs = mu[1:] + (0,), mu
+    ranges = [range(low, min(high, b) + 1) for low, high, b in zip(lows, highs, bound)]
     base = sum(mu)
-    return [(nu, sum(nu) - base) for nu in product(*ranges)]
-
-
-def _removed_strips(nu: Shape) -> list[tuple[Shape, int]]:
-    """Every mu with nu/mu a horizontal strip, paired with |nu/mu|.
-
-    nu is zero-padded; each row ranges over nu_{i+1} <= mu_i <= nu_i.
-    """
-    base = sum(nu)
-    ranges = [range(low, high + 1) for low, high in zip(nu[1:] + (0,), nu)]
-    return [(mu, base - sum(mu)) for mu in product(*ranges)]
+    return [(nu, abs(sum(nu) - base)) for nu in product(*ranges)]
 
 
 def _build_strips(shape: Shape, kind: str, mu: Shape, outward: bool) -> list:
@@ -197,13 +199,9 @@ def _build_strips(shape: Shape, kind: str, mu: Shape, outward: bool) -> list:
     kind "u" is a vertical strip, the conjugate's horizontal strip.
     """
     if kind == "t":
-        return _horizontal_strips(mu, shape) if outward else _removed_strips(mu)
+        return _strips(mu, shape, outward)
     rows, width = len(shape), (shape[0] if shape else 0)
-    flipped = _conjugate(mu, width)
-    if outward:
-        found = _horizontal_strips(flipped, _conjugate(shape, width))
-    else:
-        found = _removed_strips(flipped)
+    found = _strips(_conjugate(mu, width), _conjugate(shape, width), outward)
     return [(_conjugate(nu, rows), size) for nu, size in found]
 
 
@@ -390,16 +388,18 @@ def hook_schur(
 def rsk_counting_identity(
     alphabet: Alphabet, n: int, shuffle: Shuffle, variant: Variant
 ) -> dict:
-    """Compare sum over shapes of (#fillings x #standard fillings) to (k+l)^n.
+    """Compare sum over shapes of (#fillings x #standard fillings) to m^n,
+    m the number of letters the shuffle orders (k+l for the whole alphabet).
 
-    Insertion pairs each length-n word with a (tableau, standard tableau)
-    pair of equal shape, so the two counts must agree.  A shape's fillings
-    are counted as the coefficient sum of its ``hook_schur`` polynomial, so
-    none is listed; a shuffle letter outside the alphabet raises as there.
+    Insertion pairs each length-n word over those letters with a (tableau,
+    standard tableau) pair of equal shape, so the two counts must agree.  A
+    shape's fillings are counted as the coefficient sum of its ``hook_schur``
+    polynomial, so none is listed; a shuffle letter outside the alphabet
+    raises as there.
     """
     lhs = 0
     for shape in partitions(n):
         poly = hook_schur(shape, alphabet, shuffle, variant)
         lhs += sum(coeff for _, coeff in poly.sorted_terms()) * count_syt(shape)
-    rhs = alphabet.size**n
+    rhs = len(shuffle.order) ** n
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

@@ -143,16 +143,28 @@ def is_valid(tab: Tableau, shuffle: Shuffle, profile: StrictnessProfile) -> bool
     Equal entries are always the same letter, so the full-axis strictness of
     the t's (resp. u's) reduces to forbidding equal neighbours of that kind
     along the strict axis.  Entries are compared by shuffle rank; a tableau of
-    at most one cell has no neighbours and is valid.
+    at most one cell has no neighbours and is valid, whatever its letter.
     """
-    ranks = shuffle.ranks
+    if tab.size <= 1:
+        return True
+    return _valid_ranks(_rank_rows(tab, shuffle), _strict_in_rows(shuffle, profile))
+
+
+def _rank_rows(tab: Tableau, shuffle: Shuffle) -> list[list[int]]:
+    """The rows of tab as lists of shuffle ranks, each row mapped in one pass;
+    a letter the shuffle does not order raises."""
+    get = shuffle.ranks.__getitem__
     try:
-        rows = [[ranks[e] for e in row] for row in tab.rows]
+        return [list(map(get, row)) for row in tab.rows]
     except KeyError as exc:
-        if tab.size == 1:  # a lone cell has no neighbour to compare with
-            return True
         raise ValueError(f"letter {exc.args[0]} is not in alphabet {shuffle.alphabet}") from None
-    return _valid_ranks(rows, _strict_in_rows(shuffle, profile))
+
+
+def _from_ranks(rows, shuffle: Shuffle) -> Tableau:
+    """The ``Tableau`` of rank rows under the shuffle, built unchecked: its
+    letters come from the shuffle's order, and the caller's rows are a diagram."""
+    get = shuffle.order.__getitem__
+    return Tableau._of(tuple(tuple(map(get, row)) for row in rows))
 
 
 def _strict_in_rows(shuffle: Shuffle, profile: StrictnessProfile) -> list[bool]:
@@ -218,13 +230,9 @@ def classify_regions(
         raise ValueError(f"{ti} and {uj} are not order-adjacent in {shuffle}")
     lo = min(rt, ru)
     regions: RegionMap = {}
-    for cell, e in tab.items():
-        if e == ti or e == uj:
-            regions[cell] = 2
-        elif shuffle.rank(e) < lo:
-            regions[cell] = 1
-        else:
-            regions[cell] = 3
+    for r, row in enumerate(_rank_rows(tab, shuffle), 1):
+        for c, x in enumerate(row, 1):  # the pair holds ranks lo and lo + 1
+            regions[r, c] = 1 if x < lo else 2 if x <= lo + 1 else 3
     return regions
 
 

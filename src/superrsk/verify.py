@@ -40,7 +40,9 @@ from .insertion import (
     _rank_grid,
     _walk,
 )
-from .schur import _fill_ranks, enumerate_syt, hook_schur, partitions, rsk_counting_identity
+from .schur import (
+    _check_length, _fill_ranks, enumerate_syt, hook_schur, partitions, rsk_counting_identity,
+)
 from .tableau import (
     Cell,
     RecordingTableau,
@@ -448,10 +450,7 @@ def _report(
     which is one of the cases, and each finding about the grid as a whole,
     which counts no case.  ``stats`` may be filled meanwhile.
     """
-    if type(n) is not int:  # a bool is an int to isinstance
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_length(n)
     start = time.perf_counter()
     count, failures = run()
     elapsed = time.perf_counter() - start
@@ -767,7 +766,7 @@ def _images(alphabet: Alphabet, n: int, lanes: list[_Lane]) -> list[tuple[dict, 
     insertion per trie node and runs the walk's diagram check on each word.
     """
     tables = [(lane, {}, {}) for lane in lanes]  # per lane: word -> id, P -> id
-    for word in _walk(product(range(alphabet.size), repeat=n), lanes):
+    for word in _walk(_words(alphabet, n, "exhaustive"), lanes):
         for lane, ids, known in tables:
             ids[word] = known.setdefault(tuple(map(tuple, lane.rows)), len(known))
     return [

@@ -696,6 +696,68 @@ class TestBadInputExitCodes:
         assert "Traceback" not in captured.err
 
 
+# per command: its arguments with every command input bad (a word outside
+# the alphabet, a shape with an empty part, a missing --in file, a --shuffle-b
+# outside the alphabet)
+BAD_INPUTS = {
+    "insert": ["insert", "--word", "t9"],
+    "reverse": ["reverse", "--in", "{missing}"],
+    "phi": ["phi", "--in", "{missing}", "--shuffle-b", "t1<t9"],
+    "standardize": ["standardize", "--word", "t9"],
+    "enumerate": ["enumerate", "--shape", "2,,1"],
+    "hook-schur": ["hook-schur", "--shape", "2,,1"],
+    "trace": ["trace", "--word", "t9", "--shuffle-b", "t1<t9"],
+}
+# --shuffle values refused at (k, l) = (1, 1), with their errors
+BAD_SHUFFLES = {
+    "garbage": "cannot parse letter 'garbage' (expected e.g. 't1' or 'u2')",
+    "u1<t2": "letter t2 outside alphabet (k=1, l=1)",
+    "t1<t1": "shuffle over (k=1, l=1) must contain each letter exactly once",
+}
+
+
+class TestRefusalOrder:
+    """Which refusal a command reports when several of its options are bad:
+    a non-default --variant where one is refused, then a missing --k or --l,
+    then --shuffle, then the command's own input."""
+
+    @staticmethod
+    def error(capsys, tmp_path, argv):
+        code = main([arg.format(missing=tmp_path / "absent.json") for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        return captured.err.splitlines()[0]
+
+    @pytest.mark.parametrize("command", BAD_INPUTS)
+    def test_each_command_input_is_refused_on_its_own(self, capsys, tmp_path, command):
+        message = self.error(capsys, tmp_path, ["--k", "1", "--l", "1", *BAD_INPUTS[command]])
+        assert message.startswith("error: ")
+        assert message[len("error: "):] not in BAD_SHUFFLES.values()
+
+    @pytest.mark.parametrize("given", [[], ["--l", "1"], ["--k", "1"]])
+    @pytest.mark.parametrize("command", BAD_INPUTS)
+    def test_a_missing_alphabet_is_reported_first(self, capsys, tmp_path, command, given):
+        argv = [*given, "--shuffle", "garbage", *BAD_INPUTS[command]]
+        message = self.error(capsys, tmp_path, argv)
+        assert message == "error: --k and --l are required for this command"
+
+    @pytest.mark.parametrize("shuffle", BAD_SHUFFLES)
+    @pytest.mark.parametrize("command", BAD_INPUTS)
+    def test_a_bad_shuffle_is_reported_before_the_input(self, capsys, tmp_path, command, shuffle):
+        argv = ["--k", "1", "--l", "1", "--shuffle", shuffle, *BAD_INPUTS[command]]
+        assert self.error(capsys, tmp_path, argv) == f"error: {BAD_SHUFFLES[shuffle]}"
+
+    @pytest.mark.parametrize("variant", OTHER_VARIANTS)
+    @pytest.mark.parametrize(
+        "command,why",
+        [("standardize", "standardize takes no --variant"), ("trace", "trace aligns reg-reg only")],
+    )
+    def test_a_refused_variant_is_reported_first(self, capsys, tmp_path, command, why, variant):
+        argv = ["--variant", variant, "--shuffle", "garbage", *BAD_INPUTS[command]]
+        assert self.error(capsys, tmp_path, argv) == f"error: {why}; drop --variant"
+
+
 @pytest.mark.parametrize("pairs", ["1", "0"])
 def test_bench_pairs_refuses_fewer_than_two_pairs(capsys, monkeypatch, tmp_path, pairs):
     # refused before any benchmark process starts

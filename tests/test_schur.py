@@ -637,3 +637,61 @@ class TestCountingIdentity:
                     rhs = alph.size**n
                     outcome = rsk_counting_identity(alph, n, shuffle, variant)
                     assert outcome == {"lhs": lhs, "rhs": rhs, "equal": True}
+
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 3)])
+    def test_shuffle_of_a_sub_alphabet_counts_its_own_words(self, k, l):
+        # the fillings use the shuffle's letters only, so the words they
+        # count are the words over those letters
+        alph = Alphabet(k, l)
+        smaller = [Alphabet(i, j) for i in range(k + 1) for j in range(l + 1) if 0 < i + j < k + l]
+        for sub in smaller:
+            for shuffle in all_shuffles(sub):
+                for n, variant in product(range(5), VARIANTS):
+                    outcome = rsk_counting_identity(alph, n, shuffle, variant)
+                    assert outcome["equal"], (sub, str(shuffle), n, variant, outcome)
+                    assert outcome["rhs"] == sub.size**n
+
+    def test_a_shuffle_letter_outside_the_alphabet_still_raises(self):
+        shuffle = all_shuffles(Alphabet(2, 1))[0]
+        with pytest.raises(ValueError, match="outside alphabet"):
+            rsk_counting_identity(Alphabet(1, 1), 2, shuffle, REGULAR_REGULAR)
+
+
+def sub_shapes(shape):
+    """Every shape inside ``shape``, zero-padded to its length."""
+    return [
+        mu for mu in product(*(range(length + 1) for length in shape))
+        if all(a >= b for a, b in zip(mu, mu[1:]))
+    ]
+
+
+def is_strip(inner, outer, kind):
+    """Whether outer/inner holds at most one cell per column (kind t) or per
+    row (kind u), checked cell by cell."""
+    if any(a > b for a, b in zip(inner, outer)):
+        return False
+    cells = [(r, c) for r, (a, b) in enumerate(zip(inner, outer)) for c in range(a, b)]
+    lines = [c if kind == "t" else r for r, c in cells]
+    return len(lines) == len(set(lines))
+
+
+class TestStripEnumerator:
+    """``_build_strips`` against a cell-by-cell check, both ways."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_brute_force(self, n):
+        for shape in partitions(n):
+            subs = sub_shapes(shape)
+            for kind in "tu":
+                out = {mu: set(schur._build_strips(shape, kind, mu, True)) for mu in subs}
+                back = {nu: set(schur._build_strips(shape, kind, nu, False)) for nu in subs}
+                for mu, nu in product(subs, subs):
+                    size = sum(nu) - sum(mu)
+                    expected = is_strip(mu, nu, kind)
+                    assert ((nu, size) in out[mu]) == expected, (shape, kind, mu, nu)
+                    assert ((mu, size) in back[nu]) == expected, (shape, kind, mu, nu)
+                # every strip listed is one of those pairs, with its size
+                assert all(nu in subs and s == sum(nu) - sum(mu)
+                           for mu in subs for nu, s in out[mu])
+                assert all(mu in subs and s == sum(nu) - sum(mu)
+                           for nu in subs for mu, s in back[nu])
